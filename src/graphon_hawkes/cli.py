@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .errors import (
     UnstableModelError,
 )
 from .events import Realization
-from .limits import divergence_experiment, fclt_experiment, flln_experiment
+from .limits import _pmap, divergence_experiment, fclt_experiment, flln_experiment
 from .metrics import pp_distance
 from .model import validate_model
 from .operators import stability_report
@@ -150,11 +149,7 @@ def _cmd_simulate(cfg: RunConfig, spec) -> list[str]:
             spec, horizon, sub, with_lifetimes=with_lt, cap=opt["cap"]
         )
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            reals = list(pool.map(one, range(reps)))
-    else:
-        reals = [one(r) for r in range(reps)]
+    reals = _pmap(one, reps, cfg.threads)
 
     counts = []
     for r, real in enumerate(reals):
@@ -232,11 +227,7 @@ def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
                 dist = pp_distance(pair.n, pair.nd, spec, pair.avg.spec).total
                 return dist, pair.shared_fraction, pair.one_event_per_cell
 
-            if cfg.threads > 1:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    results = list(pool.map(one, range(opt["reps"])))
-            else:
-                results = [one(r) for r in range(opt["reps"])]
+            results = _pmap(one, opt["reps"], cfg.threads)
             for rep, (dist, frac, occ) in enumerate(results):
                 rows.append((d, mode, rep, dist, frac, occ))
             summary.setdefault(mode, {})[str(d)] = {

@@ -22,7 +22,7 @@ from .errors import (
     RequiresThinningError,
 )
 from .events import Realization
-from .model import ModelSpec
+from .model import ModelSpec, _cell_index
 from .rng import SplitStream
 
 DEFAULT_EVENT_CAP = 10**7
@@ -75,22 +75,12 @@ def sample_location(density: np.ndarray, domain, u=None, rng=None) -> np.ndarray
     while filled < k:
         batch = max(16, 2 * (k - filled))
         props = domain.uniform(rng, batch)
-        cell = _nearest_value(density, props, domain, n)
+        cell = density[_cell_index(props, domain, (n,) * m)]
         acc = rng.random(batch) <= cell / sup
         take = props[acc][: k - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
     return out[0] if (u is None or np.ndim(u) == 0) else out
-
-
-def _nearest_value(values, pts, domain, n):
-    counts = (n,) * domain.dim
-    rel = (pts - domain.lo) / (domain.hi - domain.lo)
-    idx = np.clip((rel * n).astype(int), 0, n - 1)
-    flat = idx[:, 0]
-    for a in range(1, domain.dim):
-        flat = flat * n + idx[:, a]
-    return values[flat]
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +97,13 @@ class ClusterEngine:
         self._columns: dict[tuple, tuple[float, np.ndarray | None]] = {}
 
         g, b = spec.graphon, spec.marks.b
+        # Piecewise-constant offspring profiles depend on the parent only
+        # through its source cell(s): key the column cache by them.
+        piecewise = all(f.family in ("constant", "grid") and f.interp == "pw-constant"
+                        for f in (g, b))
+        self._key_counts = [
+            f.axis_counts or (np.asarray(f.values).shape[0],) for f in (g, b) if f.family == "grid"
+        ] if piecewise else None
         self._flat_offspring = g.family == "constant" and b.family == "constant"
         self._sep_offspring = (
             g.family == "rank-one" and b.family == "constant" and spec.domain.dim == 1
@@ -166,7 +163,12 @@ class ClusterEngine:
         return out
 
     def _column(self, y: np.ndarray):
-        key = tuple(np.round(np.atleast_1d(y), 14))
+        y = np.atleast_1d(y)
+        key = (
+            tuple(np.round(y, 14))
+            if self._key_counts is None
+            else tuple(int(_cell_index(y[None, :], self.domain, c)[0]) for c in self._key_counts)
+        )
         hit = self._columns.get(key)
         if hit is None:
             col = np.maximum(self.spec.excitation_column(self.nodes, y), 0.0)
@@ -473,36 +475,3 @@ def population_count(real: Realization, t: float, box=None) -> int:
         lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
         alive &= ((real.locations >= lo) & (real.locations <= hi)).all(axis=1)
     return int(np.count_nonzero(alive))
-
-
-def simulate_clusters_batched(
-    spec: ModelSpec,
-    roots_x: np.ndarray,
-    horizon: float,
-    rng: np.random.Generator,
-    with_lifetimes: bool = True,
-    cap: int = DEFAULT_EVENT_CAP,
-    engine: ClusterEngine | None = None,
-):
-    """Grow many independent clusters at once (Monte Carlo oracles).
-
-    All roots start at t=0; returns raw arrays (t, x, xi, sim_idx, gen,
-    parent, lifetime) plus a censoring flag.  Uses a single generator, so
-    it trades per-cluster reproducibility for batching speed.
-    """
-    engine = engine or ClusterEngine(spec)
-    k = roots_x.shape[0]
-    xi0 = spec.marks.sample_xi(rng, k)
-    arrays, censored = _grow(
-        engine,
-        np.zeros(k),
-        np.atleast_2d(roots_x),
-        xi0,
-        np.arange(k, dtype=np.int64),
-        0,
-        horizon,
-        rng,
-        with_lifetimes,
-        cap,
-    )
-    return arrays, censored

@@ -46,6 +46,10 @@ class RequiresThinningError(GraphonHawkesError):
     code = "requires-thinning-simulator"
 
 
+class ThinningBoundError(GraphonHawkesError):
+    code = "thinning-bound-violated"
+
+
 class DegenerateDensityError(GraphonHawkesError, ValueError):
     code = "degenerate-density"
 

@@ -16,13 +16,13 @@ import numpy as np
 from scipy import stats
 
 from .cluster_sim import ClusterEngine, simulate_process
-from .errors import OutdegreeConditionError, UnstableModelError
+from .errors import OutdegreeConditionError
 from .model import ModelSpec
 from .operators import (
     discretize_kernel,
     fclt_sigma,
     outdegree_norm,
-    spectral_radius,
+    require_stable,
     stationary_rate,
 )
 from .rng import SplitStream
@@ -71,9 +71,7 @@ def _box_mask(nodes: np.ndarray, box) -> np.ndarray:
 
 def _operator_setup(spec: ModelSpec, box, n_op: int):
     grid = discretize_kernel(spec, n_op)
-    est = spectral_radius(grid, max_power=48)
-    if est.rho >= 1.0:
-        raise UnstableModelError(f"rho estimate {est.rho:.4f} >= 1")
+    est = require_stable(grid)
     rate = stationary_rate(grid, spec.baseline_on(grid.nodes), tol=1e-10)
     mask = _box_mask(grid.nodes, box)
     lam_a = float(np.sum(rate.values[mask] * grid.weights[mask]))

@@ -159,6 +159,12 @@ class PairFunction:
             return self._grid_pairs(xs, ys, domain)
         raise InvalidParameterError(f"unknown pair-function family {self.family!r}")
 
+    def matrix(self, nodes: np.ndarray, domain: SpatialDomain) -> np.ndarray:
+        """F(x_i, x_j) at all node pairs; shape (k, k), rows x, cols y."""
+        k = nodes.shape[0]
+        ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+        return self.pairs(nodes[ii.ravel()], nodes[jj.ravel()], domain).reshape(k, k)
+
     def column(self, zs: np.ndarray, y: np.ndarray, domain: SpatialDomain) -> np.ndarray:
         """z -> F(z, y) for a single y over many z; shape (k,)."""
         zs = np.atleast_2d(np.asarray(zs, float))
@@ -461,9 +467,7 @@ class ModelSpec:
         """C_B: uniform bound on E[B_xy] (mean scalar times the profile bound)."""
         b_sup = self.marks.b.sup_bound()
         if not math.isfinite(b_sup):
-            nodes, _ = _probe_nodes(self.domain)
-            xs, ys = _probe_pairs(nodes)
-            b_sup = float(np.max(self.marks.b.pairs(xs, ys, self.domain)))
+            b_sup = float(np.max(_probe_matrix(self.marks.b, self.domain)))
         return self.marks.mean_xi * b_sup
 
     def graphon_bound(self) -> float:
@@ -471,9 +475,7 @@ class ModelSpec:
             return self.c_w
         w_sup = self.graphon.sup_bound()
         if not math.isfinite(w_sup):
-            nodes, _ = _probe_nodes(self.domain)
-            xs, ys = _probe_pairs(nodes)
-            w_sup = float(np.max(self.graphon.pairs(xs, ys, self.domain)))
+            w_sup = float(np.max(_probe_matrix(self.graphon, self.domain)))
         return w_sup
 
 
@@ -481,13 +483,13 @@ def _probe_nodes(domain, n=33):
     return domain.grid(n)
 
 
-def _probe_pairs(nodes, cap=4096):
+def _probe_matrix(pf: PairFunction, domain, cap=4096):
+    """pf on all pairs of the probe grid, thinned to at most `cap` pairs."""
+    nodes, _ = _probe_nodes(domain)
     k = nodes.shape[0]
-    idx = np.arange(k)
     if k * k > cap:
-        idx = np.arange(0, k, max(1, math.ceil(k / math.sqrt(cap))))
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    return nodes[ii.ravel()], nodes[jj.ravel()]
+        nodes = nodes[:: max(1, math.ceil(k / math.sqrt(cap)))]
+    return pf.matrix(nodes, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +513,7 @@ def validate_model(spec: ModelSpec) -> list[str]:
     if not math.isfinite(spec.alpha):
         report.append("invalid-parameter: baseline mass not finite")
 
-    xs, ys = _probe_pairs(nodes)
-    wvals = spec.graphon.pairs(xs, ys, spec.domain)
+    wvals = _probe_matrix(spec.graphon, spec.domain)
     if not np.isfinite(wvals).all():
         report.append("invalid-parameter: graphon not finite")
     elif (wvals < 0).any():
@@ -523,8 +524,7 @@ def validate_model(spec: ModelSpec) -> list[str]:
     elif np.isfinite(wvals).all() and (wvals > cw + 1e-9).any():
         report.append("invalid-parameter: graphon exceeds C_W")
     if spec.symmetric and np.isfinite(wvals).all():
-        sym = spec.graphon.pairs(ys, xs, spec.domain)
-        if np.max(np.abs(wvals - sym)) > 1e-9:
+        if np.max(np.abs(wvals - wvals.T)) > 1e-9:
             report.append("invalid-parameter: graphon asymmetric")
 
     if not math.isfinite(spec.excitation.l1_norm) or spec.excitation.l1_norm < 0:
@@ -539,7 +539,7 @@ def validate_model(spec: ModelSpec) -> list[str]:
         elif (hv < 0).any():
             report.append("negativity: excitation")
 
-    bvals = spec.marks.b.pairs(xs, ys, spec.domain)
+    bvals = _probe_matrix(spec.marks.b, spec.domain)
     if (bvals < 0).any():
         report.append("negativity: marks")
     if not math.isfinite(spec.c_b) or spec.marks.mean_xi < 0:
@@ -576,14 +576,9 @@ def eval_kernel_density(spec: ModelSpec, x, y) -> float:
 
 def kernel_density_matrix(spec: ModelSpec, nodes: np.ndarray) -> np.ndarray:
     """c * E[B] * W at all node pairs; shape (k, k), rows=x, cols=y."""
-    k = nodes.shape[0]
-    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     c = spec.nonlinearity.lipschitz
-    eb = spec.marks.mean_xi * spec.marks.b.pairs(
-        nodes[ii.ravel()], nodes[jj.ravel()], spec.domain
-    )
-    w = spec.graphon.pairs(nodes[ii.ravel()], nodes[jj.ravel()], spec.domain)
-    return (c * eb * w).reshape(k, k)
+    eb = spec.marks.mean_xi * spec.marks.b.matrix(nodes, spec.domain)
+    return c * eb * spec.graphon.matrix(nodes, spec.domain)
 
 
 def integrated_excitation(h: ExcitationKernel, u) -> np.ndarray | float:

@@ -9,11 +9,21 @@ max_j (1/w_j) sum_i w_i (A^n)_ij.  Spectral radius estimates combine
 Gelfand's sequence |T^n|^(1/n) with power iteration started from the
 constant function (the dominant eigenfunction is positive, so the constant
 seed always has nonzero overlap).
+
+Each grid caches one `OperatorAnalysis`: the norms |T^n| and the Gelfand
+sequence, grown on demand so no power A^n is formed twice, and the power
+iterate.  One verdict, `SpectralEstimate.stable` (rho < 1 with the Gelfand
+sequence to VERDICT_POWERS), decides every stability question; callers reach
+it through `require_stable`, simulators on the coarse `gate_grid`.  The
+near-critical rule applies only to the geometric tails of `stationary_rate`
+and `cluster_size_bound`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +37,8 @@ from .model import ModelSpec, kernel_density_matrix
 
 MAX_GRID_NODES = 4096
 NEAR_CRITICAL = 0.995
+VERDICT_POWERS = 48  # Gelfand sequence length behind the verdict
+BOUND_POWERS = 64  # norms searched by cluster_size_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +55,62 @@ class KernelGrid:
         """Matrix A with (Tf)_i = (A f)_i for grid functions f."""
         return self.values * self.weights[None, :]
 
+    @cached_property
+    def analysis(self) -> OperatorAnalysis:
+        return OperatorAnalysis(self)
+
+
+def _power_product(power: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A^(n+1) = A^n A: the one place a power of a grid matrix is formed."""
+    return power @ a
+
+
+class OperatorAnalysis:
+    """Norms |T^n|, Gelfand sequence |T^n|^(1/n) and power iterate of a grid.
+
+    Grids are shared by worker threads (one averaged model serves every
+    coupled replication), so growing the sequences holds a lock.
+    """
+
+    def __init__(self, grid: KernelGrid):
+        self._a, self._w = grid.action, grid.weights
+        self._lock = threading.Lock()
+        self._power: np.ndarray | None = None  # A^len(self.norms)
+        self.norms: list[float] = []
+        self.gelfand: list[float] = []
+
+    def extend(self, count: int) -> OperatorAnalysis:
+        """Grow both sequences to at least `count` terms, one product per term."""
+        with self._lock:
+            while len(self.norms) < count:
+                self._power = (
+                    self._a if self._power is None else _power_product(self._power, self._a)
+                )
+                norm = float(np.max((self._w @ np.abs(self._power)) / self._w))
+                self.norms.append(norm)
+                self.gelfand.append(norm ** (1.0 / len(self.norms)) if norm > 0 else 0.0)
+        return self
+
+    @cached_property
+    def power_iterate(self) -> tuple[float, bool, int]:
+        """(L1 growth factor, converged, iterations) of power iteration from 1."""
+        v = np.ones(self._w.shape[0])
+        lam_prev, lam, iters, converged = None, 0.0, 0, False
+        for iters in range(1, 2001):
+            u = self._a @ v
+            norm_u = float(np.sum(self._w * np.abs(u)))
+            norm_v = float(np.sum(self._w * np.abs(v)))
+            lam = norm_u / norm_v
+            if norm_u == 0.0:
+                lam, converged = 0.0, True
+                break
+            v = u / norm_u
+            if lam_prev is not None and abs(lam - lam_prev) <= 1e-13 * max(1.0, lam):
+                converged = True
+                break
+            lam_prev = lam
+        return float(lam), converged, iters
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralEstimate:
@@ -56,6 +124,11 @@ class SpectralEstimate:
     def rho(self) -> float:
         """Best available estimate: min of the Gelfand envelope and power value."""
         return min(min(self.rho_gelfand_sequence), self.rho_power_iteration)
+
+    @property
+    def stable(self) -> bool:
+        """The stability verdict: the estimated spectral radius is below 1."""
+        return self.rho < 1.0
 
     @property
     def gelfand_tail(self) -> float:
@@ -105,76 +178,55 @@ def operator_norm_l1(grid: KernelGrid) -> float:
     return float(np.max(grid.weights @ grid.values))
 
 
-def _power_norms(grid: KernelGrid, max_power: int) -> list[float]:
-    """|T^n| for n = 1..max_power via iterated matrix powers of A."""
-    a = grid.action
-    w = grid.weights
-    norms = []
-    m = a.copy()
-    for _ in range(max_power):
-        norms.append(float(np.max((w @ np.abs(m)) / w)))
-        if len(norms) == max_power:
-            break
-        m = m @ a
-    return norms
-
-
-def spectral_radius(
-    grid: KernelGrid,
-    max_power: int = 32,
-    tol: float = 1e-13,
-    max_iterations: int = 2000,
-) -> SpectralEstimate:
-    """Gelfand sequence |T^n|^(1/n) plus a power-iteration estimate."""
+def spectral_radius(grid: KernelGrid, max_power: int = VERDICT_POWERS) -> SpectralEstimate:
+    """Gelfand sequence |T^n|^(1/n), n <= max_power, plus a power-iteration estimate."""
     if max_power < 1:
         raise ShapeError("max_power must be at least 1")
-    norms = _power_norms(grid, max_power)
-    gelfand = [norms[k] ** (1.0 / (k + 1)) if norms[k] > 0 else 0.0 for k in range(len(norms))]
-
-    a = grid.action
-    w = grid.weights
-    v = np.ones(grid.nodes.shape[0])
-    lam_prev, lam, iters, converged = None, 0.0, 0, False
-    for iters in range(1, max_iterations + 1):
-        u = a @ v
-        norm_u = float(np.sum(w * np.abs(u)))
-        norm_v = float(np.sum(w * np.abs(v)))
-        lam = norm_u / norm_v
-        if norm_u == 0.0:
-            lam, converged = 0.0, True
-            break
-        v = u / norm_u
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            converged = True
-            break
-        lam_prev = lam
+    lam, converged, iters = grid.analysis.power_iterate
     return SpectralEstimate(
-        rho_power_iteration=float(lam),
-        rho_gelfand_sequence=gelfand,
+        rho_power_iteration=lam,
+        rho_gelfand_sequence=grid.analysis.extend(max_power).gelfand[:max_power],
         converged=converged,
         iterations=iters,
         grid_n=grid.n,
     )
 
 
-def _stability_tail(grid: KernelGrid, max_power: int) -> tuple[float, SpectralEstimate]:
-    est = spectral_radius(grid, max_power=max_power)
-    tail = est.gelfand_tail
-    if min(tail, est.rho) >= 1.0:
-        raise UnstableModelError(f"spectral radius estimate {est.rho:.4f} >= 1")
+def require_stable(
+    grid: KernelGrid, error: type[Exception] = UnstableModelError, what: str = "model"
+) -> SpectralEstimate:
+    """The verdict's estimate of the grid; raises `error` unless it is stable."""
+    est = spectral_radius(grid)
+    if not est.stable:
+        raise error(f"{what} unstable: spectral radius estimate {est.rho:.4f} >= 1")
+    return est
+
+
+def gate_grid(spec: ModelSpec) -> KernelGrid:
+    """The coarse grid simulators gate on: 96 nodes per axis in 1-d, 12 in
+    higher dimensions, a quarter of that when the node cap is hit."""
+    n = 96 if spec.domain.dim == 1 else 12
+    try:
+        return discretize_kernel(spec, n)
+    except GridTooLargeError:
+        return discretize_kernel(spec, max(2, n // 4))
+
+
+def _geometric_tail(grid: KernelGrid) -> float:
+    """Gelfand tail q of a stable grid, for geometric tail bounds."""
+    tail = require_stable(grid).gelfand_tail
     if tail >= NEAR_CRITICAL:
         raise UnstableModelError(
             f"near-critical model (Gelfand tail {tail:.4f} >= {NEAR_CRITICAL}); "
             "geometric tail bounds are unreliable"
         )
-    return tail, est
+    return tail
 
 
 def stationary_rate(
     grid: KernelGrid,
     baseline: np.ndarray,
     tol: float = 1e-10,
-    max_power: int = 32,
     max_terms: int = 200_000,
 ) -> StationaryRate:
     """Neumann series lam_bar = sum_n T^n lam_inf with a geometric tail stop.
@@ -186,7 +238,7 @@ def stationary_rate(
     baseline = np.asarray(baseline, float)
     if baseline.shape != (grid.nodes.shape[0],):
         raise ShapeError("baseline grid function does not match the kernel grid")
-    q, _ = _stability_tail(grid, max_power)
+    q = _geometric_tail(grid)
     tail_factor = q / (1.0 - q) if q > 0 else 0.0
     a = grid.action
     term = baseline.copy()
@@ -207,14 +259,14 @@ def stationary_rate(
     return StationaryRate(values=total, residual=residual, terms_used=terms)
 
 
-def cluster_size_bound(grid: KernelGrid, max_power: int = 64) -> float:
+def cluster_size_bound(grid: KernelGrid) -> float:
     """Upper bound on the expected cluster size: min_N S_N / (1 - |T^N|).
 
     Uses sum_{n>=0} |T^n| <= (sum_{r<N} |T^r|) / (1 - |T^N|), valid for any
     N with |T^N| < 1 by submultiplicativity in blocks of N.
     """
-    _stability_tail(grid, max_power=min(max_power, 48))
-    norms = [1.0] + _power_norms(grid, max_power)
+    _geometric_tail(grid)
+    norms = [1.0] + grid.analysis.extend(BOUND_POWERS).norms[:BOUND_POWERS]
     best = np.inf
     partial = 0.0
     for n in range(1, len(norms)):
@@ -243,9 +295,7 @@ def outdegree_norm(spec: ModelSpec, n: int) -> float:
     """|h|_1 sup_y int W(x, y) dx: the FCLT outdegree condition quantity
     (marks and Lipschitz constants set to one)."""
     nodes, weights = spec.domain.grid(n)
-    k = nodes.shape[0]
-    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    w = spec.graphon.pairs(nodes[ii.ravel()], nodes[jj.ravel()], spec.domain).reshape(k, k)
+    w = spec.graphon.matrix(nodes, spec.domain)
     return spec.excitation.l1_norm * float(np.max(weights @ w))
 
 
@@ -262,23 +312,21 @@ class StabilityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def stability_report(spec: ModelSpec, n: int, max_power: int = 48) -> StabilityReport:
+def stability_report(spec: ModelSpec, n: int) -> StabilityReport:
     grid = discretize_kernel(spec, n)
-    est = spectral_radius(grid, max_power=max_power)
-    rho_gelfand = min(est.rho_gelfand_sequence)
-    stable = est.rho < 1.0
+    est = spectral_radius(grid)
     bound = None
     notes = [] if est.converged else ["no-convergence"]
-    if stable:
+    if est.stable:
         try:
-            bound = cluster_size_bound(grid, max_power=max(max_power, 64))
+            bound = cluster_size_bound(grid)
         except UnstableModelError as exc:
             notes.append(str(exc))
     return StabilityReport(
         op_norm=operator_norm_l1(grid),
-        rho_gelfand=rho_gelfand,
+        rho_gelfand=min(est.rho_gelfand_sequence),
         rho_power=est.rho_power_iteration,
-        stable=stable,
+        stable=est.stable,
         cluster_size_bound=bound,
         grid_n=n,
         notes=notes,

@@ -27,6 +27,7 @@ from .cluster_sim import ClusterEngine
 from .errors import (
     BadCellCountError,
     GridTooLargeError,
+    InvalidArgumentError,
     PrelimitUnstableError,
     RequiresThinningError,
     ResolutionTooCoarseError,
@@ -41,7 +42,7 @@ from .model import (
     SpatialProfile,
     _cell_index,
 )
-from .operators import discretize_kernel, spectral_radius
+from .operators import KernelGrid, gate_grid, require_stable
 from .rng import SplitStream
 
 
@@ -154,6 +155,13 @@ class AveragedModel:
             grid_n=self.base.grid_n,
         )
 
+    @cached_property
+    def gate_grids(self) -> tuple[KernelGrid, KernelGrid]:
+        """Gate grids of the continuum model and of this average.  They hold
+        their analyses, so replications sharing this average share one
+        coupling verdict."""
+        return gate_grid(self.base), gate_grid(self.spec)
+
 
 def _block_mean_matrix(values: np.ndarray, counts, n: int, m: int) -> np.ndarray:
     """Average an (n^m, n^m) pair matrix over cell-pair blocks -> (d, d)."""
@@ -193,16 +201,12 @@ def average_model(spec: ModelSpec, partition: Partition) -> AveragedModel:
     lam = spec.baseline_on(nodes)
     lambda_cell = np.bincount(cell, weights=lam, minlength=d) / per_cell
 
-    k = nodes.shape[0]
-    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    wmat = spec.graphon.pairs(nodes[ii.ravel()], nodes[jj.ravel()], spec.domain).reshape(k, k)
+    wmat = spec.graphon.matrix(nodes, spec.domain)
     W_cell = _block_mean_matrix(wmat, partition.axis_counts, n, m)
     if spec.marks.kind == "unmarked":
         b_cell = np.ones((d, d))
     else:
-        bmat = spec.marks.b.pairs(
-            nodes[ii.ravel()], nodes[jj.ravel()], spec.domain
-        ).reshape(k, k)
+        bmat = spec.marks.b.matrix(nodes, spec.domain)
         b_cell = _block_mean_matrix(bmat, partition.axis_counts, n, m)
     return AveragedModel(spec, partition, lambda_cell, W_cell, b_cell)
 
@@ -354,21 +358,6 @@ class _CellSampler:
         return mid + (u_jit - 0.5) * self.grid_width
 
 
-def _stability_gate(spec: ModelSpec, label: str, n_gate: int):
-    try:
-        grid = discretize_kernel(spec, n_gate)
-    except GridTooLargeError:
-        grid = discretize_kernel(spec, max(2, n_gate // 4))
-    est = spectral_radius(grid, max_power=48)
-    rho = min(min(est.rho_gelfand_sequence), est.rho_power_iteration)
-    if rho >= 1.0:
-        if label == "prelimit":
-            raise PrelimitUnstableError(
-                f"averaged model unstable at this partition (rho estimate {rho:.3f})"
-            )
-        raise UnstableModelError(f"continuum model unstable (rho estimate {rho:.3f})")
-
-
 class _LazyGraph:
     """Quenched 0/1 edges, sampled on first use unless frozen up front.
 
@@ -422,7 +411,8 @@ def simulate_coupled(
     accepted on both sides become shared events carrying one id, a shared
     mark scalar, a shared lifetime and same-cell locations.  Returns both
     realizations plus the one-event-per-cell flag under which the quenched
-    and annealed laws agree.
+    and annealed laws agree.  A given `avg` must be `average_model(spec,
+    partition)`; it carries the cached stability verdict of both models.
     """
     if not spec.nonlinearity.is_identity:
         raise RequiresThinningError("coupled simulation covers linear models only")
@@ -432,11 +422,13 @@ def simulate_coupled(
     gen = stream.generator()
 
     avg = avg or average_model(spec, partition)
+    if avg.base is not spec or avg.partition.axis_counts != partition.axis_counts:
+        raise InvalidArgumentError("avg is not the average of this model on this partition")
     quenched = mode == "quenched"
-    n_gate = 96 if spec.domain.dim == 1 else 12
     if check_stability:
-        _stability_gate(spec, "continuum", n_gate)
-        _stability_gate(avg.spec, "prelimit", n_gate)
+        continuum, prelimit = avg.gate_grids
+        require_stable(continuum, UnstableModelError, "continuum model")
+        require_stable(prelimit, PrelimitUnstableError, "averaged model at this partition")
 
     d = partition.d
     rescale = max(1.0, float(avg.W_cell.max(initial=0.0)))

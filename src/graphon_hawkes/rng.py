@@ -32,12 +32,6 @@ class SplitStream:
             self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
 
-    # Cheap per-cluster substreams: jumping the Philox counter by i * 2^128
-    # avoids rebuilding a SeedSequence for every cluster in hot loops.
-    def jumped_generator(self, i: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq).jumped(i + 1))
-
     def describe(self) -> dict:
         return {"seed": self.seed, "path": list(self.path)}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster_sim import sample_location
-from .errors import AcausalHistoryError
+from .errors import AcausalHistoryError, ThinningBoundError
 from .events import Realization
 from .model import ModelSpec
 from .rng import SplitStream
@@ -125,7 +125,7 @@ def simulate_thinning(
     normalized conditional intensity density.  The bound is recomputed
     after every accepted event and refreshed lazily on rejections once it
     is more than 4x the actual rate.  Dominating-rate correctness is
-    asserted at every candidate.
+    checked at every candidate; a violation raises ThinningBoundError.
     """
     if isinstance(rng, (int, np.integer)):
         rng = SplitStream(int(rng))
@@ -154,9 +154,10 @@ def simulate_thinning(
             break
         lam_vals = state.intensity(t)
         lam_total = float(np.sum(lam_vals * state.weights))
-        assert lam_total <= bound * (1.0 + 1e-9), (
-            "thinning bound violated: the dominating rate is not dominating"
-        )
+        if not lam_total <= bound * (1.0 + 1e-9):  # NaN fails too
+            raise ThinningBoundError(
+                f"total intensity {lam_total!r} exceeds the dominating rate {bound!r}"
+            )
         if gen.random() * bound <= lam_total:
             if spec.domain.dim == 1:
                 loc = sample_location(lam_vals, spec.domain, u=gen.random())

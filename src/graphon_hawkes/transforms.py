@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_sim import ClusterEngine, simulate_clusters_batched, _grow
-from .errors import InvalidArgumentError, ShapeError
-from .model import LifetimeModel, MarkModel, ModelSpec
+from .cluster_sim import DEFAULT_EVENT_CAP, ClusterEngine, _grow
+from .errors import InvalidArgumentError, PrelimitUnstableError, ShapeError
+from .model import LifetimeModel, MarkModel, ModelSpec, _cell_index
 from .rng import SplitStream
 
 
@@ -59,6 +59,13 @@ class TestFunction:
         if self.values.shape[0] != nodes.shape[0]:
             raise ShapeError("grid test function does not match the standard grid")
         return self.values
+
+    def at_points(self, pts: np.ndarray, spec: ModelSpec) -> np.ndarray:
+        """f at points (k, m), read from the standard-grid cell holding each."""
+        if self.kind == "const":
+            return np.full(pts.shape[0], self.value)
+        cells = _cell_index(pts, spec.domain, (spec.grid_n,) * spec.domain.dim)
+        return self.on(spec.std_grid[0])[cells]
 
     def at(self, x, nodes: np.ndarray) -> float:
         if self.kind == "const":
@@ -145,12 +152,9 @@ class _PhiOperator:
         M[:, 0] = 0.0
         self.M = M
         # spatial quadrature: S[x, u] = sum_y b(y,x) W(y,x) C[y, u] w_y
-        k = self.nodes.shape[0]
-        ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        bw = (
-            spec.marks.b.pairs(self.nodes[ii.ravel()], self.nodes[jj.ravel()], spec.domain)
-            * spec.graphon.pairs(self.nodes[ii.ravel()], self.nodes[jj.ravel()], spec.domain)
-        ).reshape(k, k)
+        bw = spec.marks.b.matrix(self.nodes, spec.domain) * spec.graphon.matrix(
+            self.nodes, spec.domain
+        )
         self.bw_weighted = bw * self.weights[:, None]  # rows y, cols x
         f_vals = f.on(self.nodes)
         surv = spec.lifetimes.survival(u_grid)[None, :]
@@ -257,22 +261,14 @@ def mc_transform_oracle(
     exp(-sum of f over particles alive at u).
     """
     gen = rng.generator() if isinstance(rng, SplitStream) else rng
-    x = np.atleast_1d(np.asarray(x, float))
-    roots = np.tile(x, (nsim, 1))
-    (t, xs, _, sim, _, _, lt), censored = simulate_clusters_batched(
-        spec, roots, float(u), gen, with_lifetimes=True
+    roots = np.tile(np.atleast_1d(np.asarray(x, float)), (nsim, 1))
+    xi0 = spec.marks.sample_xi(gen, nsim)
+    (t, xs, _, sim, _, _, lt), censored = _grow(
+        ClusterEngine(spec), np.zeros(nsim), roots, xi0, np.arange(nsim, dtype=np.int64), 0,
+        float(u), gen, True, DEFAULT_EVENT_CAP,
     )
     alive = (t <= u) & (u < t + lt)
-    nodes, _ = spec.std_grid
-    fv = f.on(nodes) if f.kind == "grid" else None
-    if f.kind == "const":
-        f_alive = np.full(int(alive.sum()), f.value)
-    else:
-        from .cluster_sim import _nearest_value
-
-        n = spec.grid_n
-        f_alive = _nearest_value(fv, np.atleast_2d(xs[alive]), spec.domain, n)
-    sums = np.bincount(sim[alive], weights=f_alive, minlength=nsim)
+    sums = np.bincount(sim[alive], weights=f.at_points(xs[alive], spec), minlength=nsim)
     vals = np.exp(-sums)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(nsim)) if nsim > 1 else 0.0
@@ -299,15 +295,7 @@ def mc_population_transform(
     if total == 0:
         return OracleEstimate(1.0, 0.0, nsim, False)
     alive = (et <= t) & (t < et + elt)
-    if f.kind == "const":
-        f_alive = np.full(int(alive.sum()), f.value)
-    else:
-        from .cluster_sim import _nearest_value
-
-        f_alive = _nearest_value(
-            f.on(spec.std_grid[0]), np.atleast_2d(ex[alive]), spec.domain, spec.grid_n
-        )
-    sums = np.bincount(esim[alive], weights=f_alive, minlength=nsim)
+    sums = np.bincount(esim[alive], weights=f.at_points(ex[alive], spec), minlength=nsim)
     vals = np.exp(-sums)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(nsim)) if nsim > 1 else 0.0
@@ -364,8 +352,11 @@ def interchange_experiment(
     scheme: str = "per-axis-counts",
 ) -> InterchangeReport:
     """Compare prelimit transforms L_Q^d against the continuum L_Q at a large
-    horizon standing in for t = infinity, with the neglected tail reported."""
-    from .operators import discretize_kernel, spectral_radius
+    horizon standing in for t = infinity, with the neglected tail reported.
+
+    An entry is flagged `unstable` when the averaged model fails the
+    coupling's stability verdict; any other error propagates."""
+    from .operators import gate_grid, require_stable
     from .prelimit import average_model, build_partition
 
     eta, _ = fixed_point(spec, f, t_large, tol=tol, n_u=n_u)
@@ -377,9 +368,9 @@ def interchange_experiment(
         part = build_partition(spec.domain, d, scheme)
         aspec = average_model(spec, part).spec
         try:
-            grid = discretize_kernel(aspec, min(aspec.grid_n, 128))
-            unstable = spectral_radius(grid, max_power=32).rho >= 1.0
-        except Exception:
+            require_stable(gate_grid(aspec), PrelimitUnstableError, "averaged model")
+            unstable = False
+        except PrelimitUnstableError:
             unstable = True
         eta_d, _ = fixed_point(aspec, f, t_large, tol=tol, n_u=n_u)
         l_d = laplace_of_Q(eta_d, aspec, t_large)

@@ -273,3 +273,32 @@ def test_ndjson_roundtrip():
     assert np.array_equal(back.times, real.times)
     assert np.array_equal(back.locations, real.locations)
     assert np.array_equal(back.parent_ids, real.parent_ids)
+
+
+def step_model(grid_n=128):
+    vals = 0.2 + 0.4 * np.random.default_rng(0).random((16, 16))  # rho <= 0.6
+    return gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=SpatialProfile("constant", value=1.0),
+        graphon=gh.PairFunction("grid", values=vals, axis_counts=(16,)),
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        c_w=float(vals.max()),
+        grid_n=grid_n,
+    )
+
+
+def test_column_cache_holds_one_column_per_cell_for_step_graphon():
+    spec = step_model()
+    engine = ClusterEngine(spec)
+    real = simulate_process(spec, 100.0, gh.SplitStream(21), engine=engine,
+                            with_lifetimes=False)
+    assert len(real) > 100
+    assert len(engine._columns) <= 16
+    # keyed by location instead, the same stream gives the same events
+    by_location = ClusterEngine(spec)
+    by_location._key_counts = None
+    again = simulate_process(spec, 100.0, gh.SplitStream(21), engine=by_location,
+                             with_lifetimes=False)
+    assert len(by_location._columns) > 16
+    assert np.array_equal(real.times, again.times)
+    assert np.array_equal(real.locations, again.locations)

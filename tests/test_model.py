@@ -172,3 +172,19 @@ def test_grid_profile_and_pair_eval():
     pf = PairFunction("grid", values=np.array([[1.0, 2.0], [3.0, 4.0]]), axis_counts=(2,))
     assert pf.pairs(np.array([[0.1]]), np.array([[0.9]]), dom)[0] == pytest.approx(2.0)
     assert pf.column(pts, np.array([0.1]), dom) == pytest.approx([1.0, 3.0])
+
+
+@pytest.mark.parametrize("pf", [
+    PairFunction("constant", value=0.3),
+    PairFunction("rank-one", coeff=1.5, profile=SpatialProfile("identity")),
+    PairFunction("grid", values=np.arange(16.0).reshape(4, 4), axis_counts=(4,),
+                 interp="bilinear"),
+])
+def test_pair_matrix_matches_pointwise_pairs(pf):
+    dom = gh.SpatialDomain((0.0,), (1.0,))
+    nodes, _ = dom.grid(7)
+    mat = pf.matrix(nodes, dom)
+    assert mat.shape == (7, 7)
+    for i in range(7):
+        for j in range(7):
+            assert mat[i, j] == pf.pairs(nodes[i], nodes[j], dom)[0]

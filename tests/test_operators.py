@@ -4,11 +4,16 @@ Derived expectations come from independent oracles: dense linear solves
 and dense dominant eigenvalues on the same grid.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import graphon_hawkes as gh
+from graphon_hawkes import operators
 from graphon_hawkes.errors import GridTooLargeError, ShapeError, UnstableModelError
+from graphon_hawkes.limits import flln_experiment
 from graphon_hawkes.operators import (
     apply_kernel,
     cluster_size_bound,
@@ -191,3 +196,90 @@ def test_stability_report_fields():
     assert rep.cluster_size_bound is None
     rep2 = stability_report(gh.constant_model(0.5), 64)
     assert rep2.stable and rep2.cluster_size_bound == pytest.approx(2.0, abs=1e-6)
+
+
+def count_power_products(monkeypatch) -> list[int]:
+    """Record the size of every n x n power product formed from now on."""
+    calls: list[int] = []
+    real = operators._power_product
+
+    def counting(power, a):
+        calls.append(a.shape[0])
+        return real(power, a)
+
+    monkeypatch.setattr(operators, "_power_product", counting)
+    return calls
+
+
+def test_stability_report_forms_each_power_once(monkeypatch):
+    # 64 norms need 63 products; the spectral radius, the near-critical tail
+    # check and the cluster-size bound all read the same cached powers
+    calls = count_power_products(monkeypatch)
+    rep = stability_report(gh.rank_one_model(1.5), 64)
+    assert rep.stable and rep.cluster_size_bound is not None
+    assert len(calls) <= 63
+
+
+def test_limit_experiment_operator_setup_forms_each_power_once(monkeypatch):
+    calls = count_power_products(monkeypatch)
+    flln_experiment(gh.rank_one_model(1.5, grid_n=64), None, 2.0, 2, gh.SplitStream(0), n_op=64)
+    assert 0 < len(calls) <= 63
+
+
+def test_cached_analysis_matches_fresh_grid():
+    spec = gh.rank_one_model(1.5)
+    grid = discretize_kernel(spec, 64)
+    long_first = spectral_radius(grid, 40)
+    short = spectral_radius(grid, 8)
+    fresh = spectral_radius(discretize_kernel(spec, 64), 8)
+    assert short.rho_gelfand_sequence == fresh.rho_gelfand_sequence
+    assert short.rho_gelfand_sequence == long_first.rho_gelfand_sequence[:8]
+    assert short.rho_power_iteration == fresh.rho_power_iteration
+    # reference: the plain loop of matrix powers gives the same norms exactly
+    a, w = grid.action, grid.weights
+    m, ref = a, []
+    for _ in range(40):
+        ref.append(float(np.max((w @ np.abs(m)) / w)))
+        m = m @ a
+    assert grid.analysis.norms[:40] == ref
+
+
+def test_one_verdict_for_report_and_geometric_tails():
+    unstable = discretize_kernel(gh.constant_model(1.5), 32)
+    assert not spectral_radius(unstable).stable
+    with pytest.raises(UnstableModelError):
+        operators.require_stable(unstable)
+    with pytest.raises(UnstableModelError):
+        cluster_size_bound(unstable)
+    assert stability_report(gh.constant_model(1.5), 32).stable is False
+    assert operators.require_stable(discretize_kernel(gh.constant_model(0.5), 32)).stable
+
+
+def test_shared_analysis_is_consistent_across_threads():
+    # more threads than cores grow one grid's sequences at once; a lost
+    # update would repeat or skip a power and shift every later exponent
+    spec = gh.rank_one_model(1.5)
+    reference = spectral_radius(discretize_kernel(spec, 96), 40).rho_gelfand_sequence
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            grid = discretize_kernel(spec, 96)
+            results: dict[int, list[float]] = {}
+            start = threading.Barrier(8)
+
+            def work(k, grid=grid, results=results, start=start):
+                start.wait(timeout=60)
+                results[k] = spectral_radius(grid, 8 + 4 * k).rho_gelfand_sequence
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 8
+            for k, seq in results.items():
+                assert seq == reference[: 8 + 4 * k]
+    finally:
+        sys.setswitchinterval(old)

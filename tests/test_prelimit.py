@@ -8,7 +8,14 @@ from scipy import stats
 
 import graphon_hawkes as gh
 from graphon_hawkes.cluster_sim import simulate_process
-from graphon_hawkes.errors import BadCellCountError, ResolutionTooCoarseError
+from graphon_hawkes import operators
+from graphon_hawkes.errors import (
+    BadCellCountError,
+    InvalidArgumentError,
+    PrelimitUnstableError,
+    ResolutionTooCoarseError,
+    UnstableModelError,
+)
 from graphon_hawkes.metrics import pp_distance
 from graphon_hawkes.model import SpatialProfile
 from graphon_hawkes.operators import discretize_kernel, operator_norm_l1, spectral_radius
@@ -279,3 +286,35 @@ def test_freeze_graph_reuses_edges():
                             rng=gh.SplitStream(16), quenched_graph=frozen,
                             check_stability=False)
     assert pair.graph is frozen
+
+
+def test_coupling_gate_work_shared_across_replications(monkeypatch):
+    spec = gh.rank_one_model(1.5, grid_n=64)
+    part = build_partition(spec.domain, 4, "per-axis-counts")
+    avg = average_model(spec, part)
+    calls: list[int] = []
+    real = operators._power_product
+    monkeypatch.setattr(operators, "_power_product",
+                        lambda p, a: calls.append(a.shape[0]) or real(p, a))
+    simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(3).child(0), avg=avg)
+    first = len(calls)
+    for r in range(1, 4):
+        simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(3).child(r), avg=avg)
+    assert 0 < first == len(calls)
+
+
+def test_coupling_gate_typed_errors():
+    unstable = gh.constant_model(1.5, grid_n=64)
+    part = build_partition(unstable.domain, 2, "per-axis-counts")
+    with pytest.raises(UnstableModelError):
+        simulate_coupled(unstable, part, 1.0, rng=gh.SplitStream(4))
+    # a stable continuum whose averaged model is pushed past criticality
+    spec = gh.constant_model(0.5, grid_n=64)
+    avg = average_model(spec, build_partition(spec.domain, 2, "per-axis-counts"))
+    avg.W_cell = avg.W_cell * 3.0
+    with pytest.raises(PrelimitUnstableError):
+        simulate_coupled(spec, avg.partition, 1.0, rng=gh.SplitStream(4), avg=avg)
+    # the cached verdict belongs to avg.base, so an average of another model is refused
+    with pytest.raises(InvalidArgumentError):
+        simulate_coupled(gh.constant_model(0.4, grid_n=64), avg.partition, 1.0,
+                         rng=gh.SplitStream(4), avg=avg)

@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 import graphon_hawkes as gh
+from graphon_hawkes import thinning_sim
 from graphon_hawkes.cluster_sim import simulate_process
-from graphon_hawkes.errors import AcausalHistoryError
+from graphon_hawkes.errors import AcausalHistoryError, ThinningBoundError
 from graphon_hawkes.model import Nonlinearity
 from graphon_hawkes.thinning_sim import (
     HistorySnapshot,
@@ -155,3 +156,13 @@ def test_thinning_table_kernel_nonmonotone():
     # branching ratio 0.5 * l1(h) = 0.45: mean in the right ballpark
     mean = np.mean([len(r) for r in reals])
     assert 6.0 < mean < 6.0 / (1 - 0.45) * 1.3
+
+
+def test_thinning_bound_violation_raises_typed_error(monkeypatch):
+    # a dominating rate at half the true total rate must be caught, also under -O
+    real = thinning_sim._ThinningState.total_bound
+    monkeypatch.setattr(thinning_sim._ThinningState, "total_bound",
+                        lambda self, t: 0.5 * real(self, t))
+    with pytest.raises(ThinningBoundError) as exc:
+        simulate_thinning(gh.constant_model(0.5, grid_n=64), 20.0, rng=gh.SplitStream(0))
+    assert exc.value.code == "thinning-bound-violated"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import graphon_hawkes as gh
-from graphon_hawkes.errors import InvalidArgumentError
+from graphon_hawkes import operators
+from graphon_hawkes.errors import InvalidArgumentError, ShapeError
 from graphon_hawkes.model import LifetimeModel, MarkModel, PairFunction
 from graphon_hawkes.transforms import (
     TestFunction,
@@ -218,3 +219,19 @@ def test_interchange_affine_model_converges():
     rep = interchange_experiment(spec, [2, 16], TestFunction.constant(0.7), 12.0,
                                  tol=1e-10, n_u=257)
     assert rep.entries[-1].abs_diff < rep.entries[0].abs_diff
+
+
+def test_interchange_flags_unstable_average():
+    rep = interchange_experiment(gh.constant_model(1.2, grid_n=64), [2],
+                                 TestFunction.constant(0.7), 2.0, n_u=65)
+    assert rep.entries[0].unstable
+
+
+def test_interchange_propagates_non_stability_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ShapeError("broken discretization")
+
+    monkeypatch.setattr(operators, "discretize_kernel", broken)
+    with pytest.raises(ShapeError):
+        interchange_experiment(gh.constant_model(0.5, grid_n=64), [2],
+                               TestFunction.constant(0.7), 2.0, n_u=65)
