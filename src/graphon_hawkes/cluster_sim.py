@@ -84,26 +84,62 @@ def sample_location(density: np.ndarray, domain, u=None, rng=None) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Engine: cached spatial structure of one model
+# Offspring columns: the one cache of spatial offspring profiles
 
 
-class ClusterEngine:
-    """Precomputed grids, offspring masses and location samplers for a model."""
+class OffspringColumns:
+    """(mass, column) of the offspring profile z -> b(z, y) W(z, y) of a parent
+    at y on the standard grid, the column clipped at 0.
 
-    def __init__(self, spec: ModelSpec):
+    Piecewise-constant profiles depend on the parent only through its source
+    cell(s), so they are cached by cell: at most one column per cell.  Smooth
+    profiles are cached by parent location when `per_location` is set (the
+    cluster engine reads each parent twice in one generation) and are
+    otherwise rebuilt on every call, so memory never grows with the event
+    count.
+    """
+
+    def __init__(self, spec: ModelSpec, per_location: bool = False):
         self.spec = spec
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
-        self._columns: dict[tuple, tuple[float, np.ndarray | None]] = {}
-
+        self._columns: dict[tuple, tuple[float, np.ndarray]] = {}
+        self._per_location = per_location
         g, b = spec.graphon, spec.marks.b
-        # Piecewise-constant offspring profiles depend on the parent only
-        # through its source cell(s): key the column cache by them.
         piecewise = all(f.family in ("constant", "grid") and f.interp == "pw-constant"
                         for f in (g, b))
         self._key_counts = [
             f.axis_counts or (np.asarray(f.values).shape[0],) for f in (g, b) if f.family == "grid"
         ] if piecewise else None
+
+    def column(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        y = np.atleast_1d(y)
+        if self._key_counts is not None:
+            key = tuple(int(_cell_index(y[None, :], self.domain, c)[0]) for c in self._key_counts)
+        elif self._per_location:
+            key = tuple(np.round(y, 14))
+        else:
+            return self._build(y)
+        hit = self._columns.get(key)
+        if hit is None:
+            hit = self._columns[key] = self._build(y)
+        return hit
+
+    def _build(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        col = np.maximum(self.spec.excitation_column(self.nodes, y), 0.0)
+        return float(np.sum(col * self.weights)), col
+
+
+# ---------------------------------------------------------------------------
+# Engine: cached spatial structure of one model
+
+
+class ClusterEngine(OffspringColumns):
+    """Precomputed grids, offspring masses and location samplers for a model."""
+
+    def __init__(self, spec: ModelSpec):
+        super().__init__(spec, per_location=True)
+        g, b = spec.graphon, spec.marks.b
         self._flat_offspring = g.family == "constant" and b.family == "constant"
         self._sep_offspring = (
             g.family == "rank-one" and b.family == "constant" and spec.domain.dim == 1
@@ -159,23 +195,8 @@ class ClusterEngine:
             return g.coeff * b0 * prof_at * self._sep_integral
         out = np.empty(k)
         for i in range(k):
-            out[i] = self._column(xs[i])[0]
+            out[i] = self.column(xs[i])[0]
         return out
-
-    def _column(self, y: np.ndarray):
-        y = np.atleast_1d(y)
-        key = (
-            tuple(np.round(y, 14))
-            if self._key_counts is None
-            else tuple(int(_cell_index(y[None, :], self.domain, c)[0]) for c in self._key_counts)
-        )
-        hit = self._columns.get(key)
-        if hit is None:
-            col = np.maximum(self.spec.excitation_column(self.nodes, y), 0.0)
-            mass = float(np.sum(col * self.weights))
-            hit = (mass, col)
-            self._columns[key] = hit
-        return hit
 
     def sample_offspring_locations(self, parent_xs, child_parent_idx, rng) -> np.ndarray:
         """Locations for children grouped by `child_parent_idx` into parent_xs rows."""
@@ -198,7 +219,7 @@ class ClusterEngine:
             span = order[starts[p] : ends[p]]
             if span.size == 0:
                 continue
-            _, col = self._column(parent_xs[p])
+            _, col = self.column(parent_xs[p])
             if self.domain.dim == 1:
                 pts = _inverse_cdf_1d(
                     col, self.domain.lo[0], self.domain.hi[0], rng.random(span.size)

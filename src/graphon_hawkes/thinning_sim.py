@@ -7,6 +7,22 @@ The dominating rate exploits that h decays between events (a nonincreasing
 majorant of h is used, so table kernels need not be monotone): right after
 any event, the total intensity bound computed there dominates all later
 times until the next accepted event.
+
+The excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k) on the n-point
+grid is carried per kernel family, so that no accepted event copies the
+history and exponential candidates need no sum at all:
+  exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref), and an event at t
+               sets S <- e^{-beta (t - t_ref)} S + xi l1 beta b(., y) W(., y),
+               t_ref <- t (Ogata 1981; Dassios & Zhao 2013).  Exact;
+               O(n) per candidate and per event, O(n) memory.  h is
+               monotone, so the bound is S itself.
+  table and    a row buffer of xi b(., y) W(., y), written in place and
+  power-law    reallocated at twice the need when full: O(n N) per candidate
+               for N past events (initial history included), memory O(n N),
+               amortized O(n) per event.
+Offspring columns come from `OffspringColumns`, shared with the cluster
+engine: one column per source cell for piecewise-constant profiles.
+Evaluation times must not decrease between calls on one state.
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_sim import sample_location
+from .cluster_sim import OffspringColumns, sample_location
 from .errors import AcausalHistoryError, ThinningBoundError
 from .events import Realization
 from .model import ModelSpec
@@ -28,7 +44,8 @@ DEFAULT_EVENT_CAP = 10**7
 
 @dataclass
 class HistorySnapshot:
-    """Past events (time, location, mark scalar) strictly before `t_ref`."""
+    """Past events (time, location, mark scalar) strictly before `t_ref`,
+    sorted by time (stable, so ties keep their given order)."""
 
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     locations: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
@@ -39,10 +56,16 @@ class HistorySnapshot:
         self.times = np.asarray(self.times, float)
         self.locations = np.atleast_2d(np.asarray(self.locations, float))
         if self.locations.shape[0] != self.times.shape[0]:
-            self.locations = self.locations.reshape(self.times.shape[0], -1)
+            # an empty history keeps one (empty) coordinate column
+            dim = -1 if self.times.size else 1
+            self.locations = self.locations.reshape(self.times.shape[0], dim)
         self.mark_scalars = np.asarray(self.mark_scalars, float)
         if self.times.size and self.times.max() >= self.t_ref:
             raise AcausalHistoryError("history events must lie strictly before t_ref")
+        order = np.argsort(self.times, kind="stable")
+        self.times = self.times[order]
+        self.locations = self.locations[order]
+        self.mark_scalars = self.mark_scalars[order]
 
     @classmethod
     def from_realization(cls, real: Realization, t_ref: float) -> "HistorySnapshot":
@@ -72,36 +95,76 @@ def conditional_intensity(
 
 
 class _ThinningState:
-    """Mutable per-run state: event history and its spatial profiles."""
+    """Mutable per-run state: the excitation carried by the past events.
+
+    Exponential kernels keep the recursion S (see the module docstring);
+    every other kernel keeps a row buffer of xi * b(., y) W(., y).
+    """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.nodes, self.weights = spec.std_grid
         self.base = np.maximum(spec.baseline_on(self.nodes), 0.0)
-        self.times: list[float] = []
-        self._stack = np.empty((0, self.nodes.shape[0]))  # xi * b(.,y) W(.,y) rows
+        self._columns = OffspringColumns(spec)
+        kernel = spec.excitation
+        self._beta = kernel.rate if kernel.family == "exponential" else None
+        self._t_ref = -math.inf
+        self._s: np.ndarray | None = None  # S(t_ref), exponential kernels
+        self._n = 0  # buffer rows in use
+        self._times = np.empty(0)
+        self._rows = np.empty((0, self.nodes.shape[0]))
 
     def push(self, t: float, y: np.ndarray, xi: float):
-        self.times.append(float(t))
-        row = xi * self.spec.excitation_column(self.nodes, y)
-        self._stack = np.vstack([self._stack, row[None, :]])
+        col = self._columns.column(y)[1]
+        if self._beta is not None:
+            jump = (xi * self.spec.excitation.sup_norm) * col  # sup_norm = h(0)
+            if self._s is None:
+                self._s = jump
+            else:
+                self._s *= self._decay(t)
+                self._s += jump
+            self._t_ref = t
+            return
+        if self._n == self._times.shape[0]:
+            self._make_room(1)
+        self._times[self._n] = t
+        np.multiply(col, xi, out=self._rows[self._n])
+        self._n += 1
 
-    def _excitation(self, t: float, envelope: bool) -> np.ndarray:
-        if not self.times:
+    def load(self, history: HistorySnapshot):
+        """Push a time-sorted history in one pass, without per-event copies."""
+        if self._beta is None and history.times.size:
+            self._make_room(history.times.size)
+        for s, y, xi in zip(history.times, history.locations, history.mark_scalars):
+            self.push(float(s), y, float(xi))
+
+    def _make_room(self, k: int):
+        """Reallocate the buffer at twice the rows needed for k more events."""
+        size = max(2 * (self._n + k), 16)
+        times, rows = np.empty(size), np.empty((size, self.nodes.shape[0]))
+        times[: self._n] = self._times[: self._n]
+        rows[: self._n] = self._rows[: self._n]
+        self._times, self._rows = times, rows
+
+    def _decay(self, t: float) -> float:
+        return math.exp(-self._beta * (t - self._t_ref))
+
+    def _excitation(self, t: float, envelope: bool) -> np.ndarray | float:
+        if self._beta is not None:
+            return 0.0 if self._s is None else self._decay(t) * self._s
+        if self._n == 0:
             return 0.0
-        lags = t - np.asarray(self.times)
+        lags = t - self._times[: self._n]
+        kernel = self.spec.excitation
         hv = (
-            self.spec.excitation.h_envelope(np.maximum(lags, 0.0))
+            kernel.h_envelope(np.maximum(lags, 0.0))
             if envelope
-            else np.where(lags > 0, self.spec.excitation.h(np.maximum(lags, 0.0)), 0.0)
+            else np.where(lags > 0, kernel.h(np.maximum(lags, 0.0)), 0.0)
         )
-        return hv @ self._stack
+        return hv @ self._rows[: self._n]
 
     def intensity(self, t: float) -> np.ndarray:
         return self.spec.nonlinearity(self.base + self._excitation(t, envelope=False))
-
-    def total(self, t: float) -> float:
-        return float(np.sum(self.intensity(t) * self.weights))
 
     def total_bound(self, t: float) -> float:
         """Dominating total rate valid for all times >= t until the next event."""
@@ -136,8 +199,7 @@ def simulate_thinning(
     if initial is not None and initial.times.size:
         if initial.times.max() >= 0:
             raise AcausalHistoryError("initial history must lie strictly before time 0")
-        for s, y, xi in zip(initial.times, initial.locations, initial.mark_scalars):
-            state.push(s, y, xi)
+        state.load(initial)
 
     out_t, out_x, out_xi, out_lt = [], [], [], []
     censored = False

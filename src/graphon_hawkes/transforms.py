@@ -67,13 +67,6 @@ class TestFunction:
         cells = _cell_index(pts, spec.domain, (spec.grid_n,) * spec.domain.dim)
         return self.on(spec.std_grid[0])[cells]
 
-    def at(self, x, nodes: np.ndarray) -> float:
-        if self.kind == "const":
-            return float(self.value)
-        x = np.atleast_1d(np.asarray(x, float))
-        i = int(np.argmin(np.linalg.norm(nodes - x[None, :], axis=1)))
-        return float(self.values[i])
-
     @property
     def sup(self) -> float:
         return float(self.value if self.kind == "const" else np.max(self.values))
@@ -113,9 +106,11 @@ class FixedPointLog:
         return all(c <= e + 1e-9 for c, e in zip(self.sup_changes, self.envelope))
 
 
-def gamma_eval(lifetimes: LifetimeModel, f: TestFunction, x, u, nodes=None) -> float:
-    """gamma_x(f, u) = Jbar(u) + J(u) exp(-f(x))."""
-    fx = f.value if f.kind == "const" else f.at(x, nodes)
+def gamma_eval(
+    lifetimes: LifetimeModel, f: TestFunction, x, u, spec: ModelSpec | None = None
+) -> float:
+    """gamma_x(f, u) = Jbar(u) + J(u) exp(-f(x)); a grid f needs its `spec`."""
+    fx = float(f.at_points(np.atleast_2d(np.asarray(x, float)), spec)[0])
     surv = float(lifetimes.survival(u))
     return (1.0 - surv) + surv * math.exp(-fx)
 

@@ -62,21 +62,57 @@ def test_divergence_poisson_control_flat():
     assert all(rep.summary["per_T"][k]["censored_fraction"] == 0.0 for k in ("5", "10", "20"))
 
 
+# Growth over linear, as in criterion 6 (tests/test_acceptance.py): for w <= 1
+# the constant model's E[N_T]/T^2 is nonincreasing, so E[N_T]/T <= (T/T0)
+# E[N_T0]/T0 and no stable or critical model grows N_T/T faster than
+# linearly.  A rising mean alone cannot tell the regimes apart, because from
+# an empty history E[N_T]/T rises for w < 1 too.  The anchor T0 = 10 is
+# uncensored (E N_10 = 864 at w = 1.5, against cap = 100_000); at T = 20
+# (E N_20 = 132,000) runs hit the cap, count exactly `cap` events, and the
+# mean is a lower bound, which only understates growth.
+GROWTH_Z, GROWTH_ANCHOR = 4.0, 10.0
+
+
+def _grows_faster_than_linear(rep) -> bool:
+    """Mean N_T/T beyond the anchor exceeds (T/T0) times the anchor mean by
+    GROWTH_Z sample SEs at every later horizon; the anchor is uncensored."""
+    reps = rep.params["reps"]
+    rates = {t: np.asarray(rep.samples[f"rate_T{t:g}"]) for t in rep.params["T_list"]}
+    m0 = rates[GROWTH_ANCHOR].mean()
+    se0 = rates[GROWTH_ANCHOR].std(ddof=1) / math.sqrt(reps)
+    ok = rep.summary["per_T"][f"{GROWTH_ANCHOR:g}"]["censored_fraction"] == 0
+    for t in (t for t in rates if t > GROWTH_ANCHOR):
+        k = t / GROWTH_ANCHOR
+        se = rates[t].std(ddof=1) / math.sqrt(reps)
+        ok &= rates[t].mean() - k * m0 > GROWTH_Z * math.hypot(se, k * se0)
+    return ok
+
+
+def _supercritical_and_control(box, reps, seed):
+    """(w=1.5, w=0.5) runs at T = 5, 10, 20 on the same substreams."""
+    return [
+        divergence_experiment(gh.constant_model(w, grid_n=64), box, [5.0, 10.0, 20.0],
+                              reps, gh.SplitStream(seed), cap=100_000)
+        for w in (1.5, 0.5)
+    ]
+
+
 def test_divergence_supercritical_increasing():
-    spec = gh.constant_model(1.5, grid_n=64)
-    rep = divergence_experiment(spec, None, [5.0, 10.0, 20.0], 20, gh.SplitStream(6),
-                                cap=100_000)
+    rep, control = _supercritical_and_control(None, 20, 6)
     means = [rep.summary["per_T"][k]["mean_rate"] for k in ("5", "10", "20")]
     assert means[0] < means[1] < means[2]
     assert rep.summary["strictly_increasing"]
+    assert _grows_faster_than_linear(rep)
+    # negative control: the stable model's rising mean must fail the check
+    assert not _grows_faster_than_linear(control)
 
 
 def test_divergence_positive_measure_subset():
-    spec = gh.constant_model(1.5, grid_n=64)
-    rep = divergence_experiment(spec, ([0.0], [0.1]), [5.0, 10.0], 15,
-                                gh.SplitStream(7), cap=100_000)
-    means = [rep.summary["per_T"][k]["mean_rate"] for k in ("5", "10")]
-    assert means[0] < means[1]
+    rep, control = _supercritical_and_control(([0.0], [0.1]), 15, 7)
+    means = [rep.summary["per_T"][k]["mean_rate"] for k in ("5", "10", "20")]
+    assert means[0] < means[1] < means[2]
+    assert _grows_faster_than_linear(rep)
+    assert not _grows_faster_than_linear(control)
 
 
 def test_fclt_outdegree_condition():

@@ -1,9 +1,12 @@
 """Thinning simulation: intensity evaluation, laws, nonlinear rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import graphon_hawkes as gh
@@ -166,3 +169,119 @@ def test_thinning_bound_violation_raises_typed_error(monkeypatch):
     with pytest.raises(ThinningBoundError) as exc:
         simulate_thinning(gh.constant_model(0.5, grid_n=64), 20.0, rng=gh.SplitStream(0))
     assert exc.value.code == "thinning-bound-violated"
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the carried excitation against the direct-sum oracle
+
+KERNELS = {
+    "exponential": gh.ExcitationKernel("exponential", rate=1.7, l1=0.8),
+    "power-law": gh.ExcitationKernel("power-law", exponent=2.5, cutoff=0.7, l1=0.6),
+    "table": gh.ExcitationKernel(  # delayed peak: not monotone
+        "table", breaks=np.array([0.0, 0.5, 1.0, 2.0]), table_values=np.array([0.2, 1.2, 0.1])
+    ),
+}
+NONLINEARITIES = {
+    "identity": Nonlinearity(),
+    "clipped-linear": Nonlinearity("clipped-linear", cap=1.6),
+    "sigmoid-scaled": Nonlinearity("sigmoid-scaled", scale=2.0),
+}
+
+
+def _graphon(family, values):
+    if family == "constant":
+        return gh.PairFunction("constant", value=float(values[0]))
+    interp = "pw-constant" if family == "pw-constant" else "bilinear"
+    return gh.PairFunction("grid", values=np.reshape(values, (4, 4)), axis_counts=(4,),
+                           interp=interp)
+
+
+unit = st.floats(0.0, 1.0)
+events = st.tuples(st.floats(0.01, 1.0), unit, st.floats(0.1, 3.0))  # (gap, x, xi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=st.sampled_from(sorted(KERNELS)),
+    family=st.sampled_from(["constant", "pw-constant", "bilinear"]),
+    f=st.sampled_from(sorted(NONLINEARITIES)),
+    values=st.lists(unit, min_size=16, max_size=16),
+    history=st.lists(st.tuples(st.floats(-4.0, -1e-3), unit, st.floats(0.1, 3.0)),
+                     max_size=25),
+    pushed=st.lists(events, max_size=40),
+    fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+)
+# a long table-kernel run: the row buffer outgrows its first allocation twice
+@example(kernel="table", family="pw-constant", f="identity",
+         values=[0.1 * (i % 7) for i in range(16)], history=[(-3.0, 0.5, 1.0)] * 3,
+         pushed=[(0.3, (i % 8) / 8, 1.0 + i % 3) for i in range(40)], fractions=[0.5])
+def test_carried_intensity_matches_direct_sum_and_bound_dominates(
+    kernel, family, f, values, history, pushed, fractions
+):
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("constant", value=0.7),
+        graphon=_graphon(family, values),
+        excitation=KERNELS[kernel],
+        nonlinearity=NONLINEARITIES[f],
+        c_w=1.0,
+        grid_n=16,
+    )
+    times = [s for s, _, _ in history]  # unsorted: the snapshot sorts them
+    locs = [[x] for _, x, _ in history]
+    xis = [xi for _, _, xi in history]
+    state = thinning_sim._ThinningState(spec)
+    state.load(HistorySnapshot(times=times, locations=locs, mark_scalars=xis, t_ref=0.0))
+    t = 0.0
+    # after each push, probe the times up to the next one (and past the last)
+    for gap, x, xi in pushed + [(1.0, None, None)]:
+        bound = state.total_bound(t)
+        for frac in sorted(fractions):
+            s = t + frac * gap
+            snapshot = HistorySnapshot(times=times, locations=locs, mark_scalars=xis,
+                                       t_ref=s)
+            lam = state.intensity(s)
+            np.testing.assert_allclose(lam, conditional_intensity(spec, snapshot, s),
+                                       rtol=1e-12, atol=1e-12)
+            assert float(np.sum(lam * state.weights)) <= bound * (1 + 1e-12)
+        if x is None:
+            break
+        t += gap
+        state.push(t, np.array([x]), xi)
+        times, locs, xis = times + [t], locs + [[x]], xis + [xi]
+
+
+def test_exponential_thinning_memory_is_bounded_by_the_grid():
+    # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB
+    n, grid_n = 5000, 128
+    spec = gh.constant_model(0.5, grid_n=grid_n)
+    gen = np.random.default_rng(0)
+    hist = HistorySnapshot(times=-0.5 * n * gen.random(n), locations=gen.random((n, 1)),
+                           mark_scalars=np.ones(n), t_ref=0.0)
+    tracemalloc.start()
+    try:
+        simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * grid_n * 8  # 64 grid vectors, whatever the history length
+
+
+def test_power_law_thinning_builds_one_column_per_cell(monkeypatch):
+    vals = 0.2 + 0.4 * np.random.default_rng(0).random((16, 16))
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("constant", value=1.0),
+        graphon=gh.PairFunction("grid", values=vals, axis_counts=(16,)),
+        excitation=KERNELS["power-law"],
+        nonlinearity=Nonlinearity("clipped-linear", cap=3.0),
+        c_w=float(vals.max()),
+        grid_n=128,
+    )
+    built = []
+    column = gh.ModelSpec.excitation_column
+    monkeypatch.setattr(gh.ModelSpec, "excitation_column",
+                        lambda self, zs, y: built.append(y) or column(self, zs, y))
+    real = simulate_thinning(spec, 100.0, rng=gh.SplitStream(36))
+    assert len(real) > 100
+    assert len(built) <= 16

@@ -39,6 +39,16 @@ def test_gamma_values():
     assert gamma_eval(j, f, [0.5], 1.0) == pytest.approx(1 - 0.5 * math.exp(-1))
 
 
+def test_gamma_grid_function_reads_the_cell():
+    # f = LN2 on the cells of [0.5, 1), 0 below; a boundary point takes the upper cell
+    spec = gh.constant_model(0.5, grid_n=4)
+    f = TestFunction.from_values(np.array([0.0, 0.0, LN2, LN2]))
+    j = LifetimeModel("exponential", rate=1.0)
+    assert gamma_eval(j, f, [0.3], 0.0, spec) == pytest.approx(1.0)
+    assert gamma_eval(j, f, [0.5], 0.0, spec) == pytest.approx(0.5)
+    assert gamma_eval(j, f, [0.9], 0.0, spec) == pytest.approx(0.5)
+
+
 def test_beta_deterministic_and_exponential():
     spec = gh.constant_model(0.5, grid_n=256)
     unmarked = spec.marks
