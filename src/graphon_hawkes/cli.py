@@ -28,6 +28,7 @@ from .config import load_model, model_digest, spec_config
 from .cluster_sim import simulate_process
 from .errors import (
     GraphonHawkesError,
+    InvalidArgumentError,
     OutdegreeConditionError,
     PrelimitUnstableError,
     UnstableModelError,
@@ -85,7 +86,7 @@ def _parse_box(text: str | None, dim: int):
         return ([parts[0]], [parts[1]])
     if len(parts) == 2 * dim:
         return (parts[:dim], parts[dim:])
-    raise ValueError(f"--set needs 2*dim={2 * dim} comma-separated numbers")
+    raise InvalidArgumentError(f"--set needs 2*dim={2 * dim} comma-separated numbers")
 
 
 def _load_spec(cfg: RunConfig):
@@ -289,7 +290,7 @@ def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
         vals = np.loadtxt(fspec.split(":", 1)[1], delimiter=",").ravel()
         f = TestFunction.from_values(vals)
     else:
-        raise ValueError("--f must be const:<z> or grid:<file>")
+        raise InvalidArgumentError("--f must be const:<z> or grid:<file>")
     eta, log = fixed_point(spec, f, opt["t"], tol=opt["tol"], n_u=opt["n_u"])
     lq = laplace_of_Q(eta, spec, opt["t"])
     payload = {

@@ -6,6 +6,13 @@ children as an inhomogeneous Poisson process with spatial profile
 b(z, x0) W(z, x0) and temporal profile h(t - t0).  Child delays invert
 H(s)/H(tau); child locations are drawn from the normalized spatial profile.
 
+Every location (immigrants, children, and accepted thinning events) comes
+from `sample_location`: the law is a piecewise-constant density on the n^m
+cells of the standard grid.  One call draws k points from k x m uniforms.
+u[:, 0] inverts the CDF over the row-major flat cell index, and its residual
+inside the drawn cell places the point on axis 0; u[:, 1:] place it
+uniformly on the other axes.  A flat density (None) is lo + u (hi - lo).
+
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
 """
@@ -22,7 +29,7 @@ from .errors import (
     RequiresThinningError,
 )
 from .events import Realization
-from .model import ModelSpec, _cell_index
+from .model import ModelSpec, SpatialProfile, _cell_index
 from .rng import SplitStream
 
 DEFAULT_EVENT_CAP = 10**7
@@ -32,55 +39,42 @@ DEFAULT_EVENT_CAP = 10**7
 # Location sampling
 
 
-def _inverse_cdf_1d(values: np.ndarray, lo: float, hi: float, u) -> np.ndarray:
-    """Invert the piecewise-linear CDF of a midpoint-grid density (1-d)."""
-    n = values.shape[0]
-    width = (hi - lo) / n
-    masses = values * width
-    total = masses.sum()
-    if total <= 0:
-        raise DegenerateDensityError("cannot sample from an identically zero density")
-    cum = np.cumsum(masses)
-    u = np.asarray(u, float)
-    target = u * total
-    idx = np.searchsorted(cum, target, side="left")
-    idx = np.clip(idx, 0, n - 1)
-    prev = np.where(idx > 0, cum[idx - 1], 0.0)
-    frac = np.where(masses[idx] > 0, (target - prev) / masses[idx], 0.0)
-    return lo + (idx + np.clip(frac, 0.0, 1.0)) * width
+def _categorical(masses: np.ndarray, total: float, u) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse CDF of the discrete law prop. to nonnegative `masses` at
+    uniform(s) u: the first index i with u * total < cum[i], and cum.
 
-
-def sample_location(density: np.ndarray, domain, u=None, rng=None) -> np.ndarray:
-    """Draw point(s) from a nonnegative grid density on the domain.
-
-    1-d uses inverse-CDF transform of the uniform variate(s) `u`; in higher
-    dimensions points are drawn by acceptance-rejection against the sup of
-    the density, which needs a Generator `rng`.
+    `total` is `masses.sum()` > 0.  Its pairwise rounding can put u * total
+    past the sequential cum[-1], so the index stops at the last positive
+    mass: a zero-mass index is never drawn.
     """
-    density = np.asarray(density, float)
+    cum = np.cumsum(masses)
+    top = np.searchsorted(cum, cum[-1], side="left")
+    return np.minimum(np.searchsorted(cum, u * total, side="right"), top), cum
+
+
+def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.ndarray:
+    """Draw k points, one per row of the (k, m) uniforms `u`, from `density`:
+    one nonnegative value per cell of the n^m-cell grid, row-major as
+    `domain.grid(n)`, or None for flat.  The draw is set out in the module
+    docstring."""
+    lo, hi = domain.lo, domain.hi
+    if density is None:
+        return lo + u * (hi - lo)
     m = domain.dim
-    if m == 1:
-        if u is None:
-            u = rng.random()
-        pts = _inverse_cdf_1d(density, domain.lo[0], domain.hi[0], u)
-        return np.atleast_1d(pts)[:, None] if np.ndim(u) else np.array([float(pts)])
-    sup = density.max()
-    if sup <= 0:
-        raise DegenerateDensityError("cannot sample from an identically zero density")
     n = round(density.shape[0] ** (1.0 / m))
-    nodes, _ = domain.grid(n)
-    k = 1 if u is None or np.ndim(u) == 0 else len(u)
-    out = np.empty((k, m))
-    filled = 0
-    while filled < k:
-        batch = max(16, 2 * (k - filled))
-        props = domain.uniform(rng, batch)
-        cell = density[_cell_index(props, domain, (n,) * m)]
-        acc = rng.random(batch) <= cell / sup
-        take = props[acc][: k - filled]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
-    return out[0] if (u is None or np.ndim(u) == 0) else out
+    width = (hi - lo) / n
+    masses = density * math.prod(width)
+    total = masses.sum()
+    if not total > 0:
+        raise DegenerateDensityError("cannot sample from an identically zero density")
+    idx, cum = _categorical(masses, total, u[:, 0])
+    prev = np.where(idx > 0, cum[idx - 1], 0.0)
+    pos = u.copy()
+    # the residual is >= 0, since cum[idx - 1] <= u * total
+    pos[:, 0] = np.minimum((u[:, 0] * total - prev) / masses[idx], 1.0)
+    for a, i in enumerate(np.unravel_index(idx, (n,) * m)):
+        pos[:, a] += i
+    return lo + pos * width
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +135,13 @@ class ClusterEngine(OffspringColumns):
         super().__init__(spec, per_location=True)
         g, b = spec.graphon, spec.marks.b
         self._flat_offspring = g.family == "constant" and b.family == "constant"
-        self._sep_offspring = (
-            g.family == "rank-one" and b.family == "constant" and spec.domain.dim == 1
-        )
+        self._sep_offspring = g.family == "rank-one" and b.family == "constant"
         if self._flat_offspring:
             self._flat_mass = float(g.value) * float(b.value) * self.domain.volume
         if self._sep_offspring:
-            prof = g.profile or None
-            shape = (
-                prof(self.nodes, self.domain)
-                if prof is not None
-                else np.prod(self.nodes, axis=1)
-            )
-            shape = np.maximum(shape, 0.0)
-            self._sep_shape = shape
-            self._sep_integral = float(np.sum(shape * self.weights))
-            self._sep_profile = prof
+            self._sep_profile = g.profile or SpatialProfile("identity")
+            self._sep_shape = np.maximum(self._sep_profile(self.nodes, self.domain), 0.0)
+            self._sep_integral = float(np.sum(self._sep_shape * self.weights))
 
         lam = spec.baseline_on(self.nodes)
         self._lam_vals = np.maximum(lam, 0.0)
@@ -168,14 +153,8 @@ class ClusterEngine(OffspringColumns):
     def sample_immigrant_locations(self, k: int, rng) -> np.ndarray:
         if k == 0:
             return np.empty((0, self.domain.dim))
-        if self._lam_const:
-            return self.domain.uniform(rng, k)
-        if self.domain.dim == 1:
-            pts = _inverse_cdf_1d(
-                self._lam_vals, self.domain.lo[0], self.domain.hi[0], rng.random(k)
-            )
-            return pts[:, None]
-        return sample_location(self._lam_vals, self.domain, u=np.empty(k), rng=rng)
+        density = None if self._lam_const else self._lam_vals
+        return sample_location(density, self.domain, rng.random((k, self.domain.dim)))
 
     # -- offspring ----------------------------------------------------------
 
@@ -186,13 +165,8 @@ class ClusterEngine(OffspringColumns):
             return np.full(k, self._flat_mass)
         if self._sep_offspring:
             g = self.spec.graphon
-            prof_at = (
-                self._sep_profile(xs, self.domain)
-                if self._sep_profile is not None
-                else np.prod(xs, axis=1)
-            )
             b0 = float(self.spec.marks.b.value)
-            return g.coeff * b0 * prof_at * self._sep_integral
+            return g.coeff * b0 * self._sep_profile(xs, self.domain) * self._sep_integral
         out = np.empty(k)
         for i in range(k):
             out[i] = self.column(xs[i])[0]
@@ -200,17 +174,13 @@ class ClusterEngine(OffspringColumns):
 
     def sample_offspring_locations(self, parent_xs, child_parent_idx, rng) -> np.ndarray:
         """Locations for children grouped by `child_parent_idx` into parent_xs rows."""
-        total = child_parent_idx.shape[0]
+        total, m = child_parent_idx.shape[0], self.domain.dim
         if total == 0:
-            return np.empty((0, self.domain.dim))
-        if self._flat_offspring:
-            return self.domain.uniform(rng, total)
-        if self._sep_offspring:
-            pts = _inverse_cdf_1d(
-                self._sep_shape, self.domain.lo[0], self.domain.hi[0], rng.random(total)
-            )
-            return pts[:, None]
-        out = np.empty((total, self.domain.dim))
+            return np.empty((0, m))
+        if self._flat_offspring or self._sep_offspring:
+            density = None if self._flat_offspring else self._sep_shape
+            return sample_location(density, self.domain, rng.random((total, m)))
+        out = np.empty((total, m))
         order = np.argsort(child_parent_idx, kind="stable")
         sorted_idx = child_parent_idx[order]
         starts = np.searchsorted(sorted_idx, np.arange(parent_xs.shape[0]), side="left")
@@ -220,15 +190,7 @@ class ClusterEngine(OffspringColumns):
             if span.size == 0:
                 continue
             _, col = self.column(parent_xs[p])
-            if self.domain.dim == 1:
-                pts = _inverse_cdf_1d(
-                    col, self.domain.lo[0], self.domain.hi[0], rng.random(span.size)
-                )
-                out[span] = pts[:, None]
-            else:
-                out[span] = sample_location(
-                    col, self.domain, u=np.empty(span.size), rng=rng
-                )
+            out[span] = sample_location(col, self.domain, rng.random((span.size, m)))
         return out
 
 

@@ -74,9 +74,6 @@ class SpatialDomain:
         w = self.volume / n**self.dim
         return nodes, np.full(nodes.shape[0], w)
 
-    def uniform(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.lo + rng.random((size, self.dim)) * (self.hi - self.lo)
-
 
 # ---------------------------------------------------------------------------
 # Spatial profiles (functions X -> R) and pair functions (X^2 -> R)

@@ -351,9 +351,7 @@ class _CellSampler:
         if total <= 0:  # degenerate within the cell: fall back to uniform
             pos = min(int(u_cell * idx.size), idx.size - 1)
         else:
-            cum = np.cumsum(wts)
-            pos = int(np.searchsorted(cum, u_cell * total, side="left"))
-            pos = min(pos, idx.size - 1)
+            pos = int(cluster_sim._categorical(wts, total, u_cell)[0])
         mid = self.nodes[idx[pos]]
         return mid + (u_jit - 0.5) * self.grid_width
 
@@ -417,7 +415,7 @@ def simulate_coupled(
     if not spec.nonlinearity.is_identity:
         raise RequiresThinningError("coupled simulation covers linear models only")
     if mode not in ("annealed", "quenched"):
-        raise ValueError(f"unknown coupling mode {mode!r}")
+        raise InvalidArgumentError(f"unknown coupling mode {mode!r}")
     stream = rng if isinstance(rng, SplitStream) else SplitStream(int(rng))
     gen = stream.generator()
 
@@ -500,13 +498,7 @@ def simulate_coupled(
     queue = deque()
     if n_imm > 0:
         imm_times = np.sort(horizon * (1.0 - gen.random(n_imm)))
-        cells = np.clip(
-            np.searchsorted(
-                np.cumsum(lam_cell_mass), gen.random(n_imm) * alpha, side="left"
-            ),
-            0,
-            d - 1,
-        )
+        cells, _ = cluster_sim._categorical(lam_cell_mass, alpha, gen.random(n_imm))
         for i in range(n_imm):
             u_cell, u_jit = gen.random(), gen.random(spec.domain.dim)
             k = int(cells[i])
@@ -551,12 +543,7 @@ def simulate_coupled(
             total = float(p_hat.sum())
             count = gen.poisson(total * h_mass) if total > 0 else 0
             if count:
-                cum = np.cumsum(p_hat)
-                child_cells = np.clip(
-                    np.searchsorted(cum, gen.random(count) * total, side="left"),
-                    0,
-                    d - 1,
-                )
+                child_cells, _ = cluster_sim._categorical(p_hat, total, gen.random(count))
                 delays = spec.excitation.sample_delay(
                     1.0 - gen.random(count), np.full(count, tau)
                 )
@@ -611,12 +598,7 @@ def simulate_coupled(
             total = float(r_n.sum())
             count = gen.poisson(total * h_mass) if total > 0 else 0
             if count:
-                cum = np.cumsum(r_n)
-                child_cells = np.clip(
-                    np.searchsorted(cum, gen.random(count) * total, side="left"),
-                    0,
-                    d - 1,
-                )
+                child_cells, _ = cluster_sim._categorical(r_n, total, gen.random(count))
                 delays = spec.excitation.sample_delay(
                     1.0 - gen.random(count), np.full(count, tau)
                 )

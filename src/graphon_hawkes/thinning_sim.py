@@ -221,18 +221,15 @@ def simulate_thinning(
                 f"total intensity {lam_total!r} exceeds the dominating rate {bound!r}"
             )
         if gen.random() * bound <= lam_total:
-            if spec.domain.dim == 1:
-                loc = sample_location(lam_vals, spec.domain, u=gen.random())
-            else:
-                loc = sample_location(lam_vals, spec.domain, rng=gen)
+            loc = sample_location(lam_vals, spec.domain, gen.random((1, spec.domain.dim)))[0]
             xi = float(spec.marks.sample_xi(gen, 1)[0])
             out_t.append(t)
-            out_x.append(np.atleast_1d(loc))
+            out_x.append(loc)
             out_xi.append(xi)
             out_lt.append(
                 float(spec.lifetimes.sample(gen, 1)[0]) if with_lifetimes else math.nan
             )
-            state.push(t, np.atleast_1d(loc), xi)
+            state.push(t, loc, xi)
             bound = state.total_bound(t)
         elif bound > 4.0 * lam_total:
             bound = state.total_bound(t)

@@ -86,6 +86,16 @@ def test_invalid_model_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("transform", "--f", "bogus", "--t", "1"),
+    ("flln", "--horizon", "5", "--reps", "2", "--set", "0,0.5,1"),
+])
+def test_bad_argument_exit_1_typed(model_file, tmp_path, capsys, args):
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "a"), *args])
+    assert rc == 1
+    assert "error[invalid-argument]" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_across_runs_and_threads(model_file, tmp_path):
     outs = []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "8")):

@@ -1,9 +1,13 @@
 """Cluster (branching) simulation: means, laws, sampling and reproducibility."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import graphon_hawkes as gh
@@ -19,7 +23,7 @@ from graphon_hawkes.errors import (
     NoLifetimesError,
     RequiresThinningError,
 )
-from graphon_hawkes.model import Nonlinearity, SpatialProfile
+from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index
 from graphon_hawkes.operators import discretize_kernel
 
 
@@ -137,13 +141,13 @@ def test_explosion_guard_flags_partial():
 def test_sample_location_linear_density():
     dom = gh.SpatialDomain((0.0,), (1.0,))
     dens = 2 * (np.arange(1024) + 0.5) / 1024
-    pt = sample_location(dens, dom, u=0.25)
+    pt = sample_location(dens, dom, np.array([[0.25]]))[0]
     assert abs(pt[0] - 0.5) < 1e-3
 
 
 def test_sample_location_uniform_identity():
     dom = gh.SpatialDomain((0.0,), (1.0,))
-    pt = sample_location(np.ones(1000), dom, u=0.73)
+    pt = sample_location(np.ones(1000), dom, np.array([[0.73]]))[0]
     assert abs(pt[0] - 0.73) < 1e-9
 
 
@@ -151,26 +155,135 @@ def test_sample_location_indicator_support():
     dom = gh.SpatialDomain((0.0,), (1.0,))
     xs = (np.arange(1000) + 0.5) / 1000
     dens = ((xs >= 0.4) & (xs <= 0.6)).astype(float)
-    pt = sample_location(dens, dom, u=0.5)
+    pt = sample_location(dens, dom, np.array([[0.5]]))[0]
     assert abs(pt[0] - 0.5) < 2e-3
 
 
 def test_sample_location_zero_density():
     dom = gh.SpatialDomain((0.0,), (1.0,))
     with pytest.raises(DegenerateDensityError):
-        sample_location(np.zeros(64), dom, u=0.5)
+        sample_location(np.zeros(64), dom, np.array([[0.5]]))
 
 
-def test_sample_location_2d_accept_reject():
+def test_sample_location_2d_mean():
     dom = gh.SpatialDomain((0.0, 0.0), (1.0, 1.0))
     n = 32
     nodes, _ = dom.grid(n)
     dens = nodes[:, 0] + nodes[:, 1]
     rng = np.random.default_rng(9)
-    pts = sample_location(dens, dom, u=np.empty(4000), rng=rng)
+    pts = sample_location(dens, dom, rng.random((4000, 2)))
     # mean of x+y under density prop. to (x+y): E = 7/6 vs uniform 1
     m = (pts[:, 0] + pts[:, 1]).mean()
     assert abs(m - 7 / 6) < 0.02
+
+
+def test_sample_location_2d_asymmetric_chi_square():
+    # x + 3y^2 on [0,1]x[0,2] is not symmetric under swapping the axes, so a
+    # transposed (column-major) cell unravel fails this test
+    dom = gh.SpatialDomain((0.0, 0.0), (1.0, 2.0))
+    nodes, _ = dom.grid(16)
+    dens = nodes[:, 0] + 3 * nodes[:, 1] ** 2
+    pts = sample_location(dens, dom, np.random.default_rng(31).random((200_000, 2)))
+    assert ((pts >= dom.lo) & (pts <= dom.hi)).all()
+    obs = np.bincount(_cell_index(pts, dom, (16, 16)), minlength=256)
+    p = stats.chisquare(obs, dens / dens.sum() * pts.shape[0]).pvalue
+    assert p > 0.001
+
+
+@st.composite
+def grid_densities(draw):
+    """(domain, density with some zero cells and positive total, uniforms)."""
+    m = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 24 if m == 1 else 6))
+    lo = draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m))
+    span = draw(st.lists(st.floats(0.1, 10), min_size=m, max_size=m))
+    dens = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-6, 1e3),
+                                  min_size=n**m, max_size=n**m)))
+    assume(dens.sum() > 0)
+    u = draw(hnp.arrays(float, (draw(st.integers(1, 20)), m),
+                        elements=st.floats(0, 1, exclude_max=True)))
+    return gh.SpatialDomain(tuple(lo), tuple(a + b for a, b in zip(lo, span))), dens, u
+
+
+@settings(max_examples=300)
+@given(grid_densities())
+# u * total reaches past cum[-1] (pairwise sum vs sequential cumsum) before a
+# zero cell: the draw must stop at the last positive cell
+@example((gh.SpatialDomain((0.0,), (1.0,)), np.r_[np.full(10, 0.7), 0.0],
+          np.array([[np.nextafter(1.0, 0.0)]])))
+def test_sample_location_lands_in_positive_cells(case):
+    dom, dens, u = case
+    m, n = dom.dim, round(dens.size ** (1 / dom.dim))
+    pts = sample_location(dens, dom, u)
+    assert pts.shape == u.shape
+    assert ((pts >= dom.lo) & (pts <= dom.hi)).all()
+    # a point on a shared cell face belongs to both cells (a null set)
+    r = (pts - dom.lo) / (dom.hi - dom.lo) * n
+    near = [np.clip(np.floor(r + s), 0, n - 1).astype(int) for s in (-1e-9, 1e-9)]
+    for i in range(pts.shape[0]):
+        cells = itertools.product(*[{int(c[i, a]) for c in near} for a in range(m)])
+        assert any(dens[np.ravel_multi_index(c, (n,) * m)] > 0 for c in cells)
+    if m == 1:
+        order = np.argsort(u[:, 0], kind="stable")
+        assert (np.diff(pts[order, 0]) >= 0).all()
+
+
+def _chi_square_4x4(pts, spec, density):
+    """p-value of 2-d points against a density on the standard grid, binned 4x4."""
+    nodes, _ = spec.std_grid
+    cells = _cell_index(nodes, spec.domain, (4, 4))
+    probs = np.bincount(cells, weights=density, minlength=16) / density.sum()
+    obs = np.bincount(_cell_index(pts, spec.domain, (4, 4)), minlength=16)
+    return stats.chisquare(obs, probs * pts.shape[0]).pvalue
+
+
+def model_2d(graphon, baseline=SpatialProfile("constant", value=1.0)):
+    return gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0, 0.0), (1.0, 1.0)),
+        baseline=baseline,
+        graphon=graphon,
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        c_w=1.0,
+        grid_n=32,
+    )
+
+
+def test_2d_immigrants_chi_square_affine_baseline():
+    spec = model_2d(gh.PairFunction("constant", value=0.0),
+                    SpatialProfile("affine", intercept=0.5, slope=(1.0, 3.0)))
+    engine = ClusterEngine(spec)
+    pts = engine.sample_immigrant_locations(50_000, gh.SplitStream(41).generator())
+    assert _chi_square_4x4(pts, spec, spec.baseline_on(spec.std_grid[0])) > 0.001
+
+
+def test_2d_step_graphon_offspring_chi_square():
+    vals = np.random.default_rng(42).uniform(0.1, 1.0, (4, 4))  # 2x2 cells per axis
+    spec = model_2d(gh.PairFunction("grid", values=vals, axis_counts=(2, 2)))
+    engine = ClusterEngine(spec)
+    parents = np.array([[0.2, 0.7], [0.8, 0.3]])
+    rep = np.repeat([0, 1], 30_000)
+    pts = engine.sample_offspring_locations(parents, rep, gh.SplitStream(42).generator())
+    assert len(engine._columns) == 2  # per-parent column path, keyed by cell
+    nodes, _ = spec.std_grid
+    for p in range(2):
+        col = spec.excitation_column(nodes, parents[p])
+        assert _chi_square_4x4(pts[rep == p], spec, col) > 0.001
+
+
+def test_2d_rank_one_offspring_chi_square_separable():
+    prof = SpatialProfile("affine", intercept=0.2, slope=(1.0, 2.0))
+    spec = model_2d(gh.PairFunction("rank-one", coeff=0.3, profile=prof))
+    engine = ClusterEngine(spec)
+    parents = np.array([[0.1, 0.9], [0.6, 0.4]])
+    rep = np.repeat([0, 1], 30_000)
+    pts = engine.sample_offspring_locations(parents, rep, gh.SplitStream(43).generator())
+    mass = engine.offspring_mass(parents)
+    assert len(engine._columns) == 0  # separable: no per-location columns
+    nodes, weights = spec.std_grid
+    for p in range(2):
+        col = spec.excitation_column(nodes, parents[p])
+        assert mass[p] == pytest.approx(np.sum(col * weights), rel=1e-12)
+        assert _chi_square_4x4(pts[rep == p], spec, col) > 0.001
 
 
 def test_population_count_mginfty_mean():
@@ -230,12 +343,12 @@ def test_sampling_lemma_mixture_equivalence():
     lam2 = 2.0 * xs
     rng = np.random.default_rng(21)
     n = 100_000
-    direct = sample_location(lam1 + lam2, dom, u=rng.random(n))[:, 0]
+    direct = sample_location(lam1 + lam2, dom, rng.random((n, 1)))[:, 0]
     m1, m2 = lam1.sum(), lam2.sum()
     pick = rng.random(n) < m1 / (m1 + m2)
     two_stage = np.empty(n)
-    two_stage[pick] = sample_location(lam1, dom, u=rng.random(int(pick.sum())))[:, 0]
-    two_stage[~pick] = sample_location(lam2, dom, u=rng.random(int((~pick).sum())))[:, 0]
+    two_stage[pick] = sample_location(lam1, dom, rng.random((int(pick.sum()), 1)))[:, 0]
+    two_stage[~pick] = sample_location(lam2, dom, rng.random((int((~pick).sum()), 1)))[:, 0]
     edges = np.linspace(0, 1, 21)
     obs1, _ = np.histogram(direct, edges)
     obs2, _ = np.histogram(two_stage, edges)

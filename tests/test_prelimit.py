@@ -318,3 +318,10 @@ def test_coupling_gate_typed_errors():
     with pytest.raises(InvalidArgumentError):
         simulate_coupled(gh.constant_model(0.4, grid_n=64), avg.partition, 1.0,
                          rng=gh.SplitStream(4), avg=avg)
+
+
+def test_coupling_unknown_mode_is_typed():
+    spec = gh.constant_model(0.5, grid_n=64)
+    part = build_partition(spec.domain, 2, "per-axis-counts")
+    with pytest.raises(InvalidArgumentError):
+        simulate_coupled(spec, part, 1.0, mode="bogus", rng=gh.SplitStream(4))

@@ -200,7 +200,7 @@ unit = st.floats(0.0, 1.0)
 events = st.tuples(st.floats(0.01, 1.0), unit, st.floats(0.1, 3.0))  # (gap, x, xi)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     kernel=st.sampled_from(sorted(KERNELS)),
     family=st.sampled_from(["constant", "pw-constant", "bilinear"]),
