@@ -78,10 +78,18 @@ def _dump_json(obj, path: Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
 
 
+def _number(text: str, kind, flag: str):
+    """One number of a command-line value, typed as `kind`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidArgumentError(f"{flag}: {text!r} is not a number") from None
+
+
 def _parse_box(text: str | None, dim: int):
     if not text:
         return None
-    parts = [float(v) for v in text.split(",")]
+    parts = [_number(v, float, "--set") for v in text.split(",")]
     if len(parts) == 2 and dim == 1:
         return ([parts[0]], [parts[1]])
     if len(parts) == 2 * dim:
@@ -285,7 +293,7 @@ def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
     opt = cfg.options
     fspec = opt["f"]
     if fspec.startswith("const:"):
-        f = TestFunction.constant(float(fspec.split(":", 1)[1]))
+        f = TestFunction.constant(_number(fspec.split(":", 1)[1], float, "--f const"))
     elif fspec.startswith("grid:"):
         vals = np.loadtxt(fspec.split(":", 1)[1], delimiter=",").ravel()
         f = TestFunction.from_values(vals)
@@ -326,6 +334,9 @@ def run(cfg: RunConfig) -> int:
     t0 = time.time()
     spec = None
     try:
+        for key, kind, flag in (("d_list", int, "--d-list"), ("t_list", float, "--t-list")):
+            if key in cfg.options:
+                cfg.options[key] = [_number(v, kind, flag) for v in cfg.options[key].split(",")]
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         spec = _load_spec(cfg)
         handler = {
@@ -434,10 +445,6 @@ def main(argv=None) -> int:
         for k, v in vars(args).items()
         if k not in {"model", "seed", "out", "threads", "grid_n", "subcommand"}
     }
-    if "d_list" in options and options["d_list"]:
-        options["d_list"] = [int(v) for v in options["d_list"].split(",")]
-    if "t_list" in options and options["t_list"]:
-        options["t_list"] = [float(v) for v in options["t_list"].split(",")]
     cfg = RunConfig(
         subcommand=args.subcommand,
         model_path=args.model,

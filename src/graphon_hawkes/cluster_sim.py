@@ -28,7 +28,7 @@ from .errors import (
     NoLifetimesError,
     RequiresThinningError,
 )
-from .events import Realization
+from .events import Realization, box_mask
 from .model import ModelSpec, SpatialProfile, _cell_index
 from .rng import SplitStream
 
@@ -454,7 +454,5 @@ def population_count(real: Realization, t: float, box=None) -> int:
     if len(real) == 0:
         return 0
     alive = (real.times <= t) & (t < real.times + real.lifetimes)
-    if box is not None:
-        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-        alive &= ((real.locations >= lo) & (real.locations <= hi)).all(axis=1)
+    alive &= box_mask(real.locations, box)
     return int(np.count_nonzero(alive))

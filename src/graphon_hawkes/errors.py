@@ -38,10 +38,6 @@ class UnstableModelError(GraphonHawkesError):
     code = "unstable-model"
 
 
-class SlowConvergenceError(GraphonHawkesError):
-    code = "slow-convergence"
-
-
 class RequiresThinningError(GraphonHawkesError):
     code = "requires-thinning-simulator"
 

@@ -14,6 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def box_mask(points: np.ndarray, box) -> np.ndarray:
+    """Rows of the (k, m) `points` inside the closed box (lo, hi); all rows
+    when `box` is None."""
+    if box is None:
+        return np.ones(points.shape[0], dtype=bool)
+    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    return ((points >= lo) & (points <= hi)).all(axis=1)
+
+
 @dataclass(frozen=True)
 class Event:
     """One marked spatiotemporal point."""
@@ -89,14 +98,6 @@ class Realization:
             horizon=float(horizon),
             seed=seed or {},
         )
-
-    def count_in(self, t: float, box=None) -> int:
-        """Number of events with time <= t and location inside `box`."""
-        sel = self.times <= t
-        if box is not None:
-            lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-            sel &= ((self.locations >= lo) & (self.locations <= hi)).all(axis=1)
-        return int(np.count_nonzero(sel))
 
     def to_ndjson(self) -> str:
         lines = []

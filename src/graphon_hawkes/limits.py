@@ -13,10 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .cluster_sim import ClusterEngine, simulate_process
 from .errors import OutdegreeConditionError
+from .events import box_mask
 from .model import ModelSpec
 from .operators import (
     discretize_kernel,
@@ -62,18 +62,11 @@ def _digest(spec: ModelSpec) -> str:
     return model_digest(spec)
 
 
-def _box_mask(nodes: np.ndarray, box) -> np.ndarray:
-    if box is None:
-        return np.ones(nodes.shape[0], dtype=bool)
-    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-    return ((nodes >= lo) & (nodes <= hi)).all(axis=1)
-
-
 def _operator_setup(spec: ModelSpec, box, n_op: int):
     grid = discretize_kernel(spec, n_op)
     est = require_stable(grid)
-    rate = stationary_rate(grid, spec.baseline_on(grid.nodes), tol=1e-10)
-    mask = _box_mask(grid.nodes, box)
+    rate = stationary_rate(grid, spec.baseline_on(grid.nodes))
+    mask = box_mask(grid.nodes, box)
     lam_a = float(np.sum(rate.values[mask] * grid.weights[mask]))
     return grid, est, rate, mask, lam_a
 
@@ -123,7 +116,7 @@ def flln_experiment(
     def one(i: int) -> float:
         real = simulate_process(spec, horizon, stream.child(i), with_lifetimes=False,
                                 engine=engine)
-        sel = _box_mask(real.locations, box) if box is not None else slice(None)
+        sel = box_mask(real.locations, box)
         return flln_sup_statistic(real.times[sel], horizon, lam_a)
 
     samples = np.asarray(_pmap(one, reps, threads))
@@ -184,7 +177,7 @@ def divergence_experiment(
                 spec, horizon, stream.child(ti, i), with_lifetimes=False,
                 cap=cap, engine=engine,
             )
-            sel = _box_mask(real.locations, box) if box is not None else slice(None)
+            sel = box_mask(real.locations, box)
             n_a = int(np.count_nonzero(real.times[sel] <= horizon))
             return n_a / horizon, real.censored
 
@@ -258,9 +251,7 @@ def fclt_experiment(
     def one(i: int) -> float:
         real = simulate_process(spec, total_t, stream.child(i), with_lifetimes=False,
                                 engine=engine)
-        sel = (real.times > burn_in) & (real.times <= total_t)
-        if box is not None:
-            sel &= _box_mask(real.locations, box)
+        sel = (real.times > burn_in) & (real.times <= total_t) & box_mask(real.locations, box)
         count = int(np.count_nonzero(sel))
         return math.sqrt(horizon) * (count / horizon - lam_a)
 
@@ -282,6 +273,8 @@ def fclt_experiment(
     if reps < 2:
         notes.append("test skipped: fewer than 2 replications")
     else:
+        from scipy import stats
+
         ks = stats.kstest(samples, "norm", args=(0.0, sigma))
         summary["ks_statistic"] = float(ks.statistic)
         summary["ks_pvalue"] = float(ks.pvalue)

@@ -4,41 +4,43 @@ the stability / long-run diagnostics built on it.
 The operator maps a spatial density f to
     (Tf)(x) = |h|_1 * c_x * int E[B_xy] W(x, y) f(y) dy,
 discretized with midpoint quadrature on a uniform grid.  On grid functions
-it acts as the matrix A = K diag(w); the L1 operator norm of T^n is
-max_j (1/w_j) sum_i w_i (A^n)_ij.  Spectral radius estimates combine
-Gelfand's sequence |T^n|^(1/n) with power iteration started from the
-constant function (the dominant eigenfunction is positive, so the constant
-seed always has nonzero overlap).
+it acts as the nonnegative matrix A = K diag(w); the L1 operator norm of T^n
+is max_j (1/w_j) sum_i w_i (A^n)_ij.
 
-Each grid caches one `OperatorAnalysis`: the norms |T^n| and the Gelfand
-sequence, grown on demand so no power A^n is formed twice, and the power
-iterate.  One verdict, `SpectralEstimate.stable` (rho < 1 with the Gelfand
-sequence to VERDICT_POWERS), decides every stability question; callers reach
-it through `require_stable`, simulators on the coarse `gate_grid`.  The
-near-critical rule applies only to the geometric tails of `stationary_rate`
-and `cluster_size_bound`.
+Every stability, rate and cluster-size question is one dense solve with
+I - A, the resolvent sum_n A^n of the stable regime rho(A) < 1:
+
+* Verdict (`KernelGrid.stable`, cached per grid).  Solve x = (I - A)^{-1} 1
+  and take hi = max_i (Ax)_i / x_i.  For A >= 0 and any x > 0,
+  rho(A) <= hi (Collatz-Wielandt), so the grid is stable when x > 0 and
+  hi * (1 + gamma) < 1, where gamma = (N+1)u / (1 - (N+1)u), u = 2^-53,
+  bounds the rounding of an N-term nonnegative dot product plus one
+  division.  An unstable grid cannot pass, however x was computed.  If
+  rho < 1 then x = sum_n A^n 1 >= 1 and (Ax)_i / x_i = 1 - 1/x_i < 1, so
+  every stable grid passes, zero-row, reducible and nilpotent ones
+  included (Berman & Plemmons: rho(A) < 1 iff (I - A)^{-1} >= 0).  A
+  singular I - A is not stable.
+* Stationary rate: lam_bar = (I - A)^{-1} lam_inf.
+* Expected cluster size: the L1 norm of (I - T)^{-1}, one transposed solve.
+
+`require_stable` reads the verdict; simulators call it on the coarse
+`gate_grid`.  The Gelfand sequence |T^n|^(1/n) and the power iteration from
+the constant function (the dominant eigenfunction is positive, so the
+constant seed has nonzero overlap) are reported estimates, not verdicts.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GridTooLargeError,
-    ShapeError,
-    SlowConvergenceError,
-    UnstableModelError,
-)
+from .errors import GridTooLargeError, ShapeError, UnstableModelError
 from .model import ModelSpec, kernel_density_matrix
 
 MAX_GRID_NODES = 4096
-NEAR_CRITICAL = 0.995
-VERDICT_POWERS = 48  # Gelfand sequence length behind the verdict
-BOUND_POWERS = 64  # norms searched by cluster_size_bound
+GELFAND_POWERS = 48  # Gelfand sequence length reported by stability_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,50 +58,20 @@ class KernelGrid:
         return self.values * self.weights[None, :]
 
     @cached_property
-    def analysis(self) -> OperatorAnalysis:
-        return OperatorAnalysis(self)
-
-
-def _power_product(power: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """A^(n+1) = A^n A: the one place a power of a grid matrix is formed."""
-    return power @ a
-
-
-class OperatorAnalysis:
-    """Norms |T^n|, Gelfand sequence |T^n|^(1/n) and power iterate of a grid.
-
-    Grids are shared by worker threads (one averaged model serves every
-    coupled replication), so growing the sequences holds a lock.
-    """
-
-    def __init__(self, grid: KernelGrid):
-        self._a, self._w = grid.action, grid.weights
-        self._lock = threading.Lock()
-        self._power: np.ndarray | None = None  # A^len(self.norms)
-        self.norms: list[float] = []
-        self.gelfand: list[float] = []
-
-    def extend(self, count: int) -> OperatorAnalysis:
-        """Grow both sequences to at least `count` terms, one product per term."""
-        with self._lock:
-            while len(self.norms) < count:
-                self._power = (
-                    self._a if self._power is None else _power_product(self._power, self._a)
-                )
-                norm = float(np.max((self._w @ np.abs(self._power)) / self._w))
-                self.norms.append(norm)
-                self.gelfand.append(norm ** (1.0 / len(self.norms)) if norm > 0 else 0.0)
-        return self
+    def stable(self) -> bool:
+        """The stability verdict: rho(A) < 1, certified by one resolvent solve."""
+        return _certified_stable(self.action)
 
     @cached_property
     def power_iterate(self) -> tuple[float, bool, int]:
         """(L1 growth factor, converged, iterations) of power iteration from 1."""
-        v = np.ones(self._w.shape[0])
+        a, w = self.action, self.weights
+        v = np.ones(w.shape[0])
         lam_prev, lam, iters, converged = None, 0.0, 0, False
         for iters in range(1, 2001):
-            u = self._a @ v
-            norm_u = float(np.sum(self._w * np.abs(u)))
-            norm_v = float(np.sum(self._w * np.abs(v)))
+            u = a @ v
+            norm_u = float(np.sum(w * np.abs(u)))
+            norm_v = float(np.sum(w * np.abs(v)))
             lam = norm_u / norm_v
             if norm_u == 0.0:
                 lam, converged = 0.0, True
@@ -112,38 +84,46 @@ class OperatorAnalysis:
         return float(lam), converged, iters
 
 
+def _certified_stable(a: np.ndarray) -> bool:
+    """x = (I - A)^{-1} 1 > 0 and max_i (Ax)_i / x_i (1 + gamma) < 1."""
+    n = a.shape[0]
+    k = (n + 1) * 2.0**-53
+    gamma = k / (1.0 - k)
+    try:
+        x = np.linalg.solve(np.eye(n) - a, np.ones(n))
+    except np.linalg.LinAlgError:
+        return False
+    if not (np.isfinite(x).all() and (x > 0).all()):
+        return False
+    return float(np.max((a @ x) / x)) * (1.0 + gamma) < 1.0
+
+
+def _power_product(power: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A^(n+1) = A^n A: the one place a power of a grid matrix is formed."""
+    return power @ a
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralEstimate:
     rho_power_iteration: float
-    rho_gelfand_sequence: list[float]
     converged: bool
     iterations: int
     grid_n: int
+    stable: bool  # the grid's certified verdict
+    # |T^n|^(1/n) for n <= max_power; empty from require_stable, which forms no power
+    rho_gelfand_sequence: list[float] = field(default_factory=list)
 
     @property
     def rho(self) -> float:
-        """Best available estimate: min of the Gelfand envelope and power value."""
-        return min(min(self.rho_gelfand_sequence), self.rho_power_iteration)
-
-    @property
-    def stable(self) -> bool:
-        """The stability verdict: the estimated spectral radius is below 1."""
-        return self.rho < 1.0
-
-    @property
-    def gelfand_tail(self) -> float:
-        return self.rho_gelfand_sequence[-1]
-
-    @property
-    def code(self) -> str | None:
-        return None if self.converged else "no-convergence"
+        """The power-iteration estimate of the spectral radius."""
+        return self.rho_power_iteration
 
 
 @dataclass(frozen=True, eq=False)
 class StationaryRate:
     values: np.ndarray
     residual: float
-    terms_used: int
+    terms_used: int  # 0: a direct solve sums no series
 
 
 def discretize_kernel(
@@ -178,27 +158,43 @@ def operator_norm_l1(grid: KernelGrid) -> float:
     return float(np.max(grid.weights @ grid.values))
 
 
-def spectral_radius(grid: KernelGrid, max_power: int = VERDICT_POWERS) -> SpectralEstimate:
-    """Gelfand sequence |T^n|^(1/n), n <= max_power, plus a power-iteration estimate."""
-    if max_power < 1:
-        raise ShapeError("max_power must be at least 1")
-    lam, converged, iters = grid.analysis.power_iterate
+def _estimate(grid: KernelGrid, gelfand: list[float]) -> SpectralEstimate:
+    lam, converged, iters = grid.power_iterate
     return SpectralEstimate(
         rho_power_iteration=lam,
-        rho_gelfand_sequence=grid.analysis.extend(max_power).gelfand[:max_power],
         converged=converged,
         iterations=iters,
         grid_n=grid.n,
+        stable=grid.stable,
+        rho_gelfand_sequence=gelfand,
     )
+
+
+def spectral_radius(grid: KernelGrid, max_power: int = GELFAND_POWERS) -> SpectralEstimate:
+    """Gelfand sequence |T^n|^(1/n), n <= max_power, plus a power-iteration estimate."""
+    if max_power < 1:
+        raise ShapeError("max_power must be at least 1")
+    a, w = grid.action, grid.weights
+    power, gelfand = a, []
+    for k in range(1, max_power + 1):
+        if k > 1:
+            power = _power_product(power, a)
+        norm = float(np.max((w @ np.abs(power)) / w))
+        gelfand.append(norm ** (1.0 / k) if norm > 0 else 0.0)
+    return _estimate(grid, gelfand)
 
 
 def require_stable(
     grid: KernelGrid, error: type[Exception] = UnstableModelError, what: str = "model"
 ) -> SpectralEstimate:
-    """The verdict's estimate of the grid; raises `error` unless it is stable."""
-    est = spectral_radius(grid)
+    """The grid's estimate without the Gelfand sequence; raises `error` unless
+    the verdict is stable."""
+    est = _estimate(grid, [])
     if not est.stable:
-        raise error(f"{what} unstable: spectral radius estimate {est.rho:.4f} >= 1")
+        raise error(
+            f"{what} unstable: spectral radius is not certified below 1 "
+            f"(power-iteration estimate {est.rho:.4f})"
+        )
     return est
 
 
@@ -212,70 +208,30 @@ def gate_grid(spec: ModelSpec) -> KernelGrid:
         return discretize_kernel(spec, max(2, n // 4))
 
 
-def _geometric_tail(grid: KernelGrid) -> float:
-    """Gelfand tail q of a stable grid, for geometric tail bounds."""
-    tail = require_stable(grid).gelfand_tail
-    if tail >= NEAR_CRITICAL:
-        raise UnstableModelError(
-            f"near-critical model (Gelfand tail {tail:.4f} >= {NEAR_CRITICAL}); "
-            "geometric tail bounds are unreliable"
-        )
-    return tail
-
-
-def stationary_rate(
-    grid: KernelGrid,
-    baseline: np.ndarray,
-    tol: float = 1e-10,
-    max_terms: int = 200_000,
-) -> StationaryRate:
-    """Neumann series lam_bar = sum_n T^n lam_inf with a geometric tail stop.
-
-    Truncates once the current term's norm times q/(1-q) (q the Gelfand
-    tail estimate) drops below tol, then reports the fixed-point residual
-    sup |lam_bar - lam_inf - T lam_bar|.
-    """
+def stationary_rate(grid: KernelGrid, baseline: np.ndarray) -> StationaryRate:
+    """lam_bar = (I - T)^{-1} lam_inf by one dense solve, with the fixed-point
+    residual sup |lam_bar - lam_inf - T lam_bar|."""
     baseline = np.asarray(baseline, float)
     if baseline.shape != (grid.nodes.shape[0],):
         raise ShapeError("baseline grid function does not match the kernel grid")
-    q = _geometric_tail(grid)
-    tail_factor = q / (1.0 - q) if q > 0 else 0.0
+    require_stable(grid)
     a = grid.action
-    term = baseline.copy()
-    total = baseline.copy()
-    terms = 1
-    while True:
-        term = a @ term
-        total += term
-        terms += 1
-        scale = float(np.max(np.abs(term)))
-        if scale * max(tail_factor, 1.0) < tol or scale == 0.0:
-            break
-        if terms > max_terms:
-            raise SlowConvergenceError(
-                f"Neumann series did not reach tol={tol} within {max_terms} terms"
-            )
-    residual = float(np.max(np.abs(total - baseline - a @ total)))
-    return StationaryRate(values=total, residual=residual, terms_used=terms)
+    values = np.linalg.solve(np.eye(a.shape[0]) - a, baseline)
+    residual = float(np.max(np.abs(values - baseline - a @ values)))
+    return StationaryRate(values=values, residual=residual, terms_used=0)
 
 
 def cluster_size_bound(grid: KernelGrid) -> float:
-    """Upper bound on the expected cluster size: min_N S_N / (1 - |T^N|).
+    """Expected cluster size, sup over the root's grid node:
+    |(I - T)^{-1}|_{L1} = sum_n |T^n| = max_j z_j / w_j with (I - A)^T z = w.
 
-    Uses sum_{n>=0} |T^n| <= (sum_{r<N} |T^r|) / (1 - |T^N|), valid for any
-    N with |T^N| < 1 by submultiplicativity in blocks of N.
+    Exact on the grid, so at least 1/(1 - rho); the name is kept from the
+    submultiplicative bound it replaced.
     """
-    _geometric_tail(grid)
-    norms = [1.0] + grid.analysis.extend(BOUND_POWERS).norms[:BOUND_POWERS]
-    best = np.inf
-    partial = 0.0
-    for n in range(1, len(norms)):
-        partial += norms[n - 1]
-        if norms[n] < 1.0:
-            best = min(best, partial / (1.0 - norms[n]))
-    if not np.isfinite(best):
-        raise UnstableModelError("no power of the operator has norm below 1")
-    return float(best)
+    require_stable(grid)
+    a, w = grid.action, grid.weights
+    z = np.linalg.solve((np.eye(a.shape[0]) - a).T, w)
+    return float(np.max(z / w))
 
 
 def fclt_sigma(grid: KernelGrid, lambda_bar: StationaryRate, mask: np.ndarray) -> float:
@@ -315,19 +271,12 @@ class StabilityReport:
 def stability_report(spec: ModelSpec, n: int) -> StabilityReport:
     grid = discretize_kernel(spec, n)
     est = spectral_radius(grid)
-    bound = None
-    notes = [] if est.converged else ["no-convergence"]
-    if est.stable:
-        try:
-            bound = cluster_size_bound(grid)
-        except UnstableModelError as exc:
-            notes.append(str(exc))
     return StabilityReport(
         op_norm=operator_norm_l1(grid),
         rho_gelfand=min(est.rho_gelfand_sequence),
         rho_power=est.rho_power_iteration,
         stable=est.stable,
-        cluster_size_bound=bound,
+        cluster_size_bound=cluster_size_bound(grid) if est.stable else None,
         grid_n=n,
-        notes=notes,
+        notes=[] if est.converged else ["no-convergence"],
     )

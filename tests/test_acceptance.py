@@ -60,7 +60,7 @@ def test_criterion_01_operator_suite():
     spec = gh.constant_model(0.5, grid_n=256)
     grid = discretize_kernel(spec, 256)
     est = spectral_radius(grid, 32)
-    sr = stationary_rate(grid, np.ones(256), tol=1e-8)
+    sr = stationary_rate(grid, np.ones(256))
     kb = cluster_size_bound(grid)
     checks = [
         abs(operator_norm_l1(grid) - 0.5) <= 1e-6,
@@ -75,7 +75,7 @@ def test_criterion_01_operator_suite():
     ro = gh.rank_one_model(1.5, grid_n=256)
     grid2 = discretize_kernel(ro, 256)
     est2 = spectral_radius(grid2, 32)
-    sr2 = stationary_rate(grid2, np.ones(256), tol=1e-10)
+    sr2 = stationary_rate(grid2, np.ones(256))
     dense_rho = float(np.max(np.abs(np.linalg.eigvals(grid2.action))))
     dense_rate = np.linalg.solve(np.eye(256) - grid2.action, np.ones(256))
     sup_err = float(np.max(np.abs(sr2.values - (1 + 1.5 * grid2.nodes[:, 0]))))
@@ -304,7 +304,7 @@ def _criterion_06(stream) -> tuple[bool, str]:
         for w, spec in specs.items()
     }
     grid = discretize_kernel(specs[0.5], 128)
-    rate = stationary_rate(grid, specs[0.5].baseline_on(grid.nodes), tol=1e-10)
+    rate = stationary_rate(grid, specs[0.5].baseline_on(grid.nodes))
     lam_bar = float(np.sum(rate.values * grid.weights))
     sigma = fclt_sigma(grid, rate, np.ones(grid.nodes.shape[0], dtype=bool))
 

@@ -89,6 +89,10 @@ def test_invalid_model_exit_1(tmp_path):
 @pytest.mark.parametrize("args", [
     ("transform", "--f", "bogus", "--t", "1"),
     ("flln", "--horizon", "5", "--reps", "2", "--set", "0,0.5,1"),
+    ("converge", "--d-list", "4,x"),
+    ("diverge", "--t-list", "1,x"),
+    ("flln", "--horizon", "5", "--reps", "2", "--set", "0,x"),
+    ("transform", "--f", "const:abc", "--t", "1"),
 ])
 def test_bad_argument_exit_1_typed(model_file, tmp_path, capsys, args):
     rc = main(["--model", str(model_file), "--out", str(tmp_path / "a"), *args])

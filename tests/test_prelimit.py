@@ -292,15 +292,16 @@ def test_coupling_gate_work_shared_across_replications(monkeypatch):
     spec = gh.rank_one_model(1.5, grid_n=64)
     part = build_partition(spec.domain, 4, "per-axis-counts")
     avg = average_model(spec, part)
+    # one verdict solve per gate grid (continuum and average), none after
     calls: list[int] = []
-    real = operators._power_product
-    monkeypatch.setattr(operators, "_power_product",
-                        lambda p, a: calls.append(a.shape[0]) or real(p, a))
+    real = operators._certified_stable
+    monkeypatch.setattr(operators, "_certified_stable",
+                        lambda a: calls.append(a.shape[0]) or real(a))
     simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(3).child(0), avg=avg)
     first = len(calls)
     for r in range(1, 4):
         simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(3).child(r), avg=avg)
-    assert 0 < first == len(calls)
+    assert first == 2 == len(calls)
 
 
 def test_coupling_gate_typed_errors():
