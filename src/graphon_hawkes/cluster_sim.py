@@ -63,10 +63,13 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
     m = domain.dim
     n = round(density.shape[0] ** (1.0 / m))
     width = (hi - lo) / n
-    masses = density * math.prod(width)
+    # cells have equal volume, so the masses are the density over its
+    # maximum: a positive density never underflows to zero mass
+    top = density.max()
+    if not 0 < top < math.inf:
+        raise DegenerateDensityError(f"cannot sample from a density with maximum {top}")
+    masses = density / top
     total = masses.sum()
-    if not total > 0:
-        raise DegenerateDensityError("cannot sample from an identically zero density")
     idx, cum = _categorical(masses, total, u[:, 0])
     prev = np.where(idx > 0, cum[idx - 1], 0.0)
     pos = u.copy()
@@ -87,18 +90,15 @@ class OffspringColumns:
 
     Piecewise-constant profiles depend on the parent only through its source
     cell(s), so they are cached by cell: at most one column per cell.  Smooth
-    profiles are cached by parent location when `per_location` is set (the
-    cluster engine reads each parent twice in one generation) and are
-    otherwise rebuilt on every call, so memory never grows with the event
+    profiles are rebuilt on every call, so memory never grows with the event
     count.
     """
 
-    def __init__(self, spec: ModelSpec, per_location: bool = False):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
         self._columns: dict[tuple, tuple[float, np.ndarray]] = {}
-        self._per_location = per_location
         g, b = spec.graphon, spec.marks.b
         piecewise = all(f.family in ("constant", "grid") and f.interp == "pw-constant"
                         for f in (g, b))
@@ -108,12 +108,9 @@ class OffspringColumns:
 
     def column(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         y = np.atleast_1d(y)
-        if self._key_counts is not None:
-            key = tuple(int(_cell_index(y[None, :], self.domain, c)[0]) for c in self._key_counts)
-        elif self._per_location:
-            key = tuple(np.round(y, 14))
-        else:
+        if self._key_counts is None:
             return self._build(y)
+        key = tuple(int(_cell_index(y[None, :], self.domain, c)[0]) for c in self._key_counts)
         hit = self._columns.get(key)
         if hit is None:
             hit = self._columns[key] = self._build(y)
@@ -132,7 +129,7 @@ class ClusterEngine(OffspringColumns):
     """Precomputed grids, offspring masses and location samplers for a model."""
 
     def __init__(self, spec: ModelSpec):
-        super().__init__(spec, per_location=True)
+        super().__init__(spec)
         g, b = spec.graphon, spec.marks.b
         self._flat_offspring = g.family == "constant" and b.family == "constant"
         self._sep_offspring = g.family == "rank-one" and b.family == "constant"
@@ -158,38 +155,38 @@ class ClusterEngine(OffspringColumns):
 
     # -- offspring ----------------------------------------------------------
 
-    def offspring_mass(self, xs: np.ndarray) -> np.ndarray:
-        """Gamma(y) = int b(z, y) W(z, y) dz for each parent location y."""
+    def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, list | None]:
+        """Gamma(y) = int b(z, y) W(z, y) dz for each parent location y, and
+        the parents' offspring columns (None on the flat and separable paths),
+        so that one generation builds each column at most once."""
         k = xs.shape[0]
         if self._flat_offspring:
-            return np.full(k, self._flat_mass)
+            return np.full(k, self._flat_mass), None
         if self._sep_offspring:
             g = self.spec.graphon
             b0 = float(self.spec.marks.b.value)
-            return g.coeff * b0 * self._sep_profile(xs, self.domain) * self._sep_integral
-        out = np.empty(k)
-        for i in range(k):
-            out[i] = self.column(xs[i])[0]
-        return out
+            return g.coeff * b0 * self._sep_profile(xs, self.domain) * self._sep_integral, None
+        pairs = [self.column(y) for y in xs]
+        return np.array([mass for mass, _ in pairs]), [col for _, col in pairs]
 
-    def sample_offspring_locations(self, parent_xs, child_parent_idx, rng) -> np.ndarray:
-        """Locations for children grouped by `child_parent_idx` into parent_xs rows."""
+    def sample_offspring_locations(self, columns, child_parent_idx, rng) -> np.ndarray:
+        """Locations for children grouped by `child_parent_idx` into the
+        parents' `columns` from `offspring_mass`."""
         total, m = child_parent_idx.shape[0], self.domain.dim
         if total == 0:
             return np.empty((0, m))
-        if self._flat_offspring or self._sep_offspring:
+        if columns is None:
             density = None if self._flat_offspring else self._sep_shape
             return sample_location(density, self.domain, rng.random((total, m)))
         out = np.empty((total, m))
         order = np.argsort(child_parent_idx, kind="stable")
         sorted_idx = child_parent_idx[order]
-        starts = np.searchsorted(sorted_idx, np.arange(parent_xs.shape[0]), side="left")
-        ends = np.searchsorted(sorted_idx, np.arange(parent_xs.shape[0]), side="right")
-        for p in range(parent_xs.shape[0]):
+        starts = np.searchsorted(sorted_idx, np.arange(len(columns)), side="left")
+        ends = np.searchsorted(sorted_idx, np.arange(len(columns)), side="right")
+        for p, col in enumerate(columns):
             span = order[starts[p] : ends[p]]
             if span.size == 0:
                 continue
-            _, col = self.column(parent_xs[p])
             out[span] = sample_location(col, self.domain, rng.random((span.size, m)))
         return out
 
@@ -246,7 +243,8 @@ def _grow(
             if math.isinf(horizon)
             else spec.excitation.H(np.maximum(tau, 0.0))
         )
-        mu = cur_xi * engine.offspring_mass(cur_x) * h_mass
+        masses, columns = engine.offspring_mass(cur_x)
+        mu = cur_xi * masses * h_mass
         counts = rng.poisson(mu)
         total = int(counts.sum())
         if total == 0:
@@ -265,7 +263,7 @@ def _grow(
         q = 1.0 - rng.random(total)
         delays = spec.excitation.sample_delay(q, tau[rep])
         times = cur_t[rep] + delays
-        locs = engine.sample_offspring_locations(cur_x, rep, rng)
+        locs = engine.sample_offspring_locations(columns, rep, rng)
         xis = spec.marks.sample_xi(rng, total)
         lts = (
             spec.lifetimes.sample(rng, total)
@@ -320,9 +318,12 @@ def simulate_process(
 ) -> Realization:
     """Simulate the linear process on [0, horizon] from an empty history.
 
-    Clusters use per-immigrant counter-split substreams, so the result is
-    bit-identical however clusters are scheduled.  Hitting the event cap
-    returns a partial realization flagged `censored`.
+    One generator per replication, the stream's generator, draws the
+    immigrants and then grows every immigrant's cluster in one breadth-first
+    branching (no per-cluster substreams), so the same (seed, path) gives
+    the same bytes in every run and under any `--threads`.  More than `cap`
+    events return a partial realization of exactly `cap` events flagged
+    `censored`: the `cap` earliest immigrants when they alone exceed it.
     """
     if not spec.nonlinearity.is_identity:
         raise RequiresThinningError(
@@ -330,64 +331,27 @@ def simulate_process(
         )
     stream = _as_stream(rng)
     engine = engine or ClusterEngine(spec)
-
-    imm_gen = stream.child(0).generator()
-    n_imm = imm_gen.poisson(engine.alpha * horizon)
-    times = np.sort(horizon * (1.0 - imm_gen.random(n_imm)))
-    locs = engine.sample_immigrant_locations(n_imm, imm_gen)
-    xis = spec.marks.sample_xi(imm_gen, n_imm)
-
-    cluster_seq = SplitStream(stream.seed, stream.path + (1,))
-    base_bitgen = np.random.Philox(
-        np.random.SeedSequence(entropy=cluster_seq.seed, spawn_key=cluster_seq.path)
+    # a fresh generator at (seed, path): passing one stream twice repeats it
+    gen = stream.child().generator()
+    n_imm = int(gen.poisson(engine.alpha * horizon))
+    k = min(n_imm, cap)
+    times = np.sort(horizon * (1.0 - gen.random(n_imm)))[:k]
+    locs = engine.sample_immigrant_locations(k, gen)
+    xis = spec.marks.sample_xi(gen, k)
+    arrays, censored = _grow(
+        engine, times, locs, xis, np.arange(k), 0, horizon, gen, with_lifetimes, cap
     )
-
-    chunks = []
-    censored = False
-    used = 0
-    for i in range(n_imm):
-        if used >= cap:
-            censored = True
-            break
-        crng = np.random.Generator(base_bitgen.jumped(i + 1))
-        arrays, cens = _grow(
-            engine,
-            times[i : i + 1],
-            locs[i : i + 1],
-            xis[i : i + 1],
-            np.full(1, i, dtype=np.int64),
-            0,
-            horizon,
-            crng,
-            with_lifetimes,
-            cap - used,
-        )
-        censored = censored or cens
-        used += arrays[0].shape[0]
-        chunks.append(arrays)
-
-    return _assemble(spec, chunks, horizon, stream.describe(), censored)
+    return _assemble(spec, arrays, horizon, stream.describe(), censored or n_imm > k)
 
 
-def _assemble(spec, chunks, horizon, seed_info, censored) -> Realization:
-    if not chunks:
+def _assemble(spec, arrays, horizon, seed_info, censored) -> Realization:
+    """One realization from `_grow`'s arrays, ordered by time, then cluster
+    (the `sim` label), then branching order; parent pointers follow."""
+    t, x, xi, cl, gen, par, lt = arrays
+    if t.shape[0] == 0:
         r = Realization.empty(spec.domain.dim, horizon, seed_info)
         r.censored = censored
         return r
-    t = np.concatenate([c[0] for c in chunks])
-    x = np.concatenate([c[1] for c in chunks], axis=0)
-    xi = np.concatenate([c[2] for c in chunks])
-    cl = np.concatenate([c[3] for c in chunks])
-    gen = np.concatenate([c[4] for c in chunks])
-    lt = np.concatenate([c[6] for c in chunks])
-    # global parent pointers from per-chunk local ones
-    par = []
-    offset = 0
-    for c in chunks:
-        local = c[5]
-        par.append(np.where(local < 0, -1, local + offset))
-        offset += c[0].shape[0]
-    par = np.concatenate(par)
     seq = np.arange(t.shape[0])
     order = np.lexsort((seq, cl, t))  # time first, cluster then sequence break ties
     inv = np.empty_like(order)
@@ -444,7 +408,7 @@ def simulate_cluster(
         with_lifetimes,
         cap,
     )
-    return _assemble(spec, [arrays], horizon, stream.describe(), censored)
+    return _assemble(spec, arrays, horizon, stream.describe(), censored)
 
 
 def population_count(real: Realization, t: float, box=None) -> int:

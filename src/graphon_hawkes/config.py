@@ -286,8 +286,3 @@ def spec_config(spec: ModelSpec) -> dict:
 def model_digest(spec: ModelSpec) -> str:
     blob = json.dumps(spec_config(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def save_model(spec: ModelSpec, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(spec_config(spec), fh, sort_keys=True)

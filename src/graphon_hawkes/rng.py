@@ -2,9 +2,14 @@
 
 All randomness flows through `SplitStream`, a thin wrapper around a Philox
 counter-based bit generator keyed by (master seed, path of integers).  A
-stream can be split into independent child streams by extending the path,
-so replication r / cluster c always sees the same bits no matter how work
-is scheduled across threads.
+stream can be split into independent child streams by extending the path;
+callers give replication r the child at r.
+
+The contract: one generator per replication.  A replication draws
+everything, from its immigrants through every cluster, from the one
+generator at its stream's (seed, path), in one fixed order; there are no
+per-cluster substreams.  So the same (seed, path) gives the same bytes in every run and
+under any `--threads`, which only decides where replications run.
 """
 
 from __future__ import annotations

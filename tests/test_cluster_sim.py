@@ -165,6 +165,12 @@ def test_sample_location_zero_density():
         sample_location(np.zeros(64), dom, np.array([[0.5]]))
 
 
+def test_sample_location_nan_density():
+    dom = gh.SpatialDomain((0.0,), (1.0,))
+    with pytest.raises(DegenerateDensityError):
+        sample_location(np.array([0.5, np.nan, 1.0]), dom, np.array([[0.5]]))
+
+
 def test_sample_location_2d_mean():
     dom = gh.SpatialDomain((0.0, 0.0), (1.0, 1.0))
     n = 32
@@ -197,7 +203,7 @@ def grid_densities(draw):
     n = draw(st.integers(1, 24 if m == 1 else 6))
     lo = draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m))
     span = draw(st.lists(st.floats(0.1, 10), min_size=m, max_size=m))
-    dens = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-6, 1e3),
+    dens = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1e3, exclude_min=True),
                                   min_size=n**m, max_size=n**m)))
     assume(dens.sum() > 0)
     u = draw(hnp.arrays(float, (draw(st.integers(1, 20)), m),
@@ -211,6 +217,9 @@ def grid_densities(draw):
 # zero cell: the draw must stop at the last positive cell
 @example((gh.SpatialDomain((0.0,), (1.0,)), np.r_[np.full(10, 0.7), 0.0],
           np.array([[np.nextafter(1.0, 0.0)]])))
+# a positive density whose cell masses underflow unless normalised first
+@example((gh.SpatialDomain((0.0,), (1.0,)), np.array([0.0, 0.0, 0.0, 5e-324]),
+          np.array([[0.5]])))
 def test_sample_location_lands_in_positive_cells(case):
     dom, dens, u = case
     m, n = dom.dim, round(dens.size ** (1 / dom.dim))
@@ -262,7 +271,8 @@ def test_2d_step_graphon_offspring_chi_square():
     engine = ClusterEngine(spec)
     parents = np.array([[0.2, 0.7], [0.8, 0.3]])
     rep = np.repeat([0, 1], 30_000)
-    pts = engine.sample_offspring_locations(parents, rep, gh.SplitStream(42).generator())
+    _, cols = engine.offspring_mass(parents)
+    pts = engine.sample_offspring_locations(cols, rep, gh.SplitStream(42).generator())
     assert len(engine._columns) == 2  # per-parent column path, keyed by cell
     nodes, _ = spec.std_grid
     for p in range(2):
@@ -276,9 +286,9 @@ def test_2d_rank_one_offspring_chi_square_separable():
     engine = ClusterEngine(spec)
     parents = np.array([[0.1, 0.9], [0.6, 0.4]])
     rep = np.repeat([0, 1], 30_000)
-    pts = engine.sample_offspring_locations(parents, rep, gh.SplitStream(43).generator())
-    mass = engine.offspring_mass(parents)
-    assert len(engine._columns) == 0  # separable: no per-location columns
+    mass, cols = engine.offspring_mass(parents)
+    pts = engine.sample_offspring_locations(cols, rep, gh.SplitStream(43).generator())
+    assert cols is None and len(engine._columns) == 0  # separable: no columns
     nodes, weights = spec.std_grid
     for p in range(2):
         col = spec.excitation_column(nodes, parents[p])
@@ -366,6 +376,15 @@ def test_bit_reproducible_across_runs():
     assert np.array_equal(a.parent_ids, b.parent_ids)
 
 
+def test_same_stream_object_repeats_the_replication():
+    spec = gh.constant_model(0.5, grid_n=64)
+    stream = gh.SplitStream(5)
+    a = simulate_process(spec, 10.0, stream)
+    b = simulate_process(spec, 10.0, stream)
+    assert len(a) > 0 and np.array_equal(a.times, b.times)
+    assert np.array_equal(a.locations, b.locations)
+
+
 def test_realization_invariants():
     spec = gh.constant_model(0.5, grid_n=128)
     real = simulate_process(spec, 5.0, gh.SplitStream(14))
@@ -407,11 +426,88 @@ def test_column_cache_holds_one_column_per_cell_for_step_graphon():
                             with_lifetimes=False)
     assert len(real) > 100
     assert len(engine._columns) <= 16
-    # keyed by location instead, the same stream gives the same events
-    by_location = ClusterEngine(spec)
-    by_location._key_counts = None
-    again = simulate_process(spec, 100.0, gh.SplitStream(21), engine=by_location,
+    # built per parent instead, the same stream gives the same events
+    by_parent = ClusterEngine(spec)
+    by_parent._key_counts = None
+    again = simulate_process(spec, 100.0, gh.SplitStream(21), engine=by_parent,
                              with_lifetimes=False)
-    assert len(by_location._columns) > 16
     assert np.array_equal(real.times, again.times)
     assert np.array_equal(real.locations, again.locations)
+
+
+def test_smooth_graphon_engine_keeps_no_columns():
+    # bilinear columns depend on the parent's exact location: one generation
+    # builds them, and none outlives the branching call
+    vals = 0.2 + 0.4 * np.random.default_rng(1).random((8, 8))
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=SpatialProfile("constant", value=1.0),
+        graphon=gh.PairFunction("grid", values=vals, axis_counts=(8,), interp="bilinear"),
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        c_w=float(vals.max()),
+        grid_n=64,
+    )
+    engine = ClusterEngine(spec)
+    reals = [simulate_process(spec, 50.0, gh.SplitStream(22).child(i), engine=engine)
+             for i in range(2)]
+    assert all((r.generations > 0).any() for r in reals)
+    assert engine._columns == {}
+
+
+def test_cap_below_immigrant_count_keeps_earliest_immigrants():
+    # W = 0: about 200 immigrants and no offspring, so a cap of 50 cuts
+    # the immigrant stream itself
+    spec = gh.constant_model(0.0, grid_n=64)
+    full = simulate_process(spec, 200.0, gh.SplitStream(23))
+    real = simulate_process(spec, 200.0, gh.SplitStream(23), cap=50)
+    assert len(full) > 50 and not full.censored
+    assert real.censored and len(real) == 50
+    assert np.array_equal(real.times, full.times[:50])
+
+
+REALIZATION_MODELS = {
+    "const": lambda: gh.constant_model(0.5, grid_n=64),
+    "rank1": lambda: gh.rank_one_model(1.2, grid_n=64),
+    "step16": lambda: step_model(grid_n=64),
+}
+
+
+def _check_realization(real, t0, horizon, cap):
+    n = len(real)
+    assert n <= cap and (not real.censored or n == cap)
+    t = real.times
+    assert (np.diff(t) >= 0).all() and ((t >= t0) & (t <= horizon)).all()
+    assert np.unique(real.ids).size == n
+    child = np.nonzero(real.parent_ids >= 0)[0]
+    pos = {int(e): i for i, e in enumerate(real.ids)}
+    parent = np.array([pos[int(p)] for p in real.parent_ids[child]], dtype=np.int64)
+    assert (parent < child).all() and (t[parent] <= t[child]).all()
+    assert (real.generations[child] == real.generations[parent] + 1).all()
+    assert (np.delete(real.generations, child) == 0).all()
+    back = gh.Realization.from_ndjson(real.to_ndjson(), horizon=horizon)
+    for name in ("times", "locations", "generations", "parent_ids", "mark_scalars",
+                 "lifetimes", "ids"):
+        a, b = getattr(back, name), getattr(real, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+@settings(max_examples=60)
+@given(model=st.sampled_from(sorted(REALIZATION_MODELS)),
+       seed=st.integers(0, 2**32 - 1),
+       horizon=st.floats(0.1, 30.0),
+       cap=st.integers(0, 80),
+       x0=st.floats(0.0, 1.0),
+       t0_frac=st.floats(0.0, 1.0),
+       lifetimes=st.booleans())
+def test_realization_invariants_hold_for_every_model_and_cap(
+        model, seed, horizon, cap, x0, t0_frac, lifetimes):
+    spec = REALIZATION_MODELS[model]()
+    real = simulate_process(spec, horizon, gh.SplitStream(seed), with_lifetimes=lifetimes,
+                            cap=cap)
+    _check_realization(real, 0.0, horizon, cap)
+    t0 = t0_frac * horizon
+    one = simulate_cluster([x0], t0, spec, horizon, gh.SplitStream(seed),
+                           with_lifetimes=lifetimes, cap=max(cap, 1))
+    _check_realization(one, t0, horizon, max(cap, 1))
+    assert one.generations[0] == 0 and one.times[0] == t0

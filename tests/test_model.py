@@ -4,11 +4,24 @@ import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import graphon_hawkes as gh
+from graphon_hawkes.config import load_model, model_digest, spec_config
 from graphon_hawkes.errors import NegativeTimeError, OutOfDomainError
-from graphon_hawkes.model import ExcitationKernel, MarkModel, PairFunction, SpatialProfile
+from graphon_hawkes.model import (
+    ExcitationKernel,
+    LifetimeModel,
+    MarkModel,
+    ModelSpec,
+    Nonlinearity,
+    PairFunction,
+    SpatialDomain,
+    SpatialProfile,
+)
 
 
 def test_validate_constant_model_clean():
@@ -188,3 +201,97 @@ def test_pair_matrix_matches_pointwise_pairs(pf):
     for i in range(7):
         for j in range(7):
             assert mat[i, j] == pf.pairs(nodes[i], nodes[j], dom)[0]
+
+
+# ---------------------------------------------------------------------------
+# Config round trip: spec_config -> YAML file -> load_model keeps the digest
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def grid_values(draw, size):
+    return np.array(draw(st.lists(finite, min_size=size, max_size=size)))
+
+
+@st.composite
+def profiles(draw, m):
+    fam = draw(st.sampled_from(["constant", "identity", "affine", "grid"]))
+    if fam == "constant":
+        return SpatialProfile("constant", value=draw(finite))
+    if fam == "identity":
+        return SpatialProfile("identity")
+    if fam == "affine":
+        return SpatialProfile("affine", intercept=draw(finite),
+                              slope=tuple(draw(st.lists(finite, min_size=m, max_size=m))))
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    interp = draw(st.sampled_from(["pw-constant", "linear"])) if m == 1 else "pw-constant"
+    return SpatialProfile("grid", values=draw(grid_values(math.prod(counts))),
+                          axis_counts=counts, interp=interp)
+
+
+@st.composite
+def pair_functions(draw, m):
+    fam = draw(st.sampled_from(["constant", "rank-one", "grid"]))
+    if fam == "constant":
+        return PairFunction("constant", value=draw(finite))
+    if fam == "rank-one":
+        return PairFunction("rank-one", coeff=draw(finite), profile=draw(profiles(m)))
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    k = math.prod(counts)
+    interp = draw(st.sampled_from(["pw-constant", "bilinear"])) if m == 1 else "pw-constant"
+    return PairFunction("grid", values=draw(grid_values(k * k)).reshape(k, k),
+                        axis_counts=counts, interp=interp)
+
+
+@st.composite
+def model_specs(draw):
+    m = draw(st.sampled_from([1, 2]))
+    lo = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+    span = draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+    exc = draw(st.sampled_from(["exponential", "power-law", "table"]))
+    if exc == "exponential":
+        excitation = ExcitationKernel("exponential", rate=draw(positive), l1=draw(positive))
+    elif exc == "power-law":
+        excitation = ExcitationKernel("power-law", exponent=draw(st.floats(1.01, 10.0)),
+                                      cutoff=draw(positive), l1=draw(positive))
+    else:
+        k = draw(st.integers(1, 5))
+        breaks = np.r_[0.0, np.cumsum(draw(st.lists(positive, min_size=k, max_size=k)))]
+        excitation = ExcitationKernel("table", breaks=breaks,
+                                      table_values=draw(grid_values(k)))
+    xi = draw(st.sampled_from(["unmarked", "deterministic", "exponential", "gamma"]))
+    marks = MarkModel() if xi == "unmarked" else MarkModel(
+        kind="scaled-profile", profile=draw(pair_functions(m)), xi_family=xi,
+        xi_value=draw(positive), xi_shape=draw(positive) if xi == "gamma" else 1.0)
+    lifetimes = draw(st.builds(LifetimeModel, st.just("deterministic"), tau=positive)
+                     | st.builds(LifetimeModel, st.just("exponential"), rate=positive))
+    nl = draw(st.sampled_from(["identity", "clipped-linear", "sigmoid-scaled"]))
+    nonlinearity = Nonlinearity(
+        nl, lipschitz=draw(positive),
+        cap=draw(positive) if nl == "clipped-linear" else math.inf,
+        scale=draw(positive) if nl == "sigmoid-scaled" else 1.0)
+    return ModelSpec(
+        domain=SpatialDomain(tuple(lo), tuple(a + b for a, b in zip(lo, span))),
+        baseline=draw(profiles(m)),
+        graphon=draw(pair_functions(m)),
+        excitation=excitation,
+        marks=marks,
+        lifetimes=lifetimes,
+        nonlinearity=nonlinearity,
+        c_w=draw(st.just(math.inf) | positive),
+        symmetric=draw(st.booleans()),
+        grid_n=draw(st.integers(1, 1024)),
+        tv_baseline=draw(st.none() | positive),
+        tv_graphon=draw(st.none() | positive),
+    )
+
+
+@given(model_specs())
+def test_config_round_trip_keeps_digest(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("cfg") / "model.yaml"
+    path.write_text(yaml.safe_dump(spec_config(spec), sort_keys=True))
+    back = load_model(path)
+    assert spec_config(back) == spec_config(spec)
+    assert model_digest(back) == model_digest(spec)
