@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDensityError,
+    InvalidArgumentError,
     NoLifetimesError,
     RequiresThinningError,
 )
@@ -209,7 +210,8 @@ def _grow(
 ):
     """Breadth-first branching from seed events; returns (arrays, censored).
 
-    Seed events are included in the output.  `sim0` carries an opaque
+    Seed events are always in the output, so callers pass at most `budget`
+    seeds; offspring stop at the budget.  `sim0` carries an opaque
     per-seed label (cluster or replication index) through to all offspring.
     Local parent indices refer to positions in the returned arrays; seeds
     get parent -1.
@@ -384,16 +386,18 @@ def simulate_cluster(
 ) -> Realization:
     """Simulate one cluster rooted at (t0, x0), root included.
 
-    `horizon` may be inf only for stable models (the event cap still
-    guards termination).
+    `horizon` may be inf only for stable models (the event cap, at least 1
+    since the root counts, still guards termination).
     """
     if not spec.nonlinearity.is_identity:
         raise RequiresThinningError(
             "cluster simulation covers linear models only; use thinning"
         )
+    if cap < 1:
+        raise InvalidArgumentError("a cluster holds its root: cap must be at least 1")
     stream = _as_stream(rng)
     engine = engine or ClusterEngine(spec)
-    gen = stream.generator()
+    gen = stream.child().generator()
     x0 = np.atleast_1d(np.asarray(x0, float))
     xi0 = spec.marks.sample_xi(gen, 1)
     arrays, censored = _grow(

@@ -15,7 +15,6 @@ the simulation records rather than corrects.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property

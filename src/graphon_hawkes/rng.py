@@ -10,6 +10,9 @@ everything, from its immigrants through every cluster, from the one
 generator at its stream's (seed, path), in one fixed order; there are no
 per-cluster substreams.  So the same (seed, path) gives the same bytes in every run and
 under any `--threads`, which only decides where replications run.
+Passing one stream object twice repeats the run in `simulate_process`,
+`simulate_cluster` and `simulate_thinning` (each builds a fresh generator), and
+continues it in `sample_quenched_graph`, `simulate_coupled` and the MC oracles.
 """
 
 from __future__ import annotations

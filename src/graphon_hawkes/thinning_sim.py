@@ -192,7 +192,7 @@ def simulate_thinning(
     """
     if isinstance(rng, (int, np.integer)):
         rng = SplitStream(int(rng))
-    gen = rng.generator() if isinstance(rng, SplitStream) else rng
+    gen = rng.child().generator() if isinstance(rng, SplitStream) else rng
     seed_info = rng.describe() if isinstance(rng, SplitStream) else {}
 
     state = _ThinningState(spec)

@@ -67,10 +67,6 @@ class TestFunction:
         cells = _cell_index(pts, spec.domain, (spec.grid_n,) * spec.domain.dim)
         return self.on(spec.std_grid[0])[cells]
 
-    @property
-    def sup(self) -> float:
-        return float(self.value if self.kind == "const" else np.max(self.values))
-
 
 @dataclass(eq=False)
 class TransformGrid:
@@ -96,10 +92,6 @@ class FixedPointLog:
     envelope_constant: float
     converged: bool
     iterations: int
-
-    @property
-    def code(self) -> str | None:
-        return None if self.converged else "slow-convergence"
 
     @property
     def envelope_ok(self) -> bool:

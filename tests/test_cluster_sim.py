@@ -20,6 +20,7 @@ from graphon_hawkes.cluster_sim import (
 )
 from graphon_hawkes.errors import (
     DegenerateDensityError,
+    InvalidArgumentError,
     NoLifetimesError,
     RequiresThinningError,
 )
@@ -383,6 +384,23 @@ def test_same_stream_object_repeats_the_replication():
     b = simulate_process(spec, 10.0, stream)
     assert len(a) > 0 and np.array_equal(a.times, b.times)
     assert np.array_equal(a.locations, b.locations)
+
+
+def test_same_stream_object_repeats_the_cluster():
+    spec = gh.constant_model(0.5, grid_n=64)
+    stream = gh.SplitStream(5)
+    a = simulate_cluster([0.3], 0.0, spec, 50.0, stream)
+    b = simulate_cluster([0.3], 0.0, spec, 50.0, stream)
+    assert len(a) > 1 and np.array_equal(a.times, b.times)
+    assert np.array_equal(a.locations, b.locations)
+
+
+def test_cluster_cap_below_one_is_refused():
+    # a cluster always holds its root, so no cap below 1 can be met
+    spec = gh.constant_model(0.5, grid_n=64)
+    with pytest.raises(InvalidArgumentError):
+        simulate_cluster([0.3], 0.0, spec, 50.0, gh.SplitStream(5), cap=0)
+    assert len(simulate_cluster([0.3], 0.0, spec, 50.0, gh.SplitStream(5), cap=1)) == 1
 
 
 def test_realization_invariants():

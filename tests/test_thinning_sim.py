@@ -62,6 +62,15 @@ def test_history_snapshot_rejects_future_events():
         HistorySnapshot(times=[1.0], locations=[[0.5]], mark_scalars=[1.0], t_ref=0.5)
 
 
+def test_same_stream_object_repeats_the_run():
+    spec = gh.constant_model(0.5, grid_n=64)
+    stream = gh.SplitStream(6)
+    a = simulate_thinning(spec, 10.0, rng=stream)
+    b = simulate_thinning(spec, 10.0, rng=stream)
+    assert len(a) > 0 and np.array_equal(a.times, b.times)
+    assert np.array_equal(a.locations, b.locations)
+
+
 def test_thinning_poisson_mean():
     spec = gh.constant_model(0.0, grid_n=64)
     s = gh.SplitStream(30)
