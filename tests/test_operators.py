@@ -234,18 +234,24 @@ def log_matmul_operands(monkeypatch) -> list[tuple[int, ...]]:
     return log
 
 
-def test_operator_analysis_forms_no_product_of_two_matrices(monkeypatch):
+def test_stability_report_forms_each_power_once(monkeypatch):
     # the Gelfand sequence carries a row, the power iteration a column, and
-    # the verdict, the rate and the cluster size are solves: no power of A
+    # the verdict and the cluster size are solves: no power of A is formed
     log = log_matmul_operands(monkeypatch)
     rep = stability_report(gh.rank_one_model(1.5), 64)
     assert rep.stable and rep.cluster_size_bound is not None
     assert log.count((1, 2)) >= operators.GELFAND_POWERS
-    flln_experiment(gh.rank_one_model(1.5, grid_n=64), None, 2.0, 2, gh.SplitStream(0), n_op=64)
     assert (2, 1) in log and (2, 2) not in log
     grid = operators.discretize_kernel(gh.rank_one_model(1.5), 8)
     grid.action @ grid.action  # the log does see a product of two matrices
     assert log[-1] == (2, 2)
+
+
+def test_limit_experiment_operator_setup_forms_each_power_once(monkeypatch):
+    # the verdict and the stationary rate are solves: no power of A is formed
+    log = log_matmul_operands(monkeypatch)
+    flln_experiment(gh.rank_one_model(1.5, grid_n=64), None, 2.0, 2, gh.SplitStream(0), n_op=64)
+    assert (2, 1) in log and (2, 2) not in log
 
 
 def test_gelfand_sequence_matches_plain_power_loop():
