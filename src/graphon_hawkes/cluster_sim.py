@@ -12,6 +12,16 @@ cells of the standard grid.  One call draws k points from k x m uniforms.
 u[:, 0] inverts the CDF over the row-major flat cell index, and its residual
 inside the drawn cell places the point on axis 0; u[:, 1:] place it
 uniformly on the other axes.  A flat density (None) is lo + u (hi - lo).
+Each output row depends only on its own uniform row and the density.
+
+Branching runs a generation at a time.  Piecewise-constant offspring
+profiles are keyed by source cell: one vectorised `_cell_index` call per
+grid family keys the whole generation, and each distinct cell's column is
+fetched or built once.  The children's locations come from one (total, m)
+uniform block per generation, with one `sample_location` call per distinct
+column.  Row r of the block goes to the r-th child in stable parent order,
+the doubles that one draw per parent in ascending parent order would give,
+so the grouping by column leaves every location's bytes unchanged.
 
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
@@ -90,16 +100,18 @@ class OffspringColumns:
     at y on the standard grid, the column clipped at 0.
 
     Piecewise-constant profiles depend on the parent only through its source
-    cell(s), so they are cached by cell: at most one column per cell.  Smooth
-    profiles are rebuilt on every call, so memory never grows with the event
-    count.
+    cell(s), so they are cached by cell: at most one column per cell.  The
+    cache key is `_keys`, the parent's cell in every grid family folded into
+    one integer; it serves a whole generation of parents at once and a single
+    thinning event alike.  Smooth profiles are rebuilt on every call, so memory
+    never grows with the event count.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
-        self._columns: dict[tuple, tuple[float, np.ndarray]] = {}
+        self._columns: dict[int, tuple[float, np.ndarray]] = {}
         g, b = spec.graphon, spec.marks.b
         piecewise = all(f.family in ("constant", "grid") and f.interp == "pw-constant"
                         for f in (g, b))
@@ -107,11 +119,21 @@ class OffspringColumns:
             f.axis_counts or (np.asarray(f.values).shape[0],) for f in (g, b) if f.family == "grid"
         ] if piecewise else None
 
+    def _keys(self, ys: np.ndarray) -> np.ndarray:
+        """The cache key of each row of the (k, m) points `ys`: its cell in
+        every grid family, folded mixed-radix into one integer."""
+        key = np.zeros(ys.shape[0], dtype=np.int64)
+        for counts in self._key_counts:
+            key = key * math.prod(counts) + _cell_index(ys, self.domain, counts)
+        return key
+
     def column(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         y = np.atleast_1d(y)
         if self._key_counts is None:
             return self._build(y)
-        key = tuple(int(_cell_index(y[None, :], self.domain, c)[0]) for c in self._key_counts)
+        return self._cached(int(self._keys(y[None, :])[0]), y)
+
+    def _cached(self, key: int, y: np.ndarray) -> tuple[float, np.ndarray]:
         hit = self._columns.get(key)
         if hit is None:
             hit = self._columns[key] = self._build(y)
@@ -156,10 +178,12 @@ class ClusterEngine(OffspringColumns):
 
     # -- offspring ----------------------------------------------------------
 
-    def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, list | None]:
+    def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """Gamma(y) = int b(z, y) W(z, y) dz for each parent location y, and
-        the parents' offspring columns (None on the flat and separable paths),
-        so that one generation builds each column at most once."""
+        the generation's columns as (distinct columns, parent -> column
+        index): one per source cell for piecewise-constant profiles (keyed in
+        one `_keys` call), one per parent for smooth ones, None on the flat
+        and separable paths."""
         k = xs.shape[0]
         if self._flat_offspring:
             return np.full(k, self._flat_mass), None
@@ -167,28 +191,34 @@ class ClusterEngine(OffspringColumns):
             g = self.spec.graphon
             b0 = float(self.spec.marks.b.value)
             return g.coeff * b0 * self._sep_profile(xs, self.domain) * self._sep_integral, None
-        pairs = [self.column(y) for y in xs]
-        return np.array([mass for mass, _ in pairs]), [col for _, col in pairs]
+        if self._key_counts is None:
+            pairs, of_parent = [self._build(y) for y in xs], np.arange(k)
+        else:
+            keys, first, of_parent = np.unique(
+                self._keys(xs), return_index=True, return_inverse=True)
+            pairs = [self._cached(int(key), xs[i]) for key, i in zip(keys, first)]
+        masses = np.array([mass for mass, _ in pairs])
+        return masses[of_parent], ([col for _, col in pairs], of_parent)
 
     def sample_offspring_locations(self, columns, child_parent_idx, rng) -> np.ndarray:
-        """Locations for children grouped by `child_parent_idx` into the
-        parents' `columns` from `offspring_mass`."""
+        """Locations for children of the parents `child_parent_idx`, from the
+        `columns` of `offspring_mass`: one uniform block, then one
+        `sample_location` call per distinct column (see the module docstring
+        for why the bytes equal one draw per parent)."""
         total, m = child_parent_idx.shape[0], self.domain.dim
         if total == 0:
             return np.empty((0, m))
+        u = rng.random((total, m))
         if columns is None:
             density = None if self._flat_offspring else self._sep_shape
-            return sample_location(density, self.domain, rng.random((total, m)))
+            return sample_location(density, self.domain, u)
+        cols, of_parent = columns
+        child = np.argsort(child_parent_idx, kind="stable")  # uniform row -> child
+        col = of_parent[child_parent_idx[child]]  # uniform row -> column
+        rows = np.argsort(col, kind="stable")
         out = np.empty((total, m))
-        order = np.argsort(child_parent_idx, kind="stable")
-        sorted_idx = child_parent_idx[order]
-        starts = np.searchsorted(sorted_idx, np.arange(len(columns)), side="left")
-        ends = np.searchsorted(sorted_idx, np.arange(len(columns)), side="right")
-        for p, col in enumerate(columns):
-            span = order[starts[p] : ends[p]]
-            if span.size == 0:
-                continue
-            out[span] = sample_location(col, self.domain, rng.random((span.size, m)))
+        for group in np.split(rows, np.flatnonzero(np.diff(col[rows])) + 1):
+            out[child[group]] = sample_location(cols[col[group[0]]], self.domain, u[group])
         return out
 
 

@@ -6,7 +6,9 @@ The operator maps a spatial density f to
 discretized with midpoint quadrature on a uniform grid.  On grid functions
 it acts as the nonnegative matrix A = K diag(w) (K is clipped at 0, w > 0),
 so the L1 operator norm of T^n is max_j (1/w_j) sum_i w_i (A^n)_ij with no
-|.|, read off the row w^T A^n at one O(n^2) vector-matrix product per n.
+|.|, read off the row w^T A^n at one O(n^2) vector-matrix product per n
+(the row is kept in range by exact power-of-two rescaling; see
+`spectral_radius`).
 
 Every stability, rate and cluster-size question is one dense solve with
 I - A, the resolvent sum_n A^n of the stable regime rho(A) < 1:
@@ -32,6 +34,7 @@ constant seed has nonzero overlap) are reported estimates, not verdicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -169,16 +172,24 @@ def spectral_radius(grid: KernelGrid, max_power: int = GELFAND_POWERS) -> Spectr
 
     A >= 0, so |T^n| = max_j r_j / w_j exactly for the row r = w^T A^n, which
     steps as r <- r A: one vector-matrix product per term, O(max_power n^2)
-    in all, and no power of A is formed.
+    in all, and no power of A is formed.  Whenever the row's maximum leaves
+    [2^-500, 2^500] the row is scaled by an exact power of two 2^-e and e is
+    added to the exponent E, so that |T^n| = max_j r_j / w_j * 2^E never
+    underflows or overflows; the term is reported as
+    (max_j r_j / w_j)^(1/n) * 2^(E/n), which is the plain root while E = 0.
     """
     if max_power < 1:
         raise ShapeError("max_power must be at least 1")
     a, w = grid.action, grid.weights
-    row, gelfand = w, []
+    row, exp2, gelfand = w, 0, []
     for k in range(1, max_power + 1):
         row = row @ a
+        top = float(np.max(row))
+        if top > 0 and not 2.0**-500 <= top <= 2.0**500:
+            e = math.frexp(top)[1]
+            row, exp2 = np.ldexp(row, -e), exp2 + e
         norm = float(np.max(row / w))
-        gelfand.append(norm ** (1.0 / k) if norm > 0 else 0.0)
+        gelfand.append(norm ** (1.0 / k) * 2.0 ** (exp2 / k) if norm > 0 else 0.0)
     return _estimate(grid, gelfand)
 
 

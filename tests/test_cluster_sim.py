@@ -1,7 +1,9 @@
 """Cluster (branching) simulation: means, laws, sampling and reproducibility."""
 
+import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import graphon_hawkes as gh
+from graphon_hawkes import cluster_sim
 from graphon_hawkes.cluster_sim import (
     ClusterEngine,
     population_count,
@@ -470,6 +473,104 @@ def test_smooth_graphon_engine_keeps_no_columns():
              for i in range(2)]
     assert all((r.generations > 0).any() for r in reals)
     assert engine._columns == {}
+
+
+def step_marked_model():
+    """step_model() with a 4-cell step mark profile: two grid families."""
+    b = gh.PairFunction("grid", values=0.5 + np.random.default_rng(3).random((4, 4)),
+                        axis_counts=(4,))
+    return dataclasses.replace(step_model(64), marks=gh.MarkModel(kind="scaled-profile",
+                                                                  profile=b))
+
+
+def step_model_2d():
+    vals = 0.1 + 0.2 * np.random.default_rng(4).random((16, 16))  # 4x4 cells
+    return model_2d(gh.PairFunction("grid", values=vals, axis_counts=(4, 4)))
+
+
+def bilinear_model():
+    vals = 0.2 + 0.4 * np.random.default_rng(1).random((8, 8))
+    return dataclasses.replace(step_model(64), graphon=gh.PairFunction(
+        "grid", values=vals, axis_counts=(8,), interp="bilinear"))
+
+
+@pytest.mark.parametrize("model, families", [(step_model, 1), (step_marked_model, 2)])
+def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, model, families):
+    # 240 parents over the 16 source cells of a step graphon: one key lookup
+    # per grid family, one location draw per source cell that has children
+    spec = model()
+    engine = ClusterEngine(spec)
+    xs = np.random.default_rng(5).random((240, 1))
+    calls = {"key": 0, "draw": 0, "uniforms": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cluster_sim, "_cell_index", counted("key", cluster_sim._cell_index))
+    monkeypatch.setattr(cluster_sim, "sample_location",
+                        counted("draw", cluster_sim.sample_location))
+    masses, columns = engine.offspring_mass(xs)
+    assert calls["key"] == families
+    counts = np.random.default_rng(6).poisson(4 * masses)
+    rng = types.SimpleNamespace(random=counted("uniforms", np.random.default_rng(7).random))
+    engine.sample_offspring_locations(columns, np.repeat(np.arange(240), counts), rng)
+    assert calls["uniforms"] == 1
+    cells = np.unique(_cell_index(xs[counts > 0], spec.domain, (16,)))
+    assert 1 < calls["draw"] <= cells.size < (counts > 0).sum()
+
+
+GENERATION_MODELS = {
+    "1-d step": step_model(64),
+    "1-d step, step marks": step_marked_model(),
+    "2-d step": step_model_2d(),
+    "1-d bilinear": bilinear_model(),
+}
+# cell faces of every model's grids, the domain boundary included
+FACES = sorted({i / n for n in (4, 8, 16) for i in range(n + 1)})
+
+
+@st.composite
+def generations(draw):
+    """(model, parents, children per parent, child order, seed)."""
+    name = draw(st.sampled_from(sorted(GENERATION_MODELS)))
+    m = GENERATION_MODELS[name].domain.dim
+    k = draw(st.integers(1, 40))
+    coord = st.sampled_from(FACES) | st.floats(0.0, 1.0)
+    xs = np.array(draw(st.lists(st.lists(coord, min_size=m, max_size=m),
+                                min_size=k, max_size=k)))
+    counts = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+    perm = np.array(draw(st.permutations(range(int(counts.sum())))), dtype=np.int64)
+    return name, xs, counts, perm, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generations())
+def test_grouped_offspring_draw_equals_per_parent_draws_bit_for_bit(case):
+    name, xs, counts, perm, seed = case
+    spec = GENERATION_MODELS[name]
+    engine = ClusterEngine(spec)
+    m = spec.domain.dim
+    parent_idx = np.repeat(np.arange(xs.shape[0]), counts)[perm]  # unsorted
+    masses, columns = engine.offspring_mass(xs)
+    gen = np.random.Generator(np.random.Philox(seed))
+    out = engine.sample_offspring_locations(columns, parent_idx, gen)
+    # the reference: one column and one uniform block per parent, in
+    # ascending parent order, each child in stable order
+    nodes, weights = spec.std_grid
+    rng = np.random.Generator(np.random.Philox(seed))
+    ref = np.empty((parent_idx.size, m))
+    order = np.argsort(parent_idx, kind="stable")
+    for p, y in enumerate(xs):
+        col = np.maximum(spec.excitation_column(nodes, y), 0.0)
+        assert masses[p] == float(np.sum(col * weights))
+        span = order[parent_idx[order] == p]
+        if span.size:
+            ref[span] = sample_location(col, spec.domain, rng.random((span.size, m)))
+    assert out.tobytes() == ref.tobytes()
+    assert gen.random() == rng.random()  # both consumed the same doubles
 
 
 def test_cap_below_immigrant_count_keeps_earliest_immigrants():

@@ -5,6 +5,7 @@ and dense dominant eigenvalues on the same grid.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,23 @@ def test_gelfand_sequence_matches_plain_power_loop():
     assert spectral_radius(grid, 8).rho_gelfand_sequence == seq[:8]
 
 
+@pytest.mark.parametrize("value", [1e-8, 2.38418572e-07, 3e6])
+def test_gelfand_terms_of_one_node_grid_equal_its_value(value):
+    # T = value: without the row's power-of-two rescaling, 1e-8 underflows
+    # to a last term of 0, 2.38418572e-07 loses bits in the subnormal range
+    # and ends above |T|, and 3e6 overflows to inf
+    spec = build_spec({
+        "graphon": {"family": "grid", "values": [[value]], "axis_counts": [1],
+                    "interp": "pw-constant"},
+        "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = spectral_radius(discretize_kernel(spec, 1)).rho_gelfand_sequence
+    assert len(terms) == operators.GELFAND_POWERS
+    np.testing.assert_allclose(terms, value, rtol=1e-12, atol=0.0)
+
+
 def test_one_verdict_for_report_and_geometric_tails():
     unstable = discretize_kernel(gh.constant_model(1.5), 32)
     assert not spectral_radius(unstable).stable
@@ -356,9 +374,9 @@ def structural_nilpotency_index(a: np.ndarray) -> int | None:
     return None
 
 
-# |T^k| below this is at or near the subnormal range, where the row loses
-# precision and its k-th root drifts either way; such terms are only checked
-# to be finite and nonnegative
+# a table whose own |T| is below this is at or near the subnormal range, so
+# its entries have already lost precision; its terms are only checked to be
+# finite and nonnegative
 NORMAL_NORM = np.finfo(float).tiny / np.finfo(float).eps
 
 
@@ -379,7 +397,7 @@ def test_gelfand_terms_lie_between_spectral_radius_and_operator_norm(case):
         dense_rho = 0.0
     else:
         dense_rho = float(np.max(np.abs(np.linalg.eigvals(grid.action))))
-    for k, t in enumerate(terms, start=1):
+    for t in terms:
         assert np.isfinite(t) and t >= 0.0
-        if t**k >= NORMAL_NORM:
+        if op_norm >= NORMAL_NORM:
             assert dense_rho * (1 - 1e-12) <= t <= op_norm * (1 + 1e-12)
