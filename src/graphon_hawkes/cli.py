@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_model, model_digest, spec_config
-from .cluster_sim import simulate_process
+from .cluster_sim import DEFAULT_EVENT_CAP, simulate_process
 from .errors import (
     GraphonHawkesError,
     InvalidArgumentError,
@@ -386,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lifetimes", choices=["on", "off"], default="off")
     s.add_argument("--method", choices=["cluster", "thinning"], default="cluster")
     s.add_argument("--history", default=None, help="NDJSON initial history (thinning)")
-    s.add_argument("--cap", type=int, default=10**7)
+    s.add_argument("--cap", type=int, default=DEFAULT_EVENT_CAP)
 
     s = sub.add_parser("stability", help="spectral diagnostics as JSON")
     s.add_argument("--n", type=int, default=256, help="operator grid size")

@@ -206,18 +206,15 @@ def divergence_experiment(
     )
 
 
-def _piecewise_constant(spec: ModelSpec) -> bool:
-    fams_ok = spec.graphon.family in ("constant", "grid") and spec.baseline.family in (
-        "constant",
-        "grid",
-        "affine",
-    )
-    interp_ok = spec.graphon.family != "grid" or spec.graphon.interp == "pw-constant"
-    return bool(
-        fams_ok
-        and interp_ok
-        and spec.baseline.family != "affine"
-        and (spec.baseline.family != "grid" or spec.baseline.interp == "pw-constant")
+def _piecewise_constant(spec: ModelSpec, n_op: int) -> bool:
+    """Whether sigma_A on the n_op grid is exact: baseline, graphon and mark
+    profile are each constant or a pw-constant grid whose cells, per axis,
+    are unions of n_op-grid cells."""
+    return all(
+        f.family == "constant"
+        or (f.family == "grid" and f.interp == "pw-constant"
+            and all(n_op % c == 0 for c in f.axis_counts or (np.asarray(f.values).shape[0],)))
+        for f in (spec.baseline, spec.graphon, spec.marks.b)
     )
 
 
@@ -261,7 +258,7 @@ def fclt_experiment(
         {
             "sigma_A": sigma,
             "sigma_label": (
-                "exact-piecewise-constant" if _piecewise_constant(spec) else "extrapolated"
+                "exact-piecewise-constant" if _piecewise_constant(spec, n_op) else "extrapolated"
             ),
             "lam_bar_A": lam_a,
             "outdegree": deg,

@@ -23,6 +23,13 @@ from .errors import (
 DEFAULT_GRID_N = 512
 
 
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float copy of `values`."""
+    out = np.array(values, float)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Domain
 
@@ -35,7 +42,7 @@ class SpatialDomain:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        lo, up = np.asarray(self.lower, float), np.asarray(self.upper, float)
+        lo, up = self.lo, self.hi
         if lo.ndim != 1 or lo.shape != up.shape:
             raise InvalidParameterError("domain bounds must be equal-length vectors")
         if not (np.isfinite(lo).all() and np.isfinite(up).all()):
@@ -47,13 +54,15 @@ class SpatialDomain:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def lo(self) -> np.ndarray:
-        return np.asarray(self.lower, float)
+    # the bounds as arrays, built once per domain and read-only
 
-    @property
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return _frozen_array(self.lower)
+
+    @cached_property
     def hi(self) -> np.ndarray:
-        return np.asarray(self.upper, float)
+        return _frozen_array(self.upper)
 
     @property
     def volume(self) -> float:

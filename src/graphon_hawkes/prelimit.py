@@ -11,6 +11,15 @@ quenched mode the prelimit branches through a Bernoulli 0/1 graph sampled
 from the averaged graphon (rescaled to [0,1] when needed); the quenched /
 annealed laws agree conditionally on no cell ever holding two events, which
 the simulation records rather than corrects.
+
+Every event of the coupled pass, immigrant or child, goes through one step:
+two uniforms pick its location on each side that holds it, then one mark
+scalar is drawn.  An event on both sides (or, in quenched mode, on the
+prelimit side, whose descendants share the graph) stays in the pass; an
+event on one side only grows its whole cluster there with the cluster
+engine.  The continuum offspring columns come from that engine's column
+cache.  The order of the draws is part of the contract: the same (seed,
+path) gives the same pair.
 """
 
 from __future__ import annotations
@@ -162,25 +171,13 @@ class AveragedModel:
         return gate_grid(self.base), gate_grid(self.spec)
 
 
-def _block_mean_matrix(values: np.ndarray, counts, n: int, m: int) -> np.ndarray:
-    """Average an (n^m, n^m) pair matrix over cell-pair blocks -> (d, d)."""
-    d = int(np.prod(counts))
-    nodes_per_cell = n**m // d
-    # row-major flat grid index -> flat cell index
-    idx = _flat_cell_of_grid(counts, n, m)
-    order = np.argsort(idx, kind="stable")
-    v = values[np.ix_(order, order)]
-    v = v.reshape(d, nodes_per_cell, d, nodes_per_cell)
+def _block_mean_matrix(values: np.ndarray, cell: np.ndarray, d: int) -> np.ndarray:
+    """Average a pair matrix over the grid nodes' cell-pair blocks -> (d, d);
+    `cell` is each node's partition cell, every cell holding as many nodes."""
+    order = np.argsort(cell, kind="stable")
+    per_cell = cell.shape[0] // d
+    v = values[np.ix_(order, order)].reshape(d, per_cell, d, per_cell)
     return v.mean(axis=(1, 3))
-
-
-def _flat_cell_of_grid(counts, n: int, m: int) -> np.ndarray:
-    axes = [np.minimum(np.arange(n) * counts[a] // n, counts[a] - 1) for a in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = mesh[0].ravel()
-    for a in range(1, m):
-        flat = flat * counts[a] + mesh[a].ravel()
-    return flat
 
 
 def average_model(spec: ModelSpec, partition: Partition) -> AveragedModel:
@@ -200,13 +197,11 @@ def average_model(spec: ModelSpec, partition: Partition) -> AveragedModel:
     lam = spec.baseline_on(nodes)
     lambda_cell = np.bincount(cell, weights=lam, minlength=d) / per_cell
 
-    wmat = spec.graphon.matrix(nodes, spec.domain)
-    W_cell = _block_mean_matrix(wmat, partition.axis_counts, n, m)
+    W_cell = _block_mean_matrix(spec.graphon.matrix(nodes, spec.domain), cell, d)
     if spec.marks.kind == "unmarked":
         b_cell = np.ones((d, d))
     else:
-        bmat = spec.marks.b.matrix(nodes, spec.domain)
-        b_cell = _block_mean_matrix(bmat, partition.axis_counts, n, m)
+        b_cell = _block_mean_matrix(spec.marks.b.matrix(nodes, spec.domain), cell, d)
     return AveragedModel(spec, partition, lambda_cell, W_cell, b_cell)
 
 
@@ -219,7 +214,6 @@ class QuenchedGraph:
     """Bernoulli 0/1 connectivity sampled from the averaged graphon."""
 
     Z: np.ndarray  # (d, d) in {0, 1}, looped digraph
-    source_W: np.ndarray
     rescale: float  # R >= 1; edge prob = W_cell / R, edge weight gains factor R
 
     @property
@@ -233,7 +227,7 @@ def sample_quenched_graph(avg: AveragedModel, rng) -> QuenchedGraph:
     W = avg.W_cell
     rescale = max(1.0, float(W.max(initial=0.0)))
     Z = (gen.random(W.shape) < W / rescale).astype(np.int8)
-    return QuenchedGraph(Z=Z, source_W=W, rescale=rescale)
+    return QuenchedGraph(Z=Z, rescale=rescale)
 
 
 def quenched_spec(avg: AveragedModel, graph: QuenchedGraph) -> ModelSpec:
@@ -278,81 +272,51 @@ class CoupledPair:
     censored: bool = False
 
 
-class _SideCollector:
-    """Accumulates one realization's events with globally assigned ids."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.t, self.x, self.xi, self.lt = [], [], [], []
-        self.gen, self.parent, self.ids = [], [], []
-
-    def add(self, eid, t, x, xi, lt, gen, parent):
-        self.ids.append(eid)
-        self.t.append(t)
-        self.x.append(np.atleast_1d(x))
-        self.xi.append(xi)
-        self.lt.append(lt)
-        self.gen.append(gen)
-        self.parent.append(parent)
-
-    def __len__(self):
-        return len(self.t)
-
-    def realization(self, horizon, seed_info, censored) -> Realization:
-        n = len(self.t)
-        if n == 0:
-            r = Realization.empty(self.dim, horizon, seed_info)
-            r.censored = censored
-            return r
-        t = np.asarray(self.t)
-        order = np.lexsort((np.asarray(self.ids), t))
-        return Realization(
-            times=t[order],
-            locations=np.asarray(self.x).reshape(n, self.dim)[order],
-            generations=np.asarray(self.gen, dtype=np.int64)[order],
-            parent_ids=np.asarray(self.parent, dtype=np.int64)[order],
-            mark_scalars=np.asarray(self.xi)[order],
-            lifetimes=np.asarray(self.lt)[order],
-            ids=np.asarray(self.ids, dtype=np.int64)[order],
-            horizon=float(horizon),
-            seed=seed_info,
-            censored=censored,
-        )
+def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realization:
+    """One side's events from rows (id, t, x, xi, lifetime, generation, parent),
+    ordered by time, then id."""
+    if not rows:
+        r = Realization.empty(dim, horizon, seed_info)
+        r.censored = censored
+        return r
+    ids, t, x, xi, lt, gen, parent = (np.asarray(c) for c in zip(*rows))
+    order = np.lexsort((ids, t))
+    return Realization(
+        times=t[order],
+        locations=x.reshape(len(rows), dim)[order],
+        generations=gen.astype(np.int64)[order],
+        parent_ids=parent.astype(np.int64)[order],
+        mark_scalars=xi[order],
+        lifetimes=lt[order],
+        ids=ids.astype(np.int64)[order],
+        horizon=float(horizon),
+        seed=seed_info,
+        censored=censored,
+    )
 
 
 class _CellSampler:
     """Within-cell location sampling from a grid column, shared-uniform aware."""
 
     def __init__(self, spec: ModelSpec, partition: Partition):
-        self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
-        n = spec.grid_n
-        self.grid_width = (self.domain.hi - self.domain.lo) / n
+        domain = spec.domain
+        self.grid_width = (domain.hi - domain.lo) / spec.grid_n
         self.cell_idx = partition.cell_of(self.nodes)
-        order = np.argsort(self.cell_idx, kind="stable")
-        self.order = order
-        self.starts = np.searchsorted(self.cell_idx[order], np.arange(partition.d))
-        self.ends = np.searchsorted(
-            self.cell_idx[order], np.arange(partition.d), side="right"
-        )
-
-    def nodes_in(self, k: int) -> np.ndarray:
-        return self.order[self.starts[k] : self.ends[k]]
+        self.order = np.argsort(self.cell_idx, kind="stable")
+        # the nodes of cell k are order[bounds[k]:bounds[k + 1]]
+        self.bounds = np.searchsorted(self.cell_idx[self.order], np.arange(partition.d + 1))
 
     def masses_by_cell(self, col: np.ndarray, d: int) -> np.ndarray:
         return np.bincount(self.cell_idx, weights=col * self.weights, minlength=d)
 
     def pick(self, col: np.ndarray, k: int, u_cell: float, u_jit: np.ndarray) -> np.ndarray:
-        """One point in cell k with density prop. to col, using shared uniforms."""
-        idx = self.nodes_in(k)
+        """One point in cell k with density prop. to col, using shared uniforms.
+        Cell k is only drawn where col has positive mass."""
+        idx = self.order[self.bounds[k] : self.bounds[k + 1]]
         wts = np.maximum(col[idx], 0.0)
-        total = wts.sum()
-        if total <= 0:  # degenerate within the cell: fall back to uniform
-            pos = min(int(u_cell * idx.size), idx.size - 1)
-        else:
-            pos = int(cluster_sim._categorical(wts, total, u_cell)[0])
-        mid = self.nodes[idx[pos]]
-        return mid + (u_jit - 0.5) * self.grid_width
+        pos = int(cluster_sim._categorical(wts, wts.sum(), u_cell)[0])
+        return self.nodes[idx[pos]] + (u_jit - 0.5) * self.grid_width
 
 
 class _LazyGraph:
@@ -365,28 +329,33 @@ class _LazyGraph:
     model has.
     """
 
-    def __init__(self, probs: np.ndarray, frozen: np.ndarray | None, gen):
-        self.probs = probs
+    def __init__(self, avg: AveragedModel, frozen: QuenchedGraph | None, gen):
         self.frozen = frozen
+        self.rescale = (frozen.rescale if frozen is not None
+                        else max(1.0, float(avg.W_cell.max(initial=0.0))))
+        self.probs = avg.W_cell / self.rescale
         self.gen = gen
-        self.entries: dict[tuple[int, int], int] = {}
-        self.used: set[tuple[int, int]] = set()
+        self.edges: dict[tuple[int, int], int] = {}
 
-    def edge(self, k: int, j: int) -> int:
+    def decide(self, k: int, j: int) -> tuple[bool, int]:
+        """(annealed acceptance, edge) for one potential child through (k, j)."""
+        edge = self.edges.get((k, j))
+        if edge is None:
+            edge = self.edges[k, j] = (
+                int(self.frozen.Z[k, j]) if self.frozen is not None
+                else int(self.gen.random() < self.probs[k, j])
+            )
+            return bool(edge), edge
+        return bool(self.gen.random() < self.probs[k, j]), edge
+
+    def graph(self) -> QuenchedGraph:
+        """The frozen graph, or the lazily realized edges (unvisited pairs 0)."""
         if self.frozen is not None:
-            return int(self.frozen[k, j])
-        key = (k, j)
-        if key not in self.entries:
-            self.entries[key] = int(self.gen.random() < self.probs[k, j])
-        return self.entries[key]
-
-    def accept_annealed(self, k: int, j: int) -> bool:
-        """Annealed thinning decision for one potential child through (k, j)."""
-        key = (k, j)
-        if key not in self.used:
-            self.used.add(key)
-            return bool(self.edge(k, j))
-        return bool(self.gen.random() < self.probs[k, j])
+            return self.frozen
+        z = np.zeros(self.probs.shape, dtype=np.int8)
+        for (k, j), v in self.edges.items():
+            z[k, j] = v
+        return QuenchedGraph(Z=z, rescale=self.rescale)
 
 
 def simulate_coupled(
@@ -421,26 +390,15 @@ def simulate_coupled(
     avg = avg or average_model(spec, partition)
     if avg.base is not spec or avg.partition.axis_counts != partition.axis_counts:
         raise InvalidArgumentError("avg is not the average of this model on this partition")
-    quenched = mode == "quenched"
     if check_stability:
         continuum, prelimit = avg.gate_grids
         require_stable(continuum, UnstableModelError, "continuum model")
         require_stable(prelimit, PrelimitUnstableError, "averaged model at this partition")
+    quenched = mode == "quenched"
+    lazy = _LazyGraph(avg, quenched_graph, gen) if quenched else None
 
-    d = partition.d
-    rescale = max(1.0, float(avg.W_cell.max(initial=0.0)))
-    graph = None
-    lazy = None
-    if quenched:
-        graph = quenched_graph
-        if graph is not None and graph.rescale != rescale:
-            rescale = graph.rescale
-        lazy = _LazyGraph(
-            avg.W_cell / rescale, graph.Z if graph is not None else None, gen
-        )
-
-    engine_n = ClusterEngine(spec)
-    engine_m = ClusterEngine(avg.spec)
+    d, dim = partition.d, spec.domain.dim
+    engine_n, engine_m = ClusterEngine(spec), ClusterEngine(avg.spec)
     sampler = _CellSampler(spec, partition)
     lam_vals = np.maximum(spec.baseline_on(sampler.nodes), 0.0)
     lam_cell_mass = sampler.masses_by_cell(lam_vals, d)
@@ -448,192 +406,112 @@ def simulate_coupled(
     lam_m_vals = np.maximum(avg.spec.baseline_on(sampler.nodes), 0.0)
     ones_col = np.ones(sampler.nodes.shape[0])
     cell_vol = partition.cell_volume
-
-    side_n = _SideCollector(spec.domain.dim)
-    side_m = _SideCollector(spec.domain.dim)
-    shared: list[int] = []
-    next_id = [0]
-
-    def new_id():
-        i = next_id[0]
-        next_id[0] += 1
-        return i
-
-    censored = [False]
-
-    def total_events():
-        return len(side_n) + len(side_m)
-
-    def grow_one_sided(engine, collector, t0, x0, xi0, gen0, parent_id):
-        budget = max(0, cap - total_events())
-        if budget == 0:
-            censored[0] = True
-            return
-        arrays, cens = cluster_sim._grow(
-            engine,
-            np.array([t0]),
-            np.atleast_1d(x0)[None, :],
-            np.array([xi0]),
-            np.zeros(1, dtype=np.int64),
-            gen0,
-            horizon,
-            gen,
-            True,
-            budget,
-        )
-        censored[0] = censored[0] or cens
-        t_a, x_a, xi_a, _, gen_a, par_a, lt_a = arrays
-        ids_local = [new_id() for _ in range(t_a.shape[0])]
-        for i in range(t_a.shape[0]):
-            pid = parent_id if par_a[i] < 0 else ids_local[int(par_a[i])]
-            collector.add(
-                ids_local[i], float(t_a[i]), x_a[i], float(xi_a[i]), float(lt_a[i]),
-                int(gen_a[i]), pid,
-            )
-
-    # --- shared immigrants: per-cell baseline masses agree exactly ----------
-    n_imm = gen.poisson(alpha * horizon)
-    # queue nodes: (t, y_n, y_m, cell_j, xi, gen_no, in_n, in_q, eid)
-    queue = deque()
-    if n_imm > 0:
-        imm_times = np.sort(horizon * (1.0 - gen.random(n_imm)))
-        cells, _ = cluster_sim._categorical(lam_cell_mass, alpha, gen.random(n_imm))
-        for i in range(n_imm):
-            u_cell, u_jit = gen.random(), gen.random(spec.domain.dim)
-            k = int(cells[i])
-            y_n = sampler.pick(lam_vals, k, u_cell, u_jit)
-            y_m = sampler.pick(lam_m_vals, k, u_cell, u_jit)
-            xi = float(spec.marks.sample_xi(gen, 1)[0])
-            lt = float(spec.lifetimes.sample(gen, 1)[0])
-            eid = new_id()
-            shared.append(eid)
-            side_n.add(eid, float(imm_times[i]), y_n, xi, lt, 0, -1)
-            side_m.add(eid, float(imm_times[i]), y_m, xi, lt, 0, -1)
-            queue.append((float(imm_times[i]), y_n, y_m, k, xi, 0, True, True, eid))
-
-    # --- coupled branching ---------------------------------------------------
     H = spec.excitation.H
+
+    rows_n: list = []  # (id, t, x, xi, lifetime, generation, parent) per event
+    rows_m: list = []
+    shared: list[int] = []
+    queue = deque()  # (t, continuum location or None, cell, xi, generation, id)
+    next_id = 0
+    censored = False
+
+    def offspring(masses, h_mass, t0, tau):
+        """(cell, time) of the Poisson children of a parent with these cell masses."""
+        total = float(masses.sum())
+        count = gen.poisson(total * h_mass) if total > 0 else 0
+        if not count:
+            return []
+        cells, _ = cluster_sim._categorical(masses, total, gen.random(count))
+        delays = spec.excitation.sample_delay(1.0 - gen.random(count), np.full(count, tau))
+        return zip(cells.tolist(), (t0 + delays).tolist())
+
+    def step(k, t, col_n, col_m, generation, parent):
+        """One event in cell k at time t on the sides whose column is given."""
+        nonlocal next_id, censored
+        u_cell, u_jit = gen.random(), gen.random(dim)
+        z_n = None if col_n is None else sampler.pick(col_n, k, u_cell, u_jit)
+        z_m = None if col_m is None else sampler.pick(col_m, k, u_cell, u_jit)
+        xi = float(spec.marks.sample_xi(gen, 1)[0])
+        # a quenched prelimit event stays in the pass: its descendants share the graph
+        if z_m is not None and (z_n is not None or quenched):
+            lt = float(spec.lifetimes.sample(gen, 1)[0])
+            if z_n is not None:
+                shared.append(next_id)
+                rows_n.append((next_id, t, z_n, xi, lt, generation, parent))
+            rows_m.append((next_id, t, z_m, xi, lt, generation, parent))
+            queue.append((t, z_n, k, xi, generation, next_id))
+            next_id += 1
+            return
+        # on one side only: its cluster never meets the other side again
+        engine, rows, z = (engine_m, rows_m, z_m) if z_n is None else (engine_n, rows_n, z_n)
+        budget = cap - len(rows_n) - len(rows_m)
+        if budget <= 0:
+            censored = True
+            return
+        (ts, xs, xis, _, gens, parents, lts), cens = cluster_sim._grow(
+            engine, np.array([t]), z[None, :], np.array([xi]), np.zeros(1, dtype=np.int64),
+            generation, horizon, gen, True, budget,
+        )
+        censored = censored or cens
+        ids = next_id + np.arange(ts.shape[0])
+        rows.extend(zip(ids, ts, xs, xis, lts, gens,
+                        np.where(parents < 0, parent, next_id + parents)))
+        next_id += ts.shape[0]
+
+    # shared immigrants: per-cell baseline masses agree exactly
+    n_imm = gen.poisson(alpha * horizon)
+    imm_times = np.sort(horizon * (1.0 - gen.random(n_imm)))
+    cells, _ = cluster_sim._categorical(lam_cell_mass, alpha, gen.random(n_imm))
+    for k, t in zip(cells.tolist(), imm_times.tolist()):
+        step(k, t, lam_vals, lam_m_vals, 0, -1)
+
     while queue:
-        if total_events() >= cap:
-            censored[0] = True
+        if len(rows_n) + len(rows_m) >= cap:
+            censored = True
             break
-        t0, y_n, y_m, cell_j, xi, gen_no, in_n, in_q, eid = queue.popleft()
+        t0, y_n, j, xi, generation, eid = queue.popleft()
         tau = horizon - t0
         if tau <= 0:
             continue
         h_mass = float(H(np.array([tau]))[0])
         if h_mass <= 0:
             continue
-
-        p_n = np.zeros(d)
-        col_n = None
-        if in_n:
-            col_n = np.maximum(xi * spec.excitation_column(sampler.nodes, y_n), 0.0)
-            p_n = sampler.masses_by_cell(col_n, d)
         # annealed accepted mass per target cell, and the potential mass
-        p_tilde = xi * avg.b_cell[:, cell_j] * avg.W_cell[:, cell_j] * cell_vol
-        p_hat = (
-            xi * rescale * avg.b_cell[:, cell_j] * cell_vol if quenched else p_tilde
-        )
-        q_mass = np.minimum(p_n, p_tilde) if in_n else np.zeros(d)
+        p_tilde = xi * avg.b_cell[:, j] * avg.W_cell[:, j] * cell_vol
+        p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
+        col_n, p_n = None, np.zeros(d)
+        if y_n is not None:
+            col_n = xi * engine_n.column(y_n)[1]
+            p_n = sampler.masses_by_cell(col_n, d)
+        q_mass = np.minimum(p_n, p_tilde)
+        # potential prelimit children: shared with probability q / p_tilde
+        # once accepted, on the prelimit side where the edge is present
+        for k, tc in offspring(p_hat, h_mass, t0, tau):
+            accept, edge = lazy.decide(k, j) if quenched else (True, 1)
+            on_n = (col_n is not None and accept and p_tilde[k] > 0
+                    and gen.random() < q_mass[k] / p_tilde[k])
+            if on_n or edge:
+                step(k, tc, col_n if on_n else None, ones_col if edge else None,
+                     generation + 1, eid)
+        # continuum-only residual children (none for a prelimit-only parent)
+        for k, tc in offspring(p_n - q_mass, h_mass, t0, tau):
+            step(k, tc, col_n, None, generation + 1, eid)
 
-        # potential prelimit children, thinned to annealed / quenched sides
-        if in_n or in_q:
-            total = float(p_hat.sum())
-            count = gen.poisson(total * h_mass) if total > 0 else 0
-            if count:
-                child_cells, _ = cluster_sim._categorical(p_hat, total, gen.random(count))
-                delays = spec.excitation.sample_delay(
-                    1.0 - gen.random(count), np.full(count, tau)
-                )
-                for c in range(count):
-                    k = int(child_cells[c])
-                    tc = t0 + float(delays[c])
-                    if quenched:
-                        accept_a = lazy.accept_annealed(k, cell_j)
-                        edge = lazy.edge(k, cell_j)
-                    else:
-                        accept_a, edge = True, 1
-                    is_shared = False
-                    if in_n and accept_a and p_tilde[k] > 0:
-                        is_shared = gen.random() < q_mass[k] / p_tilde[k]
-                    in_q_child = in_q and bool(edge)
-                    if not (is_shared or in_q_child):
-                        continue
-                    u_cell, u_jit = gen.random(), gen.random(spec.domain.dim)
-                    if is_shared and in_q_child:
-                        z_n = sampler.pick(col_n, k, u_cell, u_jit)
-                        z_m = sampler.pick(ones_col, k, u_cell, u_jit)
-                        xi_c = float(spec.marks.sample_xi(gen, 1)[0])
-                        lt_c = float(spec.lifetimes.sample(gen, 1)[0])
-                        cid = new_id()
-                        shared.append(cid)
-                        side_n.add(cid, tc, z_n, xi_c, lt_c, gen_no + 1, eid)
-                        side_m.add(cid, tc, z_m, xi_c, lt_c, gen_no + 1, eid)
-                        queue.append((tc, z_n, z_m, k, xi_c, gen_no + 1, True, True, cid))
-                    elif is_shared:
-                        z_n = sampler.pick(col_n, k, u_cell, u_jit)
-                        xi_c = float(spec.marks.sample_xi(gen, 1)[0])
-                        grow_one_sided(engine_n, side_n, tc, z_n, xi_c, gen_no + 1, eid)
-                    else:
-                        z_m = sampler.pick(ones_col, k, u_cell, u_jit)
-                        xi_c = float(spec.marks.sample_xi(gen, 1)[0])
-                        if quenched:
-                            # stays in the coupled pass: descendants share Z
-                            cid = new_id()
-                            lt_c = float(spec.lifetimes.sample(gen, 1)[0])
-                            side_m.add(cid, tc, z_m, xi_c, lt_c, gen_no + 1, eid)
-                            queue.append(
-                                (tc, None, z_m, k, xi_c, gen_no + 1, False, True, cid)
-                            )
-                        else:
-                            grow_one_sided(
-                                engine_m, side_m, tc, z_m, xi_c, gen_no + 1, eid
-                            )
-
-        # continuum-only residual children
-        if in_n:
-            r_n = p_n - q_mass
-            total = float(r_n.sum())
-            count = gen.poisson(total * h_mass) if total > 0 else 0
-            if count:
-                child_cells, _ = cluster_sim._categorical(r_n, total, gen.random(count))
-                delays = spec.excitation.sample_delay(
-                    1.0 - gen.random(count), np.full(count, tau)
-                )
-                for c in range(count):
-                    k = int(child_cells[c])
-                    tc = t0 + float(delays[c])
-                    u_cell, u_jit = gen.random(), gen.random(spec.domain.dim)
-                    z_n = sampler.pick(col_n, k, u_cell, u_jit)
-                    xi_c = float(spec.marks.sample_xi(gen, 1)[0])
-                    grow_one_sided(engine_n, side_n, tc, z_n, xi_c, gen_no + 1, eid)
-
-    if quenched and graph is None and lazy is not None:
-        # record the lazily realized edges (unvisited pairs stay 0)
-        z_mat = np.zeros((d, d), dtype=np.int8)
-        for (k, j), v in lazy.entries.items():
-            z_mat[k, j] = v
-        graph = QuenchedGraph(Z=z_mat, source_W=avg.W_cell, rescale=rescale)
-
-    real_n = side_n.realization(horizon, stream.describe(), censored[0])
-    real_m = side_m.realization(horizon, stream.describe(), censored[0])
-
+    real_n = _realization(rows_n, dim, horizon, stream.describe(), censored)
+    real_m = _realization(rows_m, dim, horizon, stream.describe(), censored)
     occ_ok = True
     for real in (real_n, real_m):
         if len(real):
             occ = np.bincount(partition.cell_of(real.locations), minlength=d)
             occ_ok = occ_ok and bool(occ.max(initial=0) <= 1)
     n_tot = len(real_n) + len(real_m)
-    frac = 1.0 if n_tot == 0 else 2.0 * len(shared) / n_tot
-
     return CoupledPair(
         n=real_n,
         nd=real_m,
         shared_ids=np.asarray(shared, dtype=np.int64),
         one_event_per_cell=occ_ok,
-        shared_fraction=frac,
+        shared_fraction=1.0 if n_tot == 0 else 2.0 * len(shared) / n_tot,
         avg=avg,
-        graph=graph,
-        censored=censored[0],
+        graph=lazy.graph() if quenched else None,
+        censored=censored,
     )

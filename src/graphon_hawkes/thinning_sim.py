@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_sim import OffspringColumns, sample_location
+from .cluster_sim import DEFAULT_EVENT_CAP, OffspringColumns, sample_location
 from .errors import AcausalHistoryError, ThinningBoundError
 from .events import Realization
 from .model import ModelSpec
 from .rng import SplitStream
 
 DEFAULT_RATE_CAP = 1e9
-DEFAULT_EVENT_CAP = 10**7
 
 
 @dataclass

@@ -275,7 +275,7 @@ def mc_population_transform(
     locs = engine.sample_immigrant_locations(total, gen)
     xis = spec.marks.sample_xi(gen, total)
     (et, ex, _, esim, _, _, elt), censored = (
-        _grow(engine, times, locs, xis, sim_idx, 0, float(t), gen, True, 10**7)
+        _grow(engine, times, locs, xis, sim_idx, 0, float(t), gen, True, DEFAULT_EVENT_CAP)
         if total
         else ((np.empty(0),) * 7, False)
     )

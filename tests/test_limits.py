@@ -1,5 +1,6 @@
 """Limit-theorem experiment harnesses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,14 @@ def test_fclt_single_rep_skips_test():
     assert any("skipped" in n for n in rep.notes)
 
 
+def _grid_graphon_model(cells: int) -> gh.ModelSpec:
+    values = np.full((cells, cells), 0.4) + 0.2 * np.eye(cells)
+    return dataclasses.replace(
+        gh.constant_model(0.5, grid_n=128),
+        graphon=gh.PairFunction("grid", values=values, axis_counts=(cells,)), c_w=0.6,
+    )
+
+
 def test_fclt_sigma_label():
     spec = gh.constant_model(0.5, grid_n=128)
     rep = fclt_experiment(spec, None, 20.0, 4, gh.SplitStream(10), burn_in=5.0, n_op=64)
@@ -136,6 +145,23 @@ def test_fclt_sigma_label():
     ro = gh.rank_one_model(1.2, grid_n=128)
     rep2 = fclt_experiment(ro, None, 20.0, 4, gh.SplitStream(11), burn_in=5.0, n_op=64)
     assert rep2.summary["sigma_label"] == "extrapolated"
+
+    # sigma_A is exact only when the operator grid refines every cell: a 4-cell
+    # graphon is, a 3-cell one is not on 256 nodes, nor is a rank-one mark profile
+    def label_and_sigma(spec, n_op):
+        rep = fclt_experiment(spec, None, 20.0, 4, gh.SplitStream(12), burn_in=5.0, n_op=n_op)
+        return rep.summary["sigma_label"], rep.summary["sigma_A"]
+
+    four = [label_and_sigma(_grid_graphon_model(4), n) for n in (64, 256)]
+    assert [lab for lab, _ in four] == ["exact-piecewise-constant"] * 2
+    assert four[0][1] == pytest.approx(four[1][1], rel=1e-12)
+    marked = dataclasses.replace(spec, marks=gh.MarkModel(
+        kind="scaled-profile",
+        profile=gh.PairFunction("rank-one", profile=gh.SpatialProfile("identity"))))
+    for case in (_grid_graphon_model(3), marked):
+        (label, coarse), (label_256, fine) = (label_and_sigma(case, n) for n in (64, 256))
+        assert label == label_256 == "extrapolated"
+        assert coarse != pytest.approx(fine, rel=1e-9)
 
 
 def test_fclt_sample_mean_near_zero():

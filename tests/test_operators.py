@@ -334,9 +334,14 @@ def grid_kernels(draw):
     target = draw(st.floats(0.05, 1.5))
     rho = float(np.max(np.abs(np.linalg.eigvals(raw / cells))))
     # a nilpotent table's computed eigenvalues are rounding noise, not its rho of 0
-    values = raw * (target / rho) if shape != "nilpotent" and rho > 0 else raw * target * cells
-    # a subnormal table's rescale overflows; validate_model refuses a non-finite graphon
-    assume(np.isfinite(values).all())
+    if shape != "nilpotent" and rho > 0:
+        scale = target / rho
+        # a subnormal table's rescale overflows; validate_model refuses a non-finite
+        # graphon, and raw * inf would warn of 0 * inf
+        assume(np.isfinite(scale))
+        values = raw * scale
+    else:
+        values = raw * target * cells
     spec = build_spec({
         "graphon": {"family": "grid", "values": values.tolist(), "axis_counts": [cells],
                     "interp": "pw-constant"},

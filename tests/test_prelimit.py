@@ -1,9 +1,12 @@
 """Partitioning, averaging, quenched graphs and the coupled simulation."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import graphon_hawkes as gh
@@ -326,3 +329,81 @@ def test_coupling_unknown_mode_is_typed():
     part = build_partition(spec.domain, 2, "per-axis-counts")
     with pytest.raises(InvalidArgumentError):
         simulate_coupled(spec, part, 1.0, mode="bogus", rng=gh.SplitStream(4))
+
+
+def marked_rank_one_model():
+    b = gh.PairFunction("grid", values=np.array([[1.0, 0.6], [0.8, 1.2]]), axis_counts=(2,))
+    return gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=SpatialProfile("affine", intercept=0.5, slope=(1.0,)),
+        graphon=gh.PairFunction("rank-one", coeff=1.2, profile=SpatialProfile("identity")),
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        marks=gh.MarkModel(kind="scaled-profile", profile=b, xi_family="gamma",
+                           xi_value=0.4, xi_shape=2.0),
+        c_w=1.2, grid_n=64,
+    )
+
+
+def grid_2d_model():
+    values = 1.5 * np.array([[0.5, 0.2, 0.1, 0.3], [0.2, 0.6, 0.2, 0.1],
+                             [0.1, 0.2, 0.7, 0.2], [0.3, 0.1, 0.2, 0.5]])
+    return gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0, 0.0), (1.0, 2.0)),
+        baseline=SpatialProfile("affine", intercept=0.5, slope=(0.5, 0.25)),
+        graphon=gh.PairFunction("grid", values=values, axis_counts=(2, 2)),
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        c_w=float(values.max()), grid_n=8,
+    )
+
+
+COUPLED_MODELS = {"marked-1d": marked_rank_one_model, "grid-2d": grid_2d_model}
+
+
+@functools.lru_cache(maxsize=None)
+def _coupled_setup(model, level):
+    spec = COUPLED_MODELS[model]()
+    part = build_partition(spec.domain, 2 ** (level * spec.domain.dim), "uniform-dyadic")
+    avg = average_model(spec, part)
+    return spec, part, avg, sample_quenched_graph(avg, gh.SplitStream(level))
+
+
+@settings(max_examples=60)
+@given(model=st.sampled_from(sorted(COUPLED_MODELS)),
+       level=st.integers(1, 3),
+       graph=st.sampled_from(["annealed", "lazy", "frozen"]),
+       seed=st.integers(0, 2**32 - 1),
+       horizon=st.floats(0.5, 6.0),
+       cap=st.integers(1, 400))
+def test_coupled_pair_invariants(model, level, graph, seed, horizon, cap):
+    spec, part, avg, frozen = _coupled_setup(model, level)
+    quenched = graph != "annealed"
+    pair = simulate_coupled(spec, part, horizon, mode="quenched" if quenched else "annealed",
+                            rng=gh.SplitStream(seed), cap=cap, avg=avg,
+                            quenched_graph=frozen if graph == "frozen" else None)
+    n, nd = pair.n, pair.nd
+    pos_n = {int(e): i for i, e in enumerate(n.ids)}
+    pos_m = {int(e): i for i, e in enumerate(nd.ids)}
+    assert len(pos_n) == len(n) and len(pos_m) == len(nd)
+    assert set(pair.shared_ids.tolist()) == pos_n.keys() & pos_m.keys()
+    # a shared event is one event: same time, mark, lifetime, lineage and cell
+    for sid in pair.shared_ids.tolist():
+        i, j = pos_n[sid], pos_m[sid]
+        for name in ("times", "mark_scalars", "lifetimes", "generations", "parent_ids"):
+            assert getattr(n, name)[i] == getattr(nd, name)[j], name
+        assert part.cell_of(n.locations[i]) == part.cell_of(nd.locations[j])
+    # every child's parent is an earlier event on its own side, one generation up
+    for real, pos in ((n, pos_n), (nd, pos_m)):
+        child = np.flatnonzero(real.parent_ids >= 0)
+        parent = np.array([pos[int(p)] for p in real.parent_ids[child]], dtype=np.int64)
+        assert (parent < child).all() and (real.times[parent] <= real.times[child]).all()
+        assert (real.generations[child] == real.generations[parent] + 1).all()
+        assert (np.delete(real.generations, child) == 0).all()
+    if not quenched:
+        assert pair.graph is None
+        return
+    # a quenched prelimit child only runs through an edge of the graph
+    assert graph == "lazy" or pair.graph is frozen
+    child = np.flatnonzero(nd.parent_ids >= 0)
+    parent = np.array([pos_m[int(p)] for p in nd.parent_ids[child]], dtype=np.int64)
+    cells = part.cell_of(nd.locations)
+    assert (pair.graph.Z[cells[child], cells[parent]] == 1).all()
