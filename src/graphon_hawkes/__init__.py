@@ -5,7 +5,7 @@ coupling, limit-theorem experiments and Laplace-functional fixed points."""
 __version__ = "0.1.0"
 
 from .errors import GraphonHawkesError
-from .events import Event, Realization
+from .events import Realization
 from .model import (
     ExcitationKernel,
     LifetimeModel,
@@ -24,7 +24,6 @@ from .model import (
 from .rng import SplitStream
 
 __all__ = [
-    "Event",
     "ExcitationKernel",
     "GraphonHawkesError",
     "LifetimeModel",

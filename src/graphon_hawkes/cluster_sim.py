@@ -104,7 +104,8 @@ class OffspringColumns:
     cache key is `_keys`, the parent's cell in every grid family folded into
     one integer; it serves a whole generation of parents at once and a single
     thinning event alike.  Smooth profiles are rebuilt on every call, so memory
-    never grows with the event count.
+    never grows with the event count.  `flat` marks a constant graphon and
+    mark profile: every parent then has the same constant column.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -113,6 +114,7 @@ class OffspringColumns:
         self.nodes, self.weights = spec.std_grid
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
         g, b = spec.graphon, spec.marks.b
+        self.flat = g.family == "constant" and b.family == "constant"
         piecewise = all(f.family in ("constant", "grid") and f.interp == "pw-constant"
                         for f in (g, b))
         self._key_counts = [
@@ -127,11 +129,16 @@ class OffspringColumns:
             key = key * math.prod(counts) + _cell_index(ys, self.domain, counts)
         return key
 
+    def key(self, y: np.ndarray) -> int | None:
+        """The cache key of the point y, None for smooth profiles."""
+        if self._key_counts is None:
+            return None
+        return int(self._keys(np.atleast_1d(y)[None, :])[0])
+
     def column(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         y = np.atleast_1d(y)
-        if self._key_counts is None:
-            return self._build(y)
-        return self._cached(int(self._keys(y[None, :])[0]), y)
+        key = self.key(y)
+        return self._build(y) if key is None else self._cached(key, y)
 
     def _cached(self, key: int, y: np.ndarray) -> tuple[float, np.ndarray]:
         hit = self._columns.get(key)
@@ -154,9 +161,8 @@ class ClusterEngine(OffspringColumns):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         g, b = spec.graphon, spec.marks.b
-        self._flat_offspring = g.family == "constant" and b.family == "constant"
         self._sep_offspring = g.family == "rank-one" and b.family == "constant"
-        if self._flat_offspring:
+        if self.flat:
             self._flat_mass = float(g.value) * float(b.value) * self.domain.volume
         if self._sep_offspring:
             self._sep_profile = g.profile or SpatialProfile("identity")
@@ -185,7 +191,7 @@ class ClusterEngine(OffspringColumns):
         one `_keys` call), one per parent for smooth ones, None on the flat
         and separable paths."""
         k = xs.shape[0]
-        if self._flat_offspring:
+        if self.flat:
             return np.full(k, self._flat_mass), None
         if self._sep_offspring:
             g = self.spec.graphon
@@ -210,7 +216,7 @@ class ClusterEngine(OffspringColumns):
             return np.empty((0, m))
         u = rng.random((total, m))
         if columns is None:
-            density = None if self._flat_offspring else self._sep_shape
+            density = None if self.flat else self._sep_shape
             return sample_location(density, self.domain, u)
         cols, of_parent = columns
         child = np.argsort(child_parent_idx, kind="stable")  # uniform row -> child
@@ -333,7 +339,7 @@ def _as_stream(rng) -> SplitStream:
         return rng
     if isinstance(rng, (int, np.integer)):
         return SplitStream(int(rng))
-    raise TypeError("simulate_process needs a SplitStream or integer seed")
+    raise InvalidArgumentError(f"a simulation needs a SplitStream or an integer seed, not {rng!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Event and realization containers plus NDJSON serialization.
+"""Realization container plus NDJSON serialization.
 
-Realizations are stored as structure-of-arrays for speed; `Event` objects
-are materialized on demand.  NDJSON lines follow the wire format
-{id, t, x: [...], gen, parent, xi, lifetime}.
+Realizations are stored as structure-of-arrays.  NDJSON lines follow the
+wire format {id, t, x: [...], gen, parent, xi, lifetime}.
 """
 
 from __future__ import annotations
@@ -21,19 +20,6 @@ def box_mask(points: np.ndarray, box) -> np.ndarray:
         return np.ones(points.shape[0], dtype=bool)
     lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
     return ((points >= lo) & (points <= hi)).all(axis=1)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One marked spatiotemporal point."""
-
-    id: int
-    time: float
-    location: tuple[float, ...]
-    generation: int
-    parent_id: int | None
-    mark_scalar: float
-    lifetime: float | None
 
 
 @dataclass
@@ -65,25 +51,6 @@ class Realization:
 
     def has_lifetimes(self) -> bool:
         return len(self) == 0 or bool(np.isfinite(self.lifetimes).all())
-
-    @property
-    def events(self) -> list[Event]:
-        out = []
-        for i in range(len(self)):
-            pid = int(self.parent_ids[i])
-            lt = float(self.lifetimes[i])
-            out.append(
-                Event(
-                    id=int(self.ids[i]),
-                    time=float(self.times[i]),
-                    location=tuple(float(v) for v in np.atleast_1d(self.locations[i])),
-                    generation=int(self.generations[i]),
-                    parent_id=None if pid < 0 else pid,
-                    mark_scalar=float(self.mark_scalars[i]),
-                    lifetime=None if math.isnan(lt) else lt,
-                )
-            )
-        return out
 
     @classmethod
     def empty(cls, dim: int, horizon: float, seed: dict | None = None) -> "Realization":

@@ -384,7 +384,7 @@ def simulate_coupled(
         raise RequiresThinningError("coupled simulation covers linear models only")
     if mode not in ("annealed", "quenched"):
         raise InvalidArgumentError(f"unknown coupling mode {mode!r}")
-    stream = rng if isinstance(rng, SplitStream) else SplitStream(int(rng))
+    stream = cluster_sim._as_stream(rng)
     gen = stream.generator()
 
     avg = avg or average_model(spec, partition)

@@ -16,12 +16,19 @@ history and exponential candidates need no sum at all:
                t_ref <- t (Ogata 1981; Dassios & Zhao 2013).  Exact;
                O(n) per candidate and per event, O(n) memory.  h is
                monotone, so the bound is S itself.
-  table and    a row buffer of xi b(., y) W(., y), written in place and
-  power-law    reallocated at twice the need when full: O(n N) per candidate
-               for N past events (initial history included), memory O(n N),
-               amortized O(n) per event.
-Offspring columns come from `OffspringColumns`, shared with the cluster
-engine: one column per source cell for piecewise-constant profiles.
+  table and    a column table: each of the N past events (initial history
+  power-law    included) keeps (time, xi, column id), and the table holds one
+               clipped offspring column per id, keyed by source cell for
+               piecewise-constant profiles (d cells: d columns) and one per
+               event for smooth ones.  A candidate costs
+               bincount(id, xi h(t - t_k)) @ table, O(N + d n) for step
+               profiles and O(N n) for smooth ones; memory is O(N + d n)
+               and O(N n).  Arrays grow to twice the need when full.
+Columns come from `OffspringColumns`, shared with the cluster engine.  A
+spatially constant intensity (constant baseline, graphon and b; `flat`)
+places accepted events by the flat draw `sample_location(None, ...)`, in law
+the normalized intensity; in one dimension on 2^j cells it is the inverse-CDF
+draw bit for bit.
 Evaluation times must not decrease between calls on one state.
 """
 
@@ -96,8 +103,8 @@ def conditional_intensity(
 class _ThinningState:
     """Mutable per-run state: the excitation carried by the past events.
 
-    Exponential kernels keep the recursion S (see the module docstring);
-    every other kernel keeps a row buffer of xi * b(., y) W(., y).
+    Exponential kernels keep the recursion S; every other kernel keeps the
+    column table (see the module docstring).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -105,17 +112,21 @@ class _ThinningState:
         self.nodes, self.weights = spec.std_grid
         self.base = np.maximum(spec.baseline_on(self.nodes), 0.0)
         self._columns = OffspringColumns(spec)
+        self.flat = self._columns.flat and spec.baseline.family == "constant"
         kernel = spec.excitation
         self._beta = kernel.rate if kernel.family == "exponential" else None
         self._t_ref = -math.inf
         self._s: np.ndarray | None = None  # S(t_ref), exponential kernels
-        self._n = 0  # buffer rows in use
-        self._times = np.empty(0)
-        self._rows = np.empty((0, self.nodes.shape[0]))
+        self._n = 0  # events held
+        self._times, self._xis = np.empty(0), np.empty(0)
+        self._ids = np.empty(0, dtype=np.intp)  # event -> table row
+        self._k = 0  # table rows in use
+        self._table = np.empty((0, self.nodes.shape[0]))
+        self._row_of: dict[int, int] = {}  # cache key -> table row
 
     def push(self, t: float, y: np.ndarray, xi: float):
-        col = self._columns.column(y)[1]
         if self._beta is not None:
+            col = self._columns.column(y)[1]
             jump = (xi * self.spec.excitation.sup_norm) * col  # sup_norm = h(0)
             if self._s is None:
                 self._s = jump
@@ -124,10 +135,19 @@ class _ThinningState:
                 self._s += jump
             self._t_ref = t
             return
+        key = self._columns.key(y)
+        row = self._row_of.get(key)
+        if row is None:  # a new source cell, or any smooth-profile event
+            row = self._k
+            if row == self._table.shape[0]:
+                self._table = _grown(self._table, row, 2 * row)
+            self._table[row] = self._columns.column(y)[1]
+            self._k += 1
+            if key is not None:
+                self._row_of[key] = row
         if self._n == self._times.shape[0]:
             self._make_room(1)
-        self._times[self._n] = t
-        np.multiply(col, xi, out=self._rows[self._n])
+        self._times[self._n], self._xis[self._n], self._ids[self._n] = t, xi, row
         self._n += 1
 
     def load(self, history: HistorySnapshot):
@@ -138,12 +158,10 @@ class _ThinningState:
             self.push(float(s), y, float(xi))
 
     def _make_room(self, k: int):
-        """Reallocate the buffer at twice the rows needed for k more events."""
-        size = max(2 * (self._n + k), 16)
-        times, rows = np.empty(size), np.empty((size, self.nodes.shape[0]))
-        times[: self._n] = self._times[: self._n]
-        rows[: self._n] = self._rows[: self._n]
-        self._times, self._rows = times, rows
+        """Reallocate the event arrays at twice the size needed for k more."""
+        size = 2 * (self._n + k)
+        self._times, self._xis, self._ids = (
+            _grown(a, self._n, size) for a in (self._times, self._xis, self._ids))
 
     def _decay(self, t: float) -> float:
         return math.exp(-self._beta * (t - self._t_ref))
@@ -160,7 +178,8 @@ class _ThinningState:
             if envelope
             else np.where(lags > 0, kernel.h(np.maximum(lags, 0.0)), 0.0)
         )
-        return hv @ self._rows[: self._n]
+        weights = np.bincount(self._ids[: self._n], hv * self._xis[: self._n], self._k)
+        return weights @ self._table[: self._k]
 
     def intensity(self, t: float) -> np.ndarray:
         return self.spec.nonlinearity(self.base + self._excitation(t, envelope=False))
@@ -169,6 +188,13 @@ class _ThinningState:
         """Dominating total rate valid for all times >= t until the next event."""
         vals = self.spec.nonlinearity(self.base + self._excitation(t, envelope=True))
         return float(np.sum(vals * self.weights))
+
+
+def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    """`a` reallocated to max(size, 16) rows, its first `used` rows kept."""
+    out = np.empty((max(size, 16),) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
 
 
 def simulate_thinning(
@@ -220,7 +246,8 @@ def simulate_thinning(
                 f"total intensity {lam_total!r} exceeds the dominating rate {bound!r}"
             )
         if gen.random() * bound <= lam_total:
-            loc = sample_location(lam_vals, spec.domain, gen.random((1, spec.domain.dim)))[0]
+            density = None if state.flat else lam_vals
+            loc = sample_location(density, spec.domain, gen.random((1, spec.domain.dim)))[0]
             xi = float(spec.marks.sample_xi(gen, 1)[0])
             out_t.append(t)
             out_x.append(loc)

@@ -182,8 +182,8 @@ def fixed_point(
     """Iterate Phi from xi0 (default ident. 1) until the sup-change < tol.
 
     The log pairs each iteration's sup-change with the theoretical envelope
-    C^n t^n / n!.  Hitting the iteration cap returns the best iterate with
-    code "slow-convergence" instead of raising.
+    C^n t^n / n!.  Hitting the iteration cap returns the last iterate with
+    `converged=False` instead of raising.
     """
     nodes, _ = spec.std_grid
     u_grid = np.linspace(0.0, float(t), n_u)

@@ -331,6 +331,13 @@ def test_coupling_unknown_mode_is_typed():
         simulate_coupled(spec, part, 1.0, mode="bogus", rng=gh.SplitStream(4))
 
 
+def test_coupling_without_a_stream_is_typed():
+    spec = gh.constant_model(0.5, grid_n=64)
+    part = build_partition(spec.domain, 2, "per-axis-counts")
+    with pytest.raises(InvalidArgumentError):
+        simulate_coupled(spec, part, 1.0)
+
+
 def marked_rank_one_model():
     b = gh.PairFunction("grid", values=np.array([[1.0, 0.6], [0.8, 1.2]]), axis_counts=(2,))
     return gh.ModelSpec(

@@ -11,7 +11,7 @@ from scipy import stats
 
 import graphon_hawkes as gh
 from graphon_hawkes import thinning_sim
-from graphon_hawkes.cluster_sim import simulate_process
+from graphon_hawkes.cluster_sim import sample_location, simulate_process
 from graphon_hawkes.errors import AcausalHistoryError, ThinningBoundError
 from graphon_hawkes.model import Nonlinearity
 from graphon_hawkes.thinning_sim import (
@@ -260,6 +260,91 @@ def test_carried_intensity_matches_direct_sum_and_bound_dominates(
         times, locs, xis = times + [t], locs + [[x]], xis + [xi]
 
 
+def _cells(x, counts):
+    return min(int(x * counts), counts - 1)
+
+
+@settings(max_examples=40)
+@given(
+    kernel=st.sampled_from(sorted(KERNELS)),
+    f=st.sampled_from(sorted(NONLINEARITIES)),
+    g_values=st.lists(unit, min_size=16, max_size=16),
+    b_values=st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4),
+    history=st.lists(st.tuples(st.floats(-4.0, -1e-3), unit, st.floats(0.1, 3.0)),
+                     max_size=25),
+    pushed=st.lists(events, max_size=40),
+    fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+)
+def test_column_table_matches_direct_sum_with_step_graphon_and_step_marks(
+    kernel, f, g_values, b_values, history, pushed, fractions
+):
+    # two grid key families: a 4-cell graphon and a 2-cell mark profile b
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("constant", value=0.7),
+        graphon=_graphon("pw-constant", g_values),
+        excitation=KERNELS[kernel],
+        marks=gh.MarkModel(kind="scaled-profile", xi_family="exponential",
+                           profile=gh.PairFunction("grid", values=np.reshape(b_values, (2, 2)),
+                                                   axis_counts=(2,))),
+        nonlinearity=NONLINEARITIES[f],
+        c_w=1.0,
+        grid_n=16,
+    )
+    times = [s for s, _, _ in history]
+    locs = [[x] for _, x, _ in history]
+    xis = [xi for _, _, xi in history]
+    state = thinning_sim._ThinningState(spec)
+    state.load(HistorySnapshot(times=times, locations=locs, mark_scalars=xis, t_ref=0.0))
+    t = 0.0
+    for gap, x, xi in pushed + [(1.0, None, None)]:
+        for frac in sorted(fractions):
+            s = t + frac * gap
+            snapshot = HistorySnapshot(times=times, locations=locs, mark_scalars=xis,
+                                       t_ref=s)
+            np.testing.assert_allclose(state.intensity(s),
+                                       conditional_intensity(spec, snapshot, s),
+                                       rtol=1e-12, atol=1e-12)
+        if x is None:
+            break
+        t += gap
+        state.push(t, np.array([x]), xi)
+        times, locs, xis = times + [t], locs + [[x]], xis + [xi]
+    if kernel != "exponential":  # one table column per (graphon cell, b cell) seen
+        assert state._k == len({(_cells(y, 4), _cells(y, 2)) for [y] in locs})
+
+
+@settings(max_examples=60)
+@given(
+    j=st.integers(0, 10),
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+)
+def test_flat_draw_equals_the_inverse_cdf_draw_on_power_of_two_grids(j, lo, width, u):
+    domain = gh.SpatialDomain((lo,), (lo + width,))
+    u = np.asarray(u)[:, None]
+    flat = sample_location(None, domain, u)
+    assert np.array_equal(flat, sample_location(np.ones(2**j), domain, u))
+
+
+def test_flat_model_takes_the_flat_draw_with_unchanged_bytes(monkeypatch):
+    spec = gh.constant_model(0.5, grid_n=64)
+    before = simulate_thinning(spec, 20.0, rng=gh.SplitStream(7))
+    densities = []
+
+    def grid_draw(density, domain, u):  # the inverse-CDF draw the flat one replaces
+        densities.append(density)
+        return sample_location(np.ones(64) if density is None else density, domain, u)
+
+    monkeypatch.setattr(thinning_sim, "sample_location", grid_draw)
+    after = simulate_thinning(spec, 20.0, rng=gh.SplitStream(7))
+    assert len(densities) == len(before) > 10
+    assert all(d is None for d in densities)
+    assert np.array_equal(before.times, after.times)
+    assert np.array_equal(before.locations, after.locations)
+
+
 def test_exponential_thinning_memory_is_bounded_by_the_grid():
     # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB
     n, grid_n = 5000, 128
@@ -276,17 +361,38 @@ def test_exponential_thinning_memory_is_bounded_by_the_grid():
     assert peak < 64 * grid_n * 8  # 64 grid vectors, whatever the history length
 
 
-def test_power_law_thinning_builds_one_column_per_cell(monkeypatch):
-    vals = 0.2 + 0.4 * np.random.default_rng(0).random((16, 16))
-    spec = gh.ModelSpec(
+def step_power_law_model(cells=16, grid_n=128):
+    vals = 0.2 + 0.4 * np.random.default_rng(0).random((cells, cells))
+    return gh.ModelSpec(
         domain=gh.SpatialDomain((0.0,), (1.0,)),
         baseline=gh.SpatialProfile("constant", value=1.0),
-        graphon=gh.PairFunction("grid", values=vals, axis_counts=(16,)),
+        graphon=gh.PairFunction("grid", values=vals, axis_counts=(cells,)),
         excitation=KERNELS["power-law"],
         nonlinearity=Nonlinearity("clipped-linear", cap=3.0),
         c_w=float(vals.max()),
-        grid_n=128,
+        grid_n=grid_n,
     )
+
+
+def test_power_law_thinning_memory_is_bounded_by_history_plus_cells():
+    # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB,
+    # twice that once the buffer doubles; the column table holds 16 columns
+    n, d, grid_n = 5000, 16, 128
+    spec = step_power_law_model(d, grid_n)
+    gen = np.random.default_rng(0)
+    hist = HistorySnapshot(times=-0.5 * n * gen.random(n), locations=gen.random((n, 1)),
+                           mark_scalars=np.ones(n), t_ref=0.0)
+    tracemalloc.start()
+    try:
+        simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (n + d * grid_n)  # 16 vectors of N + d n doubles
+
+
+def test_power_law_thinning_builds_one_column_per_cell(monkeypatch):
+    spec = step_power_law_model()
     built = []
     column = gh.ModelSpec.excitation_column
     monkeypatch.setattr(gh.ModelSpec, "excitation_column",
