@@ -14,6 +14,7 @@ stability is required, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -100,9 +101,7 @@ def _parse_box(text: str | None, dim: int):
 def _load_spec(cfg: RunConfig):
     spec = load_model(cfg.model_path)
     if cfg.grid_n:
-        from dataclasses import replace
-
-        spec = replace(spec, grid_n=cfg.grid_n)
+        spec = dataclasses.replace(spec, grid_n=cfg.grid_n)
     report = validate_model(spec)
     if report:
         raise GraphonHawkesError("model validation failed: " + "; ".join(report))
@@ -175,17 +174,7 @@ def _cmd_simulate(cfg: RunConfig, spec) -> list[str]:
 
 
 def _cmd_stability(cfg: RunConfig, spec) -> list[str]:
-    n = cfg.options["n"]
-    rep = stability_report(spec, n)
-    payload = {
-        "op_norm": rep.op_norm,
-        "rho_gelfand": rep.rho_gelfand,
-        "rho_power": rep.rho_power,
-        "stable": rep.stable,
-        "cluster_size_bound": rep.cluster_size_bound,
-        "grid_n": rep.grid_n,
-        "notes": rep.notes,
-    }
+    payload = dataclasses.asdict(stability_report(spec, cfg.options["n"]))
     print(json.dumps(payload, sort_keys=True))
     _dump_json(payload, cfg.out_dir / "stability.json")
     return ["stability.json"]
@@ -273,7 +262,6 @@ def _cmd_limits(cfg: RunConfig, spec) -> list[str]:
             cap=opt["cap"], threads=cfg.threads,
         )
         key = None
-    lines = []
     if key is not None:
         lines = [f"rep,{key}"] + [
             f"{i},{v!r}" for i, v in enumerate(report.samples[key])
@@ -389,7 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=int, default=DEFAULT_EVENT_CAP)
 
     s = sub.add_parser("stability", help="spectral diagnostics as JSON")
-    s.add_argument("--n", type=int, default=256, help="operator grid size")
+    s.add_argument("--n", type=int, default=256,
+                   help="operator grid size for models without a piecewise-constant "
+                   "cell form; a model with cells is computed on its own cells")
 
     s = sub.add_parser("analyze", help="distance between two NDJSON realizations")
     s.add_argument("events_a")

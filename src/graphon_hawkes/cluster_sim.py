@@ -40,7 +40,7 @@ from .errors import (
     RequiresThinningError,
 )
 from .events import Realization, box_mask
-from .model import ModelSpec, SpatialProfile, _cell_index
+from .model import ModelSpec, SpatialProfile, _cell_index, piecewise_counts
 from .rng import SplitStream
 
 DEFAULT_EVENT_CAP = 10**7
@@ -102,10 +102,10 @@ class OffspringColumns:
     Piecewise-constant profiles depend on the parent only through its source
     cell(s), so they are cached by cell: at most one column per cell.  The
     cache key is `_keys`, the parent's cell in every grid family folded into
-    one integer; it serves a whole generation of parents at once and a single
+    one integer; it serves a whole generation or history at once and a single
     thinning event alike.  Smooth profiles are rebuilt on every call, so memory
     never grows with the event count.  `flat` marks a constant graphon and
-    mark profile: every parent then has the same constant column.
+    mark profile: every parent then has the same constant column, key 0.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -113,13 +113,8 @@ class OffspringColumns:
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
-        g, b = spec.graphon, spec.marks.b
-        self.flat = g.family == "constant" and b.family == "constant"
-        piecewise = all(f.family in ("constant", "grid") and f.interp == "pw-constant"
-                        for f in (g, b))
-        self._key_counts = [
-            f.axis_counts or (np.asarray(f.values).shape[0],) for f in (g, b) if f.family == "grid"
-        ] if piecewise else None
+        self._key_counts = piecewise_counts((spec.graphon, spec.marks.b))
+        self.flat = self._key_counts == []
 
     def _keys(self, ys: np.ndarray) -> np.ndarray:
         """The cache key of each row of the (k, m) points `ys`: its cell in
@@ -129,18 +124,24 @@ class OffspringColumns:
             key = key * math.prod(counts) + _cell_index(ys, self.domain, counts)
         return key
 
+    def keys(self, ys: np.ndarray) -> list[int | None]:
+        """`key` of each row of the (k, m) points `ys`, in one `_keys` call."""
+        return self._keys(ys).tolist() if self._key_counts else list(map(self.key, ys))
+
     def key(self, y: np.ndarray) -> int | None:
         """The cache key of the point y, None for smooth profiles."""
-        if self._key_counts is None:
-            return None
+        if not self._key_counts:
+            return None if self._key_counts is None else 0
         return int(self._keys(np.atleast_1d(y)[None, :])[0])
 
     def column(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         y = np.atleast_1d(y)
-        key = self.key(y)
-        return self._build(y) if key is None else self._cached(key, y)
+        return self.column_of(self.key(y), y)
 
-    def _cached(self, key: int, y: np.ndarray) -> tuple[float, np.ndarray]:
+    def column_of(self, key: int | None, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """The column of a parent at y with cache key `key` (None: uncached)."""
+        if key is None:
+            return self._build(y)
         hit = self._columns.get(key)
         if hit is None:
             hit = self._columns[key] = self._build(y)
@@ -202,7 +203,7 @@ class ClusterEngine(OffspringColumns):
         else:
             keys, first, of_parent = np.unique(
                 self._keys(xs), return_index=True, return_inverse=True)
-            pairs = [self._cached(int(key), xs[i]) for key, i in zip(keys, first)]
+            pairs = [self.column_of(int(key), xs[i]) for key, i in zip(keys, first)]
         masses = np.array([mass for mass, _ in pairs])
         return masses[of_parent], ([col for _, col in pairs], of_parent)
 
@@ -334,6 +335,11 @@ def _grow(
     return arrays, censored
 
 
+def _require_linear(spec: ModelSpec):
+    if not spec.nonlinearity.is_identity:
+        raise RequiresThinningError("cluster simulation covers linear models only; use thinning")
+
+
 def _as_stream(rng) -> SplitStream:
     if isinstance(rng, SplitStream):
         return rng
@@ -363,10 +369,7 @@ def simulate_process(
     events return a partial realization of exactly `cap` events flagged
     `censored`: the `cap` earliest immigrants when they alone exceed it.
     """
-    if not spec.nonlinearity.is_identity:
-        raise RequiresThinningError(
-            "cluster simulation covers linear models only; use thinning"
-        )
+    _require_linear(spec)
     stream = _as_stream(rng)
     engine = engine or ClusterEngine(spec)
     # a fresh generator at (seed, path): passing one stream twice repeats it
@@ -387,15 +390,13 @@ def _assemble(spec, arrays, horizon, seed_info, censored) -> Realization:
     (the `sim` label), then branching order; parent pointers follow."""
     t, x, xi, cl, gen, par, lt = arrays
     if t.shape[0] == 0:
-        r = Realization.empty(spec.domain.dim, horizon, seed_info)
-        r.censored = censored
-        return r
+        return Realization.empty(spec.domain.dim, horizon, seed_info, censored)
     seq = np.arange(t.shape[0])
     order = np.lexsort((seq, cl, t))  # time first, cluster then sequence break ties
     inv = np.empty_like(order)
     inv[order] = np.arange(order.shape[0])
     new_par = np.where(par >= 0, inv[np.clip(par, 0, None)], -1)
-    r = Realization(
+    return Realization(
         times=t[order],
         locations=x[order],
         generations=gen[order],
@@ -407,7 +408,6 @@ def _assemble(spec, arrays, horizon, seed_info, censored) -> Realization:
         seed=seed_info,
         censored=censored,
     )
-    return r
 
 
 def simulate_cluster(
@@ -425,10 +425,7 @@ def simulate_cluster(
     `horizon` may be inf only for stable models (the event cap, at least 1
     since the root counts, still guards termination).
     """
-    if not spec.nonlinearity.is_identity:
-        raise RequiresThinningError(
-            "cluster simulation covers linear models only; use thinning"
-        )
+    _require_linear(spec)
     if cap < 1:
         raise InvalidArgumentError("a cluster holds its root: cap must be at least 1")
     stream = _as_stream(rng)

@@ -189,12 +189,7 @@ def _profile_config(p: SpatialProfile) -> dict:
         return {"family": "identity"}
     if p.family == "affine":
         return {"family": "affine", "intercept": p.intercept, "slope": list(p.slope)}
-    return {
-        "family": "grid",
-        "values": np.asarray(p.values).tolist(),
-        "axis_counts": list(p.axis_counts or (np.asarray(p.values).size,)),
-        "interp": p.interp,
-    }
+    return _grid_config(p)
 
 
 def _pair_config(p: PairFunction) -> dict:
@@ -206,12 +201,12 @@ def _pair_config(p: PairFunction) -> dict:
             "coeff": p.coeff,
             "profile": _profile_config(p.profile or SpatialProfile("identity")),
         }
-    return {
-        "family": "grid",
-        "values": np.asarray(p.values).tolist(),
-        "axis_counts": list(p.axis_counts or (np.asarray(p.values).shape[0],)),
-        "interp": p.interp,
-    }
+    return _grid_config(p)
+
+
+def _grid_config(p: SpatialProfile | PairFunction) -> dict:
+    return {"family": "grid", "values": np.asarray(p.values).tolist(),
+            "axis_counts": list(p.cell_counts), "interp": p.interp}
 
 
 def spec_config(spec: ModelSpec) -> dict:

@@ -53,7 +53,8 @@ class Realization:
         return len(self) == 0 or bool(np.isfinite(self.lifetimes).all())
 
     @classmethod
-    def empty(cls, dim: int, horizon: float, seed: dict | None = None) -> "Realization":
+    def empty(cls, dim: int, horizon: float, seed: dict | None = None,
+              censored: bool = False) -> "Realization":
         return cls(
             times=np.empty(0),
             locations=np.empty((0, dim)),
@@ -64,6 +65,7 @@ class Realization:
             ids=np.empty(0, dtype=np.int64),
             horizon=float(horizon),
             seed=seed or {},
+            censored=censored,
         )
 
     def to_ndjson(self) -> str:

@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster_sim import ClusterEngine, simulate_process
+from .config import model_digest
 from .errors import OutdegreeConditionError
 from .events import box_mask
 from .model import ModelSpec
 from .operators import (
+    box_share,
+    cell_grid_n,
     discretize_kernel,
     fclt_sigma,
     outdegree_norm,
@@ -39,14 +42,8 @@ class ExperimentReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model_digest": self.model_digest,
-            "params": self.params,
-            "summary": self.summary,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        """Every field but the samples."""
+        return {k: v for k, v in vars(self).items() if k != "samples"}
 
 
 def _pmap(fn, count: int, threads: int) -> list:
@@ -56,19 +53,15 @@ def _pmap(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _digest(spec: ModelSpec) -> str:
-    from .config import model_digest
-
-    return model_digest(spec)
-
-
 def _operator_setup(spec: ModelSpec, box, n_op: int):
-    grid = discretize_kernel(spec, n_op)
+    """Grid (the model's cell grid, else the n_op-grid), verdict, stationary
+    rate, the box's share of each grid cell, and lam_bar(A)."""
+    grid = discretize_kernel(spec, cell_grid_n(spec) or n_op)
     est = require_stable(grid)
     rate = stationary_rate(grid, spec.baseline_on(grid.nodes))
-    mask = box_mask(grid.nodes, box)
-    lam_a = float(np.sum(rate.values[mask] * grid.weights[mask]))
-    return grid, est, rate, mask, lam_a
+    share = box_share(spec.domain, grid.n, box)
+    lam_a = float(np.sum(rate.values * (share * grid.weights)))
+    return grid, est, rate, share, lam_a
 
 
 def _summary(samples: np.ndarray) -> dict:
@@ -128,7 +121,7 @@ def flln_experiment(
         passed = bool(summary["median"] <= threshold_median)
     return ExperimentReport(
         name="flln",
-        model_digest=_digest(spec),
+        model_digest=model_digest(spec),
         params={"T": horizon, "A": _box_param(box), "reps": reps, "seed": stream.describe()},
         samples={"sup_statistic": samples.tolist()},
         summary=summary,
@@ -137,10 +130,7 @@ def flln_experiment(
 
 
 def _box_param(box):
-    if box is None:
-        return None
-    return [list(np.atleast_1d(np.asarray(box[0], float)).astype(float)),
-            list(np.atleast_1d(np.asarray(box[1], float)).astype(float))]
+    return None if box is None else [np.atleast_1d(np.asarray(b, float)).tolist() for b in box]
 
 
 def divergence_experiment(
@@ -197,24 +187,12 @@ def divergence_experiment(
     )
     return ExperimentReport(
         name="diverge",
-        model_digest=_digest(spec),
+        model_digest=model_digest(spec),
         params={"T_list": [float(t) for t in t_list], "A": _box_param(box),
                 "reps": reps, "cap": cap, "seed": stream.describe()},
         samples=samples,
         summary=summary,
         notes=notes,
-    )
-
-
-def _piecewise_constant(spec: ModelSpec, n_op: int) -> bool:
-    """Whether sigma_A on the n_op grid is exact: baseline, graphon and mark
-    profile are each constant or a pw-constant grid whose cells, per axis,
-    are unions of n_op-grid cells."""
-    return all(
-        f.family == "constant"
-        or (f.family == "grid" and f.interp == "pw-constant"
-            and all(n_op % c == 0 for c in f.axis_counts or (np.asarray(f.values).shape[0],)))
-        for f in (spec.baseline, spec.graphon, spec.marks.b)
     )
 
 
@@ -227,21 +205,23 @@ def fclt_experiment(
     burn_in: float = 0.0,
     threads: int = 1,
     n_op: int = 256,
-    p_threshold: float = 0.001,
 ) -> ExperimentReport:
-    """FCLT check: sqrt(T)-normalized window counts against N(0, sigma_A^2).
+    """FCLT check: sqrt(T)-normalized window counts against N(0, sigma_A^2),
+    a KS test at p > 0.001.
 
     Requires the outdegree condition |h|_1 sup_y int W(x,y) dx < 1.
     Stationarity is approximated by discarding [0, burn_in] and counting on
-    (burn_in, burn_in + T].
+    (burn_in, burn_in + T].  sigma_A is exact for a model with cells (see
+    `operators`) and extrapolated from the n_op-grid otherwise.
     """
-    deg = outdegree_norm(spec, min(n_op, 256))
+    cell_n = cell_grid_n(spec)
+    deg = outdegree_norm(spec, cell_n or min(n_op, 256))
     if deg >= 1.0:
         raise OutdegreeConditionError(
             f"|h|_1 sup-outdegree = {deg:.4f} >= 1; FCLT assumptions fail"
         )
-    grid, est, rate, mask, lam_a = _operator_setup(spec, box, n_op)
-    sigma = fclt_sigma(grid, rate, mask)
+    grid, est, rate, share, lam_a = _operator_setup(spec, box, n_op)
+    sigma = fclt_sigma(grid, rate, share)
     engine = ClusterEngine(spec)
     total_t = burn_in + horizon
 
@@ -257,9 +237,7 @@ def fclt_experiment(
     summary.update(
         {
             "sigma_A": sigma,
-            "sigma_label": (
-                "exact-piecewise-constant" if _piecewise_constant(spec, n_op) else "extrapolated"
-            ),
+            "sigma_label": "exact-piecewise-constant" if cell_n else "extrapolated",
             "lam_bar_A": lam_a,
             "outdegree": deg,
             "rho": est.rho,
@@ -275,10 +253,10 @@ def fclt_experiment(
         ks = stats.kstest(samples, "norm", args=(0.0, sigma))
         summary["ks_statistic"] = float(ks.statistic)
         summary["ks_pvalue"] = float(ks.pvalue)
-        passed = bool(ks.pvalue > p_threshold)
+        passed = bool(ks.pvalue > 0.001)
     return ExperimentReport(
         name="fclt",
-        model_digest=_digest(spec),
+        model_digest=model_digest(spec),
         params={"T": horizon, "burn_in": burn_in, "A": _box_param(box),
                 "reps": reps, "seed": stream.describe()},
         samples={"normalized": samples.tolist()},

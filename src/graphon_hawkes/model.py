@@ -21,6 +21,7 @@ from .errors import (
 )
 
 DEFAULT_GRID_N = 512
+PROBE_N = 33  # per-axis size of the grid `validate_model` probes
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -118,6 +119,10 @@ class SpatialProfile:
             return _grid_eval_profile(self, pts, domain)
         raise InvalidParameterError(f"unknown profile family {self.family!r}")
 
+    @property
+    def cell_counts(self) -> tuple[int, ...]:
+        return self.axis_counts or (np.size(self.values),)
+
 
 def _cell_index(pts, domain, counts):
     """Flat uniform-cell index of each point; clipped to the boundary cells."""
@@ -133,7 +138,7 @@ def _cell_index(pts, domain, counts):
 
 def _grid_eval_profile(profile, pts, domain):
     vals = np.asarray(profile.values, float).ravel()
-    counts = profile.axis_counts or (vals.size,)
+    counts = profile.cell_counts
     if profile.interp == "linear" and domain.dim == 1:
         n = counts[0]
         mids = domain.lo[0] + (np.arange(n) + 0.5) * (domain.hi[0] - domain.lo[0]) / n
@@ -178,9 +183,13 @@ class PairFunction:
         ys = np.broadcast_to(np.atleast_1d(y), (zs.shape[0], zs.shape[1]))
         return self.pairs(zs, ys, domain)
 
+    @property
+    def cell_counts(self) -> tuple[int, ...]:
+        return self.axis_counts or (np.shape(self.values)[0],)
+
     def _grid_pairs(self, xs, ys, domain):
         vals = np.asarray(self.values, float)
-        counts = self.axis_counts or (vals.shape[0],)
+        counts = self.cell_counts
         if self.interp == "bilinear" and domain.dim == 1:
             n = counts[0]
             mids = domain.lo[0] + (np.arange(n) + 0.5) * (domain.hi[0] - domain.lo[0]) / n
@@ -388,9 +397,6 @@ class LifetimeModel:
             return (u < self.tau).astype(float)
         return np.exp(-self.rate * u)
 
-    def cdf(self, u) -> np.ndarray:
-        return 1.0 - self.survival(u)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.family == "deterministic":
             return np.full(size, self.tau)
@@ -451,6 +457,18 @@ class ModelSpec:
     tv_graphon: float | None = None
 
     @cached_property
+    def cells(self) -> tuple[int, ...] | None:
+        """Per-axis lcm of the cell counts of the baseline, the graphon and the
+        mark profile when each is constant or a pw-constant grid with one count
+        per axis: the model is then the d-variate process on these cells.
+        None otherwise."""
+        counts = piecewise_counts((self.baseline, self.graphon, self.marks.b))
+        m = self.domain.dim
+        if counts is None or any(len(c) != m for c in counts):
+            return None
+        return tuple(math.lcm(*axis) for axis in zip((1,) * m, *counts))
+
+    @cached_property
     def std_grid(self) -> tuple[np.ndarray, np.ndarray]:
         return self.domain.grid(self.grid_n)
 
@@ -486,13 +504,18 @@ class ModelSpec:
         return w_sup
 
 
-def _probe_nodes(domain, n=33):
-    return domain.grid(n)
+def piecewise_counts(functions) -> list[tuple[int, ...]] | None:
+    """The cell counts of each grid among `functions` when every one is
+    constant or a pw-constant grid; None when any is smooth."""
+    if any(f.family not in ("constant", "grid") or f.interp != "pw-constant"
+           for f in functions):
+        return None
+    return [f.cell_counts for f in functions if f.family == "grid"]
 
 
 def _probe_matrix(pf: PairFunction, domain, cap=4096):
     """pf on all pairs of the probe grid, thinned to at most `cap` pairs."""
-    nodes, _ = _probe_nodes(domain)
+    nodes, _ = domain.grid(PROBE_N)
     k = nodes.shape[0]
     if k * k > cap:
         nodes = nodes[:: max(1, math.ceil(k / math.sqrt(cap)))]
@@ -510,7 +533,7 @@ def validate_model(spec: ModelSpec) -> list[str]:
     Pure: identical specs produce identical reports.
     """
     report: list[str] = []
-    nodes, _ = _probe_nodes(spec.domain)
+    nodes, _ = spec.domain.grid(PROBE_N)
 
     lam = spec.baseline(nodes, spec.domain)
     if not np.isfinite(lam).all():

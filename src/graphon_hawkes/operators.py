@@ -26,10 +26,17 @@ I - A, the resolvent sum_n A^n of the stable regime rho(A) < 1:
 * Stationary rate: lam_bar = (I - A)^{-1} lam_inf.
 * Expected cluster size: the L1 norm of (I - T)^{-1}, one transposed solve.
 
-`require_stable` reads the verdict; simulators call it on the coarse
-`gate_grid`.  The Gelfand sequence |T^n|^(1/n) and the power iteration from
-the constant function (the dominant eigenfunction is positive, so the
-constant seed has nonzero overlap) are reported estimates, not verdicts.
+`require_stable` reads the verdict; simulators call it on `gate_grid`.  The
+Gelfand sequence |T^n|^(1/n) and the power iteration from the constant
+function (the dominant eigenfunction is positive, so the constant seed has
+nonzero overlap) are reported estimates, not verdicts.
+
+Which grid: a model with cells (`ModelSpec.cells`) is the d-variate Hawkes
+process on them, with operator M_kl = |h|_1 c E[B_kl] W_kl v_l.  Every
+consumer (`stability_report`, `gate_grid`, the limit experiments) computes it
+on `cell_grid_n`, where the midpoint rule is exact, whatever n the caller
+asks for; the caller's n serves models without cells.  A box A enters through
+the share |A & cell_i| / w_i of each grid cell (`box_share`).
 """
 
 from __future__ import annotations
@@ -124,21 +131,43 @@ class StationaryRate:
     terms_used: int  # 0: a direct solve sums no series
 
 
-def discretize_kernel(
-    spec: ModelSpec, n: int, max_nodes: int = MAX_GRID_NODES
-) -> KernelGrid:
+def discretize_kernel(spec: ModelSpec, n: int) -> KernelGrid:
     """K[i][j] = |h|_1 * c * E[B_{x_i x_j}] * W(x_i, x_j) on the midpoint grid."""
     if n < 1:
         raise ShapeError("grid size must be at least 1")
-    if n**spec.domain.dim > max_nodes:
+    if n**spec.domain.dim > MAX_GRID_NODES:
         raise GridTooLargeError(
-            f"{n}^{spec.domain.dim} nodes exceed the cap of {max_nodes}"
+            f"{n}^{spec.domain.dim} nodes exceed the cap of {MAX_GRID_NODES}"
         )
     nodes, weights = spec.domain.grid(n)
     values = spec.excitation.l1_norm * kernel_density_matrix(spec, nodes)
     if (values < -1e-12).any():
         raise ShapeError("kernel values must be nonnegative")
     return KernelGrid(n=n, nodes=nodes, weights=weights, values=np.maximum(values, 0.0))
+
+
+def cell_grid_n(spec: ModelSpec) -> int | None:
+    """Per-axis size of the model's exact cell grid: the lcm of its cells, or
+    None when it has no cells or that grid exceeds the node cap."""
+    if spec.cells is None:
+        return None
+    n = math.lcm(*spec.cells)
+    return n if n**spec.domain.dim <= MAX_GRID_NODES else None
+
+
+def box_share(domain, n: int, box) -> np.ndarray:
+    """|A & cell_i| / |cell_i| for the box A = (lo, hi) and every cell of the
+    n-grid, row-major like `domain.grid(n)` (exactly 1 inside A); ones when
+    `box` is None."""
+    if box is None:
+        return np.ones(n**domain.dim)
+    i, share = np.arange(n), np.ones(1)
+    for a in range(domain.dim):  # the overlap of [i, i + 1] with the box in cell units
+        lo, hi = ((np.atleast_1d(np.asarray(b, float))[a] - domain.lo[a])
+                  * n / (domain.hi[a] - domain.lo[a]) for b in box)
+        part = np.clip(np.minimum(i + 1, hi) - np.maximum(i, lo), 0.0, 1.0)
+        share = np.multiply.outer(share, part).ravel()
+    return share
 
 
 def apply_kernel(grid: KernelGrid, f: np.ndarray) -> np.ndarray:
@@ -208,11 +237,13 @@ def require_stable(
 
 
 def gate_grid(spec: ModelSpec) -> KernelGrid:
-    """The coarse grid simulators gate on: 96 nodes per axis in 1-d, 12 in
-    higher dimensions, a quarter of that when the node cap is hit."""
+    """The grid simulators gate on.  A model with cells gates on its cell grid
+    (`cell_grid_n`), so the verdict is exact: an averaged model on d cells
+    gates on its d x d matrix.  Other models gate on 96 nodes per axis in
+    1-d, 12 in higher dimensions, a quarter of that when the node cap is hit."""
     n = 96 if spec.domain.dim == 1 else 12
     try:
-        return discretize_kernel(spec, n)
+        return discretize_kernel(spec, cell_grid_n(spec) or n)
     except GridTooLargeError:
         return discretize_kernel(spec, max(2, n // 4))
 
@@ -243,17 +274,19 @@ def cluster_size_bound(grid: KernelGrid) -> float:
     return float(np.max(z / w))
 
 
-def fclt_sigma(grid: KernelGrid, lambda_bar: StationaryRate, mask: np.ndarray) -> float:
-    """sigma_A = sum_{i in A} ((I - T)^{-1} sqrt(lam_bar))(x_i) w_i."""
-    mask = np.asarray(mask, bool)
-    if mask.shape != (grid.nodes.shape[0],):
-        raise ShapeError("set mask does not match the kernel grid")
+def fclt_sigma(grid: KernelGrid, lambda_bar: StationaryRate, share: np.ndarray) -> float:
+    """sigma_A = sum_i ((I - T)^{-1} sqrt(lam_bar))(x_i) |A & cell_i|, with
+    `share` the share of each grid cell inside A (`box_share`; a bool mask
+    counts whole cells)."""
+    share = np.asarray(share)
+    if share.shape != (grid.nodes.shape[0],):
+        raise ShapeError("set share does not match the kernel grid")
     a = grid.action
     try:
         v = np.linalg.solve(np.eye(a.shape[0]) - a, np.sqrt(lambda_bar.values))
     except np.linalg.LinAlgError as exc:
         raise UnstableModelError("I - T is singular at this grid scale") from exc
-    return float(np.sum(v[mask] * grid.weights[mask]))
+    return float(np.sum(v * (share * grid.weights)))
 
 
 def outdegree_norm(spec: ModelSpec, n: int) -> float:
@@ -278,6 +311,9 @@ class StabilityReport:
 
 
 def stability_report(spec: ModelSpec, n: int) -> StabilityReport:
+    """The report on the model's cell grid if it has one, else on the n-grid;
+    `grid_n` is the size used."""
+    n = cell_grid_n(spec) or n
     grid = discretize_kernel(spec, n)
     est = spectral_radius(grid)
     return StabilityReport(

@@ -25,7 +25,7 @@ path) gives the same pair.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -139,29 +139,9 @@ class AveragedModel:
 
     @cached_property
     def spec(self) -> ModelSpec:
-        counts = self.partition.axis_counts
-        if self.base.marks.kind == "unmarked":
-            marks = MarkModel(kind="unmarked")
-        else:
-            marks = MarkModel(
-                kind="scaled-profile",
-                profile=PairFunction("grid", values=self.b_cell, axis_counts=counts),
-                xi_family=self.base.marks.xi_family,
-                xi_value=self.base.marks.xi_value,
-                xi_shape=self.base.marks.xi_shape,
-            )
-        return ModelSpec(
-            domain=self.base.domain,
-            baseline=SpatialProfile("grid", values=self.lambda_cell, axis_counts=counts),
-            graphon=PairFunction("grid", values=self.W_cell, axis_counts=counts),
-            excitation=self.base.excitation,
-            marks=marks,
-            lifetimes=self.base.lifetimes,
-            nonlinearity=self.base.nonlinearity,
-            c_w=float(self.W_cell.max(initial=0.0)),
-            symmetric=self.base.symmetric,
-            grid_n=self.base.grid_n,
-        )
+        b = None if self.base.marks.kind == "unmarked" else self.b_cell
+        return _cell_model(self, self.W_cell, b, float(self.W_cell.max(initial=0.0)),
+                           self.base.symmetric)
 
     @cached_property
     def gate_grids(self) -> tuple[KernelGrid, KernelGrid]:
@@ -233,25 +213,29 @@ def sample_quenched_graph(avg: AveragedModel, rng) -> QuenchedGraph:
 def quenched_spec(avg: AveragedModel, graph: QuenchedGraph) -> ModelSpec:
     """The quenched prelimit as a piecewise-constant model: graphon Z with
     mark profile scaled by R * b_cell (so mean dynamics match annealed)."""
-    counts = avg.partition.axis_counts
-    base = avg.base
-    profile_vals = graph.rescale * avg.b_cell
-    marks = MarkModel(
-        kind="scaled-profile",
-        profile=PairFunction("grid", values=profile_vals, axis_counts=counts),
-        xi_family=base.marks.xi_family if base.marks.kind != "unmarked" else "deterministic",
-        xi_value=base.marks.xi_value if base.marks.kind != "unmarked" else 1.0,
-        xi_shape=base.marks.xi_shape if base.marks.kind != "unmarked" else 1.0,
-    )
+    return _cell_model(avg, graph.Z.astype(float), graph.rescale * avg.b_cell, 1.0)
+
+
+def _cell_model(avg: AveragedModel, W: np.ndarray, b: np.ndarray | None, c_w: float,
+                symmetric: bool = False) -> ModelSpec:
+    """The model on the partition's cells with the averaged baseline, graphon
+    W and mark profile b (None: unmarked; else the base's mark scalar law)."""
+    base, counts = avg.base, avg.partition.axis_counts
+    marks = MarkModel(kind="unmarked")
+    if b is not None:
+        scalar = MarkModel() if base.marks.kind == "unmarked" else base.marks
+        marks = replace(scalar, kind="scaled-profile",
+                        profile=PairFunction("grid", values=b, axis_counts=counts))
     return ModelSpec(
         domain=base.domain,
         baseline=SpatialProfile("grid", values=avg.lambda_cell, axis_counts=counts),
-        graphon=PairFunction("grid", values=graph.Z.astype(float), axis_counts=counts),
+        graphon=PairFunction("grid", values=W, axis_counts=counts),
         excitation=base.excitation,
         marks=marks,
         lifetimes=base.lifetimes,
         nonlinearity=base.nonlinearity,
-        c_w=1.0,
+        c_w=c_w,
+        symmetric=symmetric,
         grid_n=base.grid_n,
     )
 
@@ -276,9 +260,7 @@ def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realizat
     """One side's events from rows (id, t, x, xi, lifetime, generation, parent),
     ordered by time, then id."""
     if not rows:
-        r = Realization.empty(dim, horizon, seed_info)
-        r.censored = censored
-        return r
+        return Realization.empty(dim, horizon, seed_info, censored)
     ids, t, x, xi, lt, gen, parent = (np.asarray(c) for c in zip(*rows))
     order = np.lexsort((ids, t))
     return Realization(

@@ -45,7 +45,7 @@ from .events import Realization
 from .model import ModelSpec
 from .rng import SplitStream
 
-DEFAULT_RATE_CAP = 1e9
+RATE_CAP = 1e9
 
 
 @dataclass
@@ -125,8 +125,23 @@ class _ThinningState:
         self._row_of: dict[int, int] = {}  # cache key -> table row
 
     def push(self, t: float, y: np.ndarray, xi: float):
+        self._push(t, y, xi, self._columns.key(y))
+
+    def load(self, history: HistorySnapshot):
+        """Push a time-sorted history in one pass, without per-event copies.
+        The column table keys it in one `_keys` call; the exponential
+        recursion keys one event at a time and keeps O(n) memory."""
+        if self._beta is None:
+            self._make_room(history.times.size)
+            keys = self._columns.keys(history.locations)
+        else:
+            keys = map(self._columns.key, history.locations)
+        for s, y, xi, key in zip(history.times, history.locations, history.mark_scalars, keys):
+            self._push(float(s), y, float(xi), key)
+
+    def _push(self, t: float, y: np.ndarray, xi: float, key: int | None):
         if self._beta is not None:
-            col = self._columns.column(y)[1]
+            col = self._columns.column_of(key, y)[1]
             jump = (xi * self.spec.excitation.sup_norm) * col  # sup_norm = h(0)
             if self._s is None:
                 self._s = jump
@@ -135,13 +150,12 @@ class _ThinningState:
                 self._s += jump
             self._t_ref = t
             return
-        key = self._columns.key(y)
         row = self._row_of.get(key)
         if row is None:  # a new source cell, or any smooth-profile event
             row = self._k
             if row == self._table.shape[0]:
                 self._table = _grown(self._table, row, 2 * row)
-            self._table[row] = self._columns.column(y)[1]
+            self._table[row] = self._columns.column_of(key, y)[1]
             self._k += 1
             if key is not None:
                 self._row_of[key] = row
@@ -149,13 +163,6 @@ class _ThinningState:
             self._make_room(1)
         self._times[self._n], self._xis[self._n], self._ids[self._n] = t, xi, row
         self._n += 1
-
-    def load(self, history: HistorySnapshot):
-        """Push a time-sorted history in one pass, without per-event copies."""
-        if self._beta is None and history.times.size:
-            self._make_room(history.times.size)
-        for s, y, xi in zip(history.times, history.locations, history.mark_scalars):
-            self.push(float(s), y, float(xi))
 
     def _make_room(self, k: int):
         """Reallocate the event arrays at twice the size needed for k more."""
@@ -204,7 +211,6 @@ def simulate_thinning(
     rng=None,
     with_lifetimes: bool = True,
     cap: int = DEFAULT_EVENT_CAP,
-    rate_cap: float = DEFAULT_RATE_CAP,
 ) -> Realization:
     """Simulate on [0, horizon] by thinning a piecewise-constant upper bound.
 
@@ -231,7 +237,7 @@ def simulate_thinning(
     t = 0.0
     bound = state.total_bound(0.0)
     while True:
-        if bound > rate_cap or len(out_t) >= cap:
+        if bound > RATE_CAP or len(out_t) >= cap:
             censored = True
             break
         if bound <= 0:

@@ -29,6 +29,8 @@ from .errors import InvalidArgumentError, PrelimitUnstableError, ShapeError
 from .model import LifetimeModel, MarkModel, ModelSpec, _cell_index
 from .rng import SplitStream
 
+FIXED_POINT_MAX_ITER = 400
+
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
@@ -75,10 +77,6 @@ class TransformGrid:
     values: np.ndarray  # (n_x, n_u) in [0, 1]
     u_grid: np.ndarray  # (n_u,), u_grid[0] = 0
     f: TestFunction
-
-    @property
-    def t(self) -> float:
-        return float(self.u_grid[-1])
 
     @property
     def n_u(self) -> int:
@@ -177,7 +175,6 @@ def fixed_point(
     tol: float = 1e-10,
     xi0: TransformGrid | None = None,
     n_u: int = 257,
-    max_iter: int = 400,
 ) -> tuple[TransformGrid, FixedPointLog]:
     """Iterate Phi from xi0 (default ident. 1) until the sup-change < tol.
 
@@ -199,7 +196,7 @@ def fixed_point(
     envelope: list[float] = []
     converged = False
     log_env = 0.0  # log of C^n t^n / n!
-    for n in range(max_iter):
+    for n in range(FIXED_POINT_MAX_ITER):
         new = op.apply(values)
         change = float(np.max(np.abs(new - values)))
         sup_changes.append(change)
@@ -250,16 +247,22 @@ def mc_transform_oracle(
     gen = rng.generator() if isinstance(rng, SplitStream) else rng
     roots = np.tile(np.atleast_1d(np.asarray(x, float)), (nsim, 1))
     xi0 = spec.marks.sample_xi(gen, nsim)
-    (t, xs, _, sim, _, _, lt), censored = _grow(
+    grown = _grow(
         ClusterEngine(spec), np.zeros(nsim), roots, xi0, np.arange(nsim, dtype=np.int64), 0,
         float(u), gen, True, DEFAULT_EVENT_CAP,
     )
+    return _alive_transform(grown, spec, f, u, nsim)
+
+
+def _alive_transform(grown, spec: ModelSpec, f: TestFunction, u: float, nsim: int):
+    """The mean and SE over the `nsim` labels of exp(-sum of f over the
+    particles of `_grow`'s output alive at u)."""
+    (t, xs, _, sim, _, _, lt), censored = grown
     alive = (t <= u) & (u < t + lt)
     sums = np.bincount(sim[alive], weights=f.at_points(xs[alive], spec), minlength=nsim)
     vals = np.exp(-sums)
-    est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(nsim)) if nsim > 1 else 0.0
-    return OracleEstimate(est, se, nsim, censored)
+    return OracleEstimate(float(vals.mean()), se, nsim, censored)
 
 
 def mc_population_transform(
@@ -274,19 +277,8 @@ def mc_population_transform(
     times = t * (1.0 - gen.random(total))
     locs = engine.sample_immigrant_locations(total, gen)
     xis = spec.marks.sample_xi(gen, total)
-    (et, ex, _, esim, _, _, elt), censored = (
-        _grow(engine, times, locs, xis, sim_idx, 0, float(t), gen, True, DEFAULT_EVENT_CAP)
-        if total
-        else ((np.empty(0),) * 7, False)
-    )
-    if total == 0:
-        return OracleEstimate(1.0, 0.0, nsim, False)
-    alive = (et <= t) & (t < et + elt)
-    sums = np.bincount(esim[alive], weights=f.at_points(ex[alive], spec), minlength=nsim)
-    vals = np.exp(-sums)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(nsim)) if nsim > 1 else 0.0
-    return OracleEstimate(est, se, nsim, censored)
+    grown = _grow(engine, times, locs, xis, sim_idx, 0, float(t), gen, True, DEFAULT_EVENT_CAP)
+    return _alive_transform(grown, spec, f, t, nsim)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +328,6 @@ def interchange_experiment(
     t_large: float,
     tol: float = 1e-10,
     n_u: int = 513,
-    scheme: str = "per-axis-counts",
 ) -> InterchangeReport:
     """Compare prelimit transforms L_Q^d against the continuum L_Q at a large
     horizon standing in for t = infinity, with the neglected tail reported.
@@ -352,7 +343,7 @@ def interchange_experiment(
 
     entries = []
     for d in d_list:
-        part = build_partition(spec.domain, d, scheme)
+        part = build_partition(spec.domain, d, "per-axis-counts")
         aspec = average_model(spec, part).spec
         try:
             require_stable(gate_grid(aspec), PrelimitUnstableError, "averaged model")

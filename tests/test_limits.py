@@ -146,22 +146,23 @@ def test_fclt_sigma_label():
     rep2 = fclt_experiment(ro, None, 20.0, 4, gh.SplitStream(11), burn_in=5.0, n_op=64)
     assert rep2.summary["sigma_label"] == "extrapolated"
 
-    # sigma_A is exact only when the operator grid refines every cell: a 4-cell
-    # graphon is, a 3-cell one is not on 256 nodes, nor is a rank-one mark profile
+    # a model with cells is computed on its own cells whatever n_op is: a 4-cell
+    # and a 3-cell graphon are exact and equal across n_op; a rank-one mark
+    # profile has no cells, so its sigma_A is extrapolated and moves with n_op
     def label_and_sigma(spec, n_op):
         rep = fclt_experiment(spec, None, 20.0, 4, gh.SplitStream(12), burn_in=5.0, n_op=n_op)
         return rep.summary["sigma_label"], rep.summary["sigma_A"]
 
-    four = [label_and_sigma(_grid_graphon_model(4), n) for n in (64, 256)]
-    assert [lab for lab, _ in four] == ["exact-piecewise-constant"] * 2
-    assert four[0][1] == pytest.approx(four[1][1], rel=1e-12)
+    for cells in (4, 3):
+        pair = [label_and_sigma(_grid_graphon_model(cells), n) for n in (64, 256)]
+        assert [lab for lab, _ in pair] == ["exact-piecewise-constant"] * 2
+        assert pair[0][1] == pytest.approx(pair[1][1], rel=1e-12)
     marked = dataclasses.replace(spec, marks=gh.MarkModel(
         kind="scaled-profile",
         profile=gh.PairFunction("rank-one", profile=gh.SpatialProfile("identity"))))
-    for case in (_grid_graphon_model(3), marked):
-        (label, coarse), (label_256, fine) = (label_and_sigma(case, n) for n in (64, 256))
-        assert label == label_256 == "extrapolated"
-        assert coarse != pytest.approx(fine, rel=1e-9)
+    (label, coarse), (label_256, fine) = (label_and_sigma(marked, n) for n in (64, 256))
+    assert label == label_256 == "extrapolated"
+    assert coarse != pytest.approx(fine, rel=1e-9)
 
 
 def test_fclt_sample_mean_near_zero():
@@ -177,3 +178,16 @@ def test_reports_are_reproducible_across_threads():
     r1 = flln_experiment(spec, None, 20.0, 16, gh.SplitStream(13), threads=1, n_op=64)
     r8 = flln_experiment(spec, None, 20.0, 16, gh.SplitStream(13), threads=8, n_op=64)
     assert r1.samples == r8.samples
+
+
+@pytest.mark.parametrize("n_op", [1, 64, 256])
+def test_fclt_box_is_exact_on_the_cell_grid(n_op):
+    # lam_bar = 2 everywhere, so lam_bar(A) = 0.6 and sigma_A = 0.3 * 2 sqrt(2)
+    # on [0, 0.3], a box whose face cuts a cell of every n_op-grid but the
+    # model's one cell is computed exactly
+    spec = gh.constant_model(0.5, grid_n=128)
+    rep = fclt_experiment(spec, ([0.0], [0.3]), 20.0, 4, gh.SplitStream(14), burn_in=5.0,
+                          n_op=n_op)
+    assert rep.summary["sigma_label"] == "exact-piecewise-constant"
+    assert rep.summary["lam_bar_A"] == pytest.approx(0.6, rel=1e-12)
+    assert rep.summary["sigma_A"] == pytest.approx(0.3 * 2 * math.sqrt(2), rel=1e-12)

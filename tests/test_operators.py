@@ -5,6 +5,7 @@ and dense dominant eigenvalues on the same grid.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,9 @@ import graphon_hawkes as gh
 from graphon_hawkes import limits, operators
 from graphon_hawkes.config import build_spec
 from graphon_hawkes.errors import GridTooLargeError, ShapeError, UnstableModelError
+from graphon_hawkes.events import box_mask
 from graphon_hawkes.limits import flln_experiment
+from graphon_hawkes.model import _cell_index
 from graphon_hawkes.operators import (
     apply_kernel,
     cluster_size_bound,
@@ -406,3 +409,104 @@ def test_gelfand_terms_lie_between_spectral_radius_and_operator_norm(case):
         assert np.isfinite(t) and t >= 0.0
         if op_norm >= NORMAL_NORM:
             assert dense_rho * (1 - 1e-12) <= t <= op_norm * (1 + 1e-12)
+
+
+@st.composite
+def cell_models(draw):
+    """A model with cells on a non-unit 1-d or 2-d box: the baseline and the
+    mark profile are constant or pw-constant grids, the graphon a pw-constant
+    grid, each with its own per-axis counts (non-dyadic, unequal across axes);
+    some graphon rows are zero.  Scaled to a drawn radius of the cell matrix."""
+    m = draw(st.sampled_from([1, 2]))
+    lo, hi = (-0.5,) * m, (1.0,) * m
+    domain = gh.SpatialDomain(lo, hi)
+
+    def counts():
+        return tuple(draw(st.integers(1, 7 if m == 1 else 3)) for _ in range(m))
+
+    def table(size, low, high):
+        return np.array(draw(st.lists(st.floats(low, high), min_size=size, max_size=size)))
+
+    baseline = gh.SpatialProfile("constant", value=draw(st.floats(0.1, 2.0)))
+    if draw(st.booleans()):
+        cb = counts()
+        baseline = gh.SpatialProfile("grid", values=table(math.prod(cb), 0.1, 2.0), axis_counts=cb)
+    cg = counts()
+    k = math.prod(cg)
+    w = table(k * k, 0.0, 1.0).reshape(k, k)
+    w[draw(st.lists(st.integers(0, k - 1), max_size=k - 1))] = 0.0
+    marks = gh.MarkModel()
+    if draw(st.booleans()):
+        cm = counts()
+        km = math.prod(cm)
+        marks = gh.MarkModel(
+            kind="scaled-profile", xi_value=draw(st.floats(0.5, 1.5)),
+            profile=gh.PairFunction("grid", values=table(km * km, 0.2, 1.5).reshape(km, km),
+                                    axis_counts=cm))
+
+    def model(scale):
+        return gh.ModelSpec(
+            domain=domain, baseline=baseline,
+            graphon=gh.PairFunction("grid", values=w * scale, axis_counts=cg),
+            excitation=gh.ExcitationKernel("exponential", rate=2.0, l1=0.8),
+            marks=marks, grid_n=8)
+
+    unit = model(1.0)
+    rho = float(np.max(np.abs(np.linalg.eigvals(
+        discretize_kernel(unit, math.lcm(*unit.cells)).action))))
+    assume(rho > 1e-3)
+    return model(draw(st.floats(0.1, 1.5)) / rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_models(), st.data())
+def test_cell_grid_equals_dense_grid_oracle(spec, data):
+    # a model with cells is computed on its cells whatever n is asked for; a
+    # dense grid that refines them is the oracle, and a box with faces on the
+    # dense grid cuts the cells, so the overlap quadrature is checked too
+    m, lcm = spec.domain.dim, math.lcm(*spec.cells)
+    assert operators.cell_grid_n(spec) == lcm
+    n_dense = 2 * lcm if m == 2 or lcm > 60 else 3 * lcm
+    dense = discretize_kernel(spec, n_dense)
+    n_asked = data.draw(st.integers(1, 64 if m == 1 else 16))
+    rep = stability_report(spec, n_asked)
+    assert rep.grid_n == lcm
+    rho = float(np.max(np.abs(np.linalg.eigvals(discretize_kernel(spec, lcm).action))))
+    if abs(rho - 1.0) >= 1e-9:
+        assert rep.stable == dense.stable == (rho < 1.0)
+    if rho > 0.95:  # the resolvent's rounding grows like 1 / (1 - rho)
+        return
+    assert rep.cluster_size_bound == pytest.approx(cluster_size_bound(dense), rel=1e-12)
+
+    faces = [sorted(data.draw(st.lists(st.integers(0, n_dense), min_size=2, max_size=2,
+                                       unique=True))) for _ in range(m)]
+    width = (spec.domain.hi - spec.domain.lo) / n_dense
+    box = tuple([float(spec.domain.lo[a] + f[end] * width[a]) for a, f in enumerate(faces)]
+                for end in (0, 1))
+    grid, _, rate, share, lam_a = limits._operator_setup(spec, box, n_asked)
+    assert grid.n == lcm
+    dense_rate = stationary_rate(dense, spec.baseline_on(dense.nodes))
+    cell_of_node = _cell_index(dense.nodes, spec.domain, (lcm,) * m)
+    np.testing.assert_allclose(rate.values[cell_of_node], dense_rate.values, rtol=1e-12)
+    mask = box_mask(dense.nodes, box)
+    assert lam_a == pytest.approx(float(np.sum(dense_rate.values[mask] * dense.weights[mask])),
+                                  rel=1e-12)
+    assert fclt_sigma(grid, rate, share) == pytest.approx(
+        fclt_sigma(dense, dense_rate, mask), rel=1e-12)
+
+
+def test_models_without_cells_keep_the_asked_grid():
+    # a smooth graphon, a bilinear grid and a rank-one mark profile have no cells
+    bilinear = build_spec({
+        "graphon": {"family": "grid", "values": [[0.2, 0.4], [0.4, 0.2]], "axis_counts": [2],
+                    "interp": "bilinear"},
+        "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0},
+    })
+    marked = dataclasses.replace(gh.constant_model(0.5), marks=gh.MarkModel(
+        kind="scaled-profile",
+        profile=gh.PairFunction("rank-one", profile=gh.SpatialProfile("identity"))))
+    for spec in (gh.rank_one_model(1.5), bilinear, marked):
+        assert spec.cells is None and operators.cell_grid_n(spec) is None
+        assert stability_report(spec, 24).grid_n == 24
+        assert operators.gate_grid(spec).n == 96
+    assert gh.constant_model(0.5).cells == (1,)

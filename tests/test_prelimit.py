@@ -414,3 +414,17 @@ def test_coupled_pair_invariants(model, level, graph, seed, horizon, cap):
     parent = np.array([pos_m[int(p)] for p in nd.parent_ids[child]], dtype=np.int64)
     cells = part.cell_of(nd.locations)
     assert (pair.graph.Z[cells[child], cells[parent]] == 1).all()
+
+
+def test_near_critical_average_is_gated_on_its_cells():
+    # rho = 2.997 / 3 = 0.999 for the continuum, and a little less for its
+    # 64-cell average; a 96-node gate samples the 64 cells unevenly and reads
+    # that average above 1
+    spec = gh.rank_one_model(2.997)
+    avg = average_model(spec, build_partition(spec.domain, 64, "per-axis-counts"))
+    rho = float(np.max(np.abs(np.linalg.eigvals(avg.W_cell / 64))))
+    assert 0.998 < rho < 0.999
+    grid = operators.gate_grid(avg.spec)
+    assert grid.n == 64
+    operators.require_stable(grid, PrelimitUnstableError, "averaged model")
+    assert not discretize_kernel(avg.spec, 96).stable

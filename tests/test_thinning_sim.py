@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import graphon_hawkes as gh
-from graphon_hawkes import thinning_sim
+from graphon_hawkes import cluster_sim, thinning_sim
 from graphon_hawkes.cluster_sim import sample_location, simulate_process
 from graphon_hawkes.errors import AcausalHistoryError, ThinningBoundError
 from graphon_hawkes.model import Nonlinearity
@@ -400,3 +400,32 @@ def test_power_law_thinning_builds_one_column_per_cell(monkeypatch):
     real = simulate_thinning(spec, 100.0, rng=gh.SplitStream(36))
     assert len(real) > 100
     assert len(built) <= 16
+
+
+def test_history_is_keyed_in_one_call(monkeypatch):
+    # the column table keys a whole initial history in one `_cell_index` call
+    # and holds what pushing it one event at a time holds
+    spec = step_power_law_model()
+    gen = np.random.default_rng(3)
+    hist = HistorySnapshot(times=-np.sort(gen.random(300))[::-1] * 100,
+                           locations=gen.random((300, 1)), mark_scalars=np.ones(300))
+    one_by_one = thinning_sim._ThinningState(spec)
+    for s, y, xi in zip(hist.times, hist.locations, hist.mark_scalars):
+        one_by_one.push(float(s), y, float(xi))
+    calls = []
+    real = cluster_sim._cell_index
+    monkeypatch.setattr(cluster_sim, "_cell_index",
+                        lambda pts, *args: calls.append(pts.shape[0]) or real(pts, *args))
+    state = thinning_sim._ThinningState(spec)
+    state.load(hist)
+    assert calls == [300]
+    n, k = state._n, state._k
+    assert (n, k) == (one_by_one._n, one_by_one._k) == (300, 16)
+    assert np.array_equal(state._ids[:n], one_by_one._ids[:n])
+    assert np.array_equal(state._table[:k], one_by_one._table[:k])
+
+
+def test_flat_model_key_builds_no_key_array(monkeypatch):
+    columns = cluster_sim.OffspringColumns(gh.constant_model(0.5, grid_n=64))
+    monkeypatch.setattr(columns, "_keys", None)  # any key array would fail
+    assert columns.flat and columns.key(np.array([0.3])) == 0
