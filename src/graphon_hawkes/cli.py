@@ -291,25 +291,21 @@ def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
     lq = laplace_of_Q(eta, spec, opt["t"])
     payload = {
         "L_Q": lq,
+        "grid_n": log.grid_n,
         "iterations": log.iterations,
         "envelope_ok": log.envelope_ok,
         "converged": log.converged,
         "oracle_estimate": None,
         "oracle_se": None,
     }
-    if opt["oracle"]:
+    if opt["oracle"]:  # at the node of largest baseline mass, at u = t
         nodes, weights = spec.std_grid
-        lam = spec.baseline_on(nodes)
-        x_star = nodes[int(np.argmax(lam * weights))]
+        i_star = int(np.argmax(spec.baseline_on(nodes) * weights))
         est = mc_transform_oracle(
-            spec, x_star, f, opt["t"], opt["oracle"], SplitStream(cfg.seed).child(7)
+            spec, nodes[i_star], f, opt["t"], opt["oracle"], SplitStream(cfg.seed).child(7)
         )
-        u_idx = eta.n_u - 1
-        payload["oracle_estimate"] = est.estimate
-        payload["oracle_se"] = est.stderr
-        payload["eta_at_oracle_point"] = float(
-            eta.values[int(np.argmax(lam * weights)), u_idx]
-        )
+        payload.update(oracle_estimate=est.estimate, oracle_se=est.stderr,
+                       eta_at_oracle_point=float(eta.values[i_star, -1]))
     print(json.dumps(payload, sort_keys=True))
     _dump_json(payload, cfg.out_dir / "transform.json")
     return ["transform.json"]

@@ -514,7 +514,10 @@ def piecewise_counts(functions) -> list[tuple[int, ...]] | None:
 
 
 def _probe_matrix(pf: PairFunction, domain, cap=4096):
-    """pf on all pairs of the probe grid, thinned to at most `cap` pairs."""
+    """pf on all pairs of the probe grid, thinned to at most `cap` pairs; a grid
+    pf's own table, where each interpolation has its minimum and maximum."""
+    if pf.family == "grid":
+        return np.asarray(pf.values, float)
     nodes, _ = domain.grid(PROBE_N)
     k = nodes.shape[0]
     if k * k > cap:
@@ -522,20 +525,33 @@ def _probe_matrix(pf: PairFunction, domain, cap=4096):
     return pf.matrix(nodes, domain)
 
 
+def _table_fits(fn) -> bool:
+    """A grid's table holds one value per cell, per pair of cells for a pair function."""
+    k = math.prod(fn.cell_counts)
+    if isinstance(fn, SpatialProfile):
+        return np.size(fn.values) == k
+    return np.shape(fn.values) == (k, k)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
 
 def validate_model(spec: ModelSpec) -> list[str]:
-    """Check every type invariant on a deterministic probe grid.
+    """Check every type invariant: grid families on their value tables (every
+    cell), other spatial functions on a deterministic probe grid.
 
     Returns a list of violation strings, empty iff the model is valid.
     Pure: identical specs produce identical reports.
     """
+    grids = [f for f in (spec.baseline, spec.graphon, spec.marks.b) if f.family == "grid"]
+    if not all(_table_fits(f) for f in grids):
+        return ["invalid-parameter: grid values do not match axis_counts"]
     report: list[str] = []
     nodes, _ = spec.domain.grid(PROBE_N)
 
-    lam = spec.baseline(nodes, spec.domain)
+    lam = (np.asarray(spec.baseline.values, float) if spec.baseline.family == "grid"
+           else spec.baseline(nodes, spec.domain))
     if not np.isfinite(lam).all():
         report.append("invalid-parameter: baseline not finite")
     elif (lam < 0).any():

@@ -15,6 +15,12 @@ C = 2 |h|_inf C_B C_W; the iteration log records that envelope.
 
 The population transform follows from the immigrant decomposition:
     L_Q(f, t) = exp( int_X int_0^t (eta_x(f, u) - 1) lam_inf(x) du dx ).
+
+Which grid: for a model with cells (`ModelSpec.cells`) and a constant f, Phi
+is the d-variate Hawkes transform on them and every iterate from 1 is constant
+per cell, so `fixed_point` sweeps on `operators.cell_grid_n`, where the
+midpoint rule is exact; else on the standard grid.  Either way the result is
+expanded to the standard grid, one row per node.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster_sim import DEFAULT_EVENT_CAP, ClusterEngine, _grow
-from .errors import InvalidArgumentError, PrelimitUnstableError, ShapeError
+from .errors import InvalidArgumentError, ShapeError
 from .model import LifetimeModel, MarkModel, ModelSpec, _cell_index
+from .operators import cell_grid_n, gate_grid
 from .rng import SplitStream
 
 FIXED_POINT_MAX_ITER = 400
@@ -78,10 +85,6 @@ class TransformGrid:
     u_grid: np.ndarray  # (n_u,), u_grid[0] = 0
     f: TestFunction
 
-    @property
-    def n_u(self) -> int:
-        return int(self.u_grid.shape[0])
-
 
 @dataclass(frozen=True, eq=False)
 class FixedPointLog:
@@ -90,6 +93,7 @@ class FixedPointLog:
     envelope_constant: float
     converged: bool
     iterations: int
+    grid_n: int  # per-axis size of the grid the sweeps ran on
 
     @property
     def envelope_ok(self) -> bool:
@@ -119,28 +123,25 @@ def beta_eval(marks: MarkModel, x, g: np.ndarray, spec: ModelSpec) -> float:
 
 
 class _PhiOperator:
-    """Precomputed pieces of Phi for one (spec, f, time grid)."""
+    """Precomputed pieces of Phi for one (spec, f, time grid) on the midpoint
+    grid with n cells per axis."""
 
-    def __init__(self, spec: ModelSpec, f: TestFunction, u_grid: np.ndarray):
+    def __init__(self, spec: ModelSpec, f: TestFunction, u_grid: np.ndarray, n: int):
         self.spec = spec
-        self.u_grid = u_grid
-        self.nodes, self.weights = spec.std_grid
+        self.nodes, self.weights = spec.domain.grid(n)
         n_u = u_grid.shape[0]
         du = float(u_grid[1] - u_grid[0]) if n_u > 1 else 0.0
         h_vals = spec.excitation.h(u_grid)
         # lower-triangular trapezoid-convolution matrix: C = G @ M with
         # M[l, i] = du * h(u_i - u_l) * (1/2 at the endpoints l in {0, i})
         li, ui = np.meshgrid(np.arange(n_u), np.arange(n_u), indexing="ij")
-        M = np.where(li <= ui, h_vals[np.clip(ui - li, 0, n_u - 1)], 0.0) * du
+        self.M = M = np.where(li <= ui, h_vals[np.clip(ui - li, 0, n_u - 1)], 0.0) * du
         M[0, :] *= 0.5
         M[li == ui] *= 0.5
         M[:, 0] = 0.0
-        self.M = M
         # spatial quadrature: S[x, u] = sum_y b(y,x) W(y,x) C[y, u] w_y
-        bw = spec.marks.b.matrix(self.nodes, spec.domain) * spec.graphon.matrix(
-            self.nodes, spec.domain
-        )
-        self.bw_weighted = bw * self.weights[:, None]  # rows y, cols x
+        b, w = (pf.matrix(self.nodes, spec.domain) for pf in (spec.marks.b, spec.graphon))
+        self.bw_weighted = b * w * self.weights[:, None]  # rows y, cols x
         f_vals = f.on(self.nodes)
         surv = spec.lifetimes.survival(u_grid)[None, :]
         self.gamma = (1.0 - surv) + surv * np.exp(-f_vals)[:, None]
@@ -154,12 +155,11 @@ class _PhiOperator:
 
 def phi_apply(xi: TransformGrid, spec: ModelSpec, f: TestFunction) -> TransformGrid:
     """One application of the transform operator Phi."""
-    nodes, _ = spec.std_grid
-    if xi.values.shape[0] != nodes.shape[0]:
+    if xi.values.shape[0] != spec.grid_n**spec.domain.dim:
         raise ShapeError("transform grid does not match the model's standard grid")
     if (xi.values < -1e-12).any() or (xi.values > 1 + 1e-12).any():
         raise InvalidArgumentError("transform values must lie in [0, 1]")
-    op = _PhiOperator(spec, f, xi.u_grid)
+    op = _PhiOperator(spec, f, xi.u_grid, spec.grid_n)
     return TransformGrid(values=op.apply(xi.values), u_grid=xi.u_grid, f=f)
 
 
@@ -168,51 +168,42 @@ def envelope_constant(spec: ModelSpec) -> float:
     return 2.0 * spec.excitation.sup_norm * spec.c_b * spec.graphon_bound()
 
 
-def fixed_point(
-    spec: ModelSpec,
-    f: TestFunction,
-    t: float,
-    tol: float = 1e-10,
-    xi0: TransformGrid | None = None,
-    n_u: int = 257,
-) -> tuple[TransformGrid, FixedPointLog]:
-    """Iterate Phi from xi0 (default ident. 1) until the sup-change < tol.
+def fixed_point(spec: ModelSpec, f: TestFunction, t: float, tol: float = 1e-10,
+                n_u: int = 257) -> tuple[TransformGrid, FixedPointLog]:
+    """Iterate Phi from the constant 1 until the sup-change < tol.
 
-    The log pairs each iteration's sup-change with the theoretical envelope
+    The sweeps run on the model's cell grid when it has cells and f is
+    constant, else on the standard grid (`FixedPointLog.grid_n` says which).
+    The result is expanded once to the standard grid, one row per node.  The
+    log pairs each iteration's sup-change with the theoretical envelope
     C^n t^n / n!.  Hitting the iteration cap returns the last iterate with
     `converged=False` instead of raising.
     """
-    nodes, _ = spec.std_grid
+    n = (cell_grid_n(spec) if f.kind == "const" else None) or spec.grid_n
     u_grid = np.linspace(0.0, float(t), n_u)
-    if xi0 is None:
-        values = np.ones((nodes.shape[0], n_u))
-    else:
-        if xi0.values.shape != (nodes.shape[0], n_u):
-            raise ShapeError("xi0 does not match the requested grids")
-        values = np.clip(xi0.values, 0.0, 1.0)
-    op = _PhiOperator(spec, f, u_grid)
+    op = _PhiOperator(spec, f, u_grid, n)
+    values = np.ones((op.nodes.shape[0], n_u))
     c_env = envelope_constant(spec)
-    sup_changes: list[float] = []
-    envelope: list[float] = []
-    converged = False
+    sup_changes, envelope = [], []
     log_env = 0.0  # log of C^n t^n / n!
-    for n in range(FIXED_POINT_MAX_ITER):
+    for k in range(FIXED_POINT_MAX_ITER):
         new = op.apply(values)
         change = float(np.max(np.abs(new - values)))
         sup_changes.append(change)
         envelope.append(min(math.exp(log_env), 1e300))
-        log_env += math.log(max(c_env * t, 1e-300)) - math.log(n + 1)
+        log_env += math.log(max(c_env * t, 1e-300)) - math.log(k + 1)
         values = new
         if change < tol:
-            converged = True
             break
-    eta = TransformGrid(values=values, u_grid=u_grid, f=f)
-    return eta, FixedPointLog(
+    if n != spec.grid_n:  # one row per standard-grid node, read from its cell
+        values = values[_cell_index(spec.std_grid[0], spec.domain, (n,) * spec.domain.dim)]
+    return TransformGrid(values=values, u_grid=u_grid, f=f), FixedPointLog(
         sup_changes=sup_changes,
         envelope=envelope,
         envelope_constant=c_env,
-        converged=converged,
+        converged=sup_changes[-1] < tol,
         iterations=len(sup_changes),
+        grid_n=n,
     )
 
 
@@ -334,7 +325,6 @@ def interchange_experiment(
 
     An entry is flagged `unstable` when the averaged model fails the
     coupling's stability verdict; any other error propagates."""
-    from .operators import gate_grid, require_stable
     from .prelimit import average_model, build_partition
 
     eta, _ = fixed_point(spec, f, t_large, tol=tol, n_u=n_u)
@@ -345,11 +335,7 @@ def interchange_experiment(
     for d in d_list:
         part = build_partition(spec.domain, d, "per-axis-counts")
         aspec = average_model(spec, part).spec
-        try:
-            require_stable(gate_grid(aspec), PrelimitUnstableError, "averaged model")
-            unstable = False
-        except PrelimitUnstableError:
-            unstable = True
+        unstable = not gate_grid(aspec).stable
         eta_d, _ = fixed_point(aspec, f, t_large, tol=tol, n_u=n_u)
         l_d = laplace_of_Q(eta_d, aspec, t_large)
         entries.append(

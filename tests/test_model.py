@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import graphon_hawkes as gh
-from graphon_hawkes.config import load_model, model_digest, spec_config
+from graphon_hawkes.config import build_spec, load_model, model_digest, spec_config
 from graphon_hawkes.errors import NegativeTimeError, OutOfDomainError
 from graphon_hawkes.model import (
     ExcitationKernel,
@@ -40,6 +40,47 @@ def test_validate_negative_graphon_grid():
         c_w=0.3,
     )
     assert "negativity: graphon" in gh.validate_model(spec)
+
+
+@pytest.mark.parametrize("cells", [16, 64])
+@pytest.mark.parametrize("family,interp", [("graphon", "pw-constant"), ("graphon", "bilinear"),
+                                           ("baseline", "pw-constant"), ("baseline", "linear"),
+                                           ("marks", "pw-constant")])
+def test_validate_reads_every_cell_of_a_grid_table(family, interp, cells):
+    # more cells than the 33-node probe grid: the table itself is checked, since
+    # every interpolation takes its minimum and maximum there
+    table = np.full((cells, cells), 0.3)
+    table[1] = -0.2
+    node = {"family": "grid", "values": table.tolist(), "axis_counts": [cells],
+            "interp": interp, "c_w": 0.3}
+    cfg = {"graphon": {"family": "constant", "value": 0.3, "c_w": 0.3},
+           "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0}}
+    if family == "baseline":
+        cfg["baseline"] = {**node, "values": table[:, 0].tolist()}
+    elif family == "marks":
+        cfg["marks"] = {"kind": "scaled-profile", "profile": node}
+    else:
+        cfg["graphon"] = node
+    assert gh.validate_model(build_spec(cfg)) == [f"negativity: {family}"]
+    if family == "graphon":
+        table[1] = 0.3
+        table[2, 5] = 0.5
+        cfg["graphon"] = {**node, "values": table.tolist(), "symmetric": True}
+        assert gh.validate_model(build_spec(cfg)) == [
+            "invalid-parameter: graphon exceeds C_W", "invalid-parameter: graphon asymmetric"]
+
+
+@pytest.mark.parametrize("node", [
+    {"baseline": {"family": "grid", "values": [1.0, 2.0, 3.0], "axis_counts": [2]}},
+    {"graphon": {"family": "grid", "values": [[0.2] * 4] * 4, "axis_counts": [8]}},
+    {"graphon": {"family": "grid", "values": [[0.2] * 3] * 4}},
+    {"marks": {"kind": "scaled-profile", "profile": {"family": "grid", "values": [[1.0]],
+                                                     "axis_counts": [2]}}},
+])
+def test_validate_refuses_a_table_that_does_not_match_its_counts(node):
+    # evaluation would index past the table (or never read part of it)
+    assert gh.validate_model(build_spec(node)) == [
+        "invalid-parameter: grid values do not match axis_counts"]
 
 
 def test_validate_non_l1_excitation():

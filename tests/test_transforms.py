@@ -1,12 +1,16 @@
 """Transform fixed point, population transform and Monte Carlo oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphon_hawkes as gh
 from graphon_hawkes import operators
+from graphon_hawkes.config import build_spec
 from graphon_hawkes.errors import InvalidArgumentError, ShapeError
 from graphon_hawkes.model import LifetimeModel, MarkModel, PairFunction
 from graphon_hawkes.transforms import (
@@ -138,6 +142,93 @@ def test_range_preservation():
     for _ in range(5):
         xi = phi_apply(xi, spec, f)
         assert np.all(xi.values >= 0.0) and np.all(xi.values <= 1.0)
+
+
+@st.composite
+def cell_models(draw):
+    """A model with cells on a non-unit 1-d or 2-d box: the graphon is a
+    pw-constant grid, the baseline and the mark profile b are constant or one,
+    each with its own per-axis counts (1-7 cells in 1-d, 1-3 per axis in 2-d);
+    the marks are unmarked or gamma, the lifetimes deterministic or
+    exponential; the standard grid is a cell-aligned multiple of the cells."""
+    m = draw(st.sampled_from([1, 2]))
+    domain = gh.SpatialDomain((-0.5,) * m, (1.0,) * m)
+
+    def counts():
+        return tuple(draw(st.integers(1, 7 if m == 1 else 3)) for _ in range(m))
+
+    def table(size, low, high):
+        return np.array(draw(st.lists(st.floats(low, high), min_size=size, max_size=size)))
+
+    def grid_pair(low, high):
+        c = counts()
+        k = math.prod(c)
+        return PairFunction("grid", values=table(k * k, low, high).reshape(k, k), axis_counts=c)
+
+    baseline = gh.SpatialProfile("constant", value=draw(st.floats(0.1, 2.0)))
+    if draw(st.booleans()):
+        cb = counts()
+        baseline = gh.SpatialProfile("grid", values=table(math.prod(cb), 0.1, 2.0), axis_counts=cb)
+    marks = MarkModel()
+    if draw(st.booleans()):
+        b = draw(st.just(None) | st.floats(0.2, 1.5))
+        marks = MarkModel(kind="scaled-profile", xi_family="gamma",
+                          profile=PairFunction("constant", value=b) if b else grid_pair(0.2, 1.5),
+                          xi_value=draw(st.floats(0.2, 1.5)), xi_shape=draw(st.floats(0.5, 3.0)))
+    lifetimes = draw(st.builds(LifetimeModel, st.just("deterministic"), tau=st.floats(0.2, 3.0))
+                     | st.builds(LifetimeModel, st.just("exponential"), rate=st.floats(0.2, 3.0)))
+    spec = gh.ModelSpec(
+        domain=domain, baseline=baseline, graphon=grid_pair(0.0, 1.0),
+        excitation=gh.ExcitationKernel("exponential", rate=draw(st.floats(0.5, 3.0)),
+                                       l1=draw(st.floats(0.1, 1.5))),
+        marks=marks, lifetimes=lifetimes)
+    lcm = math.lcm(*spec.cells)
+    return dataclasses.replace(spec, grid_n=lcm * draw(st.integers(1, 1 if lcm > 60 else 3)))
+
+
+@settings(max_examples=60)
+@given(cell_models(), st.floats(0.01, 2.0), st.floats(0.5, 3.0), st.integers(2, 33))
+def test_cell_fixed_point_equals_dense_iteration(spec, z, t, n_u):
+    # the sweeps run on the model's cells; phi_apply on the standard grid, which
+    # refines them, is the dense oracle, iterated as many times from ones
+    f = TestFunction.constant(z)
+    eta, log = fixed_point(spec, f, t, n_u=n_u)
+    assert log.grid_n == operators.cell_grid_n(spec) == math.lcm(*spec.cells)
+    xi = TransformGrid(values=np.ones(eta.values.shape), u_grid=eta.u_grid, f=f)
+    for _ in range(log.iterations):
+        xi = phi_apply(xi, spec, f)
+    np.testing.assert_allclose(eta.values, xi.values, rtol=0.0, atol=1e-12)
+
+
+def _three_cell_model(grid_n):
+    return build_spec({
+        "graphon": {"family": "grid", "axis_counts": [3],
+                    "values": [[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.4, 0.7]]},
+        "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0},
+        "grid_n": grid_n,
+    })
+
+
+def test_fixed_point_exact_when_cells_do_not_divide_the_grid():
+    # 3 cells do not divide 64 nodes, so midpoint quadrature on the standard grid
+    # weighs the cells 21:22:21; the sweeps on the cells are exact at every node
+    f = TestFunction.constant(1.0)
+    eta, log = fixed_point(_three_cell_model(64), f, 4.0, n_u=129)
+    aligned, log_aligned = fixed_point(_three_cell_model(192), f, 4.0, n_u=129)
+    assert log.grid_n == log_aligned.grid_n == 3
+    assert eta.values.shape == (64, 129)
+    np.testing.assert_allclose(eta.values, aligned.values[1::3], rtol=0.0, atol=1e-12)
+
+
+def test_grid_test_function_keeps_the_standard_grid():
+    spec = _three_cell_model(64)
+    f = TestFunction.from_values(np.linspace(0.0, 1.0, 64))
+    eta, log = fixed_point(spec, f, 2.0, n_u=33)
+    assert log.grid_n == 64
+    xi = TransformGrid(values=np.ones((64, 33)), u_grid=eta.u_grid, f=f)
+    for _ in range(log.iterations):
+        xi = phi_apply(xi, spec, f)
+    np.testing.assert_array_equal(eta.values, xi.values)
 
 
 def test_laplace_of_q_trivial():
