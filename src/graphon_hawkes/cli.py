@@ -208,17 +208,18 @@ def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
     modes = ["annealed", "quenched"] if opt["mode"] == "both" else [opt["mode"]]
     rows = []
     summary: dict = {}
+    # one averaged model per d, shared by both modes with its gate grids
+    avgs = [average_model(spec, build_partition(spec.domain, d, opt["scheme"]))
+            for d in opt["d_list"]]
     for mode in modes:
-        for di, d in enumerate(opt["d_list"]):
-            part = build_partition(spec.domain, d, opt["scheme"])
-            avg = average_model(spec, part)
+        for di, (d, avg) in enumerate(zip(opt["d_list"], avgs)):
             frozen = None
             if mode == "quenched" and opt["freeze_graph"]:
                 frozen = sample_quenched_graph(avg, stream.child(90, di))
 
             def one(rep: int):
                 pair = simulate_coupled(
-                    spec, part, opt["horizon"], mode=mode,
+                    spec, avg.partition, opt["horizon"], mode=mode,
                     rng=stream.child(0 if mode == "annealed" else 1, di, rep),
                     quenched_graph=frozen, avg=avg,
                 )

@@ -169,10 +169,16 @@ def build_spec(cfg: dict, base_dir: Path | None = None) -> ModelSpec:
     )
 
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml, SafeLoader's constructors
+
+
 def load_model(path) -> ModelSpec:
     path = Path(path)
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.load(fh, Loader=_LOADER)
+        except yaml.YAMLError as exc:
+            raise InvalidParameterError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidParameterError(f"config {path} is not a mapping")
     return build_spec(cfg, base_dir=path.parent)

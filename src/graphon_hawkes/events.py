@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # stateless; one NDJSON line per encode
+
 
 def box_mask(points: np.ndarray, box) -> np.ndarray:
     """Rows of the (k, m) `points` inside the closed box (lo, hi); all rows
@@ -69,20 +71,18 @@ class Realization:
         )
 
     def to_ndjson(self) -> str:
-        lines = []
-        for i in range(len(self)):
-            pid = int(self.parent_ids[i])
-            lt = float(self.lifetimes[i])
-            rec = {
-                "id": int(self.ids[i]),
-                "t": float(self.times[i]),
-                "x": [float(v) for v in np.atleast_1d(self.locations[i])],
-                "gen": int(self.generations[i]),
-                "parent": None if pid < 0 else pid,
-                "xi": float(self.mark_scalars[i]),
-                "lifetime": None if math.isnan(lt) else lt,
-            }
-            lines.append(json.dumps(rec, separators=(",", ":")))
+        cols = zip(
+            self.ids.tolist(), self.times.tolist(),
+            self.locations.reshape(len(self), self.dim).tolist(), self.generations.tolist(),
+            self.parent_ids.tolist(), self.mark_scalars.tolist(), self.lifetimes.tolist(),
+        )
+        lines = [
+            _ENCODER.encode({
+                "id": i, "t": t, "x": x, "gen": gen, "parent": None if pid < 0 else pid,
+                "xi": xi, "lifetime": None if math.isnan(lt) else lt,
+            })
+            for i, t, x, gen, pid, xi, lt in cols
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

@@ -113,8 +113,11 @@ class SpatialProfile:
             # product of coordinates; reduces to a(x)=x in 1-d
             return np.prod(pts, axis=1)
         if self.family == "affine":
-            slope = np.asarray(self.slope if self.slope else (0.0,) * domain.dim)
-            return self.intercept + pts @ slope
+            slope = self.slope or (0.0,) * domain.dim
+            total = pts[:, 0] * slope[0]
+            for a in range(1, pts.shape[1]):  # not a matmul, whose rounding varies by batch
+                total = total + pts[:, a] * slope[a]
+            return self.intercept + total
         if self.family == "grid":
             return _grid_eval_profile(self, pts, domain)
         raise InvalidParameterError(f"unknown profile family {self.family!r}")
@@ -160,53 +163,54 @@ class PairFunction:
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray, domain: SpatialDomain) -> np.ndarray:
         """Evaluate at matched point pairs; xs, ys of shape (k, m)."""
-        xs = np.atleast_2d(np.asarray(xs, float))
-        ys = np.atleast_2d(np.asarray(ys, float))
-        if self.family == "constant":
-            return np.full(xs.shape[0], float(self.value))
-        if self.family == "rank-one":
-            a = self.profile or SpatialProfile("identity")
-            return self.coeff * a(xs, domain) * a(ys, domain)
-        if self.family == "grid":
-            return self._grid_pairs(xs, ys, domain)
-        raise InvalidParameterError(f"unknown pair-function family {self.family!r}")
+        return self._combine(self._per_point(xs, domain), self._per_point(ys, domain))
 
     def matrix(self, nodes: np.ndarray, domain: SpatialDomain) -> np.ndarray:
-        """F(x_i, x_j) at all node pairs; shape (k, k), rows x, cols y."""
-        k = nodes.shape[0]
-        ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        return self.pairs(nodes[ii.ravel()], nodes[jj.ravel()], domain).reshape(k, k)
+        """F(x_i, x_j) at all node pairs; shape (k, k), rows x, cols y.  The
+        per-point terms, computed once on the k nodes, broadcast (k, 1) against
+        (1, k) through the operations of `pairs` in the same order: the result
+        is byte-identical to `pairs` at the meshgrid of node pairs."""
+        terms = self._per_point(nodes, domain)
+        return self._combine([t[:, None] for t in terms], [t[None, :] for t in terms])
 
     def column(self, zs: np.ndarray, y: np.ndarray, domain: SpatialDomain) -> np.ndarray:
         """z -> F(z, y) for a single y over many z; shape (k,)."""
-        zs = np.atleast_2d(np.asarray(zs, float))
-        ys = np.broadcast_to(np.atleast_1d(y), (zs.shape[0], zs.shape[1]))
-        return self.pairs(zs, ys, domain)
+        return self._combine(self._per_point(zs, domain), self._per_point(y, domain))
 
     @property
     def cell_counts(self) -> tuple[int, ...]:
         return self.axis_counts or (np.shape(self.values)[0],)
 
-    def _grid_pairs(self, xs, ys, domain):
-        vals = np.asarray(self.values, float)
-        counts = self.cell_counts
-        if self.interp == "bilinear" and domain.dim == 1:
-            n = counts[0]
+    def _per_point(self, pts, domain) -> tuple[np.ndarray, ...]:
+        """What the pair formula reads of each point: a(x) (rank-one), the cell
+        index or the bilinear indices and weight (grid), the count (constant)."""
+        pts = np.atleast_2d(np.asarray(pts, float))
+        if self.family == "constant":
+            return (np.empty(pts.shape[0]),)
+        if self.family == "rank-one":
+            return ((self.profile or SpatialProfile("identity"))(pts, domain),)
+        if self.family != "grid":
+            raise InvalidParameterError(f"unknown pair-function family {self.family!r}")
+        if self.interp == "bilinear":
+            n = self.cell_counts[0]
             mids = domain.lo[0] + (np.arange(n) + 0.5) * (domain.hi[0] - domain.lo[0]) / n
-            fi = np.clip(np.interp(xs[:, 0], mids, np.arange(n)), 0, n - 1)
-            fj = np.clip(np.interp(ys[:, 0], mids, np.arange(n)), 0, n - 1)
-            i0, j0 = fi.astype(int), fj.astype(int)
-            i1, j1 = np.minimum(i0 + 1, n - 1), np.minimum(j0 + 1, n - 1)
-            ti, tj = fi - i0, fj - j0
-            return (
-                vals[i0, j0] * (1 - ti) * (1 - tj)
-                + vals[i1, j0] * ti * (1 - tj)
-                + vals[i0, j1] * (1 - ti) * tj
-                + vals[i1, j1] * ti * tj
-            )
-        i = _cell_index(xs, domain, counts)
-        j = _cell_index(ys, domain, counts)
-        return vals[i, j]
+            f = np.clip(np.interp(pts[:, 0], mids, np.arange(n)), 0, n - 1)
+            i0 = f.astype(int)
+            return i0, np.minimum(i0 + 1, n - 1), f - i0
+        return (_cell_index(pts, domain, self.cell_counts),)
+
+    def _combine(self, x, y) -> np.ndarray:
+        """The pair formula on per-point terms, broadcast x against y."""
+        if self.family == "constant":
+            return np.full(np.broadcast(x[0], y[0]).shape, float(self.value))
+        if self.family == "rank-one":
+            return self.coeff * x[0] * y[0]
+        vals = np.asarray(self.values, float)
+        if self.interp == "bilinear":
+            (i0, i1, ti), (j0, j1, tj) = x, y
+            return (vals[i0, j0] * (1 - ti) * (1 - tj) + vals[i1, j0] * ti * (1 - tj)
+                    + vals[i0, j1] * (1 - ti) * tj + vals[i1, j1] * ti * tj)
+        return vals[x[0], y[0]]
 
     def sup_bound(self) -> float:
         if self.family == "constant":
@@ -525,6 +529,10 @@ def _probe_matrix(pf: PairFunction, domain, cap=4096):
     return pf.matrix(nodes, domain)
 
 
+# the one interpolation besides pw-constant of each grid kind; 1-d domains only
+_SMOOTH_INTERP = {SpatialProfile: "linear", PairFunction: "bilinear"}
+
+
 def _table_fits(fn) -> bool:
     """A grid's table holds one value per cell, per pair of cells for a pair function."""
     k = math.prod(fn.cell_counts)
@@ -544,10 +552,15 @@ def validate_model(spec: ModelSpec) -> list[str]:
     Returns a list of violation strings, empty iff the model is valid.
     Pure: identical specs produce identical reports.
     """
-    grids = [f for f in (spec.baseline, spec.graphon, spec.marks.b) if f.family == "grid"]
+    fns = (spec.baseline, spec.graphon, spec.marks.b)
+    profiles = [f.profile for f in fns if isinstance(f, PairFunction) and f.profile]
+    grids = [f for f in (*fns, *profiles) if f.family == "grid"]
     if not all(_table_fits(f) for f in grids):
         return ["invalid-parameter: grid values do not match axis_counts"]
-    report: list[str] = []
+    m = spec.domain.dim
+    report = [f"invalid-parameter: unsupported grid interpolation {f.interp!r} for a "
+              f"{type(f).__name__} on a {m}-d domain" for f in grids
+              if f.interp != "pw-constant" and (m > 1 or f.interp != _SMOOTH_INTERP[type(f)])]
     nodes, _ = spec.domain.grid(PROBE_N)
 
     lam = (np.asarray(spec.baseline.values, float) if spec.baseline.family == "grid"

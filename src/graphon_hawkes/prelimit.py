@@ -153,11 +153,13 @@ class AveragedModel:
 
 def _block_mean_matrix(values: np.ndarray, cell: np.ndarray, d: int) -> np.ndarray:
     """Average a pair matrix over the grid nodes' cell-pair blocks -> (d, d);
-    `cell` is each node's partition cell, every cell holding as many nodes."""
-    order = np.argsort(cell, kind="stable")
+    `cell` is each node's partition cell, every cell holding as many nodes.
+    Nodes already in cell order (always in 1-d) are reshaped without a copy."""
+    if (np.diff(cell) < 0).any():
+        order = np.argsort(cell, kind="stable")
+        values = values[np.ix_(order, order)]
     per_cell = cell.shape[0] // d
-    v = values[np.ix_(order, order)].reshape(d, per_cell, d, per_cell)
-    return v.mean(axis=(1, 3))
+    return values.reshape(d, per_cell, d, per_cell).mean(axis=(1, 3))
 
 
 def average_model(spec: ModelSpec, partition: Partition) -> AveragedModel:

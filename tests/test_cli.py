@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from graphon_hawkes import cli
 from graphon_hawkes.cli import main
+from graphon_hawkes.prelimit import average_model
 
 CONST_MODEL = {
     "domain": {"lower": [0.0], "upper": [1.0]},
@@ -122,6 +124,31 @@ def test_converge_deterministic_across_threads(model_file, tmp_path):
         assert rc == 0
         outs.append(read_artifacts(out))
     assert outs[0] == outs[1]
+
+
+def test_converge_averages_once_per_d(model_file, tmp_path, monkeypatch):
+    # both modes share one averaged model (and its gate grids) per d
+    calls = []
+
+    def counting(spec, partition):
+        calls.append(partition.d)
+        return average_model(spec, partition)
+
+    monkeypatch.setattr(cli, "average_model", counting)
+    rc = main(["--model", str(model_file), "--seed", "5", "--out", str(tmp_path / "c"),
+               "converge", "--d-list", "2,4,8", "--mode", "both", "--reps", "1",
+               "--horizon", "1"])
+    assert rc == 0
+    assert calls == [2, 4, 8]
+
+
+def test_malformed_yaml_exit_1_typed(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("a: [1, 2\n")
+    rc = main(["--model", str(path), "--out", str(tmp_path / "b"), "stability"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[invalid-parameter]: config ") and "broken.yaml" in err
 
 
 def test_simulate_thinning_method_and_history(model_file, tmp_path):

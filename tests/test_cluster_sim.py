@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import types
 
@@ -417,6 +418,36 @@ def test_realization_invariants():
         if pid >= 0:
             j = int(np.nonzero(real.ids == pid)[0][0])
             assert real.times[j] < real.times[i]
+
+
+def per_event_ndjson(real) -> str:
+    """NDJSON written one json.dumps per event, with numpy scalar indexing."""
+    lines = []
+    for i in range(len(real)):
+        pid, lt = int(real.parent_ids[i]), float(real.lifetimes[i])
+        rec = {"id": int(real.ids[i]), "t": float(real.times[i]),
+               "x": [float(v) for v in np.atleast_1d(real.locations[i])],
+               "gen": int(real.generations[i]), "parent": None if pid < 0 else pid,
+               "xi": float(real.mark_scalars[i]), "lifetime": None if math.isnan(lt) else lt}
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("spec,lifetimes", [
+    (gh.constant_model(0.5, grid_n=128), True),
+    (gh.constant_model(0.5, grid_n=128), False),
+    (gh.ModelSpec(domain=gh.SpatialDomain((0.0, 0.0), (1.0, 2.0)),
+                  baseline=SpatialProfile("constant", value=1.0),
+                  graphon=gh.PairFunction("constant", value=0.2),
+                  excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+                  c_w=0.2, grid_n=8), True),
+])
+def test_ndjson_equals_per_event_encoding(spec, lifetimes):
+    real = simulate_process(spec, 30.0, gh.SplitStream(16), with_lifetimes=lifetimes)
+    assert len(real) > 1 and (real.parent_ids >= 0).any()
+    assert real.to_ndjson() == per_event_ndjson(real)
+    empty = gh.Realization.empty(spec.domain.dim, 4.0)
+    assert empty.to_ndjson() == per_event_ndjson(empty) == ""
 
 
 def test_ndjson_roundtrip():

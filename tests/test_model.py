@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import graphon_hawkes as gh
+from graphon_hawkes import config
 from graphon_hawkes.config import build_spec, load_model, model_digest, spec_config
-from graphon_hawkes.errors import NegativeTimeError, OutOfDomainError
+from graphon_hawkes.errors import InvalidParameterError, NegativeTimeError, OutOfDomainError
 from graphon_hawkes.model import (
     ExcitationKernel,
     LifetimeModel,
@@ -81,6 +82,35 @@ def test_validate_refuses_a_table_that_does_not_match_its_counts(node):
     # evaluation would index past the table (or never read part of it)
     assert gh.validate_model(build_spec(node)) == [
         "invalid-parameter: grid values do not match axis_counts"]
+
+
+@pytest.mark.parametrize("m,kind,interp", [
+    (1, "graphon", "bilnear"), (2, "graphon", "bilinear"), (1, "graphon", "linear"),
+    (2, "baseline", "linear"), (1, "baseline", "bilinear"), (1, "marks", "cubic"),
+    (1, "profile", "lineer"),
+])
+def test_validate_refuses_unsupported_grid_interpolation(m, kind, interp):
+    # evaluated as pw-constant, such a grid would silently lose the model's cells
+    name = {"graphon": "PairFunction", "marks": "PairFunction"}.get(kind, "SpatialProfile")
+    counts = [2] * m
+    pair = {"family": "grid", "values": np.full((2**m, 2**m), 0.3).tolist(),
+            "axis_counts": counts, "interp": interp}
+    cfg = {"domain": {"lower": [0.0] * m, "upper": [1.0] * m},
+           "graphon": {"family": "constant", "value": 0.3}}
+    if kind == "graphon":
+        cfg["graphon"] = pair
+    elif kind == "marks":
+        cfg["marks"] = {"kind": "scaled-profile", "profile": pair}
+    else:
+        prof = {"family": "grid", "values": [1.0] * 2**m, "axis_counts": counts,
+                "interp": interp}
+        if kind == "baseline":
+            cfg["baseline"] = prof
+        else:
+            cfg["graphon"] = {"family": "rank-one", "coeff": 0.3, "profile": prof}
+    assert gh.validate_model(build_spec(cfg)) == [
+        f"invalid-parameter: unsupported grid interpolation {interp!r} for a {name} "
+        f"on a {m}-d domain"]
 
 
 def test_validate_non_l1_excitation():
@@ -244,6 +274,84 @@ def test_pair_matrix_matches_pointwise_pairs(pf):
             assert mat[i, j] == pf.pairs(nodes[i], nodes[j], dom)[0]
 
 
+def meshgrid_pairs(pf, xs, ys, dom):
+    """The pair evaluation before the per-point evaluator, one pair per row."""
+    if pf.family == "constant":
+        return np.full(xs.shape[0], float(pf.value))
+    if pf.family == "rank-one":
+        a = pf.profile or SpatialProfile("identity")
+        return pf.coeff * a(xs, dom) * a(ys, dom)
+    vals, counts = np.asarray(pf.values, float), pf.cell_counts
+    if pf.interp == "bilinear":
+        n = counts[0]
+        mids = dom.lo[0] + (np.arange(n) + 0.5) * (dom.hi[0] - dom.lo[0]) / n
+        fi = np.clip(np.interp(xs[:, 0], mids, np.arange(n)), 0, n - 1)
+        fj = np.clip(np.interp(ys[:, 0], mids, np.arange(n)), 0, n - 1)
+        i0, j0 = fi.astype(int), fj.astype(int)
+        i1, j1 = np.minimum(i0 + 1, n - 1), np.minimum(j0 + 1, n - 1)
+        ti, tj = fi - i0, fj - j0
+        return (vals[i0, j0] * (1 - ti) * (1 - tj) + vals[i1, j0] * ti * (1 - tj)
+                + vals[i0, j1] * (1 - ti) * tj + vals[i1, j1] * ti * tj)
+    cells = [np.minimum(np.maximum(((p - dom.lo) / (dom.hi - dom.lo) * counts).astype(int),
+                                   0), np.asarray(counts) - 1) for p in (xs, ys)]
+    flat = [np.ravel_multi_index(tuple(c.T), counts) for c in cells]
+    return vals[flat[0], flat[1]]
+
+
+moderate = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def evaluator_cases(draw):
+    m = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-10, 10), min_size=m, max_size=m)))
+    span = np.array(draw(st.lists(st.floats(0.01, 10), min_size=m, max_size=m)))
+    dom = SpatialDomain(tuple(lo), tuple(lo + span))
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    k = math.prod(counts)
+    fam = draw(st.sampled_from(["constant", "rank-one", "grid"]))
+    if fam == "constant":
+        pf = PairFunction("constant", value=draw(moderate))
+    elif fam == "grid":
+        interp = draw(st.sampled_from(["pw-constant", "bilinear"] if m == 1 else ["pw-constant"]))
+        table = np.array(draw(st.lists(moderate, min_size=k * k, max_size=k * k)))
+        pf = PairFunction("grid", values=table.reshape(k, k), axis_counts=counts, interp=interp)
+    else:
+        kind = draw(st.sampled_from(["none", "constant", "identity", "affine", "grid"]))
+        prof = {
+            "none": None,
+            "constant": SpatialProfile("constant", value=draw(moderate)),
+            "identity": SpatialProfile("identity"),
+            "affine": SpatialProfile("affine", intercept=draw(moderate), slope=tuple(
+                draw(st.lists(moderate, min_size=m, max_size=m)))),
+            "grid": SpatialProfile(
+                "grid", values=np.array(draw(st.lists(moderate, min_size=k, max_size=k))),
+                axis_counts=counts, interp=draw(st.sampled_from(
+                    ["pw-constant", "linear"] if m == 1 else ["pw-constant"]))),
+        }[kind]
+        pf = PairFunction("rank-one", coeff=draw(moderate), profile=prof)
+    n = draw(st.integers(1, [24, 8, 4][m - 1]))
+    return pf, dom, n
+
+
+@settings(max_examples=300)
+@given(evaluator_cases(), st.data())
+def test_pair_matrix_equals_meshgrid_pairs_bit_for_bit(case, data):
+    pf, dom, n = case
+    nodes, _ = dom.grid(n)
+    k = nodes.shape[0]
+    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    old = meshgrid_pairs(pf, nodes[ii.ravel()], nodes[jj.ravel()], dom).reshape(k, k)
+    new = pf.matrix(nodes, dom)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
+    # pairs at matched rows and a column at one source point: the same evaluator
+    perm = np.array(data.draw(st.permutations(range(k))))
+    assert pf.pairs(nodes, nodes[perm], dom).tobytes() == old[np.arange(k), perm].tobytes()
+    j = data.draw(st.integers(0, k - 1))
+    assert pf.column(nodes, nodes[j], dom).tobytes() == old[:, j].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Config round trip: spec_config -> YAML file -> load_model keeps the digest
 
@@ -336,3 +444,14 @@ def test_config_round_trip_keeps_digest(tmp_path_factory, spec):
     back = load_model(path)
     assert spec_config(back) == spec_config(spec)
     assert model_digest(back) == model_digest(spec)
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_malformed_yaml_is_an_invalid_parameter(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip(f"PyYAML built without {loader}")
+    monkeypatch.setattr(config, "_LOADER", getattr(yaml, loader))
+    path = tmp_path / "broken.yaml"
+    path.write_text("a: [1, 2\n")
+    with pytest.raises(InvalidParameterError, match="broken.yaml"):
+        load_model(path)

@@ -6,6 +6,7 @@ and dense dominant eigenvalues on the same grid.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -194,6 +195,31 @@ def test_outdegree_norm_matches_operator_norm_unmarked():
     assert outdegree_norm(spec, 256) == pytest.approx(
         operator_norm_l1(discretize_kernel(spec, 256))
     )
+
+
+def grid_model(interp: str) -> gh.ModelSpec:
+    table = np.random.default_rng(4).uniform(0.2, 1.0, (16, 16)) / 16
+    return build_spec({"graphon": {"family": "grid", "values": table.tolist(),
+                                   "axis_counts": [16], "interp": interp}})
+
+
+@pytest.mark.parametrize("spec", [gh.constant_model(0.5), gh.rank_one_model(1.5),
+                                  grid_model("pw-constant"), grid_model("bilinear")],
+                         ids=["constant", "rank-one", "pw-constant", "bilinear"])
+def test_discretize_kernel_memory_stays_within_six_pair_matrices(spec):
+    # Alive at once: E[B] and c E[B] while W is formed, and at most three
+    # arrays while a bilinear W is summed (running sum, a gathered corner,
+    # its weighted product): 5 arrays of k^2 doubles, plus one of margin.
+    # Forming the k^2 node pairs first cost 7 (constant) to 17 (bilinear).
+    n = 512
+    discretize_kernel(spec, n)  # cached model properties are not counted
+    tracemalloc.start()
+    try:
+        discretize_kernel(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n * n
 
 
 def test_stability_report_fields():
