@@ -292,7 +292,7 @@ def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
     lq = laplace_of_Q(eta, spec, opt["t"])
     payload = {
         "L_Q": lq,
-        "grid_n": log.grid_n,
+        "grid_n": eta.grid_n,
         "iterations": log.iterations,
         "envelope_ok": log.envelope_ok,
         "converged": log.converged,

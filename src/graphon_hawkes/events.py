@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))  # stateless; one NDJSON line per encode
+
+def _json_floats(a: np.ndarray, nan: str = "NaN") -> list[str]:
+    """Each number as the json encoder writes it: repr, `nan`, +-Infinity."""
+    out = list(map(repr, a.tolist()))
+    if np.isfinite(a).all():
+        return out
+    words = {"nan": nan, "inf": "Infinity", "-inf": "-Infinity"}
+    return [words.get(s, s) for s in out]
 
 
 def box_mask(points: np.ndarray, box) -> np.ndarray:
@@ -71,19 +78,16 @@ class Realization:
         )
 
     def to_ndjson(self) -> str:
-        cols = zip(
-            self.ids.tolist(), self.times.tolist(),
-            self.locations.reshape(len(self), self.dim).tolist(), self.generations.tolist(),
-            self.parent_ids.tolist(), self.mark_scalars.tolist(), self.lifetimes.tolist(),
-        )
-        lines = [
-            _ENCODER.encode({
-                "id": i, "t": t, "x": x, "gen": gen, "parent": None if pid < 0 else pid,
-                "xi": xi, "lifetime": None if math.isnan(lt) else lt,
-            })
-            for i, t, x, gen, pid, xi, lt in cols
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One line per event, as json.dumps(separators=(",", ":")) writes it."""
+        n, m = len(self), self.dim
+        line = ('{"id":%d,"t":%s,"x":[' + ",".join(["%s"] * m)
+                + '],"gen":%d,"parent":%s,"xi":%s,"lifetime":%s}\n')
+        parents = ["null" if p < 0 else str(p) for p in self.parent_ids.tolist()]
+        rows = zip(self.ids.tolist(), _json_floats(self.times),
+                   *map(_json_floats, self.locations.reshape(n, m).T),
+                   self.generations.tolist(), parents, _json_floats(self.mark_scalars),
+                   _json_floats(self.lifetimes, nan="null"))
+        return "".join([line % row for row in rows])
 
     @classmethod
     def from_ndjson(cls, text: str, horizon: float = math.inf) -> "Realization":

@@ -477,6 +477,12 @@ class ModelSpec:
         return self.domain.grid(self.grid_n)
 
     @cached_property
+    def gate(self):
+        """`operators.gate_grid` of this model, built once with its verdict."""
+        from .operators import gate_grid
+        return gate_grid(self)
+
+    @cached_property
     def alpha(self) -> float:
         """Total baseline mass, by quadrature on the standard grid."""
         nodes, w = self.std_grid
@@ -634,10 +640,11 @@ def eval_kernel_density(spec: ModelSpec, x, y) -> float:
 
 
 def kernel_density_matrix(spec: ModelSpec, nodes: np.ndarray) -> np.ndarray:
-    """c * E[B] * W at all node pairs; shape (k, k), rows=x, cols=y."""
-    c = spec.nonlinearity.lipschitz
-    eb = spec.marks.mean_xi * spec.marks.b.matrix(nodes, spec.domain)
-    return c * eb * spec.graphon.matrix(nodes, spec.domain)
+    """c * E[B] * W at all node pairs; shape (k, k), rows=x, cols=y.  A
+    constant b enters as the scalar E[B], with the same bytes as its matrix."""
+    c, b = spec.nonlinearity.lipschitz, spec.marks.b
+    b_vals = float(b.value) if b.family == "constant" else b.matrix(nodes, spec.domain)
+    return c * (spec.marks.mean_xi * b_vals) * spec.graphon.matrix(nodes, spec.domain)
 
 
 def integrated_excitation(h: ExcitationKernel, u) -> np.ndarray | float:

@@ -50,7 +50,7 @@ from .model import (
     SpatialProfile,
     _cell_index,
 )
-from .operators import KernelGrid, gate_grid, require_stable
+from .operators import require_stable
 from .rng import SplitStream
 
 
@@ -142,13 +142,6 @@ class AveragedModel:
         b = None if self.base.marks.kind == "unmarked" else self.b_cell
         return _cell_model(self, self.W_cell, b, float(self.W_cell.max(initial=0.0)),
                            self.base.symmetric)
-
-    @cached_property
-    def gate_grids(self) -> tuple[KernelGrid, KernelGrid]:
-        """Gate grids of the continuum model and of this average.  They hold
-        their analyses, so replications sharing this average share one
-        coupling verdict."""
-        return gate_grid(self.base), gate_grid(self.spec)
 
 
 def _block_mean_matrix(values: np.ndarray, cell: np.ndarray, d: int) -> np.ndarray:
@@ -375,9 +368,8 @@ def simulate_coupled(
     if avg.base is not spec or avg.partition.axis_counts != partition.axis_counts:
         raise InvalidArgumentError("avg is not the average of this model on this partition")
     if check_stability:
-        continuum, prelimit = avg.gate_grids
-        require_stable(continuum, UnstableModelError, "continuum model")
-        require_stable(prelimit, PrelimitUnstableError, "averaged model at this partition")
+        require_stable(spec.gate, UnstableModelError, "continuum model")
+        require_stable(avg.spec.gate, PrelimitUnstableError, "averaged model at this partition")
     quenched = mode == "quenched"
     lazy = _LazyGraph(avg, quenched_graph, gen) if quenched else None
 

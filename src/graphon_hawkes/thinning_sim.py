@@ -8,42 +8,41 @@ majorant of h is used, so table kernels need not be monotone): right after
 any event, the total intensity bound computed there dominates all later
 times until the next accepted event.
 
-The excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k) on the n-point
-grid is carried per kernel family, so that no accepted event copies the
-history and exponential candidates need no sum at all:
-  exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref), and an event at t
-               sets S <- e^{-beta (t - t_ref)} S + xi l1 beta b(., y) W(., y),
-               t_ref <- t (Ogata 1981; Dassios & Zhao 2013).  Exact;
-               O(n) per candidate and per event, O(n) memory.  h is
-               monotone, so the bound is S itself.
-  table and    a column table: each of the N past events (initial history
-  power-law    included) keeps (time, xi, column id), and the table holds one
-               clipped offspring column per id, keyed by source cell for
-               piecewise-constant profiles (d cells: d columns) and one per
-               event for smooth ones.  A candidate costs
-               bincount(id, xi h(t - t_k)) @ table, O(N + d n) for step
-               profiles and O(N n) for smooth ones; memory is O(N + d n)
-               and O(N n).  Arrays grow to twice the need when full.
-Columns come from `OffspringColumns`, shared with the cluster engine.  A
-spatially constant intensity (constant baseline, graphon and b; `flat`)
-places accepted events by the flat draw `sample_location(None, ...)`, in law
-the normalized intensity; in one dimension on 2^j cells it is the inverse-CDF
-draw bit for bit.
+A model with cells (`ModelSpec.cells`) is a d-variate Hawkes process on them,
+so the state lives on its cell grid (`operators.cell_grid_n`): cell midpoints
+weighted by cell volumes, 1 cell for a constant model.  A model without cells
+keeps its standard grid, whose n^m nodes play the cells.  The baseline and
+the excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k) hold one value per
+cell, the excitation carried per kernel family:
+  exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref); an event at t sets
+               S <- S(t) + xi l1 beta b(., y) W(., y), t_ref <- t (Ogata 1981;
+               Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
+               beside S.  Exact, and h is monotone, so the bound is S itself.
+               O(d) per event; with an identity f a candidate's total is
+               base_total + decay * S_total: O(1), no cell vector formed.
+  table and    a column table: the N past events keep (time, xi, column id),
+  power-law    one clipped offspring column per source cell (step profiles)
+               or per event (smooth ones).  A candidate costs
+               bincount(id, xi h(t - t_k)) @ table: O(N + d^2), or O(N d).
+Other candidates form the cell vector once and reduce it with one dot
+product.  An accepted event is placed by `sample_location` from the cell
+vector; on one cell that draw is lo + u (hi - lo) bit for bit, so a one-cell
+model forms no vector.  Columns come from `OffspringColumns`.
 Evaluation times must not decrease between calls on one state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cluster_sim import DEFAULT_EVENT_CAP, OffspringColumns, sample_location
+from .cluster_sim import DEFAULT_EVENT_CAP, OffspringColumns, _as_stream, sample_location
 from .errors import AcausalHistoryError, ThinningBoundError
 from .events import Realization
 from .model import ModelSpec
-from .rng import SplitStream
+from .operators import cell_grid_n
 
 RATE_CAP = 1e9
 
@@ -101,53 +100,49 @@ def conditional_intensity(
 
 
 class _ThinningState:
-    """Mutable per-run state: the excitation carried by the past events.
-
-    Exponential kernels keep the recursion S; every other kernel keeps the
-    column table (see the module docstring).
+    """Mutable per-run state on the model's cells: the excitation carried by
+    the past events.  Exponential kernels keep the recursion S and its total;
+    every other kernel keeps the column table (see the module docstring).
     """
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
+        # the model on its cell grid: its "standard grid" is then its cells
+        self.spec = spec = replace(spec, grid_n=cell_grid_n(spec) or spec.grid_n)
         self.nodes, self.weights = spec.std_grid
+        self.flat = self.weights.size == 1  # one cell
         self.base = np.maximum(spec.baseline_on(self.nodes), 0.0)
+        self._base_total = float(self.base @ self.weights)
         self._columns = OffspringColumns(spec)
-        self.flat = self._columns.flat and spec.baseline.family == "constant"
         kernel = spec.excitation
         self._beta = kernel.rate if kernel.family == "exponential" else None
+        self._linear = self._beta is not None and spec.nonlinearity.is_identity
         self._t_ref = -math.inf
-        self._s: np.ndarray | None = None  # S(t_ref), exponential kernels
+        self._s = np.zeros(self.weights.size)  # S(t_ref), exponential kernels
+        self._s_total = 0.0  # sum_c v_c S_c(t_ref)
         self._n = 0  # events held
         self._times, self._xis = np.empty(0), np.empty(0)
         self._ids = np.empty(0, dtype=np.intp)  # event -> table row
         self._k = 0  # table rows in use
-        self._table = np.empty((0, self.nodes.shape[0]))
+        self._table = np.empty((0, self.weights.size))
         self._row_of: dict[int, int] = {}  # cache key -> table row
 
     def push(self, t: float, y: np.ndarray, xi: float):
         self._push(t, y, xi, self._columns.key(y))
 
     def load(self, history: HistorySnapshot):
-        """Push a time-sorted history in one pass, without per-event copies.
-        The column table keys it in one `_keys` call; the exponential
-        recursion keys one event at a time and keeps O(n) memory."""
-        if self._beta is None:
-            self._make_room(history.times.size)
-            keys = self._columns.keys(history.locations)
-        else:
-            keys = map(self._columns.key, history.locations)
+        """Push a time-sorted history in one pass, keyed in one `keys` call."""
+        keys = self._columns.keys(history.locations)
         for s, y, xi, key in zip(history.times, history.locations, history.mark_scalars, keys):
             self._push(float(s), y, float(xi), key)
 
     def _push(self, t: float, y: np.ndarray, xi: float, key: int | None):
         if self._beta is not None:
-            col = self._columns.column_of(key, y)[1]
-            jump = (xi * self.spec.excitation.sup_norm) * col  # sup_norm = h(0)
-            if self._s is None:
-                self._s = jump
-            else:
-                self._s *= self._decay(t)
-                self._s += jump
+            mass, col = self._columns.column_of(key, y)
+            jump = xi * self.spec.excitation.sup_norm  # sup_norm = h(0)
+            decay = self._decay(t)  # 0 before the first event
+            self._s *= decay
+            self._s += jump * col
+            self._s_total = decay * self._s_total + jump * mass
             self._t_ref = t
             return
         row = self._row_of.get(key)
@@ -159,23 +154,18 @@ class _ThinningState:
             self._k += 1
             if key is not None:
                 self._row_of[key] = row
-        if self._n == self._times.shape[0]:
-            self._make_room(1)
+        if self._n == self._times.shape[0]:  # full: reallocate at twice the size
+            self._times, self._xis, self._ids = (
+                _grown(a, self._n, 2 * self._n) for a in (self._times, self._xis, self._ids))
         self._times[self._n], self._xis[self._n], self._ids[self._n] = t, xi, row
         self._n += 1
-
-    def _make_room(self, k: int):
-        """Reallocate the event arrays at twice the size needed for k more."""
-        size = 2 * (self._n + k)
-        self._times, self._xis, self._ids = (
-            _grown(a, self._n, size) for a in (self._times, self._xis, self._ids))
 
     def _decay(self, t: float) -> float:
         return math.exp(-self._beta * (t - self._t_ref))
 
     def _excitation(self, t: float, envelope: bool) -> np.ndarray | float:
         if self._beta is not None:
-            return 0.0 if self._s is None else self._decay(t) * self._s
+            return self._decay(t) * self._s
         if self._n == 0:
             return 0.0
         lags = t - self._times[: self._n]
@@ -188,13 +178,20 @@ class _ThinningState:
         weights = np.bincount(self._ids[: self._n], hv * self._xis[: self._n], self._k)
         return weights @ self._table[: self._k]
 
-    def intensity(self, t: float) -> np.ndarray:
-        return self.spec.nonlinearity(self.base + self._excitation(t, envelope=False))
+    def intensity(self, t: float, envelope: bool = False) -> np.ndarray:
+        """lambda_t on the cells; `envelope` reads h's nonincreasing majorant."""
+        return self.spec.nonlinearity(self.base + self._excitation(t, envelope))
+
+    def total(self, t: float, envelope: bool = False) -> tuple[float, np.ndarray | None]:
+        """(sum_c v_c lambda_t(c), the cell vector, or None if not formed)."""
+        if self._linear:
+            return self._base_total + self._decay(t) * self._s_total, None
+        vals = self.intensity(t, envelope)
+        return float(vals @ self.weights), vals
 
     def total_bound(self, t: float) -> float:
         """Dominating total rate valid for all times >= t until the next event."""
-        vals = self.spec.nonlinearity(self.base + self._excitation(t, envelope=True))
-        return float(np.sum(vals * self.weights))
+        return self.total(t, envelope=True)[0]
 
 
 def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -221,10 +218,8 @@ def simulate_thinning(
     is more than 4x the actual rate.  Dominating-rate correctness is
     checked at every candidate; a violation raises ThinningBoundError.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = SplitStream(int(rng))
-    gen = rng.child().generator() if isinstance(rng, SplitStream) else rng
-    seed_info = rng.describe() if isinstance(rng, SplitStream) else {}
+    stream = _as_stream(rng)
+    gen = stream.child().generator()
 
     state = _ThinningState(spec)
     if initial is not None and initial.times.size:
@@ -245,14 +240,16 @@ def simulate_thinning(
         t = t + gen.exponential(1.0 / bound)
         if t > horizon:
             break
-        lam_vals = state.intensity(t)
-        lam_total = float(np.sum(lam_vals * state.weights))
+        lam_total, lam_vals = state.total(t)
         if not lam_total <= bound * (1.0 + 1e-9):  # NaN fails too
             raise ThinningBoundError(
                 f"total intensity {lam_total!r} exceeds the dominating rate {bound!r}"
             )
         if gen.random() * bound <= lam_total:
-            density = None if state.flat else lam_vals
+            if state.flat:  # on one cell the inverse-CDF draw is lo + u (hi - lo)
+                density = None
+            else:
+                density = state.intensity(t) if lam_vals is None else lam_vals
             loc = sample_location(density, spec.domain, gen.random((1, spec.domain.dim)))[0]
             xi = float(spec.marks.sample_xi(gen, 1)[0])
             out_t.append(t)
@@ -269,17 +266,13 @@ def simulate_thinning(
     n = len(out_t)
     return Realization(
         times=np.asarray(out_t),
-        locations=(
-            np.asarray(out_x).reshape(n, spec.domain.dim)
-            if n
-            else np.empty((0, spec.domain.dim))
-        ),
+        locations=np.asarray(out_x, float).reshape(n, spec.domain.dim),
         generations=np.zeros(n, dtype=np.int64),
         parent_ids=np.full(n, -1, dtype=np.int64),
         mark_scalars=np.asarray(out_xi),
-        lifetimes=np.asarray(out_lt) if n else np.empty(0),
+        lifetimes=np.asarray(out_lt, float),
         ids=np.arange(n, dtype=np.int64),
         horizon=float(horizon),
-        seed=seed_info,
+        seed=stream.describe(),
         censored=censored,
     )

@@ -20,7 +20,8 @@ Which grid: for a model with cells (`ModelSpec.cells`) and a constant f, Phi
 is the d-variate Hawkes transform on them and every iterate from 1 is constant
 per cell, so `fixed_point` sweeps on `operators.cell_grid_n`, where the
 midpoint rule is exact; else on the standard grid.  Either way the result is
-expanded to the standard grid, one row per node.
+expanded to the standard grid, one row per node; `laplace_of_Q` and
+`_tail_mass` then weigh each cell by its volume, so they are exact too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .cluster_sim import DEFAULT_EVENT_CAP, ClusterEngine, _grow
 from .errors import InvalidArgumentError, ShapeError
 from .model import LifetimeModel, MarkModel, ModelSpec, _cell_index
-from .operators import cell_grid_n, gate_grid
+from .operators import cell_grid_n
 from .rng import SplitStream
 
 FIXED_POINT_MAX_ITER = 400
@@ -84,6 +85,7 @@ class TransformGrid:
     values: np.ndarray  # (n_x, n_u) in [0, 1]
     u_grid: np.ndarray  # (n_u,), u_grid[0] = 0
     f: TestFunction
+    grid_n: int | None = None  # per-axis size of the grid swept on; None: standard
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +95,6 @@ class FixedPointLog:
     envelope_constant: float
     converged: bool
     iterations: int
-    grid_n: int  # per-axis size of the grid the sweeps ran on
 
     @property
     def envelope_ok(self) -> bool:
@@ -173,7 +174,7 @@ def fixed_point(spec: ModelSpec, f: TestFunction, t: float, tol: float = 1e-10,
     """Iterate Phi from the constant 1 until the sup-change < tol.
 
     The sweeps run on the model's cell grid when it has cells and f is
-    constant, else on the standard grid (`FixedPointLog.grid_n` says which).
+    constant, else on the standard grid (`TransformGrid.grid_n` says which).
     The result is expanded once to the standard grid, one row per node.  The
     log pairs each iteration's sup-change with the theoretical envelope
     C^n t^n / n!.  Hitting the iteration cap returns the last iterate with
@@ -197,26 +198,36 @@ def fixed_point(spec: ModelSpec, f: TestFunction, t: float, tol: float = 1e-10,
             break
     if n != spec.grid_n:  # one row per standard-grid node, read from its cell
         values = values[_cell_index(spec.std_grid[0], spec.domain, (n,) * spec.domain.dim)]
-    return TransformGrid(values=values, u_grid=u_grid, f=f), FixedPointLog(
+    return TransformGrid(values=values, u_grid=u_grid, f=f, grid_n=n), FixedPointLog(
         sup_changes=sup_changes,
         envelope=envelope,
         envelope_constant=c_env,
         converged=sup_changes[-1] < tol,
         iterations=len(sup_changes),
-        grid_n=n,
     )
+
+
+def _baseline_mass(eta: TransformGrid, spec: ModelSpec) -> np.ndarray:
+    """lam_inf times each standard-grid node's weight, for integrals of eta over
+    X.  Where eta was swept on a coarser grid, so is constant per cell of it, a
+    node weighs its cell's volume over the cell's node count: exact."""
+    nodes, weights = spec.std_grid
+    if eta.values.shape[0] != nodes.shape[0]:
+        raise ShapeError("transform grid does not match the model's standard grid")
+    n = eta.grid_n or spec.grid_n
+    if n < spec.grid_n:
+        cell = _cell_index(nodes, spec.domain, (n,) * spec.domain.dim)
+        weights = spec.domain.volume / n**spec.domain.dim / np.bincount(cell)[cell]
+    return spec.baseline_on(nodes) * weights
 
 
 def laplace_of_Q(eta: TransformGrid, spec: ModelSpec, t: float) -> float:
     """L_Q(f, t) = exp( int int (eta - 1) lam_inf du dx ) by double quadrature."""
-    nodes, weights = spec.std_grid
-    if eta.values.shape[0] != nodes.shape[0]:
-        raise ShapeError("transform grid does not match the model's standard grid")
+    lam_w = _baseline_mass(eta, spec)
     n_u = int(np.searchsorted(eta.u_grid, t, side="right"))
     trapz = getattr(np, "trapezoid", None) or np.trapz
     inner = trapz(eta.values[:, :n_u] - 1.0, eta.u_grid[:n_u], axis=1)
-    lam = spec.baseline_on(nodes)
-    return float(np.exp(np.sum(inner * lam * weights)))
+    return float(np.exp(np.sum(inner * lam_w)))
 
 
 @dataclass(frozen=True)
@@ -296,9 +307,7 @@ class InterchangeReport:
 def _tail_mass(eta: TransformGrid, spec: ModelSpec) -> float:
     """Estimated int_{t}^{inf} int (1 - eta) lam_inf dx du beyond the grid,
     from a log-linear fit over the last decade of the time grid."""
-    nodes, weights = spec.std_grid
-    lam = spec.baseline_on(nodes)
-    a = np.maximum((1.0 - eta.values) * (lam * weights)[:, None], 0.0).sum(axis=0)
+    a = np.maximum((1.0 - eta.values) * _baseline_mass(eta, spec)[:, None], 0.0).sum(axis=0)
     u = eta.u_grid
     lo = int(0.9 * len(u))
     seg_u, seg_a = u[lo:], a[lo:]
@@ -335,7 +344,7 @@ def interchange_experiment(
     for d in d_list:
         part = build_partition(spec.domain, d, "per-axis-counts")
         aspec = average_model(spec, part).spec
-        unstable = not gate_grid(aspec).stable
+        unstable = not aspec.gate.stable
         eta_d, _ = fixed_point(aspec, f, t_large, tol=tol, n_u=n_u)
         l_d = laplace_of_Q(eta_d, aspec, t_large)
         entries.append(

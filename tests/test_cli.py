@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from graphon_hawkes import cli
+from graphon_hawkes import cli, operators
 from graphon_hawkes.cli import main
 from graphon_hawkes.prelimit import average_model
 
@@ -140,6 +140,30 @@ def test_converge_averages_once_per_d(model_file, tmp_path, monkeypatch):
                "--horizon", "1"])
     assert rc == 0
     assert calls == [2, 4, 8]
+
+
+def test_converge_builds_the_continuum_gate_grid_once(model_file, tmp_path, monkeypatch):
+    # every d gates the continuum model on one shared grid
+    bases, gated = [], []
+
+    def averaging(spec, partition):
+        bases.append(spec)
+        return average_model(spec, partition)
+
+    gate_grid = operators.gate_grid
+
+    def gating(spec):
+        gated.append(spec)
+        return gate_grid(spec)
+
+    monkeypatch.setattr(cli, "average_model", averaging)
+    monkeypatch.setattr(operators, "gate_grid", gating)
+    rc = main(["--model", str(model_file), "--seed", "5", "--out", str(tmp_path / "c"),
+               "converge", "--d-list", "2,4,8", "--mode", "both", "--reps", "1",
+               "--horizon", "1"])
+    assert rc == 0 and len(bases) == 3
+    assert sum(spec is bases[0] for spec in gated) == 1
+    assert len(gated) == 4  # and one grid per averaged model
 
 
 def test_malformed_yaml_exit_1_typed(tmp_path, capsys):

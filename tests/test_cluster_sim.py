@@ -450,6 +450,41 @@ def test_ndjson_equals_per_event_encoding(spec, lifetimes):
     assert empty.to_ndjson() == per_event_ndjson(empty) == ""
 
 
+def _realization(times, locations, gens, parents, xis, lifetimes, ids) -> gh.Realization:
+    return gh.Realization(times=times, locations=locations, generations=gens,
+                          parent_ids=parents, mark_scalars=xis, lifetimes=lifetimes,
+                          ids=ids, horizon=1.0)
+
+
+any_float = st.floats(width=64)  # -0.0, subnormals, huge values, NaN and +-inf
+int64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 8), m=st.integers(1, 3))
+def test_ndjson_writer_equals_per_event_encoding_on_any_values(data, n, m):
+    def draw(dtype, shape):
+        elements = any_float if dtype is np.float64 else int64
+        return data.draw(hnp.arrays(dtype, shape, elements=elements))
+
+    f, i = np.float64, np.int64
+    real = _realization(draw(f, n), draw(f, (n, m)), draw(i, n), draw(i, n), draw(f, n),
+                        draw(f, n), draw(i, n))
+    assert real.to_ndjson() == per_event_ndjson(real)
+
+
+def test_ndjson_writer_equals_per_event_encoding_at_the_extremes():
+    real = _realization(
+        np.array([-0.0, 5e-324, 1e300, -1e300]),
+        np.array([[np.nan, np.inf], [-np.inf, 2.2250738585072014e-308], [-5e-324, 0.1],
+                  [1e-310, -0.0]]),
+        np.array([0, 1, 2**62, 2**63 - 1]), np.array([-1, 0, -(2**63), 2**63 - 1]),
+        np.array([np.inf, np.nan, -0.0, 1e300]), np.array([np.nan, np.inf, -0.0, 3.5]),
+        np.array([2**63 - 1, 0, 7, 2**40]))
+    assert real.to_ndjson() == per_event_ndjson(real)
+    assert '"lifetime":null' in real.to_ndjson() and "Infinity" in real.to_ndjson()
+
+
 def test_ndjson_roundtrip():
     spec = gh.constant_model(0.5, grid_n=128)
     real = simulate_process(spec, 3.0, gh.SplitStream(15))

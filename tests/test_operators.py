@@ -203,14 +203,25 @@ def grid_model(interp: str) -> gh.ModelSpec:
                                    "axis_counts": [16], "interp": interp}})
 
 
-@pytest.mark.parametrize("spec", [gh.constant_model(0.5), gh.rank_one_model(1.5),
-                                  grid_model("pw-constant"), grid_model("bilinear")],
-                         ids=["constant", "rank-one", "pw-constant", "bilinear"])
-def test_discretize_kernel_memory_stays_within_six_pair_matrices(spec):
+def marked_model() -> gh.ModelSpec:
+    return build_spec({"marks": {"kind": "scaled-profile",
+                                 "xi": {"family": "exponential", "mean": 0.5},
+                                 "profile": {"family": "grid", "values": [[1.0, 0.5], [0.5, 2.0]],
+                                             "axis_counts": [2]}}})
+
+
+@pytest.mark.parametrize("spec,pairs", [
+    (gh.constant_model(0.5), 2), (gh.rank_one_model(1.5), 2),
+    (grid_model("pw-constant"), 2), (grid_model("bilinear"), 6), (marked_model(), 6),
+], ids=["constant", "rank-one", "pw-constant", "bilinear", "marked"])
+def test_discretize_kernel_memory_stays_within_six_pair_matrices(spec, pairs):
     # Alive at once: E[B] and c E[B] while W is formed, and at most three
     # arrays while a bilinear W is summed (running sum, a gathered corner,
     # its weighted product): 5 arrays of k^2 doubles, plus one of margin.
-    # Forming the k^2 node pairs first cost 7 (constant) to 17 (bilinear).
+    # A constant mark profile enters as a scalar, so W and c E[B] W are the
+    # only pair matrices of a model with constant marks and a gathered W
+    # (2, plus a few k-vectors).  Forming the k^2 node pairs first cost 7
+    # (constant) to 17 (bilinear), and a matrix of ones for b took 3.
     n = 512
     discretize_kernel(spec, n)  # cached model properties are not counted
     tracemalloc.start()
@@ -219,7 +230,7 @@ def test_discretize_kernel_memory_stays_within_six_pair_matrices(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * n * n
+    assert peak <= pairs * 8 * n * n + (16 * 8 * n if pairs == 2 else 0)
 
 
 def test_stability_report_fields():

@@ -13,7 +13,8 @@ import graphon_hawkes as gh
 from graphon_hawkes import cluster_sim, thinning_sim
 from graphon_hawkes.cluster_sim import sample_location, simulate_process
 from graphon_hawkes.errors import AcausalHistoryError, ThinningBoundError
-from graphon_hawkes.model import Nonlinearity
+from graphon_hawkes.model import Nonlinearity, _cell_index
+from graphon_hawkes.operators import cell_grid_n
 from graphon_hawkes.thinning_sim import (
     HistorySnapshot,
     conditional_intensity,
@@ -205,6 +206,14 @@ def _graphon(family, values):
                            interp=interp)
 
 
+def on_standard_grid(state, spec, vals):
+    """The state's cell values at every standard-grid node of `spec`; the
+    state runs on the model's cells, or on the standard grid without them."""
+    n = state.spec.grid_n
+    assert n == (cell_grid_n(spec) or spec.grid_n)
+    return vals[_cell_index(spec.std_grid[0], spec.domain, (n,) * spec.domain.dim)]
+
+
 unit = st.floats(0.0, 1.0)
 events = st.tuples(st.floats(0.01, 1.0), unit, st.floats(0.1, 3.0))  # (gap, x, xi)
 
@@ -250,9 +259,15 @@ def test_carried_intensity_matches_direct_sum_and_bound_dominates(
             snapshot = HistorySnapshot(times=times, locations=locs, mark_scalars=xis,
                                        t_ref=s)
             lam = state.intensity(s)
-            np.testing.assert_allclose(lam, conditional_intensity(spec, snapshot, s),
+            np.testing.assert_allclose(on_standard_grid(state, spec, lam),
+                                       conditional_intensity(spec, snapshot, s),
                                        rtol=1e-12, atol=1e-12)
             assert float(np.sum(lam * state.weights)) <= bound * (1 + 1e-12)
+            # an identity f with an exponential h carries the total and forms
+            # no cell vector for it; any other model sums the vector it forms
+            total, vals = state.total(s)
+            assert (vals is None) == (kernel == "exponential" and f == "identity")
+            np.testing.assert_allclose(total, lam @ state.weights, rtol=1e-12)
         if x is None:
             break
         t += gap
@@ -302,7 +317,7 @@ def test_column_table_matches_direct_sum_with_step_graphon_and_step_marks(
             s = t + frac * gap
             snapshot = HistorySnapshot(times=times, locations=locs, mark_scalars=xis,
                                        t_ref=s)
-            np.testing.assert_allclose(state.intensity(s),
+            np.testing.assert_allclose(on_standard_grid(state, spec, state.intensity(s)),
                                        conditional_intensity(spec, snapshot, s),
                                        rtol=1e-12, atol=1e-12)
         if x is None:
@@ -429,3 +444,60 @@ def test_flat_model_key_builds_no_key_array(monkeypatch):
     columns = cluster_sim.OffspringColumns(gh.constant_model(0.5, grid_n=64))
     monkeypatch.setattr(columns, "_keys", None)  # any key array would fail
     assert columns.flat and columns.key(np.array([0.3])) == 0
+
+
+def test_rejected_linear_candidates_form_no_cell_vector(monkeypatch):
+    # an identity f with an exponential h carries its total: only an accepted
+    # candidate forms the cell vector, to draw its location, and a flat model
+    # (one cell) forms none
+    step = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("constant", value=1.0),
+        graphon=_graphon("pw-constant", [0.1 * (i % 7) for i in range(16)]),
+        excitation=KERNELS["exponential"],
+        c_w=1.0,
+        grid_n=64,
+    )
+    formed, candidates = [], []
+    intensity, total = thinning_sim._ThinningState.intensity, thinning_sim._ThinningState.total
+
+    def counting_total(self, t, envelope=False):
+        if not envelope:
+            candidates.append(t)
+        return total(self, t, envelope)
+
+    monkeypatch.setattr(thinning_sim._ThinningState, "total", counting_total)
+    monkeypatch.setattr(thinning_sim._ThinningState, "intensity",
+                        lambda self, t, envelope=False:
+                        formed.append(t) or intensity(self, t, envelope))
+    real = simulate_thinning(step, 60.0, rng=gh.SplitStream(8))
+    assert len(candidates) > len(real) + 20 and len(real) > 50
+    assert formed == real.times.tolist()
+    formed.clear()
+    assert len(simulate_thinning(gh.constant_model(0.5, grid_n=64), 60.0,
+                                 rng=gh.SplitStream(8))) > 50
+    assert formed == []
+
+
+def test_three_cell_model_thins_with_the_exact_cell_law():
+    # 3 cells do not divide 64 nodes: a density on the grid's nodes gives the
+    # cells 21:22:21 nodes, and the nodes next to a cell face carry one
+    # cell's value across the whole node cell.  Without excitation the events
+    # are Poisson, located by the exact law: uniform in each cell c, with mass
+    # lam_c |c|.  Chi^2 on the pieces between the faces of both grids.
+    lam = np.array([1.0, 2.0, 1.0])
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("grid", values=lam, axis_counts=(3,)),
+        graphon=gh.PairFunction("constant", value=0.0),
+        excitation=KERNELS["exponential"],
+        c_w=0.0,
+        grid_n=64,
+    )
+    real = simulate_thinning(spec, 15_000.0, rng=gh.SplitStream(37), with_lifetimes=False)
+    faces = np.union1d(np.arange(4) / 3, np.arange(65) / 64)
+    counts = np.histogram(real.locations[:, 0], faces)[0]
+    mass = lam[_cell_index(0.5 * (faces[:-1] + faces[1:])[:, None], spec.domain, (3,))]
+    mass *= np.diff(faces)
+    assert len(real) > 15_000 and counts.sum() == len(real)
+    assert stats.chisquare(counts, len(real) * mass / mass.sum()).pvalue > 1e-3

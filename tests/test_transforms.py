@@ -16,6 +16,7 @@ from graphon_hawkes.model import LifetimeModel, MarkModel, PairFunction
 from graphon_hawkes.transforms import (
     TestFunction,
     TransformGrid,
+    _tail_mass,
     beta_eval,
     fixed_point,
     gamma_eval,
@@ -193,7 +194,7 @@ def test_cell_fixed_point_equals_dense_iteration(spec, z, t, n_u):
     # refines them, is the dense oracle, iterated as many times from ones
     f = TestFunction.constant(z)
     eta, log = fixed_point(spec, f, t, n_u=n_u)
-    assert log.grid_n == operators.cell_grid_n(spec) == math.lcm(*spec.cells)
+    assert eta.grid_n == operators.cell_grid_n(spec) == math.lcm(*spec.cells)
     xi = TransformGrid(values=np.ones(eta.values.shape), u_grid=eta.u_grid, f=f)
     for _ in range(log.iterations):
         xi = phi_apply(xi, spec, f)
@@ -213,18 +214,31 @@ def test_fixed_point_exact_when_cells_do_not_divide_the_grid():
     # 3 cells do not divide 64 nodes, so midpoint quadrature on the standard grid
     # weighs the cells 21:22:21; the sweeps on the cells are exact at every node
     f = TestFunction.constant(1.0)
-    eta, log = fixed_point(_three_cell_model(64), f, 4.0, n_u=129)
-    aligned, log_aligned = fixed_point(_three_cell_model(192), f, 4.0, n_u=129)
-    assert log.grid_n == log_aligned.grid_n == 3
+    eta, _ = fixed_point(_three_cell_model(64), f, 4.0, n_u=129)
+    aligned, _ = fixed_point(_three_cell_model(192), f, 4.0, n_u=129)
+    assert eta.grid_n == aligned.grid_n == 3
     assert eta.values.shape == (64, 129)
     np.testing.assert_allclose(eta.values, aligned.values[1::3], rtol=0.0, atol=1e-12)
+
+
+def test_laplace_of_q_exact_when_cells_do_not_divide_the_grid():
+    # eta is exact per cell, so integrating it per cell with the cell volumes
+    # makes L_Q and the tail mass exact too; node weights gave them 21:22:21
+    f = TestFunction.constant(1.0)
+    coarse, aligned = _three_cell_model(64), _three_cell_model(192)
+    eta, _ = fixed_point(coarse, f, 4.0, n_u=129)
+    eta_aligned, _ = fixed_point(aligned, f, 4.0, n_u=129)
+    assert laplace_of_Q(eta, coarse, 4.0) == pytest.approx(
+        laplace_of_Q(eta_aligned, aligned, 4.0), rel=0.0, abs=1e-12)
+    assert _tail_mass(eta, coarse) == pytest.approx(
+        _tail_mass(eta_aligned, aligned), rel=1e-12, abs=1e-15)
 
 
 def test_grid_test_function_keeps_the_standard_grid():
     spec = _three_cell_model(64)
     f = TestFunction.from_values(np.linspace(0.0, 1.0, 64))
     eta, log = fixed_point(spec, f, 2.0, n_u=33)
-    assert log.grid_n == 64
+    assert eta.grid_n == 64
     xi = TransformGrid(values=np.ones((64, 33)), u_grid=eta.u_grid, f=f)
     for _ in range(log.iterations):
         xi = phi_apply(xi, spec, f)
