@@ -375,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stability", help="spectral diagnostics as JSON")
     s.add_argument("--n", type=int, default=256,
-                   help="operator grid size for models without a piecewise-constant "
-                   "cell form; a model with cells is computed on its own cells")
+                   help="operator grid size for models without an exact form; a model "
+                   "with cells and a 1-d bilinear graphon fix their own size")
 
     s = sub.add_parser("analyze", help="distance between two NDJSON realizations")
     s.add_argument("events_a")

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 def _json_floats(a: np.ndarray, nan: str = "NaN") -> list[str]:
     """Each number as the json encoder writes it: repr, `nan`, +-Infinity."""
@@ -91,8 +93,11 @@ class Realization:
 
     @classmethod
     def from_ndjson(cls, text: str, horizon: float = math.inf) -> "Realization":
-        recs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        lines = [line for line in text.splitlines() if line.strip()]
+        recs = json.loads("[" + ",".join(lines) + "]")  # one parse, not one per line
         n = len(recs)
+        if n != len(lines):
+            raise InvalidArgumentError(f"{n} NDJSON records on {len(lines)} lines")
         dim = len(recs[0]["x"]) if n else 1
         r = cls.empty(dim, horizon)
         if not n:

@@ -5,10 +5,9 @@ The operator maps a spatial density f to
     (Tf)(x) = |h|_1 * c_x * int E[B_xy] W(x, y) f(y) dy,
 discretized with midpoint quadrature on a uniform grid.  On grid functions
 it acts as the nonnegative matrix A = K diag(w) (K is clipped at 0, w > 0),
-so the L1 operator norm of T^n is max_j (1/w_j) sum_i w_i (A^n)_ij with no
-|.|, read off the row w^T A^n at one O(n^2) vector-matrix product per n
-(the row is kept in range by exact power-of-two rescaling; see
-`spectral_radius`).
+so the L1 operator norm of T^n is max_j (w^T A^(n-1) K)_j with no |.|,
+read off a row at one O(n^2) vector-matrix product per n (the row is kept
+in range by exact power-of-two rescaling; see `spectral_radius`).
 
 Every stability, rate and cluster-size question is one dense solve with
 I - A, the resolvent sum_n A^n of the stable regime rho(A) < 1:
@@ -35,8 +34,16 @@ Which grid: a model with cells (`ModelSpec.cells`) is the d-variate Hawkes
 process on them, with operator M_kl = |h|_1 c E[B_kl] W_kl v_l.  Every
 consumer (`stability_report`, `gate_grid`, the limit experiments) computes it
 on `cell_grid_n`, where the midpoint rule is exact, whatever n the caller
-asks for; the caller's n serves models without cells.  A box A enters through
-the share |A & cell_i| / w_i of each grid cell (`box_share`).
+asks for.  A box A enters through the share |A & cell_i| / w_i of each grid
+cell (`box_share`).  A 1-d bilinear grid graphon with a constant mark
+profile is the finite-rank kernel K(z, y) = sum_rs phi_r(z) V_rs phi_s(y) on
+the clamped hats phi_r at its cell midpoints; `stability_report` and
+`gate_grid` take it in that exact form (`exact_form`), a `KernelGrid` with a
+Gram matrix G_sr = int phi_s phi_r and A = V G.  A nonnegative combination
+of hats or indicators peaks at a knot, so with m_r = int phi_r every L1 sup
+is a max over coefficients: |T^k| = max_s (m^T (VG)^(k-1) V)_s.  The
+caller's n serves every other model; the limit experiments, the fixed point
+and the simulators stay on nodal grids.
 """
 
 from __future__ import annotations
@@ -56,17 +63,23 @@ GELFAND_POWERS = 48  # Gelfand sequence length reported by stability_report
 
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
-    """Midpoint discretization of the offspring operator."""
+    """The offspring operator on a basis: the midpoint rule on nodes (`gram`
+    None, Gram diag(weights)), or a finite-rank form on basis knots."""
 
     n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray  # K[i, j] = |h|_1 c E[B_{x_i x_j}] W(x_i, x_j)
+    nodes: np.ndarray  # the grid nodes, or the basis knots
+    weights: np.ndarray  # the quadrature weights, or the basis integrals m_r
+    values: np.ndarray  # K[i, j] = |h|_1 c E[B_{x_i x_j}] W(x_i, x_j), or V
+    gram: np.ndarray | None = None  # G_sr = int phi_s phi_r
+
+    def gram_apply(self, x: np.ndarray) -> np.ndarray:
+        """x G, along the last axis."""
+        return x * self.weights if self.gram is None else x @ self.gram
 
     @property
     def action(self) -> np.ndarray:
-        """Matrix A with (Tf)_i = (A f)_i for grid functions f."""
-        return self.values * self.weights[None, :]
+        """Matrix A with (Tf)_i = (A f)_i for the coefficients f of a function."""
+        return self.gram_apply(self.values)
 
     @cached_property
     def stable(self) -> bool:
@@ -140,10 +153,41 @@ def discretize_kernel(spec: ModelSpec, n: int) -> KernelGrid:
             f"{n}^{spec.domain.dim} nodes exceed the cap of {MAX_GRID_NODES}"
         )
     nodes, weights = spec.domain.grid(n)
+    return KernelGrid(n=n, nodes=nodes, weights=weights, values=_kernel_values(spec, nodes))
+
+
+def _kernel_values(spec: ModelSpec, nodes: np.ndarray) -> np.ndarray:
     values = spec.excitation.l1_norm * kernel_density_matrix(spec, nodes)
     if (values < -1e-12).any():
         raise ShapeError("kernel values must be nonnegative")
-    return KernelGrid(n=n, nodes=nodes, weights=weights, values=np.maximum(values, 0.0))
+    return np.maximum(values, 0.0)
+
+
+def exact_form(spec: ModelSpec) -> KernelGrid | None:
+    """The model's operator in exact finite form, or None: a model with cells
+    on its cell grid, a 1-d bilinear grid graphon with a constant mark profile
+    on its r clamped hats.  A hat form's values, the table at the knots, are
+    V; on each piece between knots a product of two hats is quadratic, so
+    Simpson's rule per piece gives G and m exactly."""
+    n, g = cell_grid_n(spec), spec.graphon
+    if n is not None:
+        return discretize_kernel(spec, n)
+    if not (g.family == "grid" and g.interp == "bilinear" and spec.domain.dim == 1
+            and spec.marks.b.family == "constant" and g.cell_counts[0] <= MAX_GRID_NODES):
+        return None
+    r = g.cell_counts[0]
+    knots = spec.domain.grid(r)[0]
+    ends = np.concatenate([spec.domain.lo, knots[:, 0], spec.domain.hi])
+    a, b = ends[:-1], ends[1:]
+    pts = np.concatenate([a, (a + b) / 2, b])
+    q = np.concatenate([b - a, 4 * (b - a), b - a]) / 6  # Simpson's weights
+    i0, i1, t = g._per_point(pts[:, None], spec.domain)  # the two hats at each point
+    gram, m = np.zeros((r, r)), np.zeros(r)
+    for i, u in ((i0, 1 - t), (i1, t)):
+        np.add.at(m, i, q * u)
+        for j, v in ((i0, 1 - t), (i1, t)):
+            np.add.at(gram, (i, j), q * u * v)
+    return KernelGrid(n=r, nodes=knots, weights=m, values=_kernel_values(spec, knots), gram=gram)
 
 
 def cell_grid_n(spec: ModelSpec) -> int | None:
@@ -170,14 +214,20 @@ def box_share(domain, n: int, box) -> np.ndarray:
     return share
 
 
-def apply_kernel(grid: KernelGrid, f: np.ndarray) -> np.ndarray:
-    """(Tf)(x_i) = sum_j K[i][j] f(x_j) w_j."""
+def _node_values(grid: KernelGrid, f, what: str) -> np.ndarray:
+    """`f` as a function on the grid's nodes; a finite-rank form has none, its
+    values are basis coefficients."""
+    if grid.gram is not None:
+        raise ShapeError(f"{what} needs node values; a finite-rank form has coefficients")
     f = np.asarray(f, float)
     if f.shape != (grid.nodes.shape[0],):
-        raise ShapeError(
-            f"grid function has shape {f.shape}, expected ({grid.nodes.shape[0]},)"
-        )
-    return grid.values @ (f * grid.weights)
+        raise ShapeError(f"{what} has shape {f.shape}, expected ({grid.nodes.shape[0]},)")
+    return f
+
+
+def apply_kernel(grid: KernelGrid, f: np.ndarray) -> np.ndarray:
+    """(Tf)(x_i) = sum_j K[i][j] f(x_j) w_j."""
+    return grid.values @ (_node_values(grid, f, "grid function") * grid.weights)
 
 
 def operator_norm_l1(grid: KernelGrid) -> float:
@@ -199,25 +249,23 @@ def _estimate(grid: KernelGrid, gelfand: list[float]) -> SpectralEstimate:
 def spectral_radius(grid: KernelGrid, max_power: int = GELFAND_POWERS) -> SpectralEstimate:
     """Gelfand sequence |T^n|^(1/n), n <= max_power, plus a power-iteration estimate.
 
-    A >= 0, so |T^n| = max_j r_j / w_j exactly for the row r = w^T A^n, which
-    steps as r <- r A: one vector-matrix product per term, O(max_power n^2)
-    in all, and no power of A is formed.  Whenever the row's maximum leaves
-    [2^-500, 2^500] the row is scaled by an exact power of two 2^-e and e is
-    added to the exponent E, so that |T^n| = max_j r_j / w_j * 2^E never
-    underflows or overflows; the term is reported as
-    (max_j r_j / w_j)^(1/n) * 2^(E/n), which is the plain root while E = 0.
+    A = V G >= 0, so |T^n| = max_j r_j exactly for the row r = m^T A^(n-1) V,
+    which steps from m^T V as r <- (r G) V: one vector-matrix product per
+    term, O(max_power n^2) in all, and no power of A is formed.  Whenever the
+    row's maximum leaves [2^-500, 2^500] the row is scaled by an exact power
+    of two 2^-e and e is added to the exponent E, so that |T^n| = max_j r_j
+    * 2^E never underflows or overflows; the term is reported as
+    (max_j r_j)^(1/n) * 2^(E/n), which is the plain root while E = 0.
     """
     if max_power < 1:
         raise ShapeError("max_power must be at least 1")
-    a, w = grid.action, grid.weights
-    row, exp2, gelfand = w, 0, []
+    row, exp2, gelfand = grid.weights, 0, []
     for k in range(1, max_power + 1):
-        row = row @ a
-        top = float(np.max(row))
-        if top > 0 and not 2.0**-500 <= top <= 2.0**500:
-            e = math.frexp(top)[1]
-            row, exp2 = np.ldexp(row, -e), exp2 + e
-        norm = float(np.max(row / w))
+        row = (grid.gram_apply(row) if k > 1 else row) @ grid.values
+        norm = float(np.max(row))
+        if norm > 0 and not 2.0**-500 <= norm <= 2.0**500:
+            e = math.frexp(norm)[1]  # the max scales exactly: it lands in [1/2, 1)
+            row, exp2, norm = np.ldexp(row, -e), exp2 + e, math.ldexp(norm, -e)
         gelfand.append(norm ** (1.0 / k) * 2.0 ** (exp2 / k) if norm > 0 else 0.0)
     return _estimate(grid, gelfand)
 
@@ -237,13 +285,16 @@ def require_stable(
 
 
 def gate_grid(spec: ModelSpec) -> KernelGrid:
-    """The grid simulators gate on.  A model with cells gates on its cell grid
-    (`cell_grid_n`), so the verdict is exact: an averaged model on d cells
+    """The grid simulators gate on.  A model with an exact form gates on it
+    (`exact_form`), so the verdict is exact: an averaged model on d cells
     gates on its d x d matrix.  Other models gate on 96 nodes per axis in
     1-d, 12 in higher dimensions, a quarter of that when the node cap is hit."""
+    exact = exact_form(spec)
+    if exact is not None:
+        return exact
     n = 96 if spec.domain.dim == 1 else 12
     try:
-        return discretize_kernel(spec, cell_grid_n(spec) or n)
+        return discretize_kernel(spec, n)
     except GridTooLargeError:
         return discretize_kernel(spec, max(2, n // 4))
 
@@ -251,9 +302,7 @@ def gate_grid(spec: ModelSpec) -> KernelGrid:
 def stationary_rate(grid: KernelGrid, baseline: np.ndarray) -> StationaryRate:
     """lam_bar = (I - T)^{-1} lam_inf by one dense solve, with the fixed-point
     residual sup |lam_bar - lam_inf - T lam_bar|."""
-    baseline = np.asarray(baseline, float)
-    if baseline.shape != (grid.nodes.shape[0],):
-        raise ShapeError("baseline grid function does not match the kernel grid")
+    baseline = _node_values(grid, baseline, "baseline")
     require_stable(grid)
     a = grid.action
     values = np.linalg.solve(np.eye(a.shape[0]) - a, baseline)
@@ -262,25 +311,24 @@ def stationary_rate(grid: KernelGrid, baseline: np.ndarray) -> StationaryRate:
 
 
 def cluster_size_bound(grid: KernelGrid) -> float:
-    """Expected cluster size, sup over the root's grid node:
-    |(I - T)^{-1}|_{L1} = sum_n |T^n| = max_j z_j / w_j with (I - A)^T z = w.
+    """Expected cluster size, sup over the root's location:
+    |(I - T)^{-1}|_{L1} = 1 + max_j (sum_n m^T A^(n-1) V)_j
+    = 1 + max_j (z^T V)_j with (I - A)^T z = m.
 
     Exact on the grid, so at least 1/(1 - rho); the name is kept from the
     submultiplicative bound it replaced.
     """
     require_stable(grid)
-    a, w = grid.action, grid.weights
-    z = np.linalg.solve((np.eye(a.shape[0]) - a).T, w)
-    return float(np.max(z / w))
+    a = grid.action
+    z = np.linalg.solve((np.eye(a.shape[0]) - a).T, grid.weights)
+    return 1.0 + float(np.max(z @ grid.values))
 
 
 def fclt_sigma(grid: KernelGrid, lambda_bar: StationaryRate, share: np.ndarray) -> float:
     """sigma_A = sum_i ((I - T)^{-1} sqrt(lam_bar))(x_i) |A & cell_i|, with
     `share` the share of each grid cell inside A (`box_share`; a bool mask
     counts whole cells)."""
-    share = np.asarray(share)
-    if share.shape != (grid.nodes.shape[0],):
-        raise ShapeError("set share does not match the kernel grid")
+    share = _node_values(grid, share, "set share")
     a = grid.action
     try:
         v = np.linalg.solve(np.eye(a.shape[0]) - a, np.sqrt(lambda_bar.values))
@@ -307,14 +355,16 @@ class StabilityReport:
     stable: bool
     cluster_size_bound: float | None
     grid_n: int
+    form: str  # "cells", "hats" (`exact_form`) or "grid" (the n-grid)
     notes: list[str] = field(default_factory=list)
 
 
 def stability_report(spec: ModelSpec, n: int) -> StabilityReport:
-    """The report on the model's cell grid if it has one, else on the n-grid;
+    """The report on the model's exact form if it has one, else on the n-grid;
     `grid_n` is the size used."""
-    n = cell_grid_n(spec) or n
-    grid = discretize_kernel(spec, n)
+    grid = exact_form(spec)
+    form = "grid" if grid is None else "cells" if grid.gram is None else "hats"
+    grid = grid or discretize_kernel(spec, n)
     est = spectral_radius(grid)
     return StabilityReport(
         op_norm=operator_norm_l1(grid),
@@ -322,6 +372,7 @@ def stability_report(spec: ModelSpec, n: int) -> StabilityReport:
         rho_power=est.rho_power_iteration,
         stable=est.stable,
         cluster_size_bound=cluster_size_bound(grid) if est.stable else None,
-        grid_n=n,
+        grid_n=grid.n,
+        form=form,
         notes=[] if est.converged else ["no-convergence"],
     )

@@ -49,6 +49,22 @@ def test_stability_subcommand(model_file, tmp_path, capsys):
     assert abs(payload["cluster_size_bound"] - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("graphon,form,grid_n", [
+    ({"family": "constant", "value": 0.5}, "cells", 1),
+    ({"family": "grid", "values": [[0.2, 0.4], [0.4, 0.2]], "axis_counts": [2],
+      "interp": "bilinear"}, "hats", 2),
+    ({"family": "rank-one", "coeff": 1.5, "profile": {"family": "identity"}}, "grid", 64),
+], ids=["cells", "hats", "grid"])
+def test_stability_records_its_form(tmp_path, capsys, graphon, form, grid_n):
+    path = tmp_path / "model.yaml"
+    path.write_text(yaml.safe_dump({**CONST_MODEL, "graphon": graphon}))
+    rc = main(["--model", str(path), "--out", str(tmp_path / "o"), "stability", "--n", "64"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["form"], payload["grid_n"]) == (form, grid_n)
+    assert json.loads((tmp_path / "o" / "stability.json").read_text()) == payload
+
+
 def test_stability_unstable_is_still_success(model_file, tmp_path, capsys):
     cfg = dict(CONST_MODEL)
     cfg["graphon"] = {"family": "constant", "value": 1.5, "c_w": 1.5}

@@ -494,6 +494,15 @@ def test_ndjson_roundtrip():
     assert np.array_equal(back.parent_ids, real.parent_ids)
 
 
+def test_ndjson_refuses_two_records_on_one_line():
+    # the lines are parsed as one JSON array, so a line may not hold a list
+    lines = [json.dumps({"id": i, "t": 0.5 * i, "x": [0.25], "gen": 0, "parent": None,
+                         "xi": 1.0, "lifetime": None}) for i in range(3)]
+    assert len(gh.Realization.from_ndjson("\n".join(lines) + "\n\n")) == 3
+    with pytest.raises(InvalidArgumentError):
+        gh.Realization.from_ndjson(lines[0] + "," + lines[1] + "\n" + lines[2] + "\n")
+
+
 def step_model(grid_n=128):
     vals = 0.2 + 0.4 * np.random.default_rng(0).random((16, 16))  # rho <= 0.6
     return gh.ModelSpec(

@@ -533,17 +533,173 @@ def test_cell_grid_equals_dense_grid_oracle(spec, data):
 
 
 def test_models_without_cells_keep_the_asked_grid():
-    # a smooth graphon, a bilinear grid and a rank-one mark profile have no cells
-    bilinear = build_spec({
-        "graphon": {"family": "grid", "values": [[0.2, 0.4], [0.4, 0.2]], "axis_counts": [2],
-                    "interp": "bilinear"},
-        "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0},
-    })
+    # a smooth graphon and a rank-one mark profile have no cells and no exact form
     marked = dataclasses.replace(gh.constant_model(0.5), marks=gh.MarkModel(
         kind="scaled-profile",
         profile=gh.PairFunction("rank-one", profile=gh.SpatialProfile("identity"))))
-    for spec in (gh.rank_one_model(1.5), bilinear, marked):
+    for spec in (gh.rank_one_model(1.5), marked):
         assert spec.cells is None and operators.cell_grid_n(spec) is None
+        assert operators.exact_form(spec) is None
         assert stability_report(spec, 24).grid_n == 24
         assert operators.gate_grid(spec).n == 96
     assert gh.constant_model(0.5).cells == (1,)
+
+
+def bilinear_spec(table, lo=0.0, hi=1.0) -> gh.ModelSpec:
+    table = np.asarray(table, float)
+    return gh.ModelSpec(
+        domain=gh.SpatialDomain((lo,), (hi,)),
+        baseline=gh.SpatialProfile("constant", value=1.0),
+        graphon=gh.PairFunction("grid", values=table, axis_counts=(table.shape[0],),
+                                interp="bilinear"),
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0))
+
+
+def dense_rho(grid) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(grid.action))))
+
+
+def scaled_bilinear(raw, rho, lo=0.0, hi=1.0) -> gh.ModelSpec:
+    """The bilinear model of the table `raw` scaled to the exact radius `rho`."""
+    return bilinear_spec(raw * (rho / dense_rho(operators.exact_form(bilinear_spec(raw, lo, hi)))),
+                         lo, hi)
+
+
+def test_bilinear_graphon_takes_its_hat_form():
+    # a 1-d bilinear grid has no cells, but it is a finite-rank kernel on its
+    # clamped hats: the report and the gate run on the 2 x 2 form
+    spec = bilinear_spec([[0.2, 0.4], [0.4, 0.2]])
+    assert spec.cells is None and operators.cell_grid_n(spec) is None
+    rep = stability_report(spec, 24)
+    assert rep.grid_n == 2 and rep.form == "hats"
+    assert operators.gate_grid(spec).n == 2
+    # K = 0.3 + 0.1 (phi_0 - phi_1)(phi_1 - phi_0); the hats have mass 1/2
+    # and Gram [[5, 1], [1, 5]] / 12, so V G has eigenvalues 0.3 and -1/15
+    assert rep.rho_power == pytest.approx(0.3, rel=1e-12)
+
+
+def test_hat_form_report_and_gate_build_no_grid(monkeypatch):
+    calls = []
+    real = operators.discretize_kernel
+    monkeypatch.setattr(operators, "discretize_kernel",
+                        lambda *args: calls.append(args) or real(*args))
+    spec = scaled_bilinear(np.random.default_rng(2).uniform(0.2, 1.0, (16, 16)), 0.55)
+    assert stability_report(spec, 512).grid_n == 16
+    assert operators.gate_grid(spec).n == 16
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: apply_kernel(grid, np.ones(grid.n)),
+    lambda grid: stationary_rate(grid, np.ones(grid.n)),
+    lambda grid: fclt_sigma(grid, operators.StationaryRate(np.ones(grid.n), 0.0, 0),
+                            np.ones(grid.n)),
+], ids=["apply_kernel", "stationary_rate", "fclt_sigma"])
+def test_nodal_functions_refuse_a_hat_form(call):
+    # a hat form's values are basis coefficients, not values at the nodes
+    form = operators.exact_form(bilinear_spec([[0.2, 0.4], [0.4, 0.2]]))
+    with pytest.raises(ShapeError):
+        call(form)
+
+
+def test_hat_form_radius_is_the_limit_of_nodal_grids():
+    spec = scaled_bilinear(np.random.default_rng(2).uniform(0.2, 1.0, (16, 16)), 0.55)
+    form = operators.exact_form(spec)
+    rho = dense_rho(form)
+    assert spectral_radius(form).rho_power_iteration == pytest.approx(rho, rel=1e-12)
+    # the midpoint rule's error is c n^-2 + O(n^-4): Richardson removes c
+    coarse, fine = (discretize_kernel(spec, n).power_iterate[0] for n in (512, 1024))
+    assert abs((4 * fine - coarse) / 3 - rho) < 1e-11
+    assert abs(fine - rho) > 5e-8
+    # negative control: the lumped Gram diag(m) is the midpoint rule on the knots
+    lumped = dataclasses.replace(form, gram=np.diag(form.weights))
+    assert abs(dense_rho(lumped) - rho) > 1e-5
+
+
+@pytest.mark.parametrize("offset,stable", [(-1e-6, True), (1e-6, False)])
+def test_hat_form_verdict_is_exact_near_one(offset, stable):
+    spec = scaled_bilinear(np.random.default_rng(3).uniform(0.0, 1.0, (12, 12)), 1.0 + offset)
+    gate = operators.gate_grid(spec)
+    assert gate.gram is not None and gate.stable is stable
+    if not stable:
+        with pytest.raises(UnstableModelError):
+            operators.require_stable(gate)
+
+
+def test_cell_form_keeps_the_nodal_formulas():
+    # |T^k| = max_j (w^T A^k)_j / w_j and the cluster size max_j z_j / w_j with
+    # (I - A)^T z = w: the V-terminated rows give the same numbers
+    table = np.random.default_rng(5).uniform(0.2, 1.0, (16, 16))
+    spec = build_spec({"graphon": {"family": "grid", "values": (table / 16).tolist(),
+                                   "axis_counts": [16], "interp": "pw-constant"}})
+    rep = stability_report(spec, 512)
+    grid = discretize_kernel(spec, 16)
+    a, w = grid.action, grid.weights
+    norms = [float(np.max((w @ np.linalg.matrix_power(a, k)) / w)) ** (1 / k)
+             for k in range(1, operators.GELFAND_POWERS + 1)]
+    z = np.linalg.solve((np.eye(16) - a).T, w)
+    assert rep.form == "cells" and rep.grid_n == 16
+    assert rep.op_norm == pytest.approx(norms[0], rel=1e-12)
+    assert rep.rho_gelfand == pytest.approx(min(norms), rel=1e-12)
+    assert rep.cluster_size_bound == pytest.approx(float(np.max(z / w)), rel=1e-12)
+
+
+@st.composite
+def bilinear_models(draw):
+    """A 1-d bilinear grid graphon on a random interval: a nonnegative table
+    of 1-12 cells scaled to an exact radius in [0.05, 0.95]."""
+    k = draw(st.integers(1, 12))
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.1, 3.0))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k)))
+    assume(dense_rho(operators.exact_form(bilinear_spec(raw.reshape(k, k), lo, hi))) > 1e-3)
+    return scaled_bilinear(raw.reshape(k, k), draw(st.floats(0.05, 0.95)), lo, hi)
+
+
+def column_masses(grid) -> np.ndarray:
+    """The rows whose maxima are |T^k| (k = 1..GELFAND_POWERS) and the cluster
+    size: sup-norm terms at the nodes, or the hat coefficients of a form."""
+    rows = [grid.weights @ grid.values]
+    for _ in range(operators.GELFAND_POWERS - 1):
+        rows.append(grid.gram_apply(rows[-1]) @ grid.values)
+    a = grid.action
+    z = np.linalg.solve((np.eye(a.shape[0]) - a).T, grid.weights)
+    return np.array(rows + [1.0 + z @ grid.values])
+
+
+@settings(max_examples=100)
+@given(bilinear_models())
+def test_hat_form_is_the_limit_of_nodal_grids(spec):
+    form = operators.exact_form(spec)
+    k, length = form.n, spec.domain.volume
+    np.testing.assert_allclose(form.gram, form.gram.T, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(form.gram.sum(axis=1), form.weights, rtol=1e-12)
+    assert form.weights.sum() == pytest.approx(length, rel=1e-12)
+    rho, op_norm = dense_rho(form), operator_norm_l1(form)
+    for t in spectral_radius(form).rho_gelfand_sequence:
+        assert rho * (1 - 1e-12) <= t <= op_norm * (1 + 1e-12)
+
+    # On n-grids with n / k even every knot is a cell face.  Each row is a
+    # hat combination in y, piecewise linear; the nodal rows match it at the
+    # nodes up to the midpoint rule's O(n^-2) (exactly for |T|), but its peak
+    # sits on a knot half a node spacing from the nearest node, so every
+    # sup misses by up to slope * h / 2: O(n^-1).
+    coef = column_masses(form)
+    peak = coef.max(axis=1)
+    slope = np.max(np.abs(np.diff(coef, axis=1)), axis=1, initial=0.0) * k / length
+    n0 = 2 * k * max(4, math.ceil(16 / k))  # at least 8 nodes per cell and 32 in all
+    gaps, errors = [], []
+    for n in (n0, 2 * n0):
+        grid = discretize_kernel(spec, n)
+        at_nodes = np.array([np.interp(grid.nodes[:, 0], form.nodes[:, 0], c) for c in coef])
+        errors.append(np.max(np.abs(column_masses(grid) - at_nodes), axis=1) / peak)
+        miss = peak - at_nodes.max(axis=1)
+        assert (miss >= -1e-12 * peak).all()
+        assert (miss <= slope * length / n / 2 + 1e-12 * peak).all()
+        gaps.append(abs(dense_rho(grid) - rho))
+    assert errors[0][0] < 1e-12
+    if gaps[0] > 1e-6 * rho:  # below, c nearly cancels and n^-4 leads
+        assert 3.0 <= gaps[0] / gaps[1] <= 5.0
+    resolved = errors[0] > 1e-9
+    assert (3.0 <= errors[0][resolved] / errors[1][resolved]).all()
+    assert (errors[0][resolved] / errors[1][resolved] <= 5.0).all()
