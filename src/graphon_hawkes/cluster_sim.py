@@ -8,20 +8,21 @@ H(s)/H(tau); child locations are drawn from the normalized spatial profile.
 
 Every location (immigrants, children, and accepted thinning events) comes
 from `sample_location`: the law is a piecewise-constant density on the n^m
-cells of the standard grid.  One call draws k points from k x m uniforms.
-u[:, 0] inverts the CDF over the row-major flat cell index, and its residual
-inside the drawn cell places the point on axis 0; u[:, 1:] place it
-uniformly on the other axes.  A flat density (None) is lo + u (hi - lo).
-Each output row depends only on its own uniform row and the density.
+cells of the caller's grid; the engine's is `ModelSpec.on_cells`.  One call
+draws k points from k x m uniforms.  u[:, 0] inverts the CDF over the
+row-major flat cell index, and its residual inside the drawn cell places the
+point on axis 0; u[:, 1:] place it uniformly on the other axes.  A flat
+density (None), or one cell, is lo + u (hi - lo).  Each output row depends
+only on its own uniform row and the density.
 
 Branching runs a generation at a time.  Piecewise-constant offspring
-profiles are keyed by source cell: one vectorised `_cell_index` call per
-grid family keys the whole generation, and each distinct cell's column is
-fetched or built once.  The children's locations come from one (total, m)
-uniform block per generation, with one `sample_location` call per distinct
-column.  Row r of the block goes to the r-th child in stable parent order,
-the doubles that one draw per parent in ascending parent order would give,
-so the grouping by column leaves every location's bytes unchanged.
+profiles are keyed by the parent's cell on the key grid (`OffspringColumns`):
+one `_cell_index` call keys the whole generation, and each distinct cell's
+column is fetched or built once.  The children's locations come from one
+(total, m) uniform block per generation, with one `sample_location` call per
+distinct column.  Row r of the block goes to the r-th child in stable parent
+order, the doubles that one draw per parent in ascending parent order would
+give, so the grouping by column leaves every location's bytes unchanged.
 
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
@@ -40,7 +41,7 @@ from .errors import (
     RequiresThinningError,
 )
 from .events import Realization, box_mask
-from .model import ModelSpec, SpatialProfile, _cell_index, piecewise_counts
+from .model import ModelSpec, SpatialProfile, _cell_index, lcm_cells
 from .rng import SplitStream
 
 DEFAULT_EVENT_CAP = 10**7
@@ -71,14 +72,16 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
     lo, hi = domain.lo, domain.hi
     if density is None:
         return lo + u * (hi - lo)
-    m = domain.dim
-    n = round(density.shape[0] ** (1.0 / m))
-    width = (hi - lo) / n
     # cells have equal volume, so the masses are the density over its
     # maximum: a positive density never underflows to zero mass
     top = density.max()
     if not 0 < top < math.inf:
         raise DegenerateDensityError(f"cannot sample from a density with maximum {top}")
+    if density.size == 1:  # the draw below on one cell, bit for bit
+        return lo + u * (hi - lo)
+    m = domain.dim
+    n = round(density.shape[0] ** (1.0 / m))
+    width = (hi - lo) / n
     masses = density / top
     total = masses.sum()
     idx, cum = _categorical(masses, total, u[:, 0])
@@ -97,15 +100,15 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
 
 class OffspringColumns:
     """(mass, column) of the offspring profile z -> b(z, y) W(z, y) of a parent
-    at y on the standard grid, the column clipped at 0.
+    at y on the model's standard grid, the column clipped at 0.
 
-    Piecewise-constant profiles depend on the parent only through its source
-    cell(s), so they are cached by cell: at most one column per cell.  The
-    cache key is `_keys`, the parent's cell in every grid family folded into
-    one integer; it serves a whole generation or history at once and a single
-    thinning event alike.  Smooth profiles are rebuilt on every call, so memory
-    never grows with the event count.  `flat` marks a constant graphon and
-    mark profile: every parent then has the same constant column, key 0.
+    Piecewise-constant profiles depend on the parent only through its cell on
+    the key grid, `lcm_cells` of the graphon and the mark profile, so they are
+    cached by that cell and built at its midpoint: one column per cell, also
+    for a parent on a cell face.  One `_cell_index` call keys a generation, a
+    history or one thinning event.  Smooth profiles are rebuilt on every call,
+    so memory never grows with the event count.  `flat` marks one key cell:
+    every parent then has the same constant column, key 0.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -113,38 +116,34 @@ class OffspringColumns:
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
-        self._key_counts = piecewise_counts((spec.graphon, spec.marks.b))
-        self.flat = self._key_counts == []
+        self._key_counts = lcm_cells((spec.graphon, spec.marks.b), spec.domain.dim)
+        self.flat = self._key_counts is not None and math.prod(self._key_counts) == 1
 
     def _keys(self, ys: np.ndarray) -> np.ndarray:
-        """The cache key of each row of the (k, m) points `ys`: its cell in
-        every grid family, folded mixed-radix into one integer."""
-        key = np.zeros(ys.shape[0], dtype=np.int64)
-        for counts in self._key_counts:
-            key = key * math.prod(counts) + _cell_index(ys, self.domain, counts)
-        return key
+        """The cache key of each row of the (k, m) points `ys`: its key cell."""
+        return _cell_index(ys, self.domain, self._key_counts)
 
     def keys(self, ys: np.ndarray) -> list[int | None]:
-        """`key` of each row of the (k, m) points `ys`, in one `_keys` call."""
-        return self._keys(ys).tolist() if self._key_counts else list(map(self.key, ys))
+        """`key` of each row of the (k, m) points `ys`, in at most one `_keys` call."""
+        if self.flat or self._key_counts is None:  # one key for every point
+            return [self.key(None)] * ys.shape[0]
+        return self._keys(ys).tolist()
 
     def key(self, y: np.ndarray) -> int | None:
         """The cache key of the point y, None for smooth profiles."""
-        if not self._key_counts:
-            return None if self._key_counts is None else 0
+        if self.flat or self._key_counts is None:
+            return 0 if self.flat else None
         return int(self._keys(np.atleast_1d(y)[None, :])[0])
 
-    def column(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        y = np.atleast_1d(y)
-        return self.column_of(self.key(y), y)
-
-    def column_of(self, key: int | None, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """The column of a parent at y with cache key `key` (None: uncached)."""
+    def column_of(self, key: int | None, y: np.ndarray | None) -> tuple[float, np.ndarray]:
+        """The column of the cache key `key`, or of a parent at y if it is None."""
         if key is None:
             return self._build(y)
         hit = self._columns.get(key)
         if hit is None:
-            hit = self._columns[key] = self._build(y)
+            cell = np.add(np.unravel_index(key, self._key_counts), 0.5) / self._key_counts
+            lo, hi = self.domain.lo, self.domain.hi
+            hit = self._columns[key] = self._build(lo + cell * (hi - lo))  # the midpoint
         return hit
 
     def _build(self, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -157,22 +156,18 @@ class OffspringColumns:
 
 
 class ClusterEngine(OffspringColumns):
-    """Precomputed grids, offspring masses and location samplers for a model."""
+    """Columns and location samplers of a model on `ModelSpec.on_cells`: its
+    cells, where the branching is exact, or else its standard grid."""
 
     def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
+        super().__init__(spec.on_cells)
         g, b = spec.graphon, spec.marks.b
         self._sep_offspring = g.family == "rank-one" and b.family == "constant"
-        if self.flat:
-            self._flat_mass = float(g.value) * float(b.value) * self.domain.volume
         if self._sep_offspring:
             self._sep_profile = g.profile or SpatialProfile("identity")
             self._sep_shape = np.maximum(self._sep_profile(self.nodes, self.domain), 0.0)
             self._sep_integral = float(np.sum(self._sep_shape * self.weights))
-
-        lam = spec.baseline_on(self.nodes)
-        self._lam_vals = np.maximum(lam, 0.0)
-        self._lam_const = spec.baseline.family == "constant"
+        self._lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
         self.alpha = float(np.sum(self._lam_vals * self.weights))
 
     # -- immigrants ---------------------------------------------------------
@@ -180,20 +175,19 @@ class ClusterEngine(OffspringColumns):
     def sample_immigrant_locations(self, k: int, rng) -> np.ndarray:
         if k == 0:
             return np.empty((0, self.domain.dim))
-        density = None if self._lam_const else self._lam_vals
-        return sample_location(density, self.domain, rng.random((k, self.domain.dim)))
+        return sample_location(self._lam_vals, self.domain, rng.random((k, self.domain.dim)))
 
     # -- offspring ----------------------------------------------------------
 
     def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """Gamma(y) = int b(z, y) W(z, y) dz for each parent location y, and
         the generation's columns as (distinct columns, parent -> column
-        index): one per source cell for piecewise-constant profiles (keyed in
+        index): one per key cell for piecewise-constant profiles (keyed in
         one `_keys` call), one per parent for smooth ones, None on the flat
         and separable paths."""
         k = xs.shape[0]
         if self.flat:
-            return np.full(k, self._flat_mass), None
+            return np.full(k, self.column_of(0, None)[0]), None
         if self._sep_offspring:
             g = self.spec.graphon
             b0 = float(self.spec.marks.b.value)
@@ -201,9 +195,8 @@ class ClusterEngine(OffspringColumns):
         if self._key_counts is None:
             pairs, of_parent = [self._build(y) for y in xs], np.arange(k)
         else:
-            keys, first, of_parent = np.unique(
-                self._keys(xs), return_index=True, return_inverse=True)
-            pairs = [self.column_of(int(key), xs[i]) for key, i in zip(keys, first)]
+            keys, of_parent = np.unique(self._keys(xs), return_inverse=True)
+            pairs = [self.column_of(key, None) for key in keys.tolist()]
         masses = np.array([mass for mass, _ in pairs])
         return masses[of_parent], ([col for _, col in pairs], of_parent)
 

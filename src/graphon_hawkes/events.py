@@ -94,10 +94,14 @@ class Realization:
     @classmethod
     def from_ndjson(cls, text: str, horizon: float = math.inf) -> "Realization":
         lines = [line for line in text.splitlines() if line.strip()]
-        recs = json.loads("[" + ",".join(lines) + "]")  # one parse, not one per line
+        try:  # one parse of {"0": line 0, ...}: a split record, or two on a line, fails
+            recs = json.loads("{" + ",".join('"%d":%s' % kv for kv in enumerate(lines)) + "}")
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"malformed NDJSON: {exc.msg}") from None
+        recs = list(recs.values())
         n = len(recs)
-        if n != len(lines):
-            raise InvalidArgumentError(f"{n} NDJSON records on {len(lines)} lines")
+        if n != len(lines) or not all(type(x) is dict for x in recs):
+            raise InvalidArgumentError(f"NDJSON needs one object on each of {len(lines)} lines")
         dim = len(recs[0]["x"]) if n else 1
         r = cls.empty(dim, horizon)
         if not n:

@@ -9,7 +9,7 @@ vectorized over arrays of points of shape (k, m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -462,15 +462,15 @@ class ModelSpec:
 
     @cached_property
     def cells(self) -> tuple[int, ...] | None:
-        """Per-axis lcm of the cell counts of the baseline, the graphon and the
-        mark profile when each is constant or a pw-constant grid with one count
-        per axis: the model is then the d-variate process on these cells.
-        None otherwise."""
-        counts = piecewise_counts((self.baseline, self.graphon, self.marks.b))
-        m = self.domain.dim
-        if counts is None or any(len(c) != m for c in counts):
-            return None
-        return tuple(math.lcm(*axis) for axis in zip((1,) * m, *counts))
+        """`lcm_cells` of the baseline, the graphon and the mark profile: the
+        model is then the d-variate process on these cells.  None otherwise."""
+        return lcm_cells((self.baseline, self.graphon, self.marks.b), self.domain.dim)
+
+    @cached_property
+    def on_cells(self) -> "ModelSpec":
+        """A copy of this model on its cell grid (`operators.cell_grid_n`) if any; built once."""
+        from .operators import cell_grid_n
+        return replace(self, grid_n=cell_grid_n(self) or self.grid_n)
 
     @cached_property
     def std_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -514,13 +514,16 @@ class ModelSpec:
         return w_sup
 
 
-def piecewise_counts(functions) -> list[tuple[int, ...]] | None:
-    """The cell counts of each grid among `functions` when every one is
-    constant or a pw-constant grid; None when any is smooth."""
+def lcm_cells(functions, m: int) -> tuple[int, ...] | None:
+    """Per-axis lcm of the cells of `functions` on an m-d domain, each constant
+    (one cell) or a pw-constant grid with one count per axis; else None."""
     if any(f.family not in ("constant", "grid") or f.interp != "pw-constant"
            for f in functions):
         return None
-    return [f.cell_counts for f in functions if f.family == "grid"]
+    counts = [f.cell_counts for f in functions if f.family == "grid"]
+    if any(len(c) != m for c in counts):
+        return None
+    return tuple(math.lcm(*axis) for axis in zip((1,) * m, *counts))
 
 
 def _probe_matrix(pf: PairFunction, domain, cap=4096):

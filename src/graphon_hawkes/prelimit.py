@@ -17,9 +17,9 @@ two uniforms pick its location on each side that holds it, then one mark
 scalar is drawn.  An event on both sides (or, in quenched mode, on the
 prelimit side, whose descendants share the graph) stays in the pass; an
 event on one side only grows its whole cluster there with the cluster
-engine.  The continuum offspring columns come from that engine's column
-cache.  The order of the draws is part of the contract: the same (seed,
-path) gives the same pair.
+engine.  Continuum columns come from `OffspringColumns` on the standard
+grid, which `_CellSampler` reads.  The order of the draws is part of the
+contract: the same (seed, path) gives the same pair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cluster_sim
-from .cluster_sim import ClusterEngine
+from .cluster_sim import ClusterEngine, OffspringColumns
 from .errors import (
     BadCellCountError,
     GridTooLargeError,
@@ -375,7 +375,7 @@ def simulate_coupled(
 
     d, dim = partition.d, spec.domain.dim
     engine_n, engine_m = ClusterEngine(spec), ClusterEngine(avg.spec)
-    sampler = _CellSampler(spec, partition)
+    columns_n, sampler = OffspringColumns(spec), _CellSampler(spec, partition)
     lam_vals = np.maximum(spec.baseline_on(sampler.nodes), 0.0)
     lam_cell_mass = sampler.masses_by_cell(lam_vals, d)
     alpha = float(lam_cell_mass.sum())
@@ -457,7 +457,7 @@ def simulate_coupled(
         p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
         col_n, p_n = None, np.zeros(d)
         if y_n is not None:
-            col_n = xi * engine_n.column(y_n)[1]
+            col_n = xi * columns_n.column_of(columns_n.key(y_n), y_n)[1]
             p_n = sampler.masses_by_cell(col_n, d)
         q_mass = np.minimum(p_n, p_tilde)
         # potential prelimit children: shared with probability q / p_tilde

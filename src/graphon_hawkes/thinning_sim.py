@@ -9,11 +9,11 @@ any event, the total intensity bound computed there dominates all later
 times until the next accepted event.
 
 A model with cells (`ModelSpec.cells`) is a d-variate Hawkes process on them,
-so the state lives on its cell grid (`operators.cell_grid_n`): cell midpoints
-weighted by cell volumes, 1 cell for a constant model.  A model without cells
-keeps its standard grid, whose n^m nodes play the cells.  The baseline and
-the excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k) hold one value per
-cell, the excitation carried per kernel family:
+so the state lives on its cell grid, `ModelSpec.on_cells` as in the cluster
+engine: cell midpoints weighted by cell volumes, 1 cell for a constant model.
+A model without cells keeps its standard grid, whose n^m nodes play the
+cells.  The baseline and the excitation sum_k xi_k h(t - t_k) b(., y_k)
+W(., y_k) hold one value per cell, the excitation carried per kernel family:
   exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref); an event at t sets
                S <- S(t) + xi l1 beta b(., y) W(., y), t_ref <- t (Ogata 1981;
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
@@ -34,7 +34,7 @@ Evaluation times must not decrease between calls on one state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .cluster_sim import DEFAULT_EVENT_CAP, OffspringColumns, _as_stream, sample
 from .errors import AcausalHistoryError, ThinningBoundError
 from .events import Realization
 from .model import ModelSpec
-from .operators import cell_grid_n
 
 RATE_CAP = 1e9
 
@@ -106,8 +105,7 @@ class _ThinningState:
     """
 
     def __init__(self, spec: ModelSpec):
-        # the model on its cell grid: its "standard grid" is then its cells
-        self.spec = spec = replace(spec, grid_n=cell_grid_n(spec) or spec.grid_n)
+        self.spec = spec = spec.on_cells
         self.nodes, self.weights = spec.std_grid
         self.flat = self.weights.size == 1  # one cell
         self.base = np.maximum(spec.baseline_on(self.nodes), 0.0)

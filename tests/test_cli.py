@@ -232,6 +232,17 @@ def test_analyze_subcommand(model_file, tmp_path, capsys):
     assert payload["total"] >= 0
 
 
+def test_analyze_non_object_line_exit_1_typed(model_file, tmp_path, capsys):
+    events = tmp_path / "events.ndjson"
+    events.write_text(
+        '{"id":0,"t":0.5,"x":[0.5],"gen":0,"parent":null,"xi":1.0,"lifetime":null}\n[1,2]\n')
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "an"), "analyze",
+               str(events), str(events)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[invalid-argument]: ") and "Traceback" not in err
+
+
 def test_manifest_round_trip(model_file, tmp_path):
     out = tmp_path / "m1"
     rc = main(["--model", str(model_file), "--seed", "21", "--out", str(out),

@@ -487,20 +487,29 @@ def test_ndjson_writer_equals_per_event_encoding_at_the_extremes():
 
 def test_ndjson_roundtrip():
     spec = gh.constant_model(0.5, grid_n=128)
-    real = simulate_process(spec, 3.0, gh.SplitStream(15))
-    back = gh.Realization.from_ndjson(real.to_ndjson(), horizon=3.0)
+    real = simulate_process(spec, 10.0, gh.SplitStream(15))
+    assert len(real) > 0
+    back = gh.Realization.from_ndjson(real.to_ndjson(), horizon=10.0)
     assert np.array_equal(back.times, real.times)
     assert np.array_equal(back.locations, real.locations)
     assert np.array_equal(back.parent_ids, real.parent_ids)
 
 
 def test_ndjson_refuses_two_records_on_one_line():
-    # the lines are parsed as one JSON array, so a line may not hold a list
     lines = [json.dumps({"id": i, "t": 0.5 * i, "x": [0.25], "gen": 0, "parent": None,
                          "xi": 1.0, "lifetime": None}) for i in range(3)]
     assert len(gh.Realization.from_ndjson("\n".join(lines) + "\n\n")) == 3
-    with pytest.raises(InvalidArgumentError):
-        gh.Realization.from_ndjson(lines[0] + "," + lines[1] + "\n" + lines[2] + "\n")
+    bad = [
+        lines[0] + "," + lines[1] + "\n" + lines[2] + "\n",
+        # a record split over two lines while another line holds two: as
+        # many records as lines
+        '{"id":0,"t":0.0,"x":[0.5\n0.25],"gen":0,"parent":null,"xi":1.0,"lifetime":null},'
+        '{"id":1,"t":0.5,"x":[0.5,0.75],"gen":0,"parent":null,"xi":1.0,"lifetime":null}\n',
+        lines[0] + "\n[1,2]\n",  # not an object
+    ]
+    for text in bad:
+        with pytest.raises(InvalidArgumentError):
+            gh.Realization.from_ndjson(text)
 
 
 def step_model(grid_n=128):
@@ -572,8 +581,10 @@ def bilinear_model():
 @pytest.mark.parametrize("model, families", [(step_model, 1), (step_marked_model, 2)])
 def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, model, families):
     # 240 parents over the 16 source cells of a step graphon: one key lookup
-    # per grid family, one location draw per source cell that has children
+    # on the lcm grid of every grid family, one location draw per source cell
+    # that has children
     spec = model()
+    assert len([f for f in (spec.graphon, spec.marks.b) if f.family == "grid"]) == families
     engine = ClusterEngine(spec)
     xs = np.random.default_rng(5).random((240, 1))
     calls = {"key": 0, "draw": 0, "uniforms": 0}
@@ -588,13 +599,42 @@ def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, mo
     monkeypatch.setattr(cluster_sim, "sample_location",
                         counted("draw", cluster_sim.sample_location))
     masses, columns = engine.offspring_mass(xs)
-    assert calls["key"] == families
+    assert calls["key"] == 1
     counts = np.random.default_rng(6).poisson(4 * masses)
     rng = types.SimpleNamespace(random=counted("uniforms", np.random.default_rng(7).random))
     engine.sample_offspring_locations(columns, np.repeat(np.arange(240), counts), rng)
     assert calls["uniforms"] == 1
     cells = np.unique(_cell_index(xs[counts > 0], spec.domain, (16,)))
     assert 1 < calls["draw"] <= cells.size < (counts > 0).sum()
+
+
+def test_a_parent_on_a_cell_face_shares_the_column_of_its_key_cell():
+    # on this domain the key grid (the lcm, 210, of 35 graphon and 6 mark
+    # cells) and the graphon's own 35 cells round the face point into
+    # neighbouring cells; the key cell's column is built at its midpoint, so
+    # a parent inside that cell reads its own column whichever comes first
+    lo, hi = 4.486494471372438, 7.611690676957188
+    gen = np.random.default_rng(9)
+    b = gh.PairFunction("grid", values=0.5 + gen.random((6, 6)), axis_counts=(6,))
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((lo,), (hi,)),
+        baseline=SpatialProfile("constant", value=1.0),
+        graphon=gh.PairFunction("grid", values=0.1 * gen.random((35, 35)), axis_counts=(35,)),
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        marks=gh.MarkModel(kind="scaled-profile", profile=b),
+        c_w=0.1,
+        grid_n=64,
+    )
+    face = np.array([5.290116352808517])
+    engine = ClusterEngine(spec)
+    key = engine.key(face)
+    assert _cell_index(face[None, :], spec.domain, (35,))[0] != key // 6
+    inside = lo + (key + 0.5) * (hi - lo) / 210
+    _, (cols, of_parent) = engine.offspring_mass(np.array([face, [inside]]))
+    assert of_parent[0] == of_parent[1]
+    nodes = spec.on_cells.std_grid[0]
+    assert np.array_equal(cols[of_parent[1]],
+                          np.maximum(spec.excitation_column(nodes, np.array([inside])), 0.0))
 
 
 GENERATION_MODELS = {
@@ -632,9 +672,9 @@ def test_grouped_offspring_draw_equals_per_parent_draws_bit_for_bit(case):
     masses, columns = engine.offspring_mass(xs)
     gen = np.random.Generator(np.random.Philox(seed))
     out = engine.sample_offspring_locations(columns, parent_idx, gen)
-    # the reference: one column and one uniform block per parent, in
-    # ascending parent order, each child in stable order
-    nodes, weights = spec.std_grid
+    # the reference: one column on the engine's grid and one uniform block
+    # per parent, in ascending parent order, each child in stable order
+    nodes, weights = spec.on_cells.std_grid
     rng = np.random.Generator(np.random.Philox(seed))
     ref = np.empty((parent_idx.size, m))
     order = np.argsort(parent_idx, kind="stable")

@@ -479,12 +479,25 @@ def test_rejected_linear_candidates_form_no_cell_vector(monkeypatch):
     assert formed == []
 
 
+def three_cell_law_pvalue(points, values):
+    """Chi^2 p value of the 1-d `points` against the exact law on [0, 1] of
+    density values[c] on the c-th of 3 cells, on the pieces between the faces
+    of the cells and of the 64-node grid."""
+    faces = np.union1d(np.arange(4) / 3, np.arange(65) / 64)
+    counts = np.histogram(points, faces)[0]
+    mids = 0.5 * (faces[:-1] + faces[1:])
+    mass = values[_cell_index(mids[:, None], gh.SpatialDomain((0.0,), (1.0,)), (3,))]
+    mass *= np.diff(faces)
+    assert counts.sum() == len(points)
+    return stats.chisquare(counts, len(points) * mass / mass.sum()).pvalue
+
+
 def test_three_cell_model_thins_with_the_exact_cell_law():
     # 3 cells do not divide 64 nodes: a density on the grid's nodes gives the
     # cells 21:22:21 nodes, and the nodes next to a cell face carry one
     # cell's value across the whole node cell.  Without excitation the events
     # are Poisson, located by the exact law: uniform in each cell c, with mass
-    # lam_c |c|.  Chi^2 on the pieces between the faces of both grids.
+    # lam_c |c|.  Both simulators draw the immigrants.
     lam = np.array([1.0, 2.0, 1.0])
     spec = gh.ModelSpec(
         domain=gh.SpatialDomain((0.0,), (1.0,)),
@@ -494,10 +507,30 @@ def test_three_cell_model_thins_with_the_exact_cell_law():
         c_w=0.0,
         grid_n=64,
     )
-    real = simulate_thinning(spec, 15_000.0, rng=gh.SplitStream(37), with_lifetimes=False)
-    faces = np.union1d(np.arange(4) / 3, np.arange(65) / 64)
-    counts = np.histogram(real.locations[:, 0], faces)[0]
-    mass = lam[_cell_index(0.5 * (faces[:-1] + faces[1:])[:, None], spec.domain, (3,))]
-    mass *= np.diff(faces)
-    assert len(real) > 15_000 and counts.sum() == len(real)
-    assert stats.chisquare(counts, len(real) * mass / mass.sum()).pvalue > 1e-3
+    for real in (
+        simulate_thinning(spec, 15_000.0, rng=gh.SplitStream(37), with_lifetimes=False),
+        simulate_process(spec, 15_000.0, gh.SplitStream(37), with_lifetimes=False),
+    ):
+        assert len(real) > 15_000
+        assert three_cell_law_pvalue(real.locations[:, 0], lam) > 1e-3
+
+
+def test_three_cell_graphon_branches_with_the_exact_cell_law():
+    # the children of a parent at y = 0.1 land with density W(., y): the exact
+    # law is uniform in each cell c with mass W[c, 0] |c|, which the 64-node
+    # grid misses as in the test above
+    w = np.array([[0.3, 0.2, 0.4], [0.1, 0.5, 0.2], [0.3, 0.1, 0.3]])
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("constant", value=1.0),
+        graphon=gh.PairFunction("grid", values=w, axis_counts=(3,)),
+        excitation=KERNELS["exponential"],
+        c_w=0.5,
+        grid_n=64,
+    )
+    engine = cluster_sim.ClusterEngine(spec)
+    masses, columns = engine.offspring_mass(np.array([[0.1]]))
+    assert masses[0] == pytest.approx(w[:, 0].sum() / 3, rel=1e-12)
+    children = np.zeros(60_000, dtype=np.int64)
+    locs = engine.sample_offspring_locations(columns, children, gh.SplitStream(38).generator())
+    assert three_cell_law_pvalue(locs[:, 0], w[:, 0]) > 1e-3
