@@ -24,6 +24,12 @@ def _json_floats(a: np.ndarray, nan: str = "NaN") -> list[str]:
     return [words.get(s, s) for s in out]
 
 
+def _unique_keys(pairs: list) -> dict:
+    if len(obj := dict(pairs)) != len(pairs):
+        raise InvalidArgumentError("malformed NDJSON: duplicate key")
+    return obj
+
+
 def box_mask(points: np.ndarray, box) -> np.ndarray:
     """Rows of the (k, m) `points` inside the closed box (lo, hi); all rows
     when `box` is None."""
@@ -94,8 +100,9 @@ class Realization:
     @classmethod
     def from_ndjson(cls, text: str, horizon: float = math.inf) -> "Realization":
         lines = [line for line in text.splitlines() if line.strip()]
-        try:  # one parse of {"0": line 0, ...}: a split record, or two on a line, fails
-            recs = json.loads("{" + ",".join('"%d":%s' % kv for kv in enumerate(lines)) + "}")
+        try:  # one parse of {"0": line 0, ...}; split records, two on a line, key repeats fail
+            recs = json.loads("{" + ",".join('"%d":%s' % kv for kv in enumerate(lines)) + "}",
+                              object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise InvalidArgumentError(f"malformed NDJSON: {exc.msg}") from None
         recs = list(recs.values())

@@ -1,6 +1,10 @@
 """CLI subcommands: exit codes, artifacts, determinism, manifest round-trip."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -274,3 +278,38 @@ def test_seed_env_override(model_file, tmp_path, monkeypatch):
     main(["--model", str(model_file), "--seed", "77", "--out", str(out2),
           "simulate", "--horizon", "3", "--reps", "1"])
     assert read_artifacts(out1) == read_artifacts(out2)
+
+
+def test_fclt_zero_measure_box_writes_strict_json(model_file, tmp_path):
+    # sigma_A = 0 on a box of zero measure: the test is skipped, not NaN
+    out = tmp_path / "z"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--model", str(model_file), "--out", str(out), "fclt",
+                   "--reps", "8", "--horizon", "20", "--set", "0.3,0.3"])
+    assert rc == 0 and caught == []
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in summary.json")
+
+    report = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert report["passed"] is None and report["summary"]["sigma_A"] == 0.0
+    assert not any(k.startswith("ks_") for k in report["summary"])
+
+
+def test_fclt_imports_no_scipy_stats_or_special(model_file, tmp_path):
+    # the tests import scipy themselves, so the CLI runs in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from graphon_hawkes.cli import main\n"
+        f"rc = main(['--model', {str(model_file)!r}, '--out', {str(tmp_path / 'f')!r},\n"
+        "           'fclt', '--reps', '8', '--horizon', '20'])\n"
+        "print(rc, sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert json.loads((tmp_path / "f" / "summary.json").read_text())["passed"] is not None

@@ -506,6 +506,9 @@ def test_ndjson_refuses_two_records_on_one_line():
         '{"id":0,"t":0.0,"x":[0.5\n0.25],"gen":0,"parent":null,"xi":1.0,"lifetime":null},'
         '{"id":1,"t":0.5,"x":[0.5,0.75],"gen":0,"parent":null,"xi":1.0,"lifetime":null}\n',
         lines[0] + "\n[1,2]\n",  # not an object
+        # a line that writes the keyed wrapper's own syntax: the next line's
+        # key "1" would overwrite record 1 and keep the count equal
+        '{"id":0,"t":0.0,"x":[0.5]},"1":{"id":1,"t":1.0,"x":[0.5]}\n{"id":2,"t":2.0,"x":[0.5]}\n',
     ]
     for text in bad:
         with pytest.raises(InvalidArgumentError):

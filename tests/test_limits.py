@@ -2,17 +2,25 @@
 
 import dataclasses
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 import graphon_hawkes as gh
+from graphon_hawkes import limits
 from graphon_hawkes.errors import OutdegreeConditionError, UnstableModelError
 from graphon_hawkes.limits import (
     divergence_experiment,
     fclt_experiment,
     flln_experiment,
     flln_sup_statistic,
+    _kolmogorov_sf,
+    _ks_normal,
 )
 
 
@@ -191,3 +199,82 @@ def test_fclt_box_is_exact_on_the_cell_grid(n_op):
     assert rep.summary["sigma_label"] == "exact-piecewise-constant"
     assert rep.summary["lam_bar_A"] == pytest.approx(0.6, rel=1e-12)
     assert rep.summary["sigma_A"] == pytest.approx(0.3 * 2 * math.sqrt(2), rel=1e-12)
+
+
+def test_fclt_zero_measure_box_skips_test():
+    # a box of zero measure has N_T(A) = 0 and sigma_A = 0: no law to test
+    spec = gh.constant_model(0.5, grid_n=128)
+    rep = fclt_experiment(spec, ([0.3], [0.3]), 20.0, 8, gh.SplitStream(15), n_op=64)
+    assert rep.summary["sigma_A"] == 0.0
+    assert rep.passed is None
+    assert not any(k.startswith("ks_") for k in rep.summary)
+    assert any("skipped" in n for n in rep.notes)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 140), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(-1.5, 1.5), scale=st.floats(0.3, 2.5), sigma=st.floats(0.2, 3.0))
+def test_ks_matches_scipy_exact_law_up_to_140(n, seed, shift, scale, sigma):
+    x = np.random.default_rng(seed).normal(shift * sigma, scale * sigma, n)
+    d, p = _ks_normal(x, sigma)
+    ref = stats.kstest(x, "norm", args=(0.0, sigma))
+    assert d == pytest.approx(ref.statistic, rel=1e-12)
+    if ref.pvalue >= 1e-10:
+        assert p == pytest.approx(ref.pvalue, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [141, 500, 2000, 10_000])
+def test_ks_near_scipy_above_140(n):
+    # scipy switches to the Pelz-Good approximation above n = 140
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1.1):
+        x = rng.normal(0.0, scale, n)
+        assert _ks_normal(x, 1.0)[1] == pytest.approx(
+            stats.kstest(x, "norm").pvalue, rel=1e-4)
+
+
+@given(n=st.integers(2, 140), u=st.floats(0.0, 1.0, exclude_max=True))
+def test_kolmogorov_ruben_gambino_edges(n, u):
+    # 1/(2n) < D <= 1/n: P(D_n >= D) = 1 - n!/n^n (2nD - 1)^n, exactly
+    d = (1.0 + u) / (2 * n)
+    exact = 1 - Fraction(math.factorial(n), n**n) * (2 * n * Fraction(d) - 1) ** n
+    assert _kolmogorov_sf(n, d) == pytest.approx(float(exact), rel=1e-12)
+    # (n - 1)/n <= D < 1: P(D_n >= D) = 2 (1 - D)^n, exactly
+    d = (n - 1 + u) / n
+    assert _kolmogorov_sf(n, d) == pytest.approx(float(2 * (1 - Fraction(d)) ** n),
+                                                 rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("wrong", ["none", "scale", "shift"])
+def test_fclt_ks_rejects_a_wrong_law(wrong, monkeypatch):
+    # Poisson counts on [0, 1] at rate 1: sigma_A = 1.  The claimed law is
+    # made too narrow by 1.5 or its mean off by sigma_A / 2, so the samples
+    # are drawn with sigma x 1.5 or shifted by 0.5 sigma against it
+    horizon = 200.0
+    if wrong == "scale":
+        real_sigma = limits.fclt_sigma
+        monkeypatch.setattr(limits, "fclt_sigma", lambda *a: real_sigma(*a) / 1.5)
+    elif wrong == "shift":
+        real_setup = limits._operator_setup
+
+        def setup(*a):
+            *rest, lam_a = real_setup(*a)
+            return (*rest, lam_a - 0.5 / math.sqrt(horizon))
+
+        monkeypatch.setattr(limits, "_operator_setup", setup)
+    poisson = gh.constant_model(0.0, grid_n=64)
+    rep = fclt_experiment(poisson, None, horizon, 500, gh.SplitStream(21), n_op=64)
+    if wrong == "none":
+        assert rep.passed is True and rep.summary["ks_pvalue"] > 0.01
+    else:
+        assert rep.passed is False and rep.summary["ks_pvalue"] < 1e-3
+
+
+def test_ks_exact_law_is_fast_at_ten_thousand():
+    x = np.random.default_rng(4).normal(0.0, 1.0, 10_000)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _ks_normal(x, 1.0)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.2
