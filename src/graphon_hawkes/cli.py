@@ -109,8 +109,6 @@ def _load_spec(cfg: RunConfig):
 
 
 def _write_manifest(cfg: RunConfig, spec, artifacts: list[str], t0: float):
-    import scipy
-
     manifest = {
         "subcommand": cfg.subcommand,
         "seed": cfg.seed,
@@ -122,7 +120,6 @@ def _write_manifest(cfg: RunConfig, spec, artifacts: list[str], t0: float):
             "graphon_hawkes": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "artifacts": sorted(artifacts),
         "wall_time_s": round(time.time() - t0, 3),

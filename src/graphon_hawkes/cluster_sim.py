@@ -15,14 +15,14 @@ point on axis 0; u[:, 1:] place it uniformly on the other axes.  A flat
 density (None), or one cell, is lo + u (hi - lo).  Each output row depends
 only on its own uniform row and the density.
 
-Branching runs a generation at a time.  Piecewise-constant offspring
-profiles are keyed by the parent's cell on the key grid (`OffspringColumns`):
-one `_cell_index` call keys the whole generation, and each distinct cell's
-column is fetched or built once.  The children's locations come from one
-(total, m) uniform block per generation, with one `sample_location` call per
-distinct column.  Row r of the block goes to the r-th child in stable parent
-order, the doubles that one draw per parent in ascending parent order would
-give, so the grouping by column leaves every location's bytes unchanged.
+Branching runs a generation at a time on the offspring law of
+`OffspringColumns`: one `law` call keys the generation, a parent's mass is
+its scale times its key's shape mass, and each distinct shape is fetched or
+built once.  The children's locations come from one (total, m) uniform block
+per generation, with one `sample_location` call per distinct shape.  Row r of
+the block goes to the r-th child in stable parent order, the doubles that one
+draw per parent in ascending parent order would give, so the grouping by
+shape leaves every location's bytes unchanged.
 
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
@@ -95,20 +95,22 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Offspring columns: the one cache of spatial offspring profiles
+# Offspring columns: the one law of spatial offspring profiles
 
 
 class OffspringColumns:
-    """(mass, column) of the offspring profile z -> b(z, y) W(z, y) of a parent
-    at y on the model's standard grid, the column clipped at 0.
-
-    Piecewise-constant profiles depend on the parent only through its cell on
-    the key grid, `lcm_cells` of the graphon and the mark profile, so they are
-    cached by that cell and built at its midpoint: one column per cell, also
-    for a parent on a cell face.  One `_cell_index` call keys a generation, a
-    history or one thinning event.  Smooth profiles are rebuilt on every call,
-    so memory never grows with the event count.  `flat` marks one key cell:
-    every parent then has the same constant column, key 0.
+    """The one offspring law: on the model's standard grid, the column
+    z -> max(b(z, y) W(z, y), 0) of a parent at y is its scale times the
+    cached shape of its key, and its mass the scale times the shape's mass.
+    - Cells (`lcm_cells` of the graphon and the mark profile; one if `flat`):
+      the key is the parent's key cell, the scale 1, and the shape is built
+      at the cell's midpoint, also for a parent on a cell face.
+    - A product of constant and rank-one factors, b W = s(y) prod_f a_f(z)
+      with s(y) = prod_f c_f a_f(y): the key is the sign of s (1 if s < 0),
+      the scale |s| and the shape max(+-prod_f a_f, 0), so that their
+      product is max(s prod_f a_f, 0) exactly.
+    - Anything else: key None, scale 1, and each parent's column is rebuilt.
+    So the cache holds a shape per key cell, or two, never one per event.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -116,38 +118,66 @@ class OffspringColumns:
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
-        self._key_counts = lcm_cells((spec.graphon, spec.marks.b), spec.domain.dim)
+        factors = (spec.graphon, spec.marks.b)
+        self._key_counts = lcm_cells(factors, spec.domain.dim)
         self.flat = self._key_counts is not None and math.prod(self._key_counts) == 1
+        self._coeff = None  # prod_f c_f of a rank-one product
+        if self._key_counts is None and all(f.family in ("constant", "rank-one")
+                                            for f in factors):
+            self._coeff = math.prod(float(f.coeff if f.family == "rank-one" else f.value)
+                                    for f in factors)
+        self._profiles = [f.profile or SpatialProfile("identity")
+                          for f in factors if f.family == "rank-one"]
 
     def _keys(self, ys: np.ndarray) -> np.ndarray:
-        """The cache key of each row of the (k, m) points `ys`: its key cell."""
+        """The key cell of each row of the (k, m) points `ys`."""
         return _cell_index(ys, self.domain, self._key_counts)
 
-    def keys(self, ys: np.ndarray) -> list[int | None]:
-        """`key` of each row of the (k, m) points `ys`, in at most one `_keys` call."""
-        if self.flat or self._key_counts is None:  # one key for every point
-            return [self.key(None)] * ys.shape[0]
-        return self._keys(ys).tolist()
+    def _product(self, coeff: float, pts: np.ndarray) -> np.ndarray:
+        """coeff times the rank-one profiles at `pts`, in that order."""
+        for profile in self._profiles:
+            coeff = coeff * profile(pts, self.domain)
+        return coeff
 
-    def key(self, y: np.ndarray) -> int | None:
-        """The cache key of the point y, None for smooth profiles."""
-        if self.flat or self._key_counts is None:
-            return 0 if self.flat else None
-        return int(self._keys(np.atleast_1d(y)[None, :])[0])
+    def law(self, ys: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(keys, scales) of the (k, m) parents `ys`: an int key per row, or
+        None when the law has no key, and a scale per row, or None for 1."""
+        if self.flat:  # one key: no key-grid arithmetic
+            return np.zeros(ys.shape[0], int), None
+        if self._key_counts is not None:
+            return self._keys(ys), None
+        if self._coeff is None:
+            return None, None
+        s = self._product(self._coeff, ys)
+        return (s < 0).astype(int), np.abs(s)
+
+    def law_at(self, y: np.ndarray) -> tuple[int | None, float]:
+        """`law` of the one parent y: (key, scale)."""
+        if self.flat:
+            return 0, 1.0
+        keys, scales = self.law(np.atleast_1d(y)[None, :])
+        return None if keys is None else int(keys[0]), 1.0 if scales is None else float(scales[0])
 
     def column_of(self, key: int | None, y: np.ndarray | None) -> tuple[float, np.ndarray]:
-        """The column of the cache key `key`, or of a parent at y if it is None."""
+        """(mass, column) of the shape of `key`, or of a parent at y if it is None."""
         if key is None:
             return self._build(y)
         hit = self._columns.get(key)
         if hit is None:
-            cell = np.add(np.unravel_index(key, self._key_counts), 0.5) / self._key_counts
-            lo, hi = self.domain.lo, self.domain.hi
-            hit = self._columns[key] = self._build(lo + cell * (hi - lo))  # the midpoint
+            if self._key_counts is None:  # the shape of the sign `key`
+                hit = self._clip(self._product(-1.0 if key else 1.0, self.nodes))
+            else:
+                cell = np.add(np.unravel_index(key, self._key_counts), 0.5) / self._key_counts
+                lo, hi = self.domain.lo, self.domain.hi
+                hit = self._build(lo + cell * (hi - lo))  # the midpoint
+            self._columns[key] = hit
         return hit
 
     def _build(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        col = np.maximum(self.spec.excitation_column(self.nodes, y), 0.0)
+        return self._clip(self.spec.excitation_column(self.nodes, y))
+
+    def _clip(self, raw: np.ndarray) -> tuple[float, np.ndarray]:
+        col = np.maximum(raw, 0.0)
         return float(np.sum(col * self.weights)), col
 
 
@@ -161,12 +191,6 @@ class ClusterEngine(OffspringColumns):
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec.on_cells)
-        g, b = spec.graphon, spec.marks.b
-        self._sep_offspring = g.family == "rank-one" and b.family == "constant"
-        if self._sep_offspring:
-            self._sep_profile = g.profile or SpatialProfile("identity")
-            self._sep_shape = np.maximum(self._sep_profile(self.nodes, self.domain), 0.0)
-            self._sep_integral = float(np.sum(self._sep_shape * self.weights))
         self._lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
         self.alpha = float(np.sum(self._lam_vals * self.weights))
 
@@ -179,44 +203,44 @@ class ClusterEngine(OffspringColumns):
 
     # -- offspring ----------------------------------------------------------
 
-    def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-        """Gamma(y) = int b(z, y) W(z, y) dz for each parent location y, and
-        the generation's columns as (distinct columns, parent -> column
-        index): one per key cell for piecewise-constant profiles (keyed in
-        one `_keys` call), one per parent for smooth ones, None on the flat
-        and separable paths."""
+    def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Gamma(y) = int b(z, y) W(z, y) dz of each parent y, its scale
+        times its shape's mass by the `law`, and the generation's columns as
+        (distinct shapes, parent -> shape index): one shape per key present,
+        keyed in one `law` call, or one column per parent when the law has
+        no key.  A `flat` law has one shape, None, and no index."""
         k = xs.shape[0]
-        if self.flat:
-            return np.full(k, self.column_of(0, None)[0]), None
-        if self._sep_offspring:
-            g = self.spec.graphon
-            b0 = float(self.spec.marks.b.value)
-            return g.coeff * b0 * self._sep_profile(xs, self.domain) * self._sep_integral, None
-        if self._key_counts is None:
+        if self.flat:  # one constant shape: the flat density of `sample_location`
+            return np.full(k, self.column_of(0, None)[0]), ([None], None)
+        keys, scales = self.law(xs)
+        if keys is None:
             pairs, of_parent = [self._build(y) for y in xs], np.arange(k)
         else:
-            keys, of_parent = np.unique(self._keys(xs), return_inverse=True)
-            pairs = [self.column_of(key, None) for key in keys.tolist()]
-        masses = np.array([mass for mass, _ in pairs])
-        return masses[of_parent], ([col for _, col in pairs], of_parent)
+            present = np.flatnonzero(np.bincount(keys))  # np.unique at a third of its cost
+            of_parent = np.searchsorted(present, keys)
+            pairs = [self.column_of(key, None) for key in present.tolist()]
+        masses = np.array([mass for mass, _ in pairs])[of_parent]
+        return masses if scales is None else scales * masses, ([c for _, c in pairs], of_parent)
 
     def sample_offspring_locations(self, columns, child_parent_idx, rng) -> np.ndarray:
         """Locations for children of the parents `child_parent_idx`, from the
         `columns` of `offspring_mass`: one uniform block, then one
-        `sample_location` call per distinct column (see the module docstring
+        `sample_location` call per distinct shape (see the module docstring
         for why the bytes equal one draw per parent)."""
         total, m = child_parent_idx.shape[0], self.domain.dim
         if total == 0:
             return np.empty((0, m))
         u = rng.random((total, m))
-        if columns is None:
-            density = None if self.flat else self._sep_shape
-            return sample_location(density, self.domain, u)
         cols, of_parent = columns
+        if of_parent is None:  # a flat law: every child draws from its one shape
+            return sample_location(cols[0], self.domain, u)
         child = np.argsort(child_parent_idx, kind="stable")  # uniform row -> child
+        out = np.empty((total, m))
+        if len(cols) == 1:  # one shape: the one group of the loop below
+            out[child] = sample_location(cols[0], self.domain, u)
+            return out
         col = of_parent[child_parent_idx[child]]  # uniform row -> column
         rows = np.argsort(col, kind="stable")
-        out = np.empty((total, m))
         for group in np.split(rows, np.flatnonzero(np.diff(col[rows])) + 1):
             out[child[group]] = sample_location(cols[col[group[0]]], self.domain, u[group])
         return out
@@ -226,18 +250,8 @@ class ClusterEngine(OffspringColumns):
 # Branching growth (shared by single clusters, full processes and oracles)
 
 
-def _grow(
-    engine: ClusterEngine,
-    t0: np.ndarray,
-    x0: np.ndarray,
-    xi0: np.ndarray,
-    sim0: np.ndarray,
-    gen0: int,
-    horizon: float,
-    rng,
-    with_lifetimes: bool,
-    budget: int,
-):
+def _grow(engine: ClusterEngine, t0: np.ndarray, x0: np.ndarray, xi0: np.ndarray,
+          sim0: np.ndarray, gen0: int, horizon: float, rng, with_lifetimes: bool, budget: int):
     """Breadth-first branching from seed events; returns (arrays, censored).
 
     Seed events are always in the output, so callers pass at most `budget`
@@ -247,37 +261,26 @@ def _grow(
     get parent -1.
     """
     spec = engine.spec
-    k0 = t0.shape[0]
-    seeds_lt = (
-        spec.lifetimes.sample(rng, k0) if with_lifetimes else np.full(k0, np.nan)
-    )
-    out_t = [t0]
-    out_x = [x0]
-    out_xi = [xi0]
-    out_sim = [sim0]
-    out_gen = [np.full(k0, gen0, dtype=np.int64)]
-    out_par = [np.full(k0, -1, dtype=np.int64)]
-    out_lt = [seeds_lt]
 
+    def lifetimes(k: int) -> np.ndarray:
+        return spec.lifetimes.sample(rng, k) if with_lifetimes else np.full(k, np.nan)
+
+    k0 = t0.shape[0]
+    # per generation: (times, locations, marks, labels, generations, parents, lifetimes)
+    out = [(t0, x0, xi0, sim0, np.full(k0, gen0, dtype=np.int64),
+            np.full(k0, -1, dtype=np.int64), lifetimes(k0))]
     censored = False
-    n_out = k0
+    n_out, cur_base, gen = k0, 0, gen0  # cur_base: the generation's first output index
     cur_t, cur_x, cur_xi, cur_sim = t0, x0, xi0, sim0
-    cur_base = 0  # index of current generation's first event in the output
-    gen = gen0
     while cur_t.shape[0] > 0:
-        tau = (
-            np.full(cur_t.shape[0], np.inf)
-            if math.isinf(horizon)
-            else horizon - cur_t
-        )
-        h_mass = (
-            np.full(cur_t.shape[0], spec.excitation.l1_norm)
-            if math.isinf(horizon)
-            else spec.excitation.H(np.maximum(tau, 0.0))
-        )
+        if math.isinf(horizon):
+            tau = np.full(cur_t.shape[0], np.inf)
+            h_mass = np.full(cur_t.shape[0], spec.excitation.l1_norm)
+        else:
+            tau = horizon - cur_t
+            h_mass = spec.excitation.H(np.maximum(tau, 0.0))
         masses, columns = engine.offspring_mass(cur_x)
-        mu = cur_xi * masses * h_mass
-        counts = rng.poisson(mu)
+        counts = rng.poisson(cur_xi * masses * h_mass)
         total = int(counts.sum())
         if total == 0:
             break
@@ -292,40 +295,17 @@ def _grow(
             total = int(counts.sum())
             censored = True
         rep = np.repeat(np.arange(cur_t.shape[0]), counts)
-        q = 1.0 - rng.random(total)
-        delays = spec.excitation.sample_delay(q, tau[rep])
-        times = cur_t[rep] + delays
+        times = cur_t[rep] + spec.excitation.sample_delay(1.0 - rng.random(total), tau[rep])
         locs = engine.sample_offspring_locations(columns, rep, rng)
         xis = spec.marks.sample_xi(rng, total)
-        lts = (
-            spec.lifetimes.sample(rng, total)
-            if with_lifetimes
-            else np.full(total, np.nan)
-        )
         gen += 1
-        out_t.append(times)
-        out_x.append(locs)
-        out_xi.append(xis)
-        out_sim.append(cur_sim[rep])
-        out_gen.append(np.full(total, gen, dtype=np.int64))
-        out_par.append(cur_base + rep)
-        out_lt.append(lts)
-        cur_base = n_out
-        n_out += total
+        out.append((times, locs, xis, cur_sim[rep], np.full(total, gen, dtype=np.int64),
+                    cur_base + rep, lifetimes(total)))
+        cur_base, n_out = n_out, n_out + total
         cur_t, cur_x, cur_xi, cur_sim = times, locs, xis, cur_sim[rep]
         if censored:
             break
-
-    arrays = (
-        np.concatenate(out_t),
-        np.concatenate(out_x, axis=0),
-        np.concatenate(out_xi),
-        np.concatenate(out_sim),
-        np.concatenate(out_gen),
-        np.concatenate(out_par),
-        np.concatenate(out_lt),
-    )
-    return arrays, censored
+    return tuple(np.concatenate(arrays) for arrays in zip(*out)), censored
 
 
 def _require_linear(spec: ModelSpec):
@@ -426,18 +406,8 @@ def simulate_cluster(
     gen = stream.child().generator()
     x0 = np.atleast_1d(np.asarray(x0, float))
     xi0 = spec.marks.sample_xi(gen, 1)
-    arrays, censored = _grow(
-        engine,
-        np.array([float(t0)]),
-        x0[None, :],
-        xi0,
-        np.zeros(1, dtype=np.int64),
-        0,
-        horizon,
-        gen,
-        with_lifetimes,
-        cap,
-    )
+    arrays, censored = _grow(engine, np.array([float(t0)]), x0[None, :], xi0,
+                             np.zeros(1, dtype=np.int64), 0, horizon, gen, with_lifetimes, cap)
     return _assemble(spec, arrays, horizon, stream.describe(), censored)
 
 

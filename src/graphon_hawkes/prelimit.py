@@ -17,9 +17,11 @@ two uniforms pick its location on each side that holds it, then one mark
 scalar is drawn.  An event on both sides (or, in quenched mode, on the
 prelimit side, whose descendants share the graph) stays in the pass; an
 event on one side only grows its whole cluster there with the cluster
-engine.  Continuum columns come from `OffspringColumns` on the standard
-grid, which `_CellSampler` reads.  The order of the draws is part of the
-contract: the same (seed, path) gives the same pair.
+engine.  A continuum parent's column is the offspring law of
+`OffspringColumns` on the standard grid, which `_CellSampler` reads: its
+scale times its key's cached shape (a cell's column, or a rank-one shape),
+or its own column when the law has no key.  The order of the draws is part
+of the contract: the same (seed, path) gives the same pair.
 """
 
 from __future__ import annotations
@@ -457,7 +459,8 @@ def simulate_coupled(
         p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
         col_n, p_n = None, np.zeros(d)
         if y_n is not None:
-            col_n = xi * columns_n.column_of(columns_n.key(y_n), y_n)[1]
+            key, scale = columns_n.law_at(y_n)
+            col_n = xi * scale * columns_n.column_of(key, y_n)[1]
             p_n = sampler.masses_by_cell(col_n, d)
         q_mass = np.minimum(p_n, p_tilde)
         # potential prelimit children: shared with probability q / p_tilde

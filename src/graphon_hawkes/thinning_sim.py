@@ -13,21 +13,24 @@ so the state lives on its cell grid, `ModelSpec.on_cells` as in the cluster
 engine: cell midpoints weighted by cell volumes, 1 cell for a constant model.
 A model without cells keeps its standard grid, whose n^m nodes play the
 cells.  The baseline and the excitation sum_k xi_k h(t - t_k) b(., y_k)
-W(., y_k) hold one value per cell, the excitation carried per kernel family:
+W(., y_k) hold one value per cell.  Each event's column comes from the one
+offspring law of `OffspringColumns`: s_k times the cached shape phi of its
+key (a key cell with s_k = 1, or the sign of a rank-one scale), or, with no
+key, its own rebuilt column.  The excitation is carried per kernel family:
   exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref); an event at t sets
-               S <- S(t) + xi l1 beta b(., y) W(., y), t_ref <- t (Ogata 1981;
+               S <- S(t) + xi l1 beta s phi, t_ref <- t (Ogata 1981;
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
                beside S.  Exact, and h is monotone, so the bound is S itself.
                O(d) per event; with an identity f a candidate's total is
                base_total + decay * S_total: O(1), no cell vector formed.
-  table and    a column table: the N past events keep (time, xi, column id),
-  power-law    one clipped offspring column per source cell (step profiles)
-               or per event (smooth ones).  A candidate costs
-               bincount(id, xi h(t - t_k)) @ table: O(N + d^2), or O(N d).
+  table and    a column table: the N past events keep (time, xi s, row),
+  power-law    one row per key's shape (at most d, or 2 for a rank-one
+               product) or per event (no key).  A candidate costs
+               bincount(row, xi s h(t - t_k)) @ table: O(N + d^2), or O(N d).
 Other candidates form the cell vector once and reduce it with one dot
 product.  An accepted event is placed by `sample_location` from the cell
 vector; on one cell that draw is lo + u (hi - lo) bit for bit, so a one-cell
-model forms no vector.  Columns come from `OffspringColumns`.
+model forms no vector.
 Evaluation times must not decrease between calls on one state.
 """
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -100,8 +104,10 @@ def conditional_intensity(
 
 class _ThinningState:
     """Mutable per-run state on the model's cells: the excitation carried by
-    the past events.  Exponential kernels keep the recursion S and its total;
-    every other kernel keeps the column table (see the module docstring).
+    the past events, each a scale times its key's shape by the offspring law.
+    Exponential kernels keep the recursion S and its total; every other
+    kernel keeps the column table, one row per key, with the scale folded
+    into the event's weight (see the module docstring).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -118,25 +124,30 @@ class _ThinningState:
         self._s = np.zeros(self.weights.size)  # S(t_ref), exponential kernels
         self._s_total = 0.0  # sum_c v_c S_c(t_ref)
         self._n = 0  # events held
-        self._times, self._xis = np.empty(0), np.empty(0)
+        self._times, self._event_w = np.empty(0), np.empty(0)  # xi times the scale, per event
         self._ids = np.empty(0, dtype=np.intp)  # event -> table row
         self._k = 0  # table rows in use
         self._table = np.empty((0, self.weights.size))
-        self._row_of: dict[int, int] = {}  # cache key -> table row
+        self._row_of: dict[int, int] = {}  # cache key -> table row (its shape)
 
     def push(self, t: float, y: np.ndarray, xi: float):
-        self._push(t, y, xi, self._columns.key(y))
+        self._push(t, y, xi, *self._columns.law_at(y))
 
     def load(self, history: HistorySnapshot):
-        """Push a time-sorted history in one pass, keyed in one `keys` call."""
-        keys = self._columns.keys(history.locations)
-        for s, y, xi, key in zip(history.times, history.locations, history.mark_scalars, keys):
-            self._push(float(s), y, float(xi), key)
+        """Push a time-sorted history in one pass, keyed in one `law` call."""
+        keys, scales = self._columns.law(history.locations)
+        # lazy per-event iterators: no list as long as the history
+        keys = repeat(None) if keys is None else map(int, keys)
+        scales = repeat(1.0) if scales is None else map(float, scales)
+        for s, y, xi, key, scale in zip(history.times, history.locations,
+                                        history.mark_scalars, keys, scales):
+            self._push(float(s), y, float(xi), key, scale)
 
-    def _push(self, t: float, y: np.ndarray, xi: float, key: int | None):
+    def _push(self, t: float, y: np.ndarray, xi: float, key: int | None, scale: float):
+        weight = xi * scale  # the event's column is weight times its key's shape
         if self._beta is not None:
             mass, col = self._columns.column_of(key, y)
-            jump = xi * self.spec.excitation.sup_norm  # sup_norm = h(0)
+            jump = weight * self.spec.excitation.sup_norm  # sup_norm = h(0)
             decay = self._decay(t)  # 0 before the first event
             self._s *= decay
             self._s += jump * col
@@ -144,7 +155,7 @@ class _ThinningState:
             self._t_ref = t
             return
         row = self._row_of.get(key)
-        if row is None:  # a new source cell, or any smooth-profile event
+        if row is None:  # a new key, or any event whose column is rebuilt
             row = self._k
             if row == self._table.shape[0]:
                 self._table = _grown(self._table, row, 2 * row)
@@ -153,9 +164,9 @@ class _ThinningState:
             if key is not None:
                 self._row_of[key] = row
         if self._n == self._times.shape[0]:  # full: reallocate at twice the size
-            self._times, self._xis, self._ids = (
-                _grown(a, self._n, 2 * self._n) for a in (self._times, self._xis, self._ids))
-        self._times[self._n], self._xis[self._n], self._ids[self._n] = t, xi, row
+            self._times, self._event_w, self._ids = (
+                _grown(a, self._n, 2 * self._n) for a in (self._times, self._event_w, self._ids))
+        self._times[self._n], self._event_w[self._n], self._ids[self._n] = t, weight, row
         self._n += 1
 
     def _decay(self, t: float) -> float:
@@ -173,7 +184,7 @@ class _ThinningState:
             if envelope
             else np.where(lags > 0, kernel.h(np.maximum(lags, 0.0)), 0.0)
         )
-        weights = np.bincount(self._ids[: self._n], hv * self._xis[: self._n], self._k)
+        weights = np.bincount(self._ids[: self._n], hv * self._event_w[: self._n], self._k)
         return weights @ self._table[: self._k]
 
     def intensity(self, t: float, envelope: bool = False) -> np.ndarray:

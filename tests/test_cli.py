@@ -304,7 +304,8 @@ def test_fclt_imports_no_scipy_stats_or_special(model_file, tmp_path):
         "from graphon_hawkes.cli import main\n"
         f"rc = main(['--model', {str(model_file)!r}, '--out', {str(tmp_path / 'f')!r},\n"
         "           'fclt', '--reps', '8', '--horizon', '20'])\n"
-        "print(rc, sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))\n"
+        "print(rc, sorted(m for m in ('scipy', 'scipy.stats', 'scipy.special')\n"
+        "                 if m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -28,8 +28,9 @@ from graphon_hawkes.errors import (
     NoLifetimesError,
     RequiresThinningError,
 )
-from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index
+from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index, lcm_cells
 from graphon_hawkes.operators import discretize_kernel
+from graphon_hawkes.thinning_sim import simulate_thinning
 
 
 def test_pure_poisson_mean_count():
@@ -286,19 +287,115 @@ def test_2d_step_graphon_offspring_chi_square():
 
 
 def test_2d_rank_one_offspring_chi_square_separable():
-    prof = SpatialProfile("affine", intercept=0.2, slope=(1.0, 2.0))
-    spec = model_2d(gh.PairFunction("rank-one", coeff=0.3, profile=prof))
+    # a positive profile, and a nonpositive one whose every scale is negative
+    for intercept, slope, sign_key in ((0.2, (1.0, 2.0), 0), (-0.2, (-1.0, -2.0), 1)):
+        prof = SpatialProfile("affine", intercept=intercept, slope=slope)
+        spec = model_2d(gh.PairFunction("rank-one", coeff=0.3, profile=prof))
+        engine = ClusterEngine(spec)
+        parents = np.array([[0.1, 0.9], [0.6, 0.4]])
+        rep = np.repeat([0, 1], 30_000)
+        mass, cols = engine.offspring_mass(parents)
+        pts = engine.sample_offspring_locations(cols, rep, gh.SplitStream(43).generator())
+        # one shape per sign present, keyed by that sign
+        assert len(cols[0]) == 1 and list(engine._columns) == [sign_key]
+        nodes, weights = spec.std_grid
+        for p in range(2):
+            col = spec.excitation_column(nodes, parents[p])
+            assert mass[p] == pytest.approx(np.sum(col * weights), rel=1e-12)
+            assert _chi_square_4x4(pts[rep == p], spec, col) > 0.001
+
+
+def test_nonpositive_rank_one_profile_branches_at_the_stationary_rate():
+    # W = 0.5 (-1)(-1) = 0.5: every scale s(y) = 0.5 * -1 is negative, and
+    # the column is |s| max(-a, 0) = 0.5.  From an empty history at rate
+    # lambda = 1 with h = e^{-t}, E N_T / T = lambda/(1-w) - lambda w
+    # (1 - e^{-(1-w)T}) / ((1-w)^2 T), and Var N_T / T tends to
+    # lambda/(1-w)^3 = 8 (Hawkes 1971): the band is 4 of those SEs
+    prof = SpatialProfile("affine", intercept=-1.0, slope=(0.0,))
+    spec = dataclasses.replace(
+        gh.constant_model(0.5, grid_n=64), tv_graphon=None,
+        graphon=gh.PairFunction("rank-one", coeff=0.5, profile=prof))
+    assert gh.validate_model(spec) == []
+    horizon, reps, w = 200.0, 20, 0.5
+    mean = 1 / (1 - w) - w * (1 - math.exp(-(1 - w) * horizon)) / ((1 - w) ** 2 * horizon)
+    se = math.sqrt(1 / (1 - w) ** 3 / (horizon * reps))
+    s = gh.SplitStream(44)
+    for simulate in (lambda i: simulate_process(spec, horizon, s.child(0, i)),
+                     lambda i: simulate_thinning(spec, horizon, rng=s.child(1, i))):
+        rates = [len(simulate(i)) / horizon for i in range(reps)]
+        assert abs(np.mean(rates) - mean) <= 4 * se
+
+
+# values rounded to 1e-6, so that no product of them underflows
+law_values = st.floats(-2, 2).map(lambda v: round(v, 6))
+
+
+def _law_profile(draw):
+    """A rank-one profile of either sign: constant, affine or identity."""
+    kind = draw(st.sampled_from(["constant", "affine", "identity"]))
+    a, b = draw(law_values), draw(law_values)
+    if kind == "constant":
+        return SpatialProfile("constant", value=a)
+    if kind == "affine":
+        return SpatialProfile("affine", intercept=a, slope=(b,))
+    return SpatialProfile("identity")
+
+
+@st.composite
+def offspring_laws(draw):
+    """(model, parents): constant, rank-one or grid graphons (pw-constant and
+    bilinear) times constant or rank-one mark profiles, of either sign."""
+    def pair(kind):
+        if kind == "constant":
+            return gh.PairFunction("constant", value=draw(law_values))
+        if kind == "rank-one":
+            return gh.PairFunction("rank-one", coeff=draw(law_values),
+                                   profile=_law_profile(draw))
+        cells = draw(st.sampled_from([2, 4]))
+        vals = draw(hnp.arrays(float, (cells, cells), elements=law_values))
+        return gh.PairFunction("grid", values=vals, axis_counts=(cells,),
+                               interp=kind.removeprefix("grid-"))
+    graphon = pair(draw(st.sampled_from(["constant", "rank-one", "grid-pw-constant",
+                                         "grid-bilinear"])))
+    b = pair(draw(st.sampled_from(["constant", "rank-one"])))
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=SpatialProfile("constant", value=1.0),
+        graphon=graphon,
+        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+        marks=gh.MarkModel(kind="scaled-profile", profile=b),
+        grid_n=draw(st.sampled_from([8, 32])),
+    )
+    k = draw(st.integers(1, 12))
+    parents = draw(hnp.arrays(float, (k, 1),
+                              elements=st.floats(0.0, 1.0).map(lambda v: round(v, 6))))
+    return spec, parents
+
+
+@settings(max_examples=200, deadline=None)
+@given(offspring_laws())
+def test_offspring_law_equals_the_clipped_excitation_column(case):
+    # the one law, scale times a cached shape, against the reference column
+    spec, parents = case
     engine = ClusterEngine(spec)
-    parents = np.array([[0.1, 0.9], [0.6, 0.4]])
-    rep = np.repeat([0, 1], 30_000)
-    mass, cols = engine.offspring_mass(parents)
-    pts = engine.sample_offspring_locations(cols, rep, gh.SplitStream(43).generator())
-    assert cols is None and len(engine._columns) == 0  # separable: no columns
-    nodes, weights = spec.std_grid
-    for p in range(2):
-        col = spec.excitation_column(nodes, parents[p])
-        assert mass[p] == pytest.approx(np.sum(col * weights), rel=1e-12)
-        assert _chi_square_4x4(pts[rep == p], spec, col) > 0.001
+    columns = cluster_sim.OffspringColumns(spec)
+    masses, _ = engine.offspring_mass(parents)
+    for grid, law in ((spec.std_grid, columns), (spec.on_cells.std_grid, engine)):
+        nodes, weights = grid
+        for p, y in enumerate(parents):
+            key, scale = law.law_at(y)
+            ref = np.maximum(spec.excitation_column(nodes, y), 0.0)
+            col = scale * law.column_of(key, y)[1]
+            np.testing.assert_allclose(col, ref, rtol=1e-12, atol=0)
+            if law is engine:
+                assert masses[p] == pytest.approx(np.sum(col * weights), rel=1e-12, abs=0)
+        key_cells = lcm_cells((spec.graphon, spec.marks.b), 1)
+        if key_cells:  # one shape per key cell
+            assert len(law._columns) <= math.prod(key_cells)
+        elif "grid" in (spec.graphon.family, spec.marks.b.family):  # rebuilt per parent
+            assert law._columns == {}
+        else:  # a rank-one product: one shape per sign
+            assert set(law._columns) <= {0, 1}
 
 
 def test_population_count_mginfty_mean():
@@ -630,7 +727,7 @@ def test_a_parent_on_a_cell_face_shares_the_column_of_its_key_cell():
     )
     face = np.array([5.290116352808517])
     engine = ClusterEngine(spec)
-    key = engine.key(face)
+    key, _ = engine.law_at(face)
     assert _cell_index(face[None, :], spec.domain, (35,))[0] != key // 6
     inside = lo + (key + 0.5) * (hi - lo) / 210
     _, (cols, of_parent) = engine.offspring_mass(np.array([face, [inside]]))

@@ -224,6 +224,20 @@ def test_coupled_annealed_side_marginal_law():
     assert stats.ks_2samp(cpl, direct).pvalue > 0.001
 
 
+def test_coupled_continuum_side_marginal_law_rank_one():
+    # the continuum side of a rank-one model draws each parent's children
+    # from its scale times the cached shape: it has the law of the cluster
+    # simulator on the continuum model
+    spec = gh.rank_one_model(1.5, grid_n=64)
+    part = build_partition(spec.domain, 4, "per-axis-counts")
+    avg = average_model(spec, part)
+    n = 1500
+    cpl = [len(simulate_coupled(spec, part, 4.0, rng=gh.SplitStream(14).child(r),
+                                check_stability=False, avg=avg).n) for r in range(n)]
+    direct = [len(simulate_process(spec, 4.0, gh.SplitStream(15).child(r))) for r in range(n)]
+    assert stats.ks_2samp(cpl, direct).pvalue > 0.001
+
+
 def test_coupled_quenched_side_marginal_law():
     spec = gh.constant_model(0.5, grid_n=256)
     part = build_partition(spec.domain, 4, "per-axis-counts")

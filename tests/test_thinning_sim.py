@@ -1,5 +1,6 @@
 """Thinning simulation: intensity evaluation, laws, nonlinear rates."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -201,6 +202,10 @@ NONLINEARITIES = {
 def _graphon(family, values):
     if family == "constant":
         return gh.PairFunction("constant", value=float(values[0]))
+    if family == "rank-one":  # an affine profile of one sign, either one
+        sign = 1.0 if values[3] < 0.5 else -1.0
+        return gh.PairFunction("rank-one", coeff=float(values[0]), profile=gh.SpatialProfile(
+            "affine", intercept=sign * values[1], slope=(sign * values[2],)))
     interp = "pw-constant" if family == "pw-constant" else "bilinear"
     return gh.PairFunction("grid", values=np.reshape(values, (4, 4)), axis_counts=(4,),
                            interp=interp)
@@ -218,10 +223,10 @@ unit = st.floats(0.0, 1.0)
 events = st.tuples(st.floats(0.01, 1.0), unit, st.floats(0.1, 3.0))  # (gap, x, xi)
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(
     kernel=st.sampled_from(sorted(KERNELS)),
-    family=st.sampled_from(["constant", "pw-constant", "bilinear"]),
+    family=st.sampled_from(["constant", "pw-constant", "bilinear", "rank-one"]),
     f=st.sampled_from(sorted(NONLINEARITIES)),
     values=st.lists(unit, min_size=16, max_size=16),
     history=st.lists(st.tuples(st.floats(-4.0, -1e-3), unit, st.floats(0.1, 3.0)),
@@ -417,6 +422,35 @@ def test_power_law_thinning_builds_one_column_per_cell(monkeypatch):
     assert len(built) <= 16
 
 
+def test_rank_one_power_law_thinning_keeps_one_table_row_per_sign(monkeypatch):
+    # W = 1.5 x y is a scale 1.5 y times the shape x: the column table holds
+    # that one shape, not a grid column per event, and the run keeps the law
+    # of the cluster simulator.  For this kernel K(x, y) = 1.5 x y the
+    # descendants of an event at y, itself included, number g(y) = 1 + 1.5 y
+    # on average, as does the stationary rate, so Var N_T / T tends to
+    # int rate g^2 = ((5/2)^4 - 1) / 6 (the clusters form a compound Poisson
+    # count); the band is 4 SEs of the difference of the two means
+    spec = dataclasses.replace(gh.rank_one_model(1.5, grid_n=128), excitation=gh.ExcitationKernel(
+        "power-law", exponent=2.5, cutoff=1.0, l1=1.0))
+    states = []
+
+    class Recorded(thinning_sim._ThinningState):
+        def __init__(self, spec):
+            super().__init__(spec)
+            states.append(self)
+
+    monkeypatch.setattr(thinning_sim, "_ThinningState", Recorded)
+    real = simulate_thinning(spec, 400.0, rng=gh.SplitStream(45))
+    assert len(real) >= 500 and states[0]._n == len(real)
+    assert states[0]._k <= 2
+    horizon, reps = 100.0, 30
+    s = gh.SplitStream(46)
+    thin = [len(simulate_thinning(spec, horizon, rng=s.child(0, i))) for i in range(reps)]
+    clus = [len(simulate_process(spec, horizon, s.child(1, i))) for i in range(reps)]
+    se = math.sqrt(2 * (2.5**4 - 1) / 6 / (horizon * reps))
+    assert abs(np.mean(thin) - np.mean(clus)) / horizon <= 4 * se
+
+
 def test_history_is_keyed_in_one_call(monkeypatch):
     # the column table keys a whole initial history in one `_cell_index` call
     # and holds what pushing it one event at a time holds
@@ -443,7 +477,7 @@ def test_history_is_keyed_in_one_call(monkeypatch):
 def test_flat_model_key_builds_no_key_array(monkeypatch):
     columns = cluster_sim.OffspringColumns(gh.constant_model(0.5, grid_n=64))
     monkeypatch.setattr(columns, "_keys", None)  # any key array would fail
-    assert columns.flat and columns.key(np.array([0.3])) == 0
+    assert columns.flat and columns.law_at(np.array([0.3])) == (0, 1.0)
 
 
 def test_rejected_linear_candidates_form_no_cell_vector(monkeypatch):
