@@ -216,9 +216,9 @@ def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
 
             def one(rep: int):
                 pair = simulate_coupled(
-                    spec, avg.partition, opt["horizon"], mode=mode,
+                    avg, opt["horizon"], mode=mode,
                     rng=stream.child(0 if mode == "annealed" else 1, di, rep),
-                    quenched_graph=frozen, avg=avg,
+                    quenched_graph=frozen,
                 )
                 dist = pp_distance(pair.n, pair.nd, spec, pair.avg.spec).total
                 return dist, pair.shared_fraction, pair.one_event_per_cell
@@ -357,8 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="master seed (default: $GRAPHON_HAWKES_SEED or 0)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="threads that run replications in parallel (same bytes for any "
-                   "count); does not scale on 2 cores: fclt, 40 reps, 1.40 s at 1, 1.47 s at 2")
+                   help="threads that run replications in parallel (same bytes for any count)")
     p.add_argument("--grid-n", type=int, default=None, help="override standard grid size")
     sub = p.add_subparsers(dest="subcommand", required=True)
 

@@ -8,12 +8,14 @@ H(s)/H(tau); child locations are drawn from the normalized spatial profile.
 
 Every location (immigrants, children, and accepted thinning events) comes
 from `sample_location`: the law is a piecewise-constant density on the n^m
-cells of the caller's grid; the engine's is `ModelSpec.on_cells`.  One call
-draws k points from k x m uniforms.  u[:, 0] inverts the CDF over the
-row-major flat cell index, and its residual inside the drawn cell places the
-point on axis 0; u[:, 1:] place it uniformly on the other axes.  A flat
-density (None), or one cell, is lo + u (hi - lo).  Each output row depends
-only on its own uniform row and the density.
+cells of the caller's grid.  The engine's is the model's cell grid, or its
+standard grid when it has no cells, and every simulator reads the one engine
+of a model, `ModelSpec.engine`, built on first use.  One call draws k points
+from k x m uniforms.  u[:, 0] inverts the CDF over the row-major flat cell
+index, and its residual inside the drawn cell places the point on axis 0;
+u[:, 1:] place it uniformly on the other axes.  A flat density (None), or
+one cell, is lo + u (hi - lo).  Each output row depends only on its own
+uniform row and the density.
 
 Branching runs a generation at a time on the offspring law of
 `OffspringColumns`: one `law` call keys the generation, a parent's mass is
@@ -31,6 +33,7 @@ rate functions go through the thinning simulator.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .errors import (
 )
 from .events import Realization, box_mask
 from .model import ModelSpec, SpatialProfile, _cell_index, lcm_cells
+from .operators import cell_grid_n
 from .rng import SplitStream
 
 DEFAULT_EVENT_CAP = 10**7
@@ -163,7 +167,7 @@ class OffspringColumns:
         if key is None:
             return self._build(y)
         hit = self._columns.get(key)
-        if hit is None:
+        if hit is None:  # threads sharing the law may both build it: the builds are equal
             if self._key_counts is None:  # the shape of the sign `key`
                 hit = self._clip(self._product(-1.0 if key else 1.0, self.nodes))
             else:
@@ -186,20 +190,22 @@ class OffspringColumns:
 
 
 class ClusterEngine(OffspringColumns):
-    """Columns and location samplers of a model on `ModelSpec.on_cells`: its
-    cells, where the branching is exact, or else its standard grid."""
+    """Columns and location samplers of a model on a copy of it on its cell
+    grid (`operators.cell_grid_n`), where the branching is exact, or else on
+    its standard grid.  `ModelSpec.engine` builds it once per model; holding
+    the copy, not the model, keeps the two free of a reference cycle."""
 
     def __init__(self, spec: ModelSpec):
-        super().__init__(spec.on_cells)
-        self._lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
-        self.alpha = float(np.sum(self._lam_vals * self.weights))
+        super().__init__(replace(spec, grid_n=cell_grid_n(spec) or spec.grid_n))
+        self.lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
+        self.alpha = float(np.sum(self.lam_vals * self.weights))
 
     # -- immigrants ---------------------------------------------------------
 
     def sample_immigrant_locations(self, k: int, rng) -> np.ndarray:
         if k == 0:
             return np.empty((0, self.domain.dim))
-        return sample_location(self._lam_vals, self.domain, rng.random((k, self.domain.dim)))
+        return sample_location(self.lam_vals, self.domain, rng.random((k, self.domain.dim)))
 
     # -- offspring ----------------------------------------------------------
 
@@ -331,7 +337,6 @@ def simulate_process(
     rng,
     with_lifetimes: bool = True,
     cap: int = DEFAULT_EVENT_CAP,
-    engine: ClusterEngine | None = None,
 ) -> Realization:
     """Simulate the linear process on [0, horizon] from an empty history.
 
@@ -344,7 +349,7 @@ def simulate_process(
     """
     _require_linear(spec)
     stream = _as_stream(rng)
-    engine = engine or ClusterEngine(spec)
+    engine = spec.engine
     # a fresh generator at (seed, path): passing one stream twice repeats it
     gen = stream.child().generator()
     n_imm = int(gen.poisson(engine.alpha * horizon))
@@ -391,7 +396,6 @@ def simulate_cluster(
     rng,
     with_lifetimes: bool = True,
     cap: int = DEFAULT_EVENT_CAP,
-    engine: ClusterEngine | None = None,
 ) -> Realization:
     """Simulate one cluster rooted at (t0, x0), root included.
 
@@ -402,11 +406,10 @@ def simulate_cluster(
     if cap < 1:
         raise InvalidArgumentError("a cluster holds its root: cap must be at least 1")
     stream = _as_stream(rng)
-    engine = engine or ClusterEngine(spec)
     gen = stream.child().generator()
     x0 = np.atleast_1d(np.asarray(x0, float))
     xi0 = spec.marks.sample_xi(gen, 1)
-    arrays, censored = _grow(engine, np.array([float(t0)]), x0[None, :], xi0,
+    arrays, censored = _grow(spec.engine, np.array([float(t0)]), x0[None, :], xi0,
                              np.zeros(1, dtype=np.int64), 0, horizon, gen, with_lifetimes, cap)
     return _assemble(spec, arrays, horizon, stream.describe(), censored)
 

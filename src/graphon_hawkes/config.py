@@ -152,7 +152,6 @@ def build_spec(cfg: dict, base_dir: Path | None = None) -> ModelSpec:
     )
 
     graphon_node = cfg.get("graphon", {"family": "constant", "value": 0.0})
-    tv = cfg.get("tv", {})
     return ModelSpec(
         domain=domain,
         baseline=_profile_from(cfg.get("baseline", {"family": "constant", "value": 1.0}), base_dir),
@@ -164,8 +163,6 @@ def build_spec(cfg: dict, base_dir: Path | None = None) -> ModelSpec:
         c_w=float(graphon_node.get("c_w", math.inf)),
         symmetric=bool(graphon_node.get("symmetric", False)),
         grid_n=int(cfg.get("grid_n", 512)),
-        tv_baseline=tv.get("baseline"),
-        tv_graphon=tv.get("graphon"),
     )
 
 
@@ -264,7 +261,7 @@ def spec_config(spec: ModelSpec) -> dict:
         nl_cfg["cap"] = nl.cap
     if nl.family == "sigmoid-scaled":
         nl_cfg["scale"] = nl.scale
-    cfg = {
+    return {
         "domain": {"lower": list(spec.domain.lower), "upper": list(spec.domain.upper)},
         "baseline": _profile_config(spec.baseline),
         "graphon": graphon_cfg,
@@ -274,14 +271,6 @@ def spec_config(spec: ModelSpec) -> dict:
         "nonlinearity": nl_cfg,
         "grid_n": spec.grid_n,
     }
-    tv = {}
-    if spec.tv_baseline is not None:
-        tv["baseline"] = spec.tv_baseline
-    if spec.tv_graphon is not None:
-        tv["graphon"] = spec.tv_graphon
-    if tv:
-        cfg["tv"] = tv
-    return cfg
 
 
 def model_digest(spec: ModelSpec) -> str:

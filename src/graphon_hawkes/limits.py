@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_sim import ClusterEngine, simulate_process
+from .cluster_sim import simulate_process
 from .config import model_digest
 from .errors import OutdegreeConditionError
 from .events import box_mask
@@ -104,11 +104,9 @@ def flln_experiment(
 ) -> ExperimentReport:
     """FLLN check: sup-statistic samples against the stationary rate."""
     _, est, _, _, lam_a = _operator_setup(spec, box, n_op)
-    engine = ClusterEngine(spec)
 
     def one(i: int) -> float:
-        real = simulate_process(spec, horizon, stream.child(i), with_lifetimes=False,
-                                engine=engine)
+        real = simulate_process(spec, horizon, stream.child(i), with_lifetimes=False)
         sel = box_mask(real.locations, box)
         return flln_sup_statistic(real.times[sel], horizon, lam_a)
 
@@ -157,16 +155,13 @@ def divergence_experiment(
     also rises in the stable regime (towards lam_bar(A), with an O(1/T)
     bias), and censoring at the cap can hide growth in the unstable one.
     """
-    engine = ClusterEngine(spec)
     samples: dict[str, list] = {}
     summary: dict = {"per_T": {}}
     notes: list[str] = []
     for ti, horizon in enumerate(t_list):
         def one(i: int):
-            real = simulate_process(
-                spec, horizon, stream.child(ti, i), with_lifetimes=False,
-                cap=cap, engine=engine,
-            )
+            real = simulate_process(spec, horizon, stream.child(ti, i),
+                                    with_lifetimes=False, cap=cap)
             sel = box_mask(real.locations, box)
             n_a = int(np.count_nonzero(real.times[sel] <= horizon))
             return n_a / horizon, real.censored
@@ -272,12 +267,10 @@ def fclt_experiment(
         )
     grid, est, rate, share, lam_a = _operator_setup(spec, box, n_op)
     sigma = fclt_sigma(grid, rate, share)
-    engine = ClusterEngine(spec)
     total_t = burn_in + horizon
 
     def one(i: int) -> float:
-        real = simulate_process(spec, total_t, stream.child(i), with_lifetimes=False,
-                                engine=engine)
+        real = simulate_process(spec, total_t, stream.child(i), with_lifetimes=False)
         sel = (real.times > burn_in) & (real.times <= total_t) & box_mask(real.locations, box)
         count = int(np.count_nonzero(sel))
         return math.sqrt(horizon) * (count / horizon - lam_a)

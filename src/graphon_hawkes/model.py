@@ -9,7 +9,7 @@ vectorized over arrays of points of shape (k, m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -257,6 +257,21 @@ class ExcitationKernel:
             return self.l1 * (self.exponent - 1) / self.cutoff
         return float(np.max(self.table_values)) if len(self.table_values) else 0.0
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A table kernel's values and nonincreasing majorant, each padded by
+        its value before the first break and the 0 after the last (index them
+        by `_segment`), H at each break, and the slopes of H with inf for 0."""
+        vals = np.asarray(self.table_values, float)
+        env = np.maximum.accumulate(vals[::-1])[::-1]
+        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(self.breaks))])
+        return (np.r_[0.0, vals, 0.0], np.r_[vals.max(initial=0.0), env, 0.0], cum,
+                np.where(vals > 0, vals, np.inf))
+
+    def _segment(self, t) -> np.ndarray:
+        """1 + the index k of the table segment [breaks[k], breaks[k+1]) holding t."""
+        return np.searchsorted(self.breaks, t, side="right")
+
     def h(self, t) -> np.ndarray:
         t = np.asarray(t, float)
         if self.family == "exponential":
@@ -264,24 +279,13 @@ class ExcitationKernel:
         if self.family == "power-law":
             p, c = self.exponent, self.cutoff
             return self.l1 * (p - 1) * c ** (p - 1) * (c + t) ** (-p)
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        vals = np.where(
-            (idx >= 0) & (idx < len(self.table_values)) & (t >= 0),
-            np.asarray(self.table_values)[np.clip(idx, 0, len(self.table_values) - 1)],
-            0.0,
-        )
-        return vals
+        return self._table[0][self._segment(t)]
 
     def h_envelope(self, t) -> np.ndarray:
         """Nonincreasing majorant of h; equals h for the monotone families."""
         if self.family != "table":
             return self.h(t)
-        env = np.maximum.accumulate(np.asarray(self.table_values)[::-1])[::-1]
-        idx = np.searchsorted(self.breaks, np.asarray(t, float), side="right") - 1
-        out = np.where(
-            (idx >= 0) & (idx < len(env)), env[np.clip(idx, 0, len(env) - 1)], 0.0
-        )
-        return np.where(np.asarray(t) < 0, env[0] if len(env) else 0.0, out)
+        return self._table[1][self._segment(np.asarray(t, float))]
 
     def H(self, u) -> np.ndarray:
         """Integrated excitation: H(u) = int_0^u h, nondecreasing, H(inf)=l1."""
@@ -293,18 +297,10 @@ class ExcitationKernel:
         if self.family == "power-law":
             p, c = self.exponent, self.cutoff
             return self.l1 * (1.0 - (c / (c + u)) ** (p - 1))
-        widths = np.diff(self.breaks)
-        cum = np.concatenate([[0.0], np.cumsum(self.table_values * widths)])
-        idx = np.clip(np.searchsorted(self.breaks, u, side="right") - 1, 0, len(widths))
-        base = cum[idx]
-        inner = idx < len(widths)
-        extra = np.where(
-            inner,
-            np.asarray(self.table_values)[np.clip(idx, 0, len(widths) - 1)]
-            * (u - self.breaks[np.clip(idx, 0, len(widths) - 1)]),
-            0.0,
-        )
-        return np.where(u >= self.breaks[-1], cum[-1], base + extra)
+        padded, _, cum, _ = self._table
+        k = np.clip(self._segment(u) - 1, 0, cum.size - 2)
+        return np.where(u >= self.breaks[-1], cum[-1],
+                        cum[k] + padded[k + 1] * (u - self.breaks[k]))
 
     def sample_delay(self, q: np.ndarray, tau) -> np.ndarray:
         """Invert s -> H(s)/H(tau) at probabilities q in (0, 1]."""
@@ -317,18 +313,13 @@ class ExcitationKernel:
             p, c = self.exponent, self.cutoff
             full = 1.0 - (c / (c + tau)) ** (p - 1)
             return c * ((1.0 - q * full) ** (-1.0 / (p - 1)) - 1.0)
-        # table: monotone bisection on H(s) - q H(tau), tolerance 1e-10 in time
+        # table: H is piecewise linear, so invert it on the segment where it
+        # first reaches the target; a zero-valued segment never holds it
+        _, _, cum, slopes = self._table
         target = q * self.H(tau)
-        lo = np.zeros_like(target)
-        hi = np.minimum(np.broadcast_to(tau, target.shape).astype(float), self.breaks[-1])
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = self.H(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < 1e-10:
-                break
-        return 0.5 * (lo + hi)
+        k = np.clip(np.searchsorted(cum, target, side="left") - 1, 0, cum.size - 2)
+        s = self.breaks[k] + (target - cum[k]) / slopes[k]
+        return np.clip(s, 0.0, np.minimum(tau, self.breaks[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +448,6 @@ class ModelSpec:
     c_w: float = math.inf  # uniform bound C_W on the graphon
     symmetric: bool = False
     grid_n: int = DEFAULT_GRID_N
-    tv_baseline: float | None = None
-    tv_graphon: float | None = None
 
     @cached_property
     def cells(self) -> tuple[int, ...] | None:
@@ -467,10 +456,11 @@ class ModelSpec:
         return lcm_cells((self.baseline, self.graphon, self.marks.b), self.domain.dim)
 
     @cached_property
-    def on_cells(self) -> "ModelSpec":
-        """A copy of this model on its cell grid (`operators.cell_grid_n`) if any; built once."""
-        from .operators import cell_grid_n
-        return replace(self, grid_n=cell_grid_n(self) or self.grid_n)
+    def engine(self):
+        """`cluster_sim.ClusterEngine` of this model, built once: every
+        simulator reads its columns, baseline and cell grid."""
+        from .cluster_sim import ClusterEngine
+        return ClusterEngine(self)
 
     @cached_property
     def std_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -678,8 +668,6 @@ def constant_model(
         c_w=w,
         symmetric=True,
         grid_n=grid_n,
-        tv_baseline=0.0,
-        tv_graphon=0.0,
     )
 
 
@@ -697,5 +685,4 @@ def rank_one_model(
         c_w=coeff,
         symmetric=True,
         grid_n=grid_n,
-        tv_baseline=0.0,
     )

@@ -16,12 +16,14 @@ Every event of the coupled pass, immigrant or child, goes through one step:
 two uniforms pick its location on each side that holds it, then one mark
 scalar is drawn.  An event on both sides (or, in quenched mode, on the
 prelimit side, whose descendants share the graph) stays in the pass; an
-event on one side only grows its whole cluster there with the cluster
-engine.  A continuum parent's column is the offspring law of
-`OffspringColumns` on the standard grid, which `_CellSampler` reads: its
-scale times its key's cached shape (a cell's column, or a rank-one shape),
-or its own column when the law has no key.  The order of the draws is part
-of the contract: the same (seed, path) gives the same pair.
+event on one side only grows its whole cluster there with its model's
+cluster engine, `ModelSpec.engine`.  A continuum parent's column is the
+offspring law of `OffspringColumns` on the base's standard grid: its scale
+times its key's cached shape (a cell's column, or a rank-one shape), or its
+own column when the law has no key.  That law, the within-cell sampler and
+the baseline vectors depend on the averaged model alone, so they are built
+once per averaged model, as `AveragedModel.coupling`.  The order of the
+draws is part of the contract: the same (seed, path) gives the same pair.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cluster_sim
-from .cluster_sim import ClusterEngine, OffspringColumns
+from .cluster_sim import OffspringColumns
 from .errors import (
     BadCellCountError,
     GridTooLargeError,
@@ -75,20 +77,6 @@ class Partition:
     @property
     def cell_volume(self) -> float:
         return self.domain.volume / self.d
-
-    def cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        counts = np.asarray(self.axis_counts)
-        widths = (self.domain.hi - self.domain.lo) / counts
-        out = []
-        for flat in range(self.d):
-            idx = np.empty(len(counts), dtype=int)
-            rem = flat
-            for a in reversed(range(len(counts))):
-                idx[a] = rem % counts[a]
-                rem //= counts[a]
-            lo = self.domain.lo + idx * widths
-            out.append((lo, lo + widths))
-        return out
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         return _cell_index(np.atleast_2d(pts), self.domain, self.axis_counts)
@@ -144,6 +132,11 @@ class AveragedModel:
         b = None if self.base.marks.kind == "unmarked" else self.b_cell
         return _cell_model(self, self.W_cell, b, float(self.W_cell.max(initial=0.0)),
                            self.base.symmetric)
+
+    @cached_property
+    def coupling(self) -> "_CouplingSetup":
+        """What every coupled pass of this model reads, built once."""
+        return _CouplingSetup(self)
 
 
 def _block_mean_matrix(values: np.ndarray, cell: np.ndarray, d: int) -> np.ndarray:
@@ -274,20 +267,30 @@ def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realizat
     )
 
 
-class _CellSampler:
-    """Within-cell location sampling from a grid column, shared-uniform aware."""
+class _CouplingSetup:
+    """What a coupled pass reads of a base model and its average, on the
+    base's standard grid: the continuum offspring law, both baselines, the
+    partition-cell baseline masses, and within-cell location sampling from a
+    grid column, shared-uniform aware.  It keeps no reference to the average."""
 
-    def __init__(self, spec: ModelSpec, partition: Partition):
+    def __init__(self, avg: AveragedModel):
+        spec, self.d = avg.base, avg.partition.d
         self.nodes, self.weights = spec.std_grid
         domain = spec.domain
         self.grid_width = (domain.hi - domain.lo) / spec.grid_n
-        self.cell_idx = partition.cell_of(self.nodes)
+        self.cell_idx = avg.partition.cell_of(self.nodes)
         self.order = np.argsort(self.cell_idx, kind="stable")
         # the nodes of cell k are order[bounds[k]:bounds[k + 1]]
-        self.bounds = np.searchsorted(self.cell_idx[self.order], np.arange(partition.d + 1))
+        self.bounds = np.searchsorted(self.cell_idx[self.order], np.arange(self.d + 1))
+        self.columns = OffspringColumns(spec)
+        self.lam_vals = np.maximum(spec.baseline_on(self.nodes), 0.0)
+        self.lam_m_vals = np.maximum(avg.spec.baseline_on(self.nodes), 0.0)
+        self.lam_cell_mass = self.masses_by_cell(self.lam_vals)
+        self.alpha = float(self.lam_cell_mass.sum())
+        self.ones_col = np.ones(self.nodes.shape[0])
 
-    def masses_by_cell(self, col: np.ndarray, d: int) -> np.ndarray:
-        return np.bincount(self.cell_idx, weights=col * self.weights, minlength=d)
+    def masses_by_cell(self, col: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cell_idx, weights=col * self.weights, minlength=self.d)
 
     def pick(self, col: np.ndarray, k: int, u_cell: float, u_jit: np.ndarray) -> np.ndarray:
         """One point in cell k with density prop. to col, using shared uniforms.
@@ -338,17 +341,16 @@ class _LazyGraph:
 
 
 def simulate_coupled(
-    spec: ModelSpec,
-    partition: Partition,
+    avg: AveragedModel,
     horizon: float,
     mode: str = "annealed",
     rng=None,
     quenched_graph: QuenchedGraph | None = None,
     cap: int = cluster_sim.DEFAULT_EVENT_CAP,
     check_stability: bool = True,
-    avg: AveragedModel | None = None,
 ) -> CoupledPair:
-    """Simulate the continuum process and its prelimit on shared randomness.
+    """Simulate the continuum process `avg.base` and its prelimit on the
+    partition `avg.partition` on shared randomness.
 
     Both modes run one branching pass.  Prelimit offspring are generated as
     potential children (at the annealed rate in annealed mode, at the full
@@ -356,9 +358,11 @@ def simulate_coupled(
     accepted on both sides become shared events carrying one id, a shared
     mark scalar, a shared lifetime and same-cell locations.  Returns both
     realizations plus the one-event-per-cell flag under which the quenched
-    and annealed laws agree.  A given `avg` must be `average_model(spec,
-    partition)`; it carries the cached stability verdict of both models.
+    and annealed laws agree.  The stability verdicts, the two cluster
+    engines and the coupling setup are cached on the two models, so every
+    call on one `avg` shares them.
     """
+    spec, partition = avg.base, avg.partition
     if not spec.nonlinearity.is_identity:
         raise RequiresThinningError("coupled simulation covers linear models only")
     if mode not in ("annealed", "quenched"):
@@ -366,9 +370,6 @@ def simulate_coupled(
     stream = cluster_sim._as_stream(rng)
     gen = stream.generator()
 
-    avg = avg or average_model(spec, partition)
-    if avg.base is not spec or avg.partition.axis_counts != partition.axis_counts:
-        raise InvalidArgumentError("avg is not the average of this model on this partition")
     if check_stability:
         require_stable(spec.gate, UnstableModelError, "continuum model")
         require_stable(avg.spec.gate, PrelimitUnstableError, "averaged model at this partition")
@@ -376,13 +377,8 @@ def simulate_coupled(
     lazy = _LazyGraph(avg, quenched_graph, gen) if quenched else None
 
     d, dim = partition.d, spec.domain.dim
-    engine_n, engine_m = ClusterEngine(spec), ClusterEngine(avg.spec)
-    columns_n, sampler = OffspringColumns(spec), _CellSampler(spec, partition)
-    lam_vals = np.maximum(spec.baseline_on(sampler.nodes), 0.0)
-    lam_cell_mass = sampler.masses_by_cell(lam_vals, d)
-    alpha = float(lam_cell_mass.sum())
-    lam_m_vals = np.maximum(avg.spec.baseline_on(sampler.nodes), 0.0)
-    ones_col = np.ones(sampler.nodes.shape[0])
+    engine_n, engine_m = spec.engine, avg.spec.engine
+    setup = avg.coupling
     cell_vol = partition.cell_volume
     H = spec.excitation.H
 
@@ -407,8 +403,8 @@ def simulate_coupled(
         """One event in cell k at time t on the sides whose column is given."""
         nonlocal next_id, censored
         u_cell, u_jit = gen.random(), gen.random(dim)
-        z_n = None if col_n is None else sampler.pick(col_n, k, u_cell, u_jit)
-        z_m = None if col_m is None else sampler.pick(col_m, k, u_cell, u_jit)
+        z_n = None if col_n is None else setup.pick(col_n, k, u_cell, u_jit)
+        z_m = None if col_m is None else setup.pick(col_m, k, u_cell, u_jit)
         xi = float(spec.marks.sample_xi(gen, 1)[0])
         # a quenched prelimit event stays in the pass: its descendants share the graph
         if z_m is not None and (z_n is not None or quenched):
@@ -437,11 +433,11 @@ def simulate_coupled(
         next_id += ts.shape[0]
 
     # shared immigrants: per-cell baseline masses agree exactly
-    n_imm = gen.poisson(alpha * horizon)
+    n_imm = gen.poisson(setup.alpha * horizon)
     imm_times = np.sort(horizon * (1.0 - gen.random(n_imm)))
-    cells, _ = cluster_sim._categorical(lam_cell_mass, alpha, gen.random(n_imm))
+    cells, _ = cluster_sim._categorical(setup.lam_cell_mass, setup.alpha, gen.random(n_imm))
     for k, t in zip(cells.tolist(), imm_times.tolist()):
-        step(k, t, lam_vals, lam_m_vals, 0, -1)
+        step(k, t, setup.lam_vals, setup.lam_m_vals, 0, -1)
 
     while queue:
         if len(rows_n) + len(rows_m) >= cap:
@@ -459,9 +455,9 @@ def simulate_coupled(
         p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
         col_n, p_n = None, np.zeros(d)
         if y_n is not None:
-            key, scale = columns_n.law_at(y_n)
-            col_n = xi * scale * columns_n.column_of(key, y_n)[1]
-            p_n = sampler.masses_by_cell(col_n, d)
+            key, scale = setup.columns.law_at(y_n)
+            col_n = xi * scale * setup.columns.column_of(key, y_n)[1]
+            p_n = setup.masses_by_cell(col_n)
         q_mass = np.minimum(p_n, p_tilde)
         # potential prelimit children: shared with probability q / p_tilde
         # once accepted, on the prelimit side where the edge is present
@@ -470,7 +466,7 @@ def simulate_coupled(
             on_n = (col_n is not None and accept and p_tilde[k] > 0
                     and gen.random() < q_mass[k] / p_tilde[k])
             if on_n or edge:
-                step(k, tc, col_n if on_n else None, ones_col if edge else None,
+                step(k, tc, col_n if on_n else None, setup.ones_col if edge else None,
                      generation + 1, eid)
         # continuum-only residual children (none for a prelimit-only parent)
         for k, tc in offspring(p_n - q_mass, h_mass, t0, tau):

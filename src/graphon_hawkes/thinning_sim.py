@@ -9,14 +9,15 @@ any event, the total intensity bound computed there dominates all later
 times until the next accepted event.
 
 A model with cells (`ModelSpec.cells`) is a d-variate Hawkes process on them,
-so the state lives on its cell grid, `ModelSpec.on_cells` as in the cluster
-engine: cell midpoints weighted by cell volumes, 1 cell for a constant model.
-A model without cells keeps its standard grid, whose n^m nodes play the
-cells.  The baseline and the excitation sum_k xi_k h(t - t_k) b(., y_k)
-W(., y_k) hold one value per cell.  Each event's column comes from the one
-offspring law of `OffspringColumns`: s_k times the cached shape phi of its
-key (a key cell with s_k = 1, or the sign of a rank-one scale), or, with no
-key, its own rebuilt column.  The excitation is carried per kernel family:
+so the state lives on its cell grid, read from the model's one cluster
+engine, `ModelSpec.engine`: cell midpoints weighted by cell volumes, 1 cell
+for a constant model.  A model without cells keeps its standard grid, whose
+n^m nodes play the cells.  The baseline and the excitation sum_k xi_k
+h(t - t_k) b(., y_k) W(., y_k) hold one value per cell.  Each event's column
+comes from the engine's offspring law, the one of `OffspringColumns`: s_k
+times the cached shape phi of its key (a key cell with s_k = 1, or the sign
+of a rank-one scale), or, with no key, its own rebuilt column.  The
+excitation is carried per kernel family:
   exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref); an event at t sets
                S <- S(t) + xi l1 beta s phi, t_ref <- t (Ogata 1981;
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
@@ -42,7 +43,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .cluster_sim import DEFAULT_EVENT_CAP, OffspringColumns, _as_stream, sample_location
+from .cluster_sim import DEFAULT_EVENT_CAP, _as_stream, sample_location
 from .errors import AcausalHistoryError, ThinningBoundError
 from .events import Realization
 from .model import ModelSpec
@@ -111,12 +112,11 @@ class _ThinningState:
     """
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec = spec.on_cells
-        self.nodes, self.weights = spec.std_grid
+        self._columns = engine = spec.engine
+        self.spec = spec = engine.spec  # on the cells
+        self.weights, self.base = engine.weights, engine.lam_vals
         self.flat = self.weights.size == 1  # one cell
-        self.base = np.maximum(spec.baseline_on(self.nodes), 0.0)
-        self._base_total = float(self.base @ self.weights)
-        self._columns = OffspringColumns(spec)
+        self._base_total = float(self.base @ self.weights)  # not engine.alpha: other rounding
         kernel = spec.excitation
         self._beta = kernel.rate if kernel.family == "exponential" else None
         self._linear = self._beta is not None and spec.nonlinearity.is_identity

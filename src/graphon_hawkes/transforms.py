@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_sim import DEFAULT_EVENT_CAP, ClusterEngine, _grow
+from .cluster_sim import DEFAULT_EVENT_CAP, _grow
 from .errors import InvalidArgumentError, ShapeError
 from .model import LifetimeModel, MarkModel, ModelSpec, _cell_index
 from .operators import cell_grid_n
@@ -250,7 +250,7 @@ def mc_transform_oracle(
     roots = np.tile(np.atleast_1d(np.asarray(x, float)), (nsim, 1))
     xi0 = spec.marks.sample_xi(gen, nsim)
     grown = _grow(
-        ClusterEngine(spec), np.zeros(nsim), roots, xi0, np.arange(nsim, dtype=np.int64), 0,
+        spec.engine, np.zeros(nsim), roots, xi0, np.arange(nsim, dtype=np.int64), 0,
         float(u), gen, True, DEFAULT_EVENT_CAP,
     )
     return _alive_transform(grown, spec, f, u, nsim)
@@ -272,7 +272,7 @@ def mc_population_transform(
 ) -> OracleEstimate:
     """Direct Monte Carlo of E[exp(-f(Q_t))] via immigrants plus clusters."""
     gen = rng.generator() if isinstance(rng, SplitStream) else rng
-    engine = ClusterEngine(spec)
+    engine = spec.engine
     counts = gen.poisson(engine.alpha * t, nsim)
     total = int(counts.sum())
     sim_idx = np.repeat(np.arange(nsim, dtype=np.int64), counts)

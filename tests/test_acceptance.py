@@ -162,9 +162,9 @@ def test_criterion_04_prelimit_convergence():
             dists = []
             for rep in range(200):
                 pair = simulate_coupled(
-                    spec, part, 1.0, mode=mode,
+                    avg, 1.0, mode=mode,
                     rng=s.child(0 if mode == "annealed" else 1, d, rep),
-                    check_stability=False, avg=avg,
+                    check_stability=False,
                 )
                 dists.append(pp_distance(pair.n, pair.nd, spec, avg.spec).total)
             means.append(float(np.mean(dists)))

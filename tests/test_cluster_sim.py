@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 import types
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import graphon_hawkes as gh
-from graphon_hawkes import cluster_sim
+from graphon_hawkes import cluster_sim, limits, prelimit
 from graphon_hawkes.cluster_sim import (
     ClusterEngine,
     population_count,
@@ -29,7 +30,9 @@ from graphon_hawkes.errors import (
     RequiresThinningError,
 )
 from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index, lcm_cells
+from graphon_hawkes.limits import flln_experiment
 from graphon_hawkes.operators import discretize_kernel
+from graphon_hawkes.prelimit import average_model, build_partition, simulate_coupled
 from graphon_hawkes.thinning_sim import simulate_thinning
 
 
@@ -61,10 +64,8 @@ def test_single_cluster_mean_progeny():
     # subcritical branching: mean total progeny 1/(1-0.5) = 2 within 3 se
     spec = gh.constant_model(0.5, grid_n=128)
     s = gh.SplitStream(3)
-    engine = ClusterEngine(spec)
     sizes = np.asarray(
-        [len(simulate_cluster([0.3], 0.0, spec, np.inf, s.child(i), engine=engine))
-         for i in range(10_000)]
+        [len(simulate_cluster([0.3], 0.0, spec, np.inf, s.child(i))) for i in range(10_000)]
     )
     se = sizes.std(ddof=1) / math.sqrt(sizes.size)
     assert abs(sizes.mean() - 2.0) <= 3 * se
@@ -87,11 +88,10 @@ def test_cluster_generation_means_match_branching():
     # generation-n mean count = 0.5^n for the constant kernel
     spec = gh.constant_model(0.5, grid_n=128)
     s = gh.SplitStream(6)
-    engine = ClusterEngine(spec)
     reps = 20_000
     per_gen = np.zeros(5)
     for i in range(reps):
-        real = simulate_cluster([0.5], 0.0, spec, np.inf, s.child(i), engine=engine)
+        real = simulate_cluster([0.5], 0.0, spec, np.inf, s.child(i))
         for g in range(1, 5):
             per_gen[g] += np.count_nonzero(real.generations == g)
     for g in range(1, 5):
@@ -114,11 +114,10 @@ def test_generation_counts_match_kernel_powers_rank_one():
         vec = grid.action @ vec
         expected.append(float(np.sum(vec * grid.weights)))
     s = gh.SplitStream(7)
-    engine = ClusterEngine(spec)
     reps = 30_000
     got = np.zeros(4)
     for i in range(reps):
-        real = simulate_cluster([x0], 0.0, spec, np.inf, s.child(i), engine=engine)
+        real = simulate_cluster([x0], 0.0, spec, np.inf, s.child(i))
         for g in range(1, 4):
             got[g] += np.count_nonzero(real.generations == g)
     for g in range(1, 4):
@@ -313,7 +312,7 @@ def test_nonpositive_rank_one_profile_branches_at_the_stationary_rate():
     # lambda/(1-w)^3 = 8 (Hawkes 1971): the band is 4 of those SEs
     prof = SpatialProfile("affine", intercept=-1.0, slope=(0.0,))
     spec = dataclasses.replace(
-        gh.constant_model(0.5, grid_n=64), tv_graphon=None,
+        gh.constant_model(0.5, grid_n=64),
         graphon=gh.PairFunction("rank-one", coeff=0.5, profile=prof))
     assert gh.validate_model(spec) == []
     horizon, reps, w = 200.0, 20, 0.5
@@ -380,7 +379,7 @@ def test_offspring_law_equals_the_clipped_excitation_column(case):
     engine = ClusterEngine(spec)
     columns = cluster_sim.OffspringColumns(spec)
     masses, _ = engine.offspring_mass(parents)
-    for grid, law in ((spec.std_grid, columns), (spec.on_cells.std_grid, engine)):
+    for grid, law in ((spec.std_grid, columns), (engine.spec.std_grid, engine)):
         nodes, weights = grid
         for p, y in enumerate(parents):
             key, scale = law.law_at(y)
@@ -626,16 +625,13 @@ def step_model(grid_n=128):
 
 def test_column_cache_holds_one_column_per_cell_for_step_graphon():
     spec = step_model()
-    engine = ClusterEngine(spec)
-    real = simulate_process(spec, 100.0, gh.SplitStream(21), engine=engine,
-                            with_lifetimes=False)
+    real = simulate_process(spec, 100.0, gh.SplitStream(21), with_lifetimes=False)
     assert len(real) > 100
-    assert len(engine._columns) <= 16
+    assert len(spec.engine._columns) <= 16
     # built per parent instead, the same stream gives the same events
-    by_parent = ClusterEngine(spec)
-    by_parent._key_counts = None
-    again = simulate_process(spec, 100.0, gh.SplitStream(21), engine=by_parent,
-                             with_lifetimes=False)
+    by_parent = dataclasses.replace(spec)
+    by_parent.engine._key_counts = None
+    again = simulate_process(by_parent, 100.0, gh.SplitStream(21), with_lifetimes=False)
     assert np.array_equal(real.times, again.times)
     assert np.array_equal(real.locations, again.locations)
 
@@ -652,11 +648,83 @@ def test_smooth_graphon_engine_keeps_no_columns():
         c_w=float(vals.max()),
         grid_n=64,
     )
-    engine = ClusterEngine(spec)
-    reals = [simulate_process(spec, 50.0, gh.SplitStream(22).child(i), engine=engine)
-             for i in range(2)]
+    reals = [simulate_process(spec, 50.0, gh.SplitStream(22).child(i)) for i in range(2)]
     assert all((r.generations > 0).any() for r in reals)
-    assert engine._columns == {}
+    assert spec.engine._columns == {}
+
+
+def _counted(monkeypatch, cls) -> list:
+    """A list that grows by one on every construction of `cls`."""
+    built, init = [], cls.__init__
+
+    def counting(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def _coupled_runs(avg) -> list[str]:
+    """Both sides of 5 coupled replications in each mode, as NDJSON."""
+    pairs = [simulate_coupled(avg, 5.0, mode=mode, rng=gh.SplitStream(33).child(m, r))
+             for m, mode in enumerate(("annealed", "quenched")) for r in range(5)]
+    return [side.to_ndjson() for pair in pairs for side in (pair.n, pair.nd)]
+
+
+def test_each_model_builds_one_engine_and_each_average_one_coupling_setup(monkeypatch):
+    engines = _counted(monkeypatch, ClusterEngine)
+    setups = _counted(monkeypatch, prelimit._CouplingSetup)
+    spec = step_model()
+
+    def runs(model):
+        reals = [simulate_process(model, 50.0, gh.SplitStream(30).child(r)) for r in range(4)]
+        reals += [simulate_thinning(model, 20.0, rng=gh.SplitStream(31).child(r))
+                  for r in range(2)]
+        flln = flln_experiment(model, None, 20.0, 3, gh.SplitStream(32), n_op=64)
+        return [real.to_ndjson() for real in reals], flln.samples
+
+    first = runs(spec)
+    assert len(engines) == 1 and not setups
+    # a fresh copy of the model builds its own engine and gives the same bytes
+    assert runs(dataclasses.replace(spec)) == first
+    # a coupling reads the engines of the continuum and of the averaged model
+    spec = gh.rank_one_model(1.5, grid_n=64)
+    part = build_partition(spec.domain, 4, "per-axis-counts")
+    engines.clear()
+    first = _coupled_runs(average_model(spec, part))
+    assert len(engines) == 2 and len(setups) == 1
+    assert _coupled_runs(average_model(dataclasses.replace(spec), part)) == first
+
+
+def test_shared_engines_and_coupling_setups_give_the_same_bytes_under_threads():
+    # 4 threads on 2 cores, switching often, fill each model's column cache
+    # and coupling setup at once
+    def process(model):
+        return lambda r: simulate_process(model, 50.0, gh.SplitStream(34).child(r)).to_ndjson()
+
+    def coupled(avg):
+        def one(r):
+            pair = simulate_coupled(avg, 5.0, mode=("annealed", "quenched")[r % 2],
+                                    rng=gh.SplitStream(35).child(r))
+            return pair.n.to_ndjson() + pair.nd.to_ndjson()
+        return one
+
+    def runs(threads):
+        out = []
+        for spec in (step_model(), gh.rank_one_model(1.5, grid_n=64)):
+            avg = average_model(spec, build_partition(spec.domain, 4, "per-axis-counts"))
+            out.append(limits._pmap(process(spec), 8, threads))
+            out.append(limits._pmap(coupled(avg), 8, threads))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = runs(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == runs(1)
 
 
 def step_marked_model():
@@ -732,7 +800,7 @@ def test_a_parent_on_a_cell_face_shares_the_column_of_its_key_cell():
     inside = lo + (key + 0.5) * (hi - lo) / 210
     _, (cols, of_parent) = engine.offspring_mass(np.array([face, [inside]]))
     assert of_parent[0] == of_parent[1]
-    nodes = spec.on_cells.std_grid[0]
+    nodes = engine.nodes
     assert np.array_equal(cols[of_parent[1]],
                           np.maximum(spec.excitation_column(nodes, np.array([inside])), 0.0))
 
@@ -774,7 +842,7 @@ def test_grouped_offspring_draw_equals_per_parent_draws_bit_for_bit(case):
     out = engine.sample_offspring_locations(columns, parent_idx, gen)
     # the reference: one column on the engine's grid and one uniform block
     # per parent, in ascending parent order, each child in stable order
-    nodes, weights = spec.on_cells.std_grid
+    nodes, weights = engine.nodes, engine.weights
     rng = np.random.Generator(np.random.Philox(seed))
     ref = np.empty((parent_idx.size, m))
     order = np.argsort(parent_idx, kind="stable")

@@ -207,6 +207,25 @@ def test_integrated_excitation_matches_quadrature(kernel):
         assert abs(float(kernel.H(u)) - ref) < 1e-8
 
 
+def test_table_delay_inverts_H_exactly():
+    # H is piecewise linear, so the delay is its exact inverse up to the
+    # rounding of s: H(s) = q H(tau) to rtol 1e-12 wherever the target is not
+    # tiny against h(s) ulp(s).  Zero-valued segments never hold a delay's target
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        breaks = np.r_[0.0, np.cumsum(rng.uniform(0.25, 1.0, k))]
+        values = np.where(rng.random(k) < 0.4, 0.0, rng.uniform(0.5, 2.0, k))
+        values[rng.integers(k)] = 1.0
+        kernel = ExcitationKernel("table", breaks=breaks, table_values=values)
+        tau = rng.uniform(0.0, 1.5 * breaks[-1], 200)
+        tau = tau[kernel.H(tau) >= 0.5 * kernel.l1_norm][:50]
+        q = 1.0 - 0.9 * rng.random(tau.size)
+        s = kernel.sample_delay(q, tau)
+        assert ((s >= 0) & (s <= np.minimum(tau, breaks[-1]))).all()
+        np.testing.assert_allclose(kernel.H(s), q * kernel.H(tau), rtol=1e-12, atol=0)
+
+
 def test_h_nondecreasing_and_limits():
     for kernel in (
         ExcitationKernel("exponential", rate=2.0, l1=0.5),
@@ -432,8 +451,6 @@ def model_specs(draw):
         c_w=draw(st.just(math.inf) | positive),
         symmetric=draw(st.booleans()),
         grid_n=draw(st.integers(1, 1024)),
-        tv_baseline=draw(st.none() | positive),
-        tv_graphon=draw(st.none() | positive),
     )
 
 

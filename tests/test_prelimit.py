@@ -45,9 +45,7 @@ def affine_rank_one_model(grid_n=512):
 def test_partition_1d_two_cells():
     dom = gh.SpatialDomain((0.0,), (1.0,))
     p = build_partition(dom, 2, "per-axis-counts")
-    cells = p.cells()
-    assert np.allclose(cells[0][0], 0.0) and np.allclose(cells[0][1], 0.5)
-    assert np.allclose(cells[1][0], 0.5) and np.allclose(cells[1][1], 1.0)
+    assert p.cell_of(np.array([[0.25], [0.75]])).tolist() == [0, 1]
     assert p.mesh == pytest.approx(0.5)
 
 
@@ -167,7 +165,8 @@ def test_rho_converges_along_dyadic_refinement():
 def test_coupled_shared_ids_consistent():
     spec = affine_rank_one_model()
     part = build_partition(spec.domain, 4, "per-axis-counts")
-    pair = simulate_coupled(spec, part, 2.0, mode="annealed", rng=gh.SplitStream(5))
+    pair = simulate_coupled(average_model(spec, part), 2.0, mode="annealed",
+                            rng=gh.SplitStream(5))
     ids_n = {int(i): float(t) for i, t in zip(pair.n.ids, pair.n.times)}
     ids_m = {int(i): float(t) for i, t in zip(pair.nd.ids, pair.nd.times)}
     for sid in pair.shared_ids:
@@ -183,11 +182,9 @@ def test_coupled_shared_ids_consistent():
 
 def test_coupled_pw_constant_model_distance_zero_annealed():
     spec = gh.constant_model(0.5, grid_n=256)
-    part = build_partition(spec.domain, 8, "per-axis-counts")
+    avg = average_model(spec, build_partition(spec.domain, 8, "per-axis-counts"))
     for rep in range(20):
-        pair = simulate_coupled(
-            spec, part, 1.0, mode="annealed", rng=gh.SplitStream(6).child(rep)
-        )
+        pair = simulate_coupled(avg, 1.0, mode="annealed", rng=gh.SplitStream(6).child(rep))
         assert pp_distance(pair.n, pair.nd, spec, pair.avg.spec).total == 0.0
 
 
@@ -200,11 +197,10 @@ def test_coupled_w_zero_bound():
         c_w=0.0, grid_n=256,
     )
     part = build_partition(spec.domain, 8, "per-axis-counts")
+    avg = average_model(spec, part)
     for rep in range(30):
-        pair = simulate_coupled(
-            spec, part, 2.0, mode="annealed", rng=gh.SplitStream(7).child(rep),
-            check_stability=False,
-        )
+        pair = simulate_coupled(avg, 2.0, mode="annealed", rng=gh.SplitStream(7).child(rep),
+                                check_stability=False)
         b = pp_distance(pair.n, pair.nd, spec, pair.avg.spec)
         assert b.nonsimultaneous_term == 0.0
         assert b.total <= len(pair.n) * part.mesh + 1e-12
@@ -213,13 +209,13 @@ def test_coupled_w_zero_bound():
 def test_coupled_annealed_side_marginal_law():
     spec = gh.constant_model(0.5, grid_n=256)
     part = build_partition(spec.domain, 4, "per-axis-counts")
+    avg = average_model(spec, part)
     n = 1500
     cpl = [
-        len(simulate_coupled(spec, part, 4.0, rng=gh.SplitStream(8).child(r),
+        len(simulate_coupled(avg, 4.0, rng=gh.SplitStream(8).child(r),
                              check_stability=False).nd)
         for r in range(n)
     ]
-    avg = average_model(spec, part)
     direct = [len(simulate_process(avg.spec, 4.0, gh.SplitStream(9).child(r))) for r in range(n)]
     assert stats.ks_2samp(cpl, direct).pvalue > 0.001
 
@@ -232,8 +228,8 @@ def test_coupled_continuum_side_marginal_law_rank_one():
     part = build_partition(spec.domain, 4, "per-axis-counts")
     avg = average_model(spec, part)
     n = 1500
-    cpl = [len(simulate_coupled(spec, part, 4.0, rng=gh.SplitStream(14).child(r),
-                                check_stability=False, avg=avg).n) for r in range(n)]
+    cpl = [len(simulate_coupled(avg, 4.0, rng=gh.SplitStream(14).child(r),
+                                check_stability=False).n) for r in range(n)]
     direct = [len(simulate_process(spec, 4.0, gh.SplitStream(15).child(r))) for r in range(n)]
     assert stats.ks_2samp(cpl, direct).pvalue > 0.001
 
@@ -244,7 +240,7 @@ def test_coupled_quenched_side_marginal_law():
     avg = average_model(spec, part)
     n = 1500
     cpl = [
-        len(simulate_coupled(spec, part, 4.0, mode="quenched",
+        len(simulate_coupled(avg, 4.0, mode="quenched",
                              rng=gh.SplitStream(10).child(r), check_stability=False).nd)
         for r in range(n)
     ]
@@ -260,14 +256,13 @@ def test_coupled_quenched_side_marginal_law():
 def test_quenched_equals_annealed_conditionally_on_occupancy():
     # event-count law agrees between modes when no cell holds two events
     spec = gh.constant_model(0.5, grid_n=256)
-    part = build_partition(spec.domain, 16, "per-axis-counts")
+    avg = average_model(spec, build_partition(spec.domain, 16, "per-axis-counts"))
     ann, que = [], []
     for r in range(2500):
-        a = simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(12).child(r),
-                             check_stability=False)
+        a = simulate_coupled(avg, 1.0, rng=gh.SplitStream(12).child(r), check_stability=False)
         if a.one_event_per_cell:
             ann.append(len(a.nd))
-        q = simulate_coupled(spec, part, 1.0, mode="quenched",
+        q = simulate_coupled(avg, 1.0, mode="quenched",
                              rng=gh.SplitStream(13).child(r), check_stability=False)
         if q.one_event_per_cell:
             que.append(len(q.nd))
@@ -279,13 +274,12 @@ def test_coupled_distance_nonincreasing_in_d_both_modes():
     for mode in ("annealed", "quenched"):
         means = []
         for d in (2, 8, 32):
-            part = build_partition(spec.domain, d, "per-axis-counts")
-            avg = average_model(spec, part)
+            avg = average_model(spec, build_partition(spec.domain, d, "per-axis-counts"))
             ds = [
                 pp_distance(
-                    (p := simulate_coupled(spec, part, 1.0, mode=mode,
+                    (p := simulate_coupled(avg, 1.0, mode=mode,
                                            rng=gh.SplitStream(14).child(d, r),
-                                           check_stability=False, avg=avg)).n,
+                                           check_stability=False)).n,
                     p.nd, spec, avg.spec,
                 ).total
                 for r in range(60)
@@ -299,9 +293,8 @@ def test_freeze_graph_reuses_edges():
     part = build_partition(spec.domain, 4, "per-axis-counts")
     avg = average_model(spec, part)
     frozen = sample_quenched_graph(avg, gh.SplitStream(15))
-    pair = simulate_coupled(spec, part, 2.0, mode="quenched",
-                            rng=gh.SplitStream(16), quenched_graph=frozen,
-                            check_stability=False)
+    pair = simulate_coupled(avg, 2.0, mode="quenched", rng=gh.SplitStream(16),
+                            quenched_graph=frozen, check_stability=False)
     assert pair.graph is frozen
 
 
@@ -314,10 +307,10 @@ def test_coupling_gate_work_shared_across_replications(monkeypatch):
     real = operators._certified_stable
     monkeypatch.setattr(operators, "_certified_stable",
                         lambda a: calls.append(a.shape[0]) or real(a))
-    simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(3).child(0), avg=avg)
+    simulate_coupled(avg, 1.0, rng=gh.SplitStream(3).child(0))
     first = len(calls)
     for r in range(1, 4):
-        simulate_coupled(spec, part, 1.0, rng=gh.SplitStream(3).child(r), avg=avg)
+        simulate_coupled(avg, 1.0, rng=gh.SplitStream(3).child(r))
     assert first == 2 == len(calls)
 
 
@@ -325,31 +318,27 @@ def test_coupling_gate_typed_errors():
     unstable = gh.constant_model(1.5, grid_n=64)
     part = build_partition(unstable.domain, 2, "per-axis-counts")
     with pytest.raises(UnstableModelError):
-        simulate_coupled(unstable, part, 1.0, rng=gh.SplitStream(4))
+        simulate_coupled(average_model(unstable, part), 1.0, rng=gh.SplitStream(4))
     # a stable continuum whose averaged model is pushed past criticality
     spec = gh.constant_model(0.5, grid_n=64)
     avg = average_model(spec, build_partition(spec.domain, 2, "per-axis-counts"))
     avg.W_cell = avg.W_cell * 3.0
     with pytest.raises(PrelimitUnstableError):
-        simulate_coupled(spec, avg.partition, 1.0, rng=gh.SplitStream(4), avg=avg)
-    # the cached verdict belongs to avg.base, so an average of another model is refused
-    with pytest.raises(InvalidArgumentError):
-        simulate_coupled(gh.constant_model(0.4, grid_n=64), avg.partition, 1.0,
-                         rng=gh.SplitStream(4), avg=avg)
+        simulate_coupled(avg, 1.0, rng=gh.SplitStream(4))
 
 
 def test_coupling_unknown_mode_is_typed():
     spec = gh.constant_model(0.5, grid_n=64)
-    part = build_partition(spec.domain, 2, "per-axis-counts")
+    avg = average_model(spec, build_partition(spec.domain, 2, "per-axis-counts"))
     with pytest.raises(InvalidArgumentError):
-        simulate_coupled(spec, part, 1.0, mode="bogus", rng=gh.SplitStream(4))
+        simulate_coupled(avg, 1.0, mode="bogus", rng=gh.SplitStream(4))
 
 
 def test_coupling_without_a_stream_is_typed():
     spec = gh.constant_model(0.5, grid_n=64)
-    part = build_partition(spec.domain, 2, "per-axis-counts")
+    avg = average_model(spec, build_partition(spec.domain, 2, "per-axis-counts"))
     with pytest.raises(InvalidArgumentError):
-        simulate_coupled(spec, part, 1.0)
+        simulate_coupled(avg, 1.0)
 
 
 def marked_rank_one_model():
@@ -398,8 +387,8 @@ def _coupled_setup(model, level):
 def test_coupled_pair_invariants(model, level, graph, seed, horizon, cap):
     spec, part, avg, frozen = _coupled_setup(model, level)
     quenched = graph != "annealed"
-    pair = simulate_coupled(spec, part, horizon, mode="quenched" if quenched else "annealed",
-                            rng=gh.SplitStream(seed), cap=cap, avg=avg,
+    pair = simulate_coupled(avg, horizon, mode="quenched" if quenched else "annealed",
+                            rng=gh.SplitStream(seed), cap=cap,
                             quenched_graph=frozen if graph == "frozen" else None)
     n, nd = pair.n, pair.nd
     pos_n = {int(e): i for i, e in enumerate(n.ids)}
