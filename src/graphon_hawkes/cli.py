@@ -371,8 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stability", help="spectral diagnostics as JSON")
     s.add_argument("--n", type=int, default=256,
-                   help="operator grid size for models without an exact form; a model "
-                   "with cells and a 1-d bilinear graphon fix their own size")
+                   help="operator grid size for a model with no exact form; a model "
+                   "with cells reports on its cell grid and a 1-d bilinear graphon "
+                   "on its hats, as the output's form field says")
 
     s = sub.add_parser("analyze", help="distance between two NDJSON realizations")
     s.add_argument("events_a")

@@ -9,13 +9,13 @@ H(s)/H(tau); child locations are drawn from the normalized spatial profile.
 Every location (immigrants, children, and accepted thinning events) comes
 from `sample_location`: the law is a piecewise-constant density on the n^m
 cells of the caller's grid.  The engine's is the model's cell grid, or its
-standard grid when it has no cells, and every simulator reads the one engine
-of a model, `ModelSpec.engine`, built on first use.  One call draws k points
-from k x m uniforms.  u[:, 0] inverts the CDF over the row-major flat cell
-index, and its residual inside the drawn cell places the point on axis 0;
-u[:, 1:] place it uniformly on the other axes.  A flat density (None), or
-one cell, is lo + u (hi - lo).  Each output row depends only on its own
-uniform row and the density.
+standard grid when it has none (`ModelSpec.form` states the rule), and every
+simulator reads the one engine of a model, `ModelSpec.engine`, built on
+first use.  One call draws k points from k x m uniforms.  u[:, 0] inverts
+the CDF over the row-major flat cell index, and its residual inside the
+drawn cell places the point on axis 0; u[:, 1:] place it uniformly on the
+other axes.  A flat density (None), or one cell, is lo + u (hi - lo).  Each
+output row depends only on its own uniform row and the density.
 
 Branching runs a generation at a time on the offspring law of
 `OffspringColumns`: one `law` call keys the generation, a parent's mass is
@@ -44,8 +44,7 @@ from .errors import (
     RequiresThinningError,
 )
 from .events import Realization, box_mask
-from .model import ModelSpec, SpatialProfile, _cell_index, lcm_cells
-from .operators import cell_grid_n
+from .model import ModelSpec, _cell_index
 from .rng import SplitStream
 
 DEFAULT_EVENT_CAP = 10**7
@@ -95,7 +94,8 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
     pos[:, 0] = np.minimum((u[:, 0] * total - prev) / masses[idx], 1.0)
     for a, i in enumerate(np.unravel_index(idx, (n,) * m)):
         pos[:, a] += i
-    return lo + pos * width
+    # i + u rounds to i + 1 for u near 1, and lo + n width can pass hi
+    return np.minimum(lo + pos * width, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +106,11 @@ class OffspringColumns:
     """The one offspring law: on the model's standard grid, the column
     z -> max(b(z, y) W(z, y), 0) of a parent at y is its scale times the
     cached shape of its key, and its mass the scale times the shape's mass.
-    - Cells (`lcm_cells` of the graphon and the mark profile; one if `flat`):
-      the key is the parent's key cell, the scale 1, and the shape is built
-      at the cell's midpoint, also for a parent on a cell face.
-    - A product of constant and rank-one factors, b W = s(y) prod_f a_f(z)
-      with s(y) = prod_f c_f a_f(y): the key is the sign of s (1 if s < 0),
-      the scale |s| and the shape max(+-prod_f a_f, 0), so that their
-      product is max(s prod_f a_f, 0) exactly.
-    - Anything else: key None, scale 1, and each parent's column is rebuilt.
+    The model's form (`ModelSpec.form`) gives the key: a key cell (scale 1,
+    the shape built at the cell's midpoint, also for a parent on a face);
+    on a rank-one product b W = s(y) prod_f a_f(z), the sign of s (1 if
+    s < 0), with scale |s| and shape max(+-prod_f a_f, 0), whose product is
+    max(s prod_f a_f, 0) exactly; else None, and each column is rebuilt.
     So the cache holds a shape per key cell, or two, never one per event.
     """
 
@@ -121,43 +118,35 @@ class OffspringColumns:
         self.spec = spec
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
+        self.form = spec.form
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
-        factors = (spec.graphon, spec.marks.b)
-        self._key_counts = lcm_cells(factors, spec.domain.dim)
-        self.flat = self._key_counts is not None and math.prod(self._key_counts) == 1
-        self._coeff = None  # prod_f c_f of a rank-one product
-        if self._key_counts is None and all(f.family in ("constant", "rank-one")
-                                            for f in factors):
-            self._coeff = math.prod(float(f.coeff if f.family == "rank-one" else f.value)
-                                    for f in factors)
-        self._profiles = [f.profile or SpatialProfile("identity")
-                          for f in factors if f.family == "rank-one"]
 
     def _keys(self, ys: np.ndarray) -> np.ndarray:
         """The key cell of each row of the (k, m) points `ys`."""
-        return _cell_index(ys, self.domain, self._key_counts)
+        return _cell_index(ys, self.domain, self.form.keys)
 
     def _product(self, coeff: float, pts: np.ndarray) -> np.ndarray:
         """coeff times the rank-one profiles at `pts`, in that order."""
-        for profile in self._profiles:
+        for profile in self.form.profiles:
             coeff = coeff * profile(pts, self.domain)
         return coeff
 
     def law(self, ys: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(keys, scales) of the (k, m) parents `ys`: an int key per row, or
         None when the law has no key, and a scale per row, or None for 1."""
-        if self.flat:  # one key: no key-grid arithmetic
+        form = self.form
+        if form.flat:  # one key: no key-grid arithmetic
             return np.zeros(ys.shape[0], int), None
-        if self._key_counts is not None:
+        if form.keys is not None:
             return self._keys(ys), None
-        if self._coeff is None:
+        if form.coeff is None:
             return None, None
-        s = self._product(self._coeff, ys)
+        s = self._product(form.coeff, ys)
         return (s < 0).astype(int), np.abs(s)
 
     def law_at(self, y: np.ndarray) -> tuple[int | None, float]:
         """`law` of the one parent y: (key, scale)."""
-        if self.flat:
+        if self.form.flat:
             return 0, 1.0
         keys, scales = self.law(np.atleast_1d(y)[None, :])
         return None if keys is None else int(keys[0]), 1.0 if scales is None else float(scales[0])
@@ -168,10 +157,11 @@ class OffspringColumns:
             return self._build(y)
         hit = self._columns.get(key)
         if hit is None:  # threads sharing the law may both build it: the builds are equal
-            if self._key_counts is None:  # the shape of the sign `key`
+            counts = self.form.keys
+            if counts is None:  # the shape of the sign `key`
                 hit = self._clip(self._product(-1.0 if key else 1.0, self.nodes))
             else:
-                cell = np.add(np.unravel_index(key, self._key_counts), 0.5) / self._key_counts
+                cell = np.add(np.unravel_index(key, counts), 0.5) / counts
                 lo, hi = self.domain.lo, self.domain.hi
                 hit = self._build(lo + cell * (hi - lo))  # the midpoint
             self._columns[key] = hit
@@ -191,12 +181,12 @@ class OffspringColumns:
 
 class ClusterEngine(OffspringColumns):
     """Columns and location samplers of a model on a copy of it on its cell
-    grid (`operators.cell_grid_n`), where the branching is exact, or else on
-    its standard grid.  `ModelSpec.engine` builds it once per model; holding
-    the copy, not the model, keeps the two free of a reference cycle."""
+    grid (`ModelForm.n`), where the branching is exact, or else on its
+    standard grid.  `ModelSpec.engine` builds it once per model; holding the
+    copy, not the model, keeps the two free of a reference cycle."""
 
     def __init__(self, spec: ModelSpec):
-        super().__init__(replace(spec, grid_n=cell_grid_n(spec) or spec.grid_n))
+        super().__init__(replace(spec, grid_n=spec.form.n or spec.grid_n))
         self.lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
         self.alpha = float(np.sum(self.lam_vals * self.weights))
 
@@ -216,7 +206,7 @@ class ClusterEngine(OffspringColumns):
         keyed in one `law` call, or one column per parent when the law has
         no key.  A `flat` law has one shape, None, and no index."""
         k = xs.shape[0]
-        if self.flat:  # one constant shape: the flat density of `sample_location`
+        if self.form.flat:  # one constant shape: the flat density of `sample_location`
             return np.full(k, self.column_of(0, None)[0]), ([None], None)
         keys, scales = self.law(xs)
         if keys is None:

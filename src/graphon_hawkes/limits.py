@@ -21,7 +21,6 @@ from .events import box_mask
 from .model import ModelSpec
 from .operators import (
     box_share,
-    cell_grid_n,
     discretize_kernel,
     fclt_sigma,
     outdegree_norm,
@@ -53,15 +52,18 @@ def _pmap(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _operator_setup(spec: ModelSpec, box, n_op: int):
-    """Grid (the model's cell grid, else the n_op-grid), verdict, stationary
-    rate, the box's share of each grid cell, and lam_bar(A)."""
-    grid = discretize_kernel(spec, cell_grid_n(spec) or n_op)
+def _operator_grid(spec: ModelSpec, n_op: int):
+    """The gate of a model with cells (`ModelSpec.form`), else the n_op-grid."""
+    return spec.gate if spec.form.kind == "cells" else discretize_kernel(spec, n_op)
+
+
+def _operator_setup(spec: ModelSpec, box, grid):
+    """Verdict, stationary rate, the box's share of each grid cell, lam_bar(A)."""
     est = require_stable(grid)
     rate = stationary_rate(grid, spec.baseline_on(grid.nodes))
     share = box_share(spec.domain, grid.n, box)
     lam_a = float(np.sum(rate.values * (share * grid.weights)))
-    return grid, est, rate, share, lam_a
+    return est, rate, share, lam_a
 
 
 def _summary(samples: np.ndarray) -> dict:
@@ -103,7 +105,7 @@ def flln_experiment(
     threshold_median: float | None = None,
 ) -> ExperimentReport:
     """FLLN check: sup-statistic samples against the stationary rate."""
-    _, est, _, _, lam_a = _operator_setup(spec, box, n_op)
+    est, _, _, lam_a = _operator_setup(spec, box, _operator_grid(spec, n_op))
 
     def one(i: int) -> float:
         real = simulate_process(spec, horizon, stream.child(i), with_lifetimes=False)
@@ -248,8 +250,9 @@ def fclt_experiment(
 
     Requires the outdegree condition |h|_1 sup_y int W(x,y) dx < 1.
     Stationarity is approximated by discarding [0, burn_in] and counting on
-    (burn_in, burn_in + T].  sigma_A is exact for a model with cells (see
-    `operators`) and extrapolated from the n_op-grid otherwise.
+    (burn_in, burn_in + T].  sigma_A and the outdegree are computed on one
+    grid (`_operator_grid`): sigma_A is exact on a model with cells and
+    extrapolated from the n_op-grid otherwise.
 
     The p-value is P(D_n >= D) under the exact two-sided Kolmogorov law, split
     as Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011) do for n <= 140: where
@@ -259,13 +262,13 @@ def fclt_experiment(
     of p below.  The test is skipped (`passed` None, no `ks_*` field) for
     fewer than 2 replications or sigma_A = 0, a box of zero measure.
     """
-    cell_n = cell_grid_n(spec)
-    deg = outdegree_norm(spec, cell_n or min(n_op, 256))
+    grid = _operator_grid(spec, n_op)
+    deg = outdegree_norm(spec, grid.n)
     if deg >= 1.0:
         raise OutdegreeConditionError(
             f"|h|_1 sup-outdegree = {deg:.4f} >= 1; FCLT assumptions fail"
         )
-    grid, est, rate, share, lam_a = _operator_setup(spec, box, n_op)
+    est, rate, share, lam_a = _operator_setup(spec, box, grid)
     sigma = fclt_sigma(grid, rate, share)
     total_t = burn_in + horizon
 
@@ -280,7 +283,7 @@ def fclt_experiment(
     summary.update(
         {
             "sigma_A": sigma,
-            "sigma_label": "exact-piecewise-constant" if cell_n else "extrapolated",
+            "sigma_label": "exact-piecewise-constant" if spec.form.n else "extrapolated",
             "lam_bar_A": lam_a,
             "outdegree": deg,
             "rho": est.rho,

@@ -21,6 +21,7 @@ from .errors import (
 )
 
 DEFAULT_GRID_N = 512
+MAX_GRID_NODES = 4096  # node cap of every dense operator grid
 PROBE_N = 33  # per-axis size of the grid `validate_model` probes
 
 
@@ -430,6 +431,53 @@ class Nonlinearity:
 # The assembled model
 
 
+@dataclass(frozen=True)
+class ModelForm:
+    """A model's finite structure, decided once (`ModelSpec.form`) and read
+    by every layer.  `kind` is
+    * "cells" when the baseline, the graphon and the mark profile are each
+      constant or a pw-constant grid with one count per axis, and `n`, the
+      lcm of their counts, has n^m within `MAX_GRID_NODES`: the model is the
+      d-variate Hawkes process on the n-grid, where the midpoint rule is
+      exact.  The simulators (`ModelSpec.engine`), the gate, the stability
+      report, the limits and, for a constant f, `fixed_point` run on it;
+    * "hats" for a 1-d bilinear grid graphon of `r` cells with a constant
+      mark profile, K(z, y) = sum_rs phi_r(z) V_rs phi_s(y) on the clamped
+      hats at its cell midpoints.  The gate and the stability report run on
+      it; its values are coefficients, so the other consumers stay nodal;
+    * "grid" otherwise: the stability report and the limits take the
+      caller's n, the gate 96 nodes per axis in 1-d and 12 above, the
+      simulators and the fixed point the standard grid.
+    The offspring law (`cluster_sim.OffspringColumns`) ignores the baseline.
+    It keys a parent by its cell of `keys`, the common cells of the graphon
+    and the mark profile with no node cap (`flat` if one, as for a constant
+    graphon over an affine baseline); or, on a product of constant and
+    rank-one factors b W = coeff prod_f a_f(z) a_f(y) over the rank-one
+    `profiles`, by the sign of its scale coeff prod_f a_f(y).
+    """
+
+    n: int | None = None
+    r: int | None = None
+    keys: tuple[int, ...] | None = None
+    flat: bool = False
+    coeff: float | None = None
+    profiles: tuple[SpatialProfile, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return "cells" if self.n else "hats" if self.r else "grid"
+
+
+def _common_cells(functions, m: int) -> tuple[int, ...] | None:
+    """Per-axis lcm of the cells of `functions` on an m-d domain, each constant
+    (one cell) or a pw-constant grid with one count per axis; else None."""
+    counts = [f.cell_counts for f in functions if f.family == "grid"]
+    if any(f.family not in ("constant", "grid") or f.interp != "pw-constant"
+           for f in functions) or any(len(c) != m for c in counts):
+        return None
+    return tuple(math.lcm(*axis) for axis in zip((1,) * m, *counts))
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Complete parameterization of a graphon Hawkes process.
@@ -450,10 +498,21 @@ class ModelSpec:
     grid_n: int = DEFAULT_GRID_N
 
     @cached_property
-    def cells(self) -> tuple[int, ...] | None:
-        """`lcm_cells` of the baseline, the graphon and the mark profile: the
-        model is then the d-variate process on these cells.  None otherwise."""
-        return lcm_cells((self.baseline, self.graphon, self.marks.b), self.domain.dim)
+    def form(self) -> ModelForm:
+        """The model's finite structure, decided here once (`ModelForm`)."""
+        m, g, b = self.domain.dim, self.graphon, self.marks.b
+        keys, base = _common_cells((g, b), m), _common_cells((self.baseline,), m)
+        n = math.lcm(*keys, *base) if keys and base else None
+        hats = g.family == "grid" and g.interp == "bilinear" and m == 1 and b.family == "constant"
+        rank_one = keys is None and all(f.family in ("constant", "rank-one") for f in (g, b))
+        return ModelForm(
+            n=n if n and n**m <= MAX_GRID_NODES else None,
+            r=g.cell_counts[0] if hats and g.cell_counts[0] <= MAX_GRID_NODES else None,
+            keys=keys, flat=keys is not None and math.prod(keys) == 1,
+            coeff=math.prod(float(f.coeff if f.family == "rank-one" else f.value)
+                            for f in (g, b)) if rank_one else None,
+            profiles=tuple(f.profile or SpatialProfile("identity")
+                           for f in (g, b) if rank_one and f.family == "rank-one"))
 
     @cached_property
     def engine(self):
@@ -504,18 +563,6 @@ class ModelSpec:
         return w_sup
 
 
-def lcm_cells(functions, m: int) -> tuple[int, ...] | None:
-    """Per-axis lcm of the cells of `functions` on an m-d domain, each constant
-    (one cell) or a pw-constant grid with one count per axis; else None."""
-    if any(f.family not in ("constant", "grid") or f.interp != "pw-constant"
-           for f in functions):
-        return None
-    counts = [f.cell_counts for f in functions if f.family == "grid"]
-    if any(len(c) != m for c in counts):
-        return None
-    return tuple(math.lcm(*axis) for axis in zip((1,) * m, *counts))
-
-
 def _probe_matrix(pf: PairFunction, domain, cap=4096):
     """pf on all pairs of the probe grid, thinned to at most `cap` pairs; a grid
     pf's own table, where each interpolation has its minimum and maximum."""
@@ -538,6 +585,15 @@ def _table_fits(fn) -> bool:
     if isinstance(fn, SpatialProfile):
         return np.size(fn.values) == k
     return np.shape(fn.values) == (k, k)
+
+
+def _table_fault(kernel: ExcitationKernel) -> str | None:
+    """Why a table kernel's segment lookup cannot read it, or None."""
+    breaks, vals = np.asarray(kernel.breaks, float), np.asarray(kernel.table_values, float)
+    if breaks.ndim != 1 or vals.shape != (breaks.size - 1,):
+        return "needs one value per segment between breaks"
+    return ("breaks must start at 0" if breaks[0] != 0.0
+            else None if (np.diff(breaks) > 0).all() else "breaks must increase")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +641,10 @@ def validate_model(spec: ModelSpec) -> list[str]:
         if np.max(np.abs(wvals - wvals.T)) > 1e-9:
             report.append("invalid-parameter: graphon asymmetric")
 
-    if not math.isfinite(spec.excitation.l1_norm) or spec.excitation.l1_norm < 0:
+    table = _table_fault(spec.excitation) if spec.excitation.family == "table" else None
+    if table:
+        report.append(f"invalid-parameter: excitation table {table}")
+    elif not math.isfinite(spec.excitation.l1_norm) or spec.excitation.l1_norm < 0:
         report.append("invalid-parameter: excitation not L1")
     else:
         tprobe = np.linspace(0.0, 8.0 / max(spec.excitation.rate, 1e-12), 65)
@@ -611,10 +670,13 @@ def validate_model(spec: ModelSpec) -> list[str]:
     f = spec.nonlinearity
     if not math.isfinite(f.lipschitz) or f.lipschitz < 0:
         report.append("invalid-parameter: nonlinearity Lipschitz constant")
+    elif f.family == "sigmoid-scaled" and not 0 < f.scale < math.inf:
+        report.append("invalid-parameter: sigmoid scale must be positive and finite")
     else:
-        uprobe = np.linspace(0.0, 10.0, 41)
-        fv = f(uprobe)
-        if (fv < -1e-12).any():
+        fv = f(np.linspace(0.0, 10.0, 41))
+        if not np.isfinite(fv).all():
+            report.append("invalid-parameter: nonlinearity not finite")
+        elif (fv < -1e-12).any():
             report.append("negativity: nonlinearity")
 
     return report

@@ -30,20 +30,9 @@ Gelfand sequence |T^n|^(1/n) and the power iteration from the constant
 function (the dominant eigenfunction is positive, so the constant seed has
 nonzero overlap) are reported estimates, not verdicts.
 
-Which grid: a model with cells (`ModelSpec.cells`) is the d-variate Hawkes
-process on them, with operator M_kl = |h|_1 c E[B_kl] W_kl v_l.  Every
-consumer (`stability_report`, `gate_grid`, the limit experiments) computes it
-on `cell_grid_n`, where the midpoint rule is exact, whatever n the caller
-asks for.  A box A enters through the share |A & cell_i| / w_i of each grid
-cell (`box_share`).  A 1-d bilinear grid graphon with a constant mark
-profile is the finite-rank kernel K(z, y) = sum_rs phi_r(z) V_rs phi_s(y) on
-the clamped hats phi_r at its cell midpoints; `stability_report` and
-`gate_grid` take it in that exact form (`exact_form`), a `KernelGrid` with a
-Gram matrix G_sr = int phi_s phi_r and A = V G.  A nonnegative combination
-of hats or indicators peaks at a knot, so with m_r = int phi_r every L1 sup
-is a max over coefficients: |T^k| = max_s (m^T (VG)^(k-1) V)_s.  The
-caller's n serves every other model; the limit experiments, the fixed point
-and the simulators stay on nodal grids.
+Which grid: `ModelSpec.form` states every rule.  `gate_grid` is the one
+builder of an exact operator, read as `ModelSpec.gate`.  A box A enters a
+grid through the share |A & cell_i| / w_i of each grid cell (`box_share`).
 """
 
 from __future__ import annotations
@@ -55,9 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooLargeError, ShapeError, UnstableModelError
-from .model import ModelSpec, kernel_density_matrix
+from .model import MAX_GRID_NODES, ModelSpec, kernel_density_matrix
 
-MAX_GRID_NODES = 4096
 GELFAND_POWERS = 48  # Gelfand sequence length reported by stability_report
 
 
@@ -163,42 +151,6 @@ def _kernel_values(spec: ModelSpec, nodes: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def exact_form(spec: ModelSpec) -> KernelGrid | None:
-    """The model's operator in exact finite form, or None: a model with cells
-    on its cell grid, a 1-d bilinear grid graphon with a constant mark profile
-    on its r clamped hats.  A hat form's values, the table at the knots, are
-    V; on each piece between knots a product of two hats is quadratic, so
-    Simpson's rule per piece gives G and m exactly."""
-    n, g = cell_grid_n(spec), spec.graphon
-    if n is not None:
-        return discretize_kernel(spec, n)
-    if not (g.family == "grid" and g.interp == "bilinear" and spec.domain.dim == 1
-            and spec.marks.b.family == "constant" and g.cell_counts[0] <= MAX_GRID_NODES):
-        return None
-    r = g.cell_counts[0]
-    knots = spec.domain.grid(r)[0]
-    ends = np.concatenate([spec.domain.lo, knots[:, 0], spec.domain.hi])
-    a, b = ends[:-1], ends[1:]
-    pts = np.concatenate([a, (a + b) / 2, b])
-    q = np.concatenate([b - a, 4 * (b - a), b - a]) / 6  # Simpson's weights
-    i0, i1, t = g._per_point(pts[:, None], spec.domain)  # the two hats at each point
-    gram, m = np.zeros((r, r)), np.zeros(r)
-    for i, u in ((i0, 1 - t), (i1, t)):
-        np.add.at(m, i, q * u)
-        for j, v in ((i0, 1 - t), (i1, t)):
-            np.add.at(gram, (i, j), q * u * v)
-    return KernelGrid(n=r, nodes=knots, weights=m, values=_kernel_values(spec, knots), gram=gram)
-
-
-def cell_grid_n(spec: ModelSpec) -> int | None:
-    """Per-axis size of the model's exact cell grid: the lcm of its cells, or
-    None when it has no cells or that grid exceeds the node cap."""
-    if spec.cells is None:
-        return None
-    n = math.lcm(*spec.cells)
-    return n if n**spec.domain.dim <= MAX_GRID_NODES else None
-
-
 def box_share(domain, n: int, box) -> np.ndarray:
     """|A & cell_i| / |cell_i| for the box A = (lo, hi) and every cell of the
     n-grid, row-major like `domain.grid(n)` (exactly 1 inside A); ones when
@@ -285,13 +237,31 @@ def require_stable(
 
 
 def gate_grid(spec: ModelSpec) -> KernelGrid:
-    """The grid simulators gate on.  A model with an exact form gates on it
-    (`exact_form`), so the verdict is exact: an averaged model on d cells
-    gates on its d x d matrix.  Other models gate on 96 nodes per axis in
-    1-d, 12 in higher dimensions, a quarter of that when the node cap is hit."""
-    exact = exact_form(spec)
-    if exact is not None:
-        return exact
+    """The grid simulators gate on, and the one builder of an exact operator
+    (`ModelSpec.form`): the cells, so an averaged model on d cells gates on
+    its d x d matrix, or the hats, with V the table at the knots, G_sr =
+    int phi_s phi_r and A = V G.  Simpson's rule per piece between knots,
+    where two hats' product is quadratic, gives G and m_r = int phi_r
+    exactly; a nonnegative hat combination peaks at a knot, so every L1 sup
+    is a max over coefficients.  Else 96 nodes per axis in 1-d, 12 above, a
+    quarter of that at the node cap."""
+    form = spec.form
+    if form.kind == "cells":
+        return discretize_kernel(spec, form.n)
+    if form.kind == "hats":
+        knots = spec.domain.grid(form.r)[0]
+        ends = np.concatenate([spec.domain.lo, knots[:, 0], spec.domain.hi])
+        a, b = ends[:-1], ends[1:]
+        pts = np.concatenate([a, (a + b) / 2, b])
+        q = np.concatenate([b - a, 4 * (b - a), b - a]) / 6  # Simpson's weights
+        i0, i1, t = spec.graphon._per_point(pts[:, None], spec.domain)  # two hats a point
+        gram, m = np.zeros((form.r, form.r)), np.zeros(form.r)
+        for i, u in ((i0, 1 - t), (i1, t)):
+            np.add.at(m, i, q * u)
+            for j, v in ((i0, 1 - t), (i1, t)):
+                np.add.at(gram, (i, j), q * u * v)
+        return KernelGrid(n=form.r, nodes=knots, weights=m,
+                          values=_kernel_values(spec, knots), gram=gram)
     n = 96 if spec.domain.dim == 1 else 12
     try:
         return discretize_kernel(spec, n)
@@ -355,16 +325,15 @@ class StabilityReport:
     stable: bool
     cluster_size_bound: float | None
     grid_n: int
-    form: str  # "cells", "hats" (`exact_form`) or "grid" (the n-grid)
+    form: str  # `ModelForm.kind`: "cells", "hats" or "grid" (the n-grid)
     notes: list[str] = field(default_factory=list)
 
 
 def stability_report(spec: ModelSpec, n: int) -> StabilityReport:
-    """The report on the model's exact form if it has one, else on the n-grid;
-    `grid_n` is the size used."""
-    grid = exact_form(spec)
-    form = "grid" if grid is None else "cells" if grid.gram is None else "hats"
-    grid = grid or discretize_kernel(spec, n)
+    """The report on the model's gate when its form is exact, else on the
+    n-grid; `grid_n` is the size used."""
+    form = spec.form.kind
+    grid = discretize_kernel(spec, n) if form == "grid" else spec.gate
     est = spectral_radius(grid)
     return StabilityReport(
         op_norm=operator_norm_l1(grid),

@@ -8,12 +8,11 @@ majorant of h is used, so table kernels need not be monotone): right after
 any event, the total intensity bound computed there dominates all later
 times until the next accepted event.
 
-A model with cells (`ModelSpec.cells`) is a d-variate Hawkes process on them,
-so the state lives on its cell grid, read from the model's one cluster
-engine, `ModelSpec.engine`: cell midpoints weighted by cell volumes, 1 cell
-for a constant model.  A model without cells keeps its standard grid, whose
-n^m nodes play the cells.  The baseline and the excitation sum_k xi_k
-h(t - t_k) b(., y_k) W(., y_k) hold one value per cell.  Each event's column
+The state lives on the grid of the model's one cluster engine,
+`ModelSpec.engine`: its cells when it has them (`ModelSpec.form` states the
+rule), 1 cell for a constant model, else the standard grid's n^m nodes.
+The baseline and the excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k)
+hold one value per cell.  Each event's column
 comes from the engine's offspring law, the one of `OffspringColumns`: s_k
 times the cached shape phi of its key (a key cell with s_k = 1, or the sign
 of a rank-one scale), or, with no key, its own rebuilt column.  The

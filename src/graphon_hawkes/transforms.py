@@ -16,12 +16,10 @@ C = 2 |h|_inf C_B C_W; the iteration log records that envelope.
 The population transform follows from the immigrant decomposition:
     L_Q(f, t) = exp( int_X int_0^t (eta_x(f, u) - 1) lam_inf(x) du dx ).
 
-Which grid: for a model with cells (`ModelSpec.cells`) and a constant f, Phi
-is the d-variate Hawkes transform on them and every iterate from 1 is constant
-per cell, so `fixed_point` sweeps on `operators.cell_grid_n`, where the
-midpoint rule is exact; else on the standard grid.  Either way the result is
-expanded to the standard grid, one row per node; `laplace_of_Q` and
-`_tail_mass` then weigh each cell by its volume, so they are exact too.
+Which grid: on a model with cells (`ModelSpec.form`) and a constant f, each
+iterate from 1 is constant per cell, so `fixed_point` sweeps on the cells,
+else on the standard grid.  `laplace_of_Q` and `_tail_mass` weigh each cell
+by its volume, so they stay exact.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ import numpy as np
 
 from .cluster_sim import DEFAULT_EVENT_CAP, _grow
 from .errors import InvalidArgumentError, ShapeError
-from .model import LifetimeModel, MarkModel, ModelSpec, _cell_index
-from .operators import cell_grid_n
+from .model import ModelSpec, _cell_index
 from .rng import SplitStream
 
 FIXED_POINT_MAX_ITER = 400
@@ -101,28 +98,6 @@ class FixedPointLog:
         return all(c <= e + 1e-9 for c, e in zip(self.sup_changes, self.envelope))
 
 
-def gamma_eval(
-    lifetimes: LifetimeModel, f: TestFunction, x, u, spec: ModelSpec | None = None
-) -> float:
-    """gamma_x(f, u) = Jbar(u) + J(u) exp(-f(x)); a grid f needs its `spec`."""
-    fx = float(f.at_points(np.atleast_2d(np.asarray(x, float)), spec)[0])
-    surv = float(lifetimes.survival(u))
-    return (1.0 - surv) + surv * math.exp(-fx)
-
-
-def beta_eval(marks: MarkModel, x, g: np.ndarray, spec: ModelSpec) -> float:
-    """beta_x(g) = L_xi( int b(y, x) g(y) dy ) for separable marks."""
-    g = np.asarray(g, float)
-    if (g < 0).any():
-        raise InvalidArgumentError("beta_eval needs a nonnegative grid function")
-    nodes, weights = spec.std_grid
-    if g.shape[0] != nodes.shape[0]:
-        raise ShapeError("grid function does not match the standard grid")
-    x = np.atleast_1d(np.asarray(x, float))
-    s = float(np.sum(marks.b.column(nodes, x, spec.domain) * g * weights))
-    return float(marks.laplace_xi(s))
-
-
 class _PhiOperator:
     """Precomputed pieces of Phi for one (spec, f, time grid) on the midpoint
     grid with n cells per axis."""
@@ -173,14 +148,13 @@ def fixed_point(spec: ModelSpec, f: TestFunction, t: float, tol: float = 1e-10,
                 n_u: int = 257) -> tuple[TransformGrid, FixedPointLog]:
     """Iterate Phi from the constant 1 until the sup-change < tol.
 
-    The sweeps run on the model's cell grid when it has cells and f is
-    constant, else on the standard grid (`TransformGrid.grid_n` says which).
-    The result is expanded once to the standard grid, one row per node.  The
-    log pairs each iteration's sup-change with the theoretical envelope
-    C^n t^n / n!.  Hitting the iteration cap returns the last iterate with
-    `converged=False` instead of raising.
+    The sweeps run on the grid of the module docstring (`TransformGrid.grid_n`
+    says which), expanded once to the standard grid, one row per node.  The
+    log pairs each iteration's sup-change with the envelope C^n t^n / n!.
+    Hitting the iteration cap returns the last iterate with `converged=False`
+    instead of raising.
     """
-    n = (cell_grid_n(spec) if f.kind == "const" else None) or spec.grid_n
+    n = (spec.form.n if f.kind == "const" else None) or spec.grid_n
     u_grid = np.linspace(0.0, float(t), n_u)
     op = _PhiOperator(spec, f, u_grid, n)
     values = np.ones((op.nodes.shape[0], n_u))

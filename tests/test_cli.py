@@ -108,6 +108,18 @@ def test_invalid_model_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_thinning_on_a_zero_sigmoid_scale_exit_1(tmp_path, capsys):
+    # f(0) would be NaN: the run is refused, not written with 0 events
+    cfg = {**CONST_MODEL, "nonlinearity": {"family": "sigmoid-scaled", "scale": 0.0}}
+    path = tmp_path / "sig0.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["--model", str(path), "--out", str(tmp_path / "s"), "simulate",
+               "--method", "thinning", "--horizon", "5"])
+    assert rc == 1
+    assert "sigmoid scale must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ("transform", "--f", "bogus", "--t", "1"),
     ("flln", "--horizon", "5", "--reps", "2", "--set", "0,0.5,1"),

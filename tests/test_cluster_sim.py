@@ -29,7 +29,7 @@ from graphon_hawkes.errors import (
     NoLifetimesError,
     RequiresThinningError,
 )
-from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index, lcm_cells
+from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index
 from graphon_hawkes.limits import flln_experiment
 from graphon_hawkes.operators import discretize_kernel
 from graphon_hawkes.prelimit import average_model, build_partition, simulate_coupled
@@ -225,6 +225,10 @@ def grid_densities(draw):
 # a positive density whose cell masses underflow unless normalised first
 @example((gh.SpatialDomain((0.0,), (1.0,)), np.array([0.0, 0.0, 0.0, 5e-324]),
           np.array([[0.5]])))
+# the largest uniform below 1 in the last cell: i + u rounds to n, and
+# n * width lands past hi
+@example((gh.SpatialDomain((0.0, 0.0), (1.0, 0.88060495211218)), np.r_[np.zeros(35), 1.0],
+          np.full((1, 2), np.nextafter(1.0, 0.0))))
 def test_sample_location_lands_in_positive_cells(case):
     dom, dens, u = case
     m, n = dom.dim, round(dens.size ** (1 / dom.dim))
@@ -388,7 +392,7 @@ def test_offspring_law_equals_the_clipped_excitation_column(case):
             np.testing.assert_allclose(col, ref, rtol=1e-12, atol=0)
             if law is engine:
                 assert masses[p] == pytest.approx(np.sum(col * weights), rel=1e-12, abs=0)
-        key_cells = lcm_cells((spec.graphon, spec.marks.b), 1)
+        key_cells = spec.form.keys
         if key_cells:  # one shape per key cell
             assert len(law._columns) <= math.prod(key_cells)
         elif "grid" in (spec.graphon.family, spec.marks.b.family):  # rebuilt per parent
@@ -628,9 +632,11 @@ def test_column_cache_holds_one_column_per_cell_for_step_graphon():
     real = simulate_process(spec, 100.0, gh.SplitStream(21), with_lifetimes=False)
     assert len(real) > 100
     assert len(spec.engine._columns) <= 16
-    # built per parent instead, the same stream gives the same events
+    # built per parent instead, by a law whose form has no keys, the same
+    # stream gives the same events
     by_parent = dataclasses.replace(spec)
-    by_parent.engine._key_counts = None
+    by_parent.engine.form = dataclasses.replace(spec.form, keys=None)
+    assert by_parent.engine.law(np.array([[0.3]])) == (None, None)
     again = simulate_process(by_parent, 100.0, gh.SplitStream(21), with_lifetimes=False)
     assert np.array_equal(real.times, again.times)
     assert np.array_equal(real.locations, again.locations)

@@ -125,6 +125,37 @@ def test_validate_non_l1_excitation():
     assert "invalid-parameter: excitation not L1" in gh.validate_model(bad)
 
 
+@pytest.mark.parametrize("table,error", [
+    ({"breaks": [0.5, 1.0], "values": [1.0]}, "breaks must start at 0"),
+    ({"breaks": [0.0, 1.0, 0.5], "values": [1.0, 1.0]}, "breaks must increase"),
+    ({"breaks": [0.0, 1.0, 1.0], "values": [1.0, 1.0]}, "breaks must increase"),
+    ({"breaks": [0.0, 1.0], "values": [1.0, 2.0]},
+     "needs one value per segment between breaks"),
+])
+def test_validate_refuses_a_table_kernel_off_its_segment_lookup(table, error):
+    # the lookup assumes breaks from 0 that increase, one value per segment;
+    # else H(0.25) reads -0.25, or the l1 norm 0.5 or 3.0 where h is 1 on [0, 1)
+    cfg = {"excitation": {"family": "table", **table}}
+    assert gh.validate_model(build_spec(cfg)) == [f"invalid-parameter: excitation table {error}"]
+    good = {"excitation": {"family": "table", "breaks": [0.0, 0.5, 1.0], "values": [1.0, 2.0]}}
+    assert gh.validate_model(build_spec(good)) == []
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_validate_refuses_a_sigmoid_scale_that_is_not_positive(scale):
+    # scale 0 gives f(0) = 0 tanh(0 / 0) = NaN; the check runs before f is probed
+    cfg = {"nonlinearity": {"family": "sigmoid-scaled", "scale": scale}}
+    assert gh.validate_model(build_spec(cfg)) == [
+        "invalid-parameter: sigmoid scale must be positive and finite"]
+    cfg["nonlinearity"]["scale"] = 2.0
+    assert gh.validate_model(build_spec(cfg)) == []
+
+
+def test_validate_refuses_a_nonlinearity_that_is_not_finite():
+    cfg = {"nonlinearity": {"family": "clipped-linear", "cap": math.nan}}
+    assert gh.validate_model(build_spec(cfg)) == ["invalid-parameter: nonlinearity not finite"]
+
+
 def test_validate_is_pure():
     spec = gh.rank_one_model(1.5)
     assert gh.validate_model(spec) == gh.validate_model(spec)

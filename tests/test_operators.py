@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import graphon_hawkes as gh
 from graphon_hawkes import limits, operators
+from graphon_hawkes.cluster_sim import OffspringColumns
 from graphon_hawkes.config import build_spec
 from graphon_hawkes.errors import GridTooLargeError, ShapeError, UnstableModelError
 from graphon_hawkes.events import box_mask
-from graphon_hawkes.limits import flln_experiment
+from graphon_hawkes.limits import fclt_experiment, flln_experiment
 from graphon_hawkes.model import _cell_index
 from graphon_hawkes.operators import (
     apply_kernel,
@@ -32,6 +33,7 @@ from graphon_hawkes.operators import (
     stability_report,
     stationary_rate,
 )
+from graphon_hawkes.transforms import TestFunction, fixed_point
 
 
 def zero_model(grid_n=256):
@@ -490,7 +492,7 @@ def cell_models(draw):
 
     unit = model(1.0)
     rho = float(np.max(np.abs(np.linalg.eigvals(
-        discretize_kernel(unit, math.lcm(*unit.cells)).action))))
+        discretize_kernel(unit, unit.form.n).action))))
     assume(rho > 1e-3)
     return model(draw(st.floats(0.1, 1.5)) / rho)
 
@@ -501,8 +503,8 @@ def test_cell_grid_equals_dense_grid_oracle(spec, data):
     # a model with cells is computed on its cells whatever n is asked for; a
     # dense grid that refines them is the oracle, and a box with faces on the
     # dense grid cuts the cells, so the overlap quadrature is checked too
-    m, lcm = spec.domain.dim, math.lcm(*spec.cells)
-    assert operators.cell_grid_n(spec) == lcm
+    m, lcm = spec.domain.dim, spec.form.n
+    assert spec.form.kind == "cells"
     n_dense = 2 * lcm if m == 2 or lcm > 60 else 3 * lcm
     dense = discretize_kernel(spec, n_dense)
     n_asked = data.draw(st.integers(1, 64 if m == 1 else 16))
@@ -520,7 +522,8 @@ def test_cell_grid_equals_dense_grid_oracle(spec, data):
     width = (spec.domain.hi - spec.domain.lo) / n_dense
     box = tuple([float(spec.domain.lo[a] + f[end] * width[a]) for a, f in enumerate(faces)]
                 for end in (0, 1))
-    grid, _, rate, share, lam_a = limits._operator_setup(spec, box, n_asked)
+    grid = limits._operator_grid(spec, n_asked)
+    _, rate, share, lam_a = limits._operator_setup(spec, box, grid)
     assert grid.n == lcm
     dense_rate = stationary_rate(dense, spec.baseline_on(dense.nodes))
     cell_of_node = _cell_index(dense.nodes, spec.domain, (lcm,) * m)
@@ -538,11 +541,10 @@ def test_models_without_cells_keep_the_asked_grid():
         kind="scaled-profile",
         profile=gh.PairFunction("rank-one", profile=gh.SpatialProfile("identity"))))
     for spec in (gh.rank_one_model(1.5), marked):
-        assert spec.cells is None and operators.cell_grid_n(spec) is None
-        assert operators.exact_form(spec) is None
+        assert spec.form.n is None and spec.form.kind == "grid"
         assert stability_report(spec, 24).grid_n == 24
         assert operators.gate_grid(spec).n == 96
-    assert gh.constant_model(0.5).cells == (1,)
+    assert gh.constant_model(0.5).form.n == 1
 
 
 def bilinear_spec(table, lo=0.0, hi=1.0) -> gh.ModelSpec:
@@ -561,7 +563,7 @@ def dense_rho(grid) -> float:
 
 def scaled_bilinear(raw, rho, lo=0.0, hi=1.0) -> gh.ModelSpec:
     """The bilinear model of the table `raw` scaled to the exact radius `rho`."""
-    return bilinear_spec(raw * (rho / dense_rho(operators.exact_form(bilinear_spec(raw, lo, hi)))),
+    return bilinear_spec(raw * (rho / dense_rho(operators.gate_grid(bilinear_spec(raw, lo, hi)))),
                          lo, hi)
 
 
@@ -569,7 +571,7 @@ def test_bilinear_graphon_takes_its_hat_form():
     # a 1-d bilinear grid has no cells, but it is a finite-rank kernel on its
     # clamped hats: the report and the gate run on the 2 x 2 form
     spec = bilinear_spec([[0.2, 0.4], [0.4, 0.2]])
-    assert spec.cells is None and operators.cell_grid_n(spec) is None
+    assert spec.form.n is None and spec.form.kind == "hats"
     rep = stability_report(spec, 24)
     assert rep.grid_n == 2 and rep.form == "hats"
     assert operators.gate_grid(spec).n == 2
@@ -597,14 +599,14 @@ def test_hat_form_report_and_gate_build_no_grid(monkeypatch):
 ], ids=["apply_kernel", "stationary_rate", "fclt_sigma"])
 def test_nodal_functions_refuse_a_hat_form(call):
     # a hat form's values are basis coefficients, not values at the nodes
-    form = operators.exact_form(bilinear_spec([[0.2, 0.4], [0.4, 0.2]]))
+    form = operators.gate_grid(bilinear_spec([[0.2, 0.4], [0.4, 0.2]]))
     with pytest.raises(ShapeError):
         call(form)
 
 
 def test_hat_form_radius_is_the_limit_of_nodal_grids():
     spec = scaled_bilinear(np.random.default_rng(2).uniform(0.2, 1.0, (16, 16)), 0.55)
-    form = operators.exact_form(spec)
+    form = operators.gate_grid(spec)
     rho = dense_rho(form)
     assert spectral_radius(form).rho_power_iteration == pytest.approx(rho, rel=1e-12)
     # the midpoint rule's error is c n^-2 + O(n^-4): Richardson removes c
@@ -652,7 +654,7 @@ def bilinear_models(draw):
     lo = draw(st.floats(-2.0, 1.0))
     hi = lo + draw(st.floats(0.1, 3.0))
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k)))
-    assume(dense_rho(operators.exact_form(bilinear_spec(raw.reshape(k, k), lo, hi))) > 1e-3)
+    assume(dense_rho(operators.gate_grid(bilinear_spec(raw.reshape(k, k), lo, hi))) > 1e-3)
     return scaled_bilinear(raw.reshape(k, k), draw(st.floats(0.05, 0.95)), lo, hi)
 
 
@@ -670,7 +672,7 @@ def column_masses(grid) -> np.ndarray:
 @settings(max_examples=100)
 @given(bilinear_models())
 def test_hat_form_is_the_limit_of_nodal_grids(spec):
-    form = operators.exact_form(spec)
+    form = operators.gate_grid(spec)
     k, length = form.n, spec.domain.volume
     np.testing.assert_allclose(form.gram, form.gram.T, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(form.gram.sum(axis=1), form.weights, rtol=1e-12)
@@ -703,3 +705,93 @@ def test_hat_form_is_the_limit_of_nodal_grids(spec):
     resolved = errors[0] > 1e-9
     assert (3.0 <= errors[0][resolved] / errors[1][resolved]).all()
     assert (errors[0][resolved] / errors[1][resolved] <= 5.0).all()
+
+
+@st.composite
+def form_cases(draw):
+    """A model of each structure the form tells apart, with what the form
+    should say, derived from the construction: (spec, kind, n, r, keys,
+    the rank-one law's one key or None)."""
+    case = draw(st.sampled_from(["fine-baseline", "cells-2d", "over-cap", "bilinear",
+                                 "rank-one", "flat-affine"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    one_d = gh.SpatialDomain((0.0,), (1.0,))
+    baseline = gh.SpatialProfile("constant", value=1.0)
+
+    def cells(counts):
+        k = math.prod(counts)
+        return gh.PairFunction("grid", values=rng.uniform(0.0, 0.5, (k, k)), axis_counts=counts)
+
+    def model(graphon, domain=one_d, baseline=baseline, grid_n=32):
+        return gh.ModelSpec(domain=domain, baseline=baseline, graphon=graphon,
+                            excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+                            grid_n=grid_n)
+
+    if case == "fine-baseline":  # a grid baseline finer than the graphon's cells
+        g, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        fine = gh.SpatialProfile("grid", values=rng.uniform(0.5, 2.0, g * k), axis_counts=(g * k,))
+        return model(cells((g,)), baseline=fine), "cells", g * k, None, (g,), None
+    if case in ("cells-2d", "over-cap"):  # anisotropic cells on [0, 1] x [0, 2]
+        domain = gh.SpatialDomain((0.0, 0.0), (1.0, 2.0))
+        if case == "cells-2d":
+            a, b = draw(st.sampled_from([(1, 2), (2, 3), (3, 2), (4, 3), (2, 4)]))
+            return (model(cells((a, b)), domain, grid_n=8), "cells", math.lcm(a, b), None,
+                    (a, b), None)
+        # lcm(a, 4, c) per axis is 180 or more, so (lcm)^2 passes the node cap
+        a, c = draw(st.sampled_from([5, 7])), draw(st.sampled_from([9, 11]))
+        fine = gh.SpatialProfile("grid", values=rng.uniform(0.5, 2.0, c), axis_counts=(c, 1))
+        return model(cells((a, 4)), domain, fine, grid_n=8), "grid", None, None, (a, 4), None
+    if case == "bilinear":
+        r = draw(st.integers(1, 6))
+        graphon = gh.PairFunction("grid", values=rng.uniform(0.0, 0.5, (r, r)),
+                                  axis_counts=(r,), interp="bilinear")
+        return model(graphon), "hats", None, r, None, None
+    if case == "rank-one":  # W = c a(x) a(y) with a of either sign: the law's one key
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        profile = gh.SpatialProfile("affine", intercept=sign * draw(st.floats(0.2, 0.5)),
+                                    slope=(sign * draw(st.floats(0.0, 0.4)),))
+        graphon = gh.PairFunction("rank-one", coeff=draw(st.floats(0.2, 1.0)), profile=profile)
+        return model(graphon), "grid", None, None, None, int(sign < 0)
+    # a constant graphon over an affine baseline: flat keys, no model cells
+    affine = gh.SpatialProfile("affine", intercept=1.0, slope=(draw(st.floats(0.1, 1.0)),))
+    graphon = gh.PairFunction("constant", value=draw(st.floats(0.1, 0.5)))
+    return model(graphon, baseline=affine), "grid", None, None, (1,), None
+
+
+@settings(max_examples=40, deadline=None)
+@given(form_cases(), st.integers(2, 8))
+def test_every_consumer_reads_the_form(case, n_asked):
+    spec, kind, n, r, keys, sign_key = case
+    form, m = spec.form, spec.domain.dim
+    assert (form.kind, form.n, form.r, form.keys) == (kind, n, r, keys)
+    assert form.flat == (keys is not None and math.prod(keys) == 1)
+    assert (form.coeff is not None) == (sign_key is not None)
+    sim_n = n or spec.grid_n
+    assert spec.engine.spec.grid_n == sim_n
+    assert fixed_point(spec, TestFunction.constant(0.5), 0.5, n_u=5)[0].grid_n == sim_n
+    gate = spec.gate
+    assert gate.n == (n or r or (96 if m == 1 else 12))
+    assert (gate.gram is not None) == (kind == "hats")
+    report = stability_report(spec, n_asked)
+    assert (report.grid_n, report.form) == (n or r or n_asked, kind)
+    assert limits._operator_grid(spec, n_asked).n == (n or n_asked)
+    fclt = fclt_experiment(spec, None, 1.0, 1, gh.SplitStream(0), n_op=n_asked)
+    assert fclt.summary["sigma_label"] == (
+        "exact-piecewise-constant" if kind == "cells" else "extrapolated")
+
+    # the law keys a parent by the form: its key cell, the sign of its
+    # rank-one scale, or nothing; parents at every key cell's midpoint
+    counts = keys or (4,) * m
+    mids = np.stack(np.meshgrid(*[(np.arange(c) + 0.5) / c for c in counts], indexing="ij"),
+                    axis=-1).reshape(-1, m)
+    parents = spec.domain.lo + mids * (spec.domain.hi - spec.domain.lo)
+    for law in (spec.engine, OffspringColumns(spec)):
+        found, scales = law.law(parents)
+        if keys is not None:
+            assert scales is None
+            np.testing.assert_array_equal(found, _cell_index(parents, spec.domain, keys))
+            assert len(set(found.tolist())) == math.prod(keys)
+        elif sign_key is not None:
+            assert set(found.tolist()) == {sign_key} and (scales > 0).all()
+        else:
+            assert found is None and scales is None

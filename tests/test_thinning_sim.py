@@ -15,7 +15,6 @@ from graphon_hawkes import cluster_sim, thinning_sim
 from graphon_hawkes.cluster_sim import sample_location, simulate_process
 from graphon_hawkes.errors import AcausalHistoryError, ThinningBoundError
 from graphon_hawkes.model import Nonlinearity, _cell_index
-from graphon_hawkes.operators import cell_grid_n
 from graphon_hawkes.thinning_sim import (
     HistorySnapshot,
     conditional_intensity,
@@ -215,7 +214,7 @@ def on_standard_grid(state, spec, vals):
     """The state's cell values at every standard-grid node of `spec`; the
     state runs on the model's cells, or on the standard grid without them."""
     n = state.spec.grid_n
-    assert n == (cell_grid_n(spec) or spec.grid_n)
+    assert n == (spec.form.n or spec.grid_n)
     return vals[_cell_index(spec.std_grid[0], spec.domain, (n,) * spec.domain.dim)]
 
 
@@ -477,7 +476,7 @@ def test_history_is_keyed_in_one_call(monkeypatch):
 def test_flat_model_key_builds_no_key_array(monkeypatch):
     columns = cluster_sim.OffspringColumns(gh.constant_model(0.5, grid_n=64))
     monkeypatch.setattr(columns, "_keys", None)  # any key array would fail
-    assert columns.flat and columns.law_at(np.array([0.3])) == (0, 1.0)
+    assert columns.form.flat and columns.law_at(np.array([0.3])) == (0, 1.0)
 
 
 def test_rejected_linear_candidates_form_no_cell_vector(monkeypatch):

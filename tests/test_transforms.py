@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 import graphon_hawkes as gh
 from graphon_hawkes import operators
 from graphon_hawkes.config import build_spec
-from graphon_hawkes.errors import InvalidArgumentError, ShapeError
+from graphon_hawkes.errors import ShapeError
 from graphon_hawkes.model import LifetimeModel, MarkModel, PairFunction
 from graphon_hawkes.transforms import (
     TestFunction,
     TransformGrid,
+    _PhiOperator,
     _tail_mass,
-    beta_eval,
     fixed_point,
-    gamma_eval,
     interchange_experiment,
     laplace_of_Q,
     mc_population_transform,
@@ -31,45 +30,43 @@ LN2 = math.log(2)
 
 
 def test_gamma_zero_function():
-    j = LifetimeModel("exponential", rate=1.0)
-    f0 = TestFunction.constant(0.0)
-    for u in (0.0, 0.7, 3.0):
-        assert gamma_eval(j, f0, [0.2], u) == pytest.approx(1.0)
+    # gamma_x(0, u) = Jbar(u) + J(u) = 1, the root's own factor in Phi
+    spec = gh.constant_model(0.5, grid_n=8)
+    op = _PhiOperator(spec, TestFunction.constant(0.0), np.array([0.0, 0.7, 3.0]), 8)
+    np.testing.assert_allclose(op.gamma, 1.0, rtol=1e-15)
 
 
 def test_gamma_values():
-    j = LifetimeModel("exponential", rate=1.0)
-    f = TestFunction.constant(LN2)
-    assert gamma_eval(j, f, [0.5], 0.0) == pytest.approx(0.5)
-    assert gamma_eval(j, f, [0.5], 1.0) == pytest.approx(1 - 0.5 * math.exp(-1))
+    spec = gh.constant_model(0.5, grid_n=8)  # J ~ Exp(1)
+    op = _PhiOperator(spec, TestFunction.constant(LN2), np.array([0.0, 1.0]), 8)
+    np.testing.assert_allclose(op.gamma[:, 0], 0.5, rtol=1e-14)
+    np.testing.assert_allclose(op.gamma[:, 1], 1 - 0.5 * math.exp(-1), rtol=1e-14)
 
 
 def test_gamma_grid_function_reads_the_cell():
     # f = LN2 on the cells of [0.5, 1), 0 below; a boundary point takes the upper cell
     spec = gh.constant_model(0.5, grid_n=4)
     f = TestFunction.from_values(np.array([0.0, 0.0, LN2, LN2]))
-    j = LifetimeModel("exponential", rate=1.0)
-    assert gamma_eval(j, f, [0.3], 0.0, spec) == pytest.approx(1.0)
-    assert gamma_eval(j, f, [0.5], 0.0, spec) == pytest.approx(0.5)
-    assert gamma_eval(j, f, [0.9], 0.0, spec) == pytest.approx(0.5)
+    np.testing.assert_array_equal(f.at_points(np.array([[0.3], [0.5], [0.9]]), spec),
+                                  [0.0, LN2, LN2])
 
 
 def test_beta_deterministic_and_exponential():
-    spec = gh.constant_model(0.5, grid_n=256)
-    unmarked = spec.marks
-    nodes, _ = spec.std_grid
-    g = np.full(nodes.shape[0], 0.8)
-    assert beta_eval(unmarked, [0.5], g, spec) == pytest.approx(math.exp(-0.8))
-    assert beta_eval(unmarked, [0.5], np.zeros_like(g), spec) == pytest.approx(1.0)
+    # from xi = 0, Phi is gamma beta_x(H~(u)) with beta_x(g) = L_xi(int b W g)
+    # and H~ the trapezoid H on the time grid; f = 0 makes gamma = 1
     exp_marks = MarkModel(kind="scaled-profile", xi_family="exponential", xi_value=1.0,
                           profile=PairFunction("constant", value=1.0))
-    assert beta_eval(exp_marks, [0.5], np.ones_like(g), spec) == pytest.approx(0.5)
-
-
-def test_beta_rejects_negative():
-    spec = gh.constant_model(0.5, grid_n=64)
-    with pytest.raises(InvalidArgumentError):
-        beta_eval(spec.marks, [0.5], -np.ones(64), spec)
+    u = np.linspace(0.0, 3.0, 31)
+    for marks, w, laplace in ((MarkModel(), 0.5, lambda s: np.exp(-s)),
+                              (exp_marks, 1.0, lambda s: 1.0 / (1.0 + s))):
+        spec = dataclasses.replace(gh.constant_model(w, grid_n=16), marks=marks)
+        op = _PhiOperator(spec, TestFunction.constant(0.0), u, 16)
+        h = spec.excitation.h(u)
+        h_trap = np.concatenate([[0.0], np.cumsum((h[1:] + h[:-1]) / 2 * (u[1] - u[0]))])
+        assert np.max(np.abs(h_trap - spec.excitation.H(u))) < 1e-3  # the trapezoid's O(du^2)
+        out = op.apply(np.zeros((16, u.size)))
+        np.testing.assert_allclose(out, np.broadcast_to(laplace(w * h_trap), out.shape),
+                                   rtol=1e-13)
 
 
 def test_phi_trivial_cases():
@@ -183,7 +180,7 @@ def cell_models(draw):
         excitation=gh.ExcitationKernel("exponential", rate=draw(st.floats(0.5, 3.0)),
                                        l1=draw(st.floats(0.1, 1.5))),
         marks=marks, lifetimes=lifetimes)
-    lcm = math.lcm(*spec.cells)
+    lcm = spec.form.n
     return dataclasses.replace(spec, grid_n=lcm * draw(st.integers(1, 1 if lcm > 60 else 3)))
 
 
@@ -194,7 +191,7 @@ def test_cell_fixed_point_equals_dense_iteration(spec, z, t, n_u):
     # refines them, is the dense oracle, iterated as many times from ones
     f = TestFunction.constant(z)
     eta, log = fixed_point(spec, f, t, n_u=n_u)
-    assert eta.grid_n == operators.cell_grid_n(spec) == math.lcm(*spec.cells)
+    assert eta.grid_n == spec.form.n == spec.engine.spec.grid_n
     xi = TransformGrid(values=np.ones(eta.values.shape), u_grid=eta.u_grid, f=f)
     for _ in range(log.iterations):
         xi = phi_apply(xi, spec, f)
