@@ -6,25 +6,31 @@ children as an inhomogeneous Poisson process with spatial profile
 b(z, x0) W(z, x0) and temporal profile h(t - t0).  Child delays invert
 H(s)/H(tau); child locations are drawn from the normalized spatial profile.
 
-Every location (immigrants, children, and accepted thinning events) comes
-from `sample_location`: the law is a piecewise-constant density on the n^m
-cells of the caller's grid.  The engine's is the model's cell grid, or its
-standard grid when it has none (`ModelSpec.form` states the rule), and every
-simulator reads the one engine of a model, `ModelSpec.engine`, built on
-first use.  One call draws k points from k x m uniforms.  u[:, 0] inverts
-the CDF over the row-major flat cell index, and its residual inside the
-drawn cell places the point on axis 0; u[:, 1:] place it uniformly on the
-other axes.  A flat density (None), or one cell, is lo + u (hi - lo).  Each
-output row depends only on its own uniform row and the density.
+Every location (immigrants, children, and accepted thinning events) is an
+inverse-CDF draw from the cell law (`density_law`) of a piecewise-constant
+density on the n^m cells of the caller's grid.  The engine's is the model's
+cell grid, or its standard grid when it has none (`ModelSpec.form` states
+the rule), and every simulator reads the one engine of a model,
+`ModelSpec.engine`, built on first use.  A draw of k points reads k x m
+uniforms.  u[:, 0] inverts the CDF over the row-major flat cell index, and
+its residual inside the drawn cell places the point on axis 0; u[:, 1:]
+place it uniformly on the other axes.  A flat density (None), or one cell,
+is lo + u (hi - lo).  Each output row depends only on its own uniform row
+and its law.
 
 Branching runs a generation at a time on the offspring law of
 `OffspringColumns`: one `law` call keys the generation, a parent's mass is
 its scale times its key's shape mass, and each distinct shape is fetched or
 built once.  The children's locations come from one (total, m) uniform block
-per generation, with one `sample_location` call per distinct shape.  Row r of
-the block goes to the r-th child in stable parent order, the doubles that one
-draw per parent in ascending parent order would give, so the grouping by
-shape leaves every location's bytes unchanged.
+and one draw over the stacked laws of the shapes with children.  Row r of
+the block goes to the r-th child in stable parent order, the doubles that
+one draw per parent in ascending parent order would give.  The engine owns
+the law of each keyed shape, built when the key first has children and
+kept for the engine's life, at most one per key; with no key, each parent's
+column gets a law in its generation only.  A row-wise binary search over
+the stacked cumulative sums compares the doubles that a per-shape
+`searchsorted` compares and rounds nothing, so every location keeps the
+bytes of one draw per parent.
 
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
@@ -54,17 +60,34 @@ DEFAULT_EVENT_CAP = 10**7
 # Location sampling
 
 
-def _categorical(masses: np.ndarray, total: float, u) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse CDF of the discrete law prop. to nonnegative `masses` at
-    uniform(s) u: the first index i with u * total < cum[i], and cum.
+def cell_law(masses: np.ndarray) -> tuple:
+    """The inverse-CDF table (total, cum, top) of the discrete law prop. to
+    nonnegative `masses` along the last axis, each row on its own: total =
+    the row's sum (> 0 in a row that is drawn), cum its cumulative sums and
+    top the first index whose cum is the row's last.  The draw at a uniform
+    u is the first index i with u * total < cum[i], capped at top: the
+    pairwise rounding of total can put u * total past the sequential
+    cum[-1], and the cap keeps an index that adds nothing to cum (a zero
+    mass) from being drawn."""
+    cum = np.cumsum(masses, axis=-1)
+    return masses.sum(axis=-1), cum, (cum < cum[..., -1:]).sum(axis=-1)
 
-    `total` is `masses.sum()` > 0.  Its pairwise rounding can put u * total
-    past the sequential cum[-1], so the index stops at the last positive
-    mass: a zero-mass index is never drawn.
-    """
-    cum = np.cumsum(masses)
-    top = np.searchsorted(cum, cum[-1], side="left")
-    return np.minimum(np.searchsorted(cum, u * total, side="right"), top), cum
+
+def _categorical(masses: np.ndarray, u) -> np.ndarray:
+    """The `cell_law` draw of the index at uniform(s) u."""
+    total, cum, top = cell_law(masses)
+    return np.minimum(np.searchsorted(cum, u * total, side="right"), top)
+
+
+def density_law(density: np.ndarray) -> tuple:
+    """(masses, total, cum, top): the `cell_law` of a density on cells of
+    equal volume, whose masses are the density over its maximum, so that a
+    positive density never underflows to zero mass."""
+    top = density.max()
+    if not 0 < top < math.inf:
+        raise DegenerateDensityError(f"cannot sample from a density with maximum {top}")
+    masses = density / top
+    return (masses, *cell_law(masses))
 
 
 def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.ndarray:
@@ -72,26 +95,45 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
     one nonnegative value per cell of the n^m-cell grid, row-major as
     `domain.grid(n)`, or None for flat.  The draw is set out in the module
     docstring."""
-    lo, hi = domain.lo, domain.hi
     if density is None:
-        return lo + u * (hi - lo)
-    # cells have equal volume, so the masses are the density over its
-    # maximum: a positive density never underflows to zero mass
-    top = density.max()
-    if not 0 < top < math.inf:
-        raise DegenerateDensityError(f"cannot sample from a density with maximum {top}")
-    if density.size == 1:  # the draw below on one cell, bit for bit
+        return domain.lo + u * (domain.hi - domain.lo)
+    return _place(density_law(density), None, domain, u)
+
+
+def _place(law: tuple, rows: np.ndarray | None, domain, u: np.ndarray) -> np.ndarray:
+    """The points of the uniforms `u` under one `density_law`, or, given
+    `rows`, under a stack of laws (each part stacked on a leading axis), row
+    r of u reading law rows[r]."""
+    masses, total, cum, top = law
+    lo, hi = domain.lo, domain.hi
+    cells = cum.shape[-1]
+    if cells == 1:  # the draw below on one cell, bit for bit
         return lo + u * (hi - lo)
     m = domain.dim
-    n = round(density.shape[0] ** (1.0 / m))
+    n = round(cells ** (1.0 / m))
     width = (hi - lo) / n
-    masses = density / top
-    total = masses.sum()
-    idx, cum = _categorical(masses, total, u[:, 0])
-    prev = np.where(idx > 0, cum[idx - 1], 0.0)
+    if rows is None:
+        v = u[:, 0] * total
+        at = idx = np.minimum(np.searchsorted(cum, v, side="right"), top)
+    else:  # flat tables, law rows[r] from rows[r] * cells on
+        masses, cum, base = masses.ravel(), cum.ravel(), rows * cells
+        v = u[:, 0] * total[rows]
+        # searchsorted(cum row, v, side="right") of every row at once, the
+        # count of entries <= v: the entries before `at` are <= v, the count
+        # is at most at - base + span, and each step halves the span,
+        # reading inside the row only
+        at, span = base, cells
+        while span > 1:
+            half = span // 2
+            probe = at + half
+            at = np.where(cum[probe] <= v, probe, at)
+            span -= half
+        idx = np.minimum(at - base + (cum[at] <= v), top[rows])
+        at = base + idx
+    prev = np.where(idx > 0, cum[at - 1], 0.0)
     pos = u.copy()
     # the residual is >= 0, since cum[idx - 1] <= u * total
-    pos[:, 0] = np.minimum((u[:, 0] * total - prev) / masses[idx], 1.0)
+    pos[:, 0] = np.minimum((v - prev) / masses[at], 1.0)
     for a, i in enumerate(np.unravel_index(idx, (n,) * m)):
         pos[:, a] += i
     # i + u rounds to i + 1 for u near 1, and lo + n width can pass hi
@@ -189,6 +231,8 @@ class ClusterEngine(OffspringColumns):
         super().__init__(replace(spec, grid_n=spec.form.n or spec.grid_n))
         self.lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
         self.alpha = float(np.sum(self.lam_vals * self.weights))
+        # (key -> row, the stacked `density_law`s of those rows), replaced whole
+        self._laws: tuple[dict[int, int], tuple] = ({}, ())
 
     # -- immigrants ---------------------------------------------------------
 
@@ -202,44 +246,67 @@ class ClusterEngine(OffspringColumns):
     def offspring_mass(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Gamma(y) = int b(z, y) W(z, y) dz of each parent y, its scale
         times its shape's mass by the `law`, and the generation's columns as
-        (distinct shapes, parent -> shape index): one shape per key present,
-        keyed in one `law` call, or one column per parent when the law has
-        no key.  A `flat` law has one shape, None, and no index."""
+        (shapes, parent -> key): a dict of one shape per key present, keyed
+        in one `law` call, or of one column per parent, keyed by its index,
+        when the law has no key.  A `flat` law has one shape, None, and no
+        parent keys."""
         k = xs.shape[0]
         if self.form.flat:  # one constant shape: the flat density of `sample_location`
-            return np.full(k, self.column_of(0, None)[0]), ([None], None)
+            return np.full(k, self.column_of(0, None)[0]), ({0: None}, None)
         keys, scales = self.law(xs)
         if keys is None:
-            pairs, of_parent = [self._build(y) for y in xs], np.arange(k)
-        else:
-            present = np.flatnonzero(np.bincount(keys))  # np.unique at a third of its cost
-            of_parent = np.searchsorted(present, keys)
-            pairs = [self.column_of(key, None) for key in present.tolist()]
-        masses = np.array([mass for mass, _ in pairs])[of_parent]
-        return masses if scales is None else scales * masses, ([c for _, c in pairs], of_parent)
+            present, of_parent = list(range(k)), np.arange(k)
+            pairs = [self._build(y) for y in xs]
+        else:  # np.unique at a third of its cost
+            present, of_parent = np.flatnonzero(np.bincount(keys)).tolist(), keys
+            pairs = [self.column_of(key, None) for key in present]
+        masses = np.array([mass for mass, _ in pairs])[np.searchsorted(present, of_parent)]
+        shapes = {key: col for key, (_, col) in zip(present, pairs)}
+        return masses if scales is None else scales * masses, (shapes, of_parent)
 
     def sample_offspring_locations(self, columns, child_parent_idx, rng) -> np.ndarray:
         """Locations for children of the parents `child_parent_idx`, from the
-        `columns` of `offspring_mass`: one uniform block, then one
-        `sample_location` call per distinct shape (see the module docstring
-        for why the bytes equal one draw per parent)."""
+        `columns` of `offspring_mass`: one uniform block and one draw over
+        the stacked laws of the shapes with children (see the module
+        docstring for why the bytes equal one draw per parent)."""
         total, m = child_parent_idx.shape[0], self.domain.dim
         if total == 0:
             return np.empty((0, m))
         u = rng.random((total, m))
-        cols, of_parent = columns
+        shapes, of_parent = columns
         if of_parent is None:  # a flat law: every child draws from its one shape
-            return sample_location(cols[0], self.domain, u)
+            return sample_location(shapes[0], self.domain, u)
         child = np.argsort(child_parent_idx, kind="stable")  # uniform row -> child
+        key = of_parent[child_parent_idx[child]]  # uniform row -> key
+        used = np.flatnonzero(np.bincount(key))  # a shape without children gets no law
+        laws, row_of = self._stacked_laws(shapes, used.tolist())
         out = np.empty((total, m))
-        if len(cols) == 1:  # one shape: the one group of the loop below
-            out[child] = sample_location(cols[0], self.domain, u)
-            return out
-        col = of_parent[child_parent_idx[child]]  # uniform row -> column
-        rows = np.argsort(col, kind="stable")
-        for group in np.split(rows, np.flatnonzero(np.diff(col[rows])) + 1):
-            out[child[group]] = sample_location(cols[col[group[0]]], self.domain, u[group])
+        if row_of.size == 1:  # one law: its row, drawn by one searchsorted
+            out[child] = _place(tuple(part[row_of[0]] for part in laws), None, self.domain, u)
+        else:
+            out[child] = _place(laws, row_of[np.searchsorted(used, key)], self.domain, u)
         return out
+
+    def _stacked_laws(self, shapes: dict, used: list) -> tuple[tuple, np.ndarray]:
+        """The stacked laws holding those of the keys `used` and the row of
+        each: the engine's table of keyed shapes, first grown by the keys it
+        lacks, or, when the offspring law has no key (the keys are then
+        parent indices), the laws of these parents' columns alone."""
+        if self.form.keys is None and self.form.coeff is None:
+            return _stack([density_law(shapes[k]) for k in used]), np.arange(len(used))
+        row_of, laws = self._laws
+        new = [k for k in used if k not in row_of]
+        if new:  # a new table: threads sharing the engine each read a whole one
+            grown = _stack([density_law(shapes[k]) for k in new])
+            laws = tuple(map(np.concatenate, zip(laws, grown))) if laws else grown
+            row_of = {**row_of, **{k: len(row_of) + i for i, k in enumerate(new)}}
+            self._laws = row_of, laws
+        return laws, np.array([row_of[k] for k in used])
+
+
+def _stack(laws: list) -> tuple:
+    """Laws stacked part by part on a leading axis."""
+    return tuple(map(np.stack, zip(*laws)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +347,9 @@ def _grow(engine: ClusterEngine, t0: np.ndarray, x0: np.ndarray, xi0: np.ndarray
         total = int(counts.sum())
         if total == 0:
             break
-        if n_out + total > budget:
-            keep = budget - n_out
-            cum = np.cumsum(counts)
-            cut = np.searchsorted(cum, keep, side="right")
-            counts = counts.copy()
-            counts[cut + 1 :] = 0
-            if cut < counts.shape[0]:
-                counts[cut] = max(0, keep - (cum[cut - 1] if cut > 0 else 0))
-            total = int(counts.sum())
-            censored = True
+        if n_out + total > budget:  # the first children in parent order fill it
+            total, censored = budget - n_out, True
+            counts = np.diff(np.minimum(np.cumsum(counts), total), prepend=0)
         rep = np.repeat(np.arange(cur_t.shape[0]), counts)
         times = cur_t[rep] + spec.excitation.sample_delay(1.0 - rng.random(total), tau[rep])
         locs = engine.sample_offspring_locations(columns, rep, rng)

@@ -93,10 +93,8 @@ def pp_distance(
 ) -> DistanceBreakdown:
     """The realization metric with the chosen simultaneity matching."""
     spec_m = spec_m or spec_n
-    if not (
-        np.allclose(spec_n.domain.lo, spec_m.domain.lo)
-        and np.allclose(spec_n.domain.hi, spec_m.domain.hi)
-    ):
+    dn, dm = spec_n.domain, spec_m.domain  # one domain object needs no check
+    if dn is not dm and not (np.allclose(dn.lo, dm.lo) and np.allclose(dn.hi, dm.hi)):
         raise DomainMismatchError("realizations live on different domains")
 
     if matching == "shared-ids":

@@ -24,6 +24,17 @@ own column when the law has no key.  That law, the within-cell sampler and
 the baseline vectors depend on the averaged model alone, so they are built
 once per averaged model, as `AveragedModel.coupling`.  The order of the
 draws is part of the contract: the same (seed, path) gives the same pair.
+
+The within-cell pick is an inverse-CDF draw over the grid nodes of one
+partition cell (`cluster_sim.cell_law`).  The setup caches the tables of a
+fixed column, one per cell, when the column is first drawn: both baselines,
+the ones column and each keyed shape, so at most (3 + keys) x d tables,
+which live as long as the averaged model.  Row-wise sums round as the sum
+of one row does, so a cached table is the one a single cell would build.
+A keyed parent picks from its shape, not its scaled column: a positive
+scale changes the table by rounding only, which moves a pick only where
+u * total lies within rounding of a cumulative sum.  A parent's own column
+(no key) builds its cell's table per pick.
 """
 
 from __future__ import annotations
@@ -279,26 +290,35 @@ class _CouplingSetup:
         domain = spec.domain
         self.grid_width = (domain.hi - domain.lo) / spec.grid_n
         self.cell_idx = avg.partition.cell_of(self.nodes)
-        self.order = np.argsort(self.cell_idx, kind="stable")
-        # the nodes of cell k are order[bounds[k]:bounds[k + 1]]
-        self.bounds = np.searchsorted(self.cell_idx[self.order], np.arange(self.d + 1))
+        # row k: the grid nodes of partition cell k, which all hold as many
+        self.cell_nodes = np.argsort(self.cell_idx, kind="stable").reshape(self.d, -1)
         self.columns = OffspringColumns(spec)
         self.lam_vals = np.maximum(spec.baseline_on(self.nodes), 0.0)
         self.lam_m_vals = np.maximum(avg.spec.baseline_on(self.nodes), 0.0)
         self.lam_cell_mass = self.masses_by_cell(self.lam_vals)
         self.alpha = float(self.lam_cell_mass.sum())
         self.ones_col = np.ones(self.nodes.shape[0])
+        self._laws: dict = {}  # fixed column name -> its `cell_law` in every cell
 
     def masses_by_cell(self, col: np.ndarray) -> np.ndarray:
         return np.bincount(self.cell_idx, weights=col * self.weights, minlength=self.d)
 
-    def pick(self, col: np.ndarray, k: int, u_cell: float, u_jit: np.ndarray) -> np.ndarray:
+    def pick(self, name, col: np.ndarray, k: int, u_cell: float, u_jit: np.ndarray) -> np.ndarray:
         """One point in cell k with density prop. to col, using shared uniforms.
-        Cell k is only drawn where col has positive mass."""
-        idx = self.order[self.bounds[k] : self.bounds[k + 1]]
-        wts = np.maximum(col[idx], 0.0)
-        pos = int(cluster_sim._categorical(wts, wts.sum(), u_cell)[0])
-        return self.nodes[idx[pos]] + (u_jit - 0.5) * self.grid_width
+        Cell k is only drawn where col has positive mass.  A fixed column has
+        a `name` (a baseline, the ones column or a key of `columns`), and the
+        tables of all its cells are built on its first pick and cached; a
+        parent's own column has None, and builds cell k's table alone."""
+        nodes = self.cell_nodes[k]
+        if name is None:
+            total, cum, top = cluster_sim.cell_law(np.maximum(col[nodes], 0.0))
+        else:
+            law = self._laws.get(name)
+            if law is None:  # threads sharing the setup build equal tables
+                law = self._laws[name] = cluster_sim.cell_law(np.maximum(col[self.cell_nodes], 0.0))
+            total, cum, top = law[0][k], law[1][k], law[2][k]
+        pos = min(cum.searchsorted(u_cell * total, side="right"), top)
+        return self.nodes[nodes[pos]] + (u_jit - 0.5) * self.grid_width
 
 
 class _LazyGraph:
@@ -395,16 +415,17 @@ def simulate_coupled(
         count = gen.poisson(total * h_mass) if total > 0 else 0
         if not count:
             return []
-        cells, _ = cluster_sim._categorical(masses, total, gen.random(count))
+        cells = cluster_sim._categorical(masses, gen.random(count))
         delays = spec.excitation.sample_delay(1.0 - gen.random(count), np.full(count, tau))
         return zip(cells.tolist(), (t0 + delays).tolist())
 
-    def step(k, t, col_n, col_m, generation, parent):
-        """One event in cell k at time t on the sides whose column is given."""
+    def step(k, t, src_n, src_m, generation, parent):
+        """One event in cell k at time t on the sides whose column is given,
+        as the (name, column) arguments of `_CouplingSetup.pick`."""
         nonlocal next_id, censored
         u_cell, u_jit = gen.random(), gen.random(dim)
-        z_n = None if col_n is None else setup.pick(col_n, k, u_cell, u_jit)
-        z_m = None if col_m is None else setup.pick(col_m, k, u_cell, u_jit)
+        z_n = None if src_n is None else setup.pick(*src_n, k, u_cell, u_jit)
+        z_m = None if src_m is None else setup.pick(*src_m, k, u_cell, u_jit)
         xi = float(spec.marks.sample_xi(gen, 1)[0])
         # a quenched prelimit event stays in the pass: its descendants share the graph
         if z_m is not None and (z_n is not None or quenched):
@@ -435,9 +456,12 @@ def simulate_coupled(
     # shared immigrants: per-cell baseline masses agree exactly
     n_imm = gen.poisson(setup.alpha * horizon)
     imm_times = np.sort(horizon * (1.0 - gen.random(n_imm)))
-    cells, _ = cluster_sim._categorical(setup.lam_cell_mass, setup.alpha, gen.random(n_imm))
+    cells = cluster_sim._categorical(setup.lam_cell_mass, gen.random(n_imm))
+    # the fixed columns, named for `pick`'s cache
+    lam_n, lam_m = ("lam", setup.lam_vals), ("lam_m", setup.lam_m_vals)
+    ones = ("ones", setup.ones_col)
     for k, t in zip(cells.tolist(), imm_times.tolist()):
-        step(k, t, setup.lam_vals, setup.lam_m_vals, 0, -1)
+        step(k, t, lam_n, lam_m, 0, -1)
 
     while queue:
         if len(rows_n) + len(rows_m) >= cap:
@@ -453,24 +477,27 @@ def simulate_coupled(
         # annealed accepted mass per target cell, and the potential mass
         p_tilde = xi * avg.b_cell[:, j] * avg.W_cell[:, j] * cell_vol
         p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
-        col_n, p_n = None, np.zeros(d)
+        src_n, p_n = None, np.zeros(d)
         if y_n is not None:
             key, scale = setup.columns.law_at(y_n)
-            col_n = xi * scale * setup.columns.column_of(key, y_n)[1]
+            shape = setup.columns.column_of(key, y_n)[1]
+            col_n = xi * scale * shape
             p_n = setup.masses_by_cell(col_n)
+            # a positive scale leaves a keyed shape's within-cell law as it is
+            src_n = (None, col_n) if key is None else (key, shape)
         q_mass = np.minimum(p_n, p_tilde)
         # potential prelimit children: shared with probability q / p_tilde
         # once accepted, on the prelimit side where the edge is present
         for k, tc in offspring(p_hat, h_mass, t0, tau):
             accept, edge = lazy.decide(k, j) if quenched else (True, 1)
-            on_n = (col_n is not None and accept and p_tilde[k] > 0
+            on_n = (src_n is not None and accept and p_tilde[k] > 0
                     and gen.random() < q_mass[k] / p_tilde[k])
             if on_n or edge:
-                step(k, tc, col_n if on_n else None, setup.ones_col if edge else None,
+                step(k, tc, src_n if on_n else None, ones if edge else None,
                      generation + 1, eid)
         # continuum-only residual children (none for a prelimit-only parent)
         for k, tc in offspring(p_n - q_mass, h_mass, t0, tau):
-            step(k, tc, col_n, None, generation + 1, eid)
+            step(k, tc, src_n, None, generation + 1, eid)
 
     real_n = _realization(rows_n, dim, horizon, stream.describe(), censored)
     real_m = _realization(rows_m, dim, horizon, stream.describe(), censored)

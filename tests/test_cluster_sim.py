@@ -755,8 +755,9 @@ def bilinear_model():
 @pytest.mark.parametrize("model, families", [(step_model, 1), (step_marked_model, 2)])
 def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, model, families):
     # 240 parents over the 16 source cells of a step graphon: one key lookup
-    # on the lcm grid of every grid family, one location draw per source cell
-    # that has children
+    # on the lcm grid of every grid family, then one uniform block and one
+    # stacked location draw for the whole generation, over the laws of the
+    # source cells that have children
     spec = model()
     assert len([f for f in (spec.graphon, spec.marks.b) if f.family == "grid"]) == families
     engine = ClusterEngine(spec)
@@ -770,8 +771,7 @@ def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, mo
         return wrapper
 
     monkeypatch.setattr(cluster_sim, "_cell_index", counted("key", cluster_sim._cell_index))
-    monkeypatch.setattr(cluster_sim, "sample_location",
-                        counted("draw", cluster_sim.sample_location))
+    monkeypatch.setattr(cluster_sim, "_place", counted("draw", cluster_sim._place))
     masses, columns = engine.offspring_mass(xs)
     assert calls["key"] == 1
     counts = np.random.default_rng(6).poisson(4 * masses)
@@ -779,7 +779,7 @@ def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, mo
     engine.sample_offspring_locations(columns, np.repeat(np.arange(240), counts), rng)
     assert calls["uniforms"] == 1
     cells = np.unique(_cell_index(xs[counts > 0], spec.domain, (16,)))
-    assert 1 < calls["draw"] <= cells.size < (counts > 0).sum()
+    assert calls["draw"] == 1 and len(engine._laws[0]) == cells.size > 1
 
 
 def test_a_parent_on_a_cell_face_shares_the_column_of_its_key_cell():
@@ -860,6 +860,39 @@ def test_grouped_offspring_draw_equals_per_parent_draws_bit_for_bit(case):
             ref[span] = sample_location(col, spec.domain, rng.random((span.size, m)))
     assert out.tobytes() == ref.tobytes()
     assert gen.random() == rng.random()  # both consumed the same doubles
+
+
+def test_a_zero_mass_shape_without_children_does_not_stop_the_draw():
+    # W(., y) = 0 for y in cell 0: a parent there keys a zero shape, which
+    # has no law; a generation that holds it draws its other children
+    vals = np.full((4, 4), 0.3)
+    vals[:, 0] = 0.0
+    spec = dataclasses.replace(step_model(64), c_w=0.3, graphon=gh.PairFunction(
+        "grid", values=vals, axis_counts=(4,)))
+    engine = ClusterEngine(spec)
+    masses, columns = engine.offspring_mass(np.array([[0.1], [0.6], [0.9]]))
+    assert masses[0] == 0.0 and (masses[1:] > 0).all()
+    with pytest.raises(DegenerateDensityError):
+        sample_location(columns[0][0], spec.domain, np.full((1, 1), 0.5))
+    pts = engine.sample_offspring_locations(columns, np.array([1, 1, 2, 2, 2]),
+                                            gh.SplitStream(44).generator())
+    assert pts.shape == (5, 1) and ((0.0 <= pts) & (pts <= 1.0)).all()
+    assert sorted(engine._laws[0]) == [2, 3]  # the keys with children only
+
+
+def test_law_cache_holds_at_most_one_law_per_key():
+    # about 10^4 events: the step model's engine keeps one law per source
+    # cell that had children, and an engine with no keys keeps none
+    spec = step_model()
+    events = sum(len(simulate_process(spec, 1000.0, gh.SplitStream(45).child(r),
+                                      with_lifetimes=False)) for r in range(6))
+    assert events > 8_000
+    row_of, laws = spec.engine._laws
+    assert 1 < len(row_of) <= 16 and all(part.shape[0] == len(row_of) for part in laws)
+    assert set(row_of) <= set(spec.engine._columns)
+    smooth = bilinear_model()
+    real = simulate_process(smooth, 100.0, gh.SplitStream(46), with_lifetimes=False)
+    assert (real.generations > 0).any() and smooth.engine._laws == ({}, ())
 
 
 def test_cap_below_immigrant_count_keeps_earliest_immigrants():

@@ -1,5 +1,7 @@
 """Realization metric, total variation, and the averaging bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import graphon_hawkes as gh
 from graphon_hawkes.errors import DomainMismatchError, ResolutionTooCoarseError
 from graphon_hawkes.metrics import poincare_check, pp_distance, total_variation
 from graphon_hawkes.model import MarkModel, PairFunction
-from graphon_hawkes.prelimit import build_partition
+from graphon_hawkes.prelimit import average_model, build_partition
 
 
 def make_real(times, locs, ids, xis=None, horizon=5.0):
@@ -95,6 +97,23 @@ def test_distance_domain_mismatch(spec):
         graphon=other.graphon, excitation=other.excitation, c_w=0.5,
     )
     n = make_real([1.0], [0.5], [0])
+    with pytest.raises(DomainMismatchError):
+        pp_distance(n, n, spec, wide)
+
+
+def test_distance_checks_domains_only_when_they_are_distinct_objects(spec, monkeypatch):
+    # the coupled pass compares two models on one domain object: no check;
+    # an equal domain built apart is checked and passes, an unequal one raises
+    checks = []
+    allclose = np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a: checks.append(a) or allclose(*a))
+    n = make_real([1.0], [0.5], [0])
+    avg = average_model(spec, build_partition(spec.domain, 4, "per-axis-counts"))
+    assert avg.spec.domain is spec.domain
+    assert pp_distance(n, n, spec, avg.spec).total == 0.0 and checks == []
+    apart = dataclasses.replace(spec, domain=gh.SpatialDomain((0.0,), (1.0,)))
+    assert pp_distance(n, n, spec, apart).total == 0.0 and len(checks) == 2
+    wide = dataclasses.replace(spec, domain=gh.SpatialDomain((0.0,), (2.0,)))
     with pytest.raises(DomainMismatchError):
         pp_distance(n, n, spec, wide)
 

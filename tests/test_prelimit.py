@@ -1,7 +1,10 @@
 """Partitioning, averaging, quenched graphs and the coupled simulation."""
 
+import dataclasses
 import functools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -417,6 +420,108 @@ def test_coupled_pair_invariants(model, level, graph, seed, horizon, cap):
     parent = np.array([pos_m[int(p)] for p in nd.parent_ids[child]], dtype=np.int64)
     cells = part.cell_of(nd.locations)
     assert (pair.graph.Z[cells[child], cells[parent]] == 1).all()
+
+
+def _uncached_pick(setup, col, k, u_cell, u_jit):
+    """The within-cell pick with the cell's table built from col on every call."""
+    idx = np.flatnonzero(setup.cell_idx == k)
+    wts = np.maximum(col[idx], 0.0)
+    cum = np.cumsum(wts)
+    top = np.searchsorted(cum, cum[-1], side="left")
+    pos = min(np.searchsorted(cum, u_cell * wts.sum(), side="right"), top)
+    return setup.nodes[idx[pos]] + (u_jit - 0.5) * setup.grid_width
+
+
+@functools.lru_cache(maxsize=None)
+def _pick_setup(model, level):
+    """`_coupled_setup`'s models, and a rank-one one keyed by its sign."""
+    if model != "rank-one":
+        return _coupled_setup(model, level)[:3]
+    spec = gh.rank_one_model(grid_n=64)
+    part = build_partition(spec.domain, 2**level, "uniform-dyadic")
+    return spec, part, average_model(spec, part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(sorted(COUPLED_MODELS) + ["rank-one"]),
+       level=st.integers(1, 3),
+       cell=st.integers(0, 63),
+       y=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       u_cell=st.floats(0.0, 1.0, exclude_max=True),
+       scale=st.floats(1e-3, 1e3))
+def test_cached_pick_equals_the_uncached_pick(model, level, cell, y, u_cell, scale):
+    spec, part, avg = _pick_setup(model, level)
+    setup, k, m = avg.coupling, cell % part.d, spec.domain.dim
+    u_jit = np.full(m, 0.375)
+    idx = np.flatnonzero(setup.cell_idx == k)
+
+    def same(name, col, ref):
+        if col[idx].max() > 0:  # a cell is only drawn where its column has mass
+            for _ in range(2):  # the first call builds the tables, the second reads them
+                assert setup.pick(name, col, k, u_cell, u_jit).tobytes() == ref.tobytes()
+
+    for name in ("lam", "lam_m", "ones"):
+        col = {"lam": setup.lam_vals, "lam_m": setup.lam_m_vals, "ones": setup.ones_col}[name]
+        same(name, col, _uncached_pick(setup, col, k, u_cell, u_jit))
+    # a keyed parent picks from its shape: a positive scale moves the table
+    # by rounding only, which can cross a boundary only where u * total lies
+    # within rounding of a cumulative sum; that case is excluded
+    parent = spec.domain.lo + np.array(y[:m]) * (spec.domain.hi - spec.domain.lo)
+    key, _ = setup.columns.law_at(parent)
+    shape = setup.columns.column_of(key, parent)[1]
+    cum = np.cumsum(shape[idx])
+    if key is not None and not np.isclose(cum, u_cell * cum[-1], rtol=1e-12, atol=0).any():
+        same(key, shape, _uncached_pick(setup, scale * shape, k, u_cell, u_jit))
+
+
+def test_coupling_cache_holds_a_table_per_fixed_column_and_cell():
+    # the setup's tables: the two baselines, the ones column and each keyed
+    # shape, one per partition cell, however many pairs are run
+    for model in sorted(COUPLED_MODELS):
+        spec, part, avg, _ = _coupled_setup(model, 2)
+        for rep in range(100):
+            for mode in ("annealed", "quenched"):
+                simulate_coupled(avg, 4.0, mode=mode, rng=gh.SplitStream(rep))
+        laws = avg.coupling._laws
+        keys = set(avg.coupling.columns._columns)
+        assert {"lam", "lam_m", "ones"} <= set(laws) <= {"lam", "lam_m", "ones"} | keys
+        assert all(rows.shape[0] == part.d for law in laws.values() for rows in law)
+
+
+def test_cell_law_caches_shared_by_threads_keep_every_byte():
+    # more threads than cores fill one engine's and one setup's caches at
+    # once, switching often; every run must equal its run on a fresh model
+    def step16():
+        vals = 0.2 + 0.4 * np.random.default_rng(3).random((16, 16))
+        return dataclasses.replace(gh.rank_one_model(grid_n=64), c_w=float(vals.max()),
+                                   graphon=gh.PairFunction("grid", values=vals,
+                                                           axis_counts=(16,)))
+
+    def runs(spec, avg, reps):
+        out = []
+        for r in reps:
+            out.append(simulate_process(spec, 40.0, gh.SplitStream(r)).to_ndjson())
+            pair = simulate_coupled(avg, 5.0, mode=("annealed", "quenched")[r % 2],
+                                    rng=gh.SplitStream(r))
+            out.append(pair.n.to_ndjson() + pair.nd.to_ndjson())
+        return out
+
+    def fresh():
+        spec = step16()
+        return spec, average_model(spec, build_partition(spec.domain, 8, "per-axis-counts"))
+
+    serial = runs(*fresh(), range(24))
+    spec, avg = fresh()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(runs, spec, avg, range(t, 24, 6)) for t in range(6)]
+            shared = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert [shared[r % 6][2 * (r // 6) + i] for r in range(24) for i in range(2)] == serial
+    assert len(spec.engine._laws[0]) <= 16 and len(avg.coupling._laws) <= 3 + 16
 
 
 def test_near_critical_average_is_gated_on_its_cells():
