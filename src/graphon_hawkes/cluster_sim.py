@@ -18,19 +18,19 @@ place it uniformly on the other axes.  A flat density (None), or one cell,
 is lo + u (hi - lo).  Each output row depends only on its own uniform row
 and its law.
 
-Branching runs a generation at a time on the offspring law of
-`OffspringColumns`: one `law` call keys the generation, a parent's mass is
-its scale times its key's shape mass, and each distinct shape is fetched or
-built once.  The children's locations come from one (total, m) uniform block
-and one draw over the stacked laws of the shapes with children.  Row r of
-the block goes to the r-th child in stable parent order, the doubles that
-one draw per parent in ascending parent order would give.  The engine owns
-the law of each keyed shape, built when the key first has children and
-kept for the engine's life, at most one per key; with no key, each parent's
-column gets a law in its generation only.  A row-wise binary search over
-the stacked cumulative sums compares the doubles that a per-shape
-`searchsorted` compares and rounds nothing, so every location keeps the
-bytes of one draw per parent.
+Branching runs a generation at a time on the engine's offspring law, the one
+law of the model, also read by thinning and the coupled pass: one `law` call
+keys the generation, a parent's mass is its scale times its key's shape
+mass, and each distinct shape is fetched or built once.  The children's
+locations come from one (total, m) uniform block and one draw over the
+stacked laws of the shapes with children.  Row r of the block goes to the
+r-th child in stable parent order, the doubles that one draw per parent in
+ascending parent order would give.  The engine owns the law of each keyed
+shape, built when the key first has children and kept for the engine's life,
+at most one per key; with no key, each parent's column gets a law in its
+generation only.  A row-wise binary search over the stacked cumulative sums
+compares the doubles that a per-shape `searchsorted` compares and rounds
+nothing, so every location keeps the bytes of one draw per parent.
 
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
@@ -141,27 +141,34 @@ def _place(law: tuple, rows: np.ndarray | None, domain, u: np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Offspring columns: the one law of spatial offspring profiles
+# Engine: the one offspring law and the location samplers of one model
 
 
-class OffspringColumns:
-    """The one offspring law: on the model's standard grid, the column
-    z -> max(b(z, y) W(z, y), 0) of a parent at y is its scale times the
-    cached shape of its key, and its mass the scale times the shape's mass.
-    The model's form (`ModelSpec.form`) gives the key: a key cell (scale 1,
-    the shape built at the cell's midpoint, also for a parent on a face);
-    on a rank-one product b W = s(y) prod_f a_f(z), the sign of s (1 if
-    s < 0), with scale |s| and shape max(+-prod_f a_f, 0), whose product is
-    max(s prod_f a_f, 0) exactly; else None, and each column is rebuilt.
-    So the cache holds a shape per key cell, or two, never one per event.
-    """
+class ClusterEngine:
+    """A model's one offspring law and its location samplers, on a copy of
+    the model on its cell grid (`ModelForm.n`), where the branching is exact,
+    or else on its standard grid.  `ModelSpec.engine` builds it once; holding
+    the copy, not the model, keeps the two free of a reference cycle.
+
+    A parent at y has the column z -> max(b(z, y) W(z, y), 0): its scale
+    times the cached shape of its key, and its mass the scale times the
+    shape's.  The form gives the key: a key cell (scale 1, the shape built
+    at the cell's midpoint, also for a parent on a face); on a rank-one
+    product b W = s(y) prod_f a_f(z), the sign of s (1 if s < 0), with scale
+    |s| and shape max(+-prod_f a_f, 0), whose product is max(s prod_f a_f, 0)
+    exactly; else None, and each column is rebuilt.  The cache holds a shape
+    per key cell, or two, never one per event."""
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
+        self.form = spec.form
+        self.spec = spec = replace(spec, grid_n=self.form.n or spec.grid_n)
         self.domain = spec.domain
         self.nodes, self.weights = spec.std_grid
-        self.form = spec.form
+        self.lam_vals = np.maximum(spec.baseline_on(self.nodes), 0.0)
+        self.alpha = float(np.sum(self.lam_vals * self.weights))
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
+        # (key -> row, the stacked `density_law`s of those rows), replaced whole
+        self._laws: tuple[dict[int, int], tuple] = ({}, ())
 
     def _keys(self, ys: np.ndarray) -> np.ndarray:
         """The key cell of each row of the (k, m) points `ys`."""
@@ -215,24 +222,6 @@ class OffspringColumns:
     def _clip(self, raw: np.ndarray) -> tuple[float, np.ndarray]:
         col = np.maximum(raw, 0.0)
         return float(np.sum(col * self.weights)), col
-
-
-# ---------------------------------------------------------------------------
-# Engine: cached spatial structure of one model
-
-
-class ClusterEngine(OffspringColumns):
-    """Columns and location samplers of a model on a copy of it on its cell
-    grid (`ModelForm.n`), where the branching is exact, or else on its
-    standard grid.  `ModelSpec.engine` builds it once per model; holding the
-    copy, not the model, keeps the two free of a reference cycle."""
-
-    def __init__(self, spec: ModelSpec):
-        super().__init__(replace(spec, grid_n=spec.form.n or spec.grid_n))
-        self.lam_vals = np.maximum(self.spec.baseline_on(self.nodes), 0.0)
-        self.alpha = float(np.sum(self.lam_vals * self.weights))
-        # (key -> row, the stacked `density_law`s of those rows), replaced whole
-        self._laws: tuple[dict[int, int], tuple] = ({}, ())
 
     # -- immigrants ---------------------------------------------------------
 

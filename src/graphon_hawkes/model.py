@@ -448,7 +448,7 @@ class ModelForm:
     * "grid" otherwise: the stability report and the limits take the
       caller's n, the gate 96 nodes per axis in 1-d and 12 above, the
       simulators and the fixed point the standard grid.
-    The offspring law (`cluster_sim.OffspringColumns`) ignores the baseline.
+    The offspring law (`cluster_sim.ClusterEngine.law`) ignores the baseline.
     It keys a parent by its cell of `keys`, the common cells of the graphon
     and the mark profile with no node cap (`flat` if one, as for a constant
     graphon over an affine baseline); or, on a product of constant and

@@ -18,10 +18,12 @@ I - A, the resolvent sum_n A^n of the stable regime rho(A) < 1:
   hi * (1 + gamma) < 1, where gamma = (N+1)u / (1 - (N+1)u), u = 2^-53,
   bounds the rounding of an N-term nonnegative dot product plus one
   division.  An unstable grid cannot pass, however x was computed.  If
-  rho < 1 then x = sum_n A^n 1 >= 1 and (Ax)_i / x_i = 1 - 1/x_i < 1, so
-  every stable grid passes, zero-row, reducible and nilpotent ones
-  included (Berman & Plemmons: rho(A) < 1 iff (I - A)^{-1} >= 0).  A
-  singular I - A is not stable.
+  rho < 1 then x = sum_n A^n 1 >= 1 and (Ax)_i / x_i = 1 - 1/x_i < 1
+  (Berman & Plemmons: rho(A) < 1 iff (I - A)^{-1} >= 0), so a stable grid
+  passes, zero-row, reducible and nilpotent ones included, while every x_i
+  stays below about (1 + gamma) / gamma; past that (1 - 1/x_i)(1 + gamma)
+  rounds to 1 or more and the stable grid is refused (a 5-cell table with
+  rho = 0.6 can give x_4 = 1.7e129).  A singular I - A is not stable.
 * Stationary rate: lam_bar = (I - A)^{-1} lam_inf.
 * Expected cluster size: the L1 norm of (I - T)^{-1}, one transposed solve.
 

@@ -17,13 +17,16 @@ two uniforms pick its location on each side that holds it, then one mark
 scalar is drawn.  An event on both sides (or, in quenched mode, on the
 prelimit side, whose descendants share the graph) stays in the pass; an
 event on one side only grows its whole cluster there with its model's
-cluster engine, `ModelSpec.engine`.  A continuum parent's column is the
-offspring law of `OffspringColumns` on the base's standard grid: its scale
-times its key's cached shape (a cell's column, or a rank-one shape), or its
-own column when the law has no key.  That law, the within-cell sampler and
-the baseline vectors depend on the averaged model alone, so they are built
-once per averaged model, as `AveragedModel.coupling`.  The order of the
-draws is part of the contract: the same (seed, path) gives the same pair.
+cluster engine, `ModelSpec.engine`.  The rest reads the two engines too: a
+continuum parent's column is the base engine's offspring law (its scale
+times its key's cached shape, or its own column with no key), and the
+baselines are the engines', each read at every standard-grid node's engine
+cell (an index built once per averaged model, `AveragedModel.coupling`, or
+a view when the engine is on that grid).  That is the standard grid's value
+save at a node within rounding of a cell face, which a count not dividing
+grid_n can give (10 cells on 15 nodes): the engine's cell picks the side.
+The order of the draws is part of the contract: the same (seed, path) gives
+the same pair.
 
 The within-cell pick is an inverse-CDF draw over the grid nodes of one
 partition cell (`cluster_sim.cell_law`).  The setup caches the tables of a
@@ -46,7 +49,6 @@ from functools import cached_property
 import numpy as np
 
 from . import cluster_sim
-from .cluster_sim import OffspringColumns
 from .errors import (
     BadCellCountError,
     GridTooLargeError,
@@ -279,10 +281,10 @@ def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realizat
 
 
 class _CouplingSetup:
-    """What a coupled pass reads of a base model and its average, on the
-    base's standard grid: the continuum offspring law, both baselines, the
-    partition-cell baseline masses, and within-cell location sampling from a
-    grid column, shared-uniform aware.  It keeps no reference to the average."""
+    """What a coupled pass reads of a base model and its average on the
+    base's standard grid: the two engines at each node's engine cell, the
+    partition-cell baseline masses, and within-cell location sampling from
+    a grid column, shared-uniform aware.  It keeps no reference to the average."""
 
     def __init__(self, avg: AveragedModel):
         spec, self.d = avg.base, avg.partition.d
@@ -292,13 +294,23 @@ class _CouplingSetup:
         self.cell_idx = avg.partition.cell_of(self.nodes)
         # row k: the grid nodes of partition cell k, which all hold as many
         self.cell_nodes = np.argsort(self.cell_idx, kind="stable").reshape(self.d, -1)
-        self.columns = OffspringColumns(spec)
-        self.lam_vals = np.maximum(spec.baseline_on(self.nodes), 0.0)
-        self.lam_m_vals = np.maximum(avg.spec.baseline_on(self.nodes), 0.0)
+        self.engine, engine_m = spec.engine, avg.spec.engine
+        # each node's engine cell: a view (no copy) when the engine is on this grid
+        self.engine_cells, cells_m = (
+            slice(None) if e.spec.grid_n == spec.grid_n
+            else _cell_index(self.nodes, domain, (e.spec.grid_n,) * domain.dim)
+            for e in (self.engine, engine_m))
+        self.lam_vals = self.engine.lam_vals[self.engine_cells]
+        self.lam_m_vals = engine_m.lam_vals[cells_m]
         self.lam_cell_mass = self.masses_by_cell(self.lam_vals)
         self.alpha = float(self.lam_cell_mass.sum())
         self.ones_col = np.ones(self.nodes.shape[0])
         self._laws: dict = {}  # fixed column name -> its `cell_law` in every cell
+
+    def shape_of(self, y: np.ndarray) -> tuple[int | None, float, np.ndarray]:
+        """(key, scale, shape on the standard grid) of a continuum parent at y."""
+        key, scale = self.engine.law_at(y)
+        return key, scale, self.engine.column_of(key, y)[1][self.engine_cells]
 
     def masses_by_cell(self, col: np.ndarray) -> np.ndarray:
         return np.bincount(self.cell_idx, weights=col * self.weights, minlength=self.d)
@@ -306,7 +318,7 @@ class _CouplingSetup:
     def pick(self, name, col: np.ndarray, k: int, u_cell: float, u_jit: np.ndarray) -> np.ndarray:
         """One point in cell k with density prop. to col, using shared uniforms.
         Cell k is only drawn where col has positive mass.  A fixed column has
-        a `name` (a baseline, the ones column or a key of `columns`), and the
+        a `name` (a baseline, the ones column or a shape's key), and the
         tables of all its cells are built on its first pick and cached; a
         parent's own column has None, and builds cell k's table alone."""
         nodes = self.cell_nodes[k]
@@ -367,7 +379,6 @@ def simulate_coupled(
     rng=None,
     quenched_graph: QuenchedGraph | None = None,
     cap: int = cluster_sim.DEFAULT_EVENT_CAP,
-    check_stability: bool = True,
 ) -> CoupledPair:
     """Simulate the continuum process `avg.base` and its prelimit on the
     partition `avg.partition` on shared randomness.
@@ -390,9 +401,8 @@ def simulate_coupled(
     stream = cluster_sim._as_stream(rng)
     gen = stream.generator()
 
-    if check_stability:
-        require_stable(spec.gate, UnstableModelError, "continuum model")
-        require_stable(avg.spec.gate, PrelimitUnstableError, "averaged model at this partition")
+    require_stable(spec.gate, UnstableModelError, "continuum model")
+    require_stable(avg.spec.gate, PrelimitUnstableError, "averaged model at this partition")
     quenched = mode == "quenched"
     lazy = _LazyGraph(avg, quenched_graph, gen) if quenched else None
 
@@ -479,8 +489,7 @@ def simulate_coupled(
         p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
         src_n, p_n = None, np.zeros(d)
         if y_n is not None:
-            key, scale = setup.columns.law_at(y_n)
-            shape = setup.columns.column_of(key, y_n)[1]
+            key, scale, shape = setup.shape_of(y_n)
             col_n = xi * scale * shape
             p_n = setup.masses_by_cell(col_n)
             # a positive scale leaves a keyed shape's within-cell law as it is

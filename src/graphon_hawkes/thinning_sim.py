@@ -12,11 +12,10 @@ The state lives on the grid of the model's one cluster engine,
 `ModelSpec.engine`: its cells when it has them (`ModelSpec.form` states the
 rule), 1 cell for a constant model, else the standard grid's n^m nodes.
 The baseline and the excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k)
-hold one value per cell.  Each event's column
-comes from the engine's offspring law, the one of `OffspringColumns`: s_k
-times the cached shape phi of its key (a key cell with s_k = 1, or the sign
-of a rank-one scale), or, with no key, its own rebuilt column.  The
-excitation is carried per kernel family:
+hold one value per cell.  Each event's column comes from the engine's
+offspring law, the model's one law: s_k times the cached shape phi of its
+key (a key cell with s_k = 1, or the sign of a rank-one scale), or, with no
+key, its own rebuilt column.  The excitation is carried per kernel family:
   exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref); an event at t sets
                S <- S(t) + xi l1 beta s phi, t_ref <- t (Ogata 1981;
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
@@ -111,7 +110,7 @@ class _ThinningState:
     """
 
     def __init__(self, spec: ModelSpec):
-        self._columns = engine = spec.engine
+        self._engine = engine = spec.engine
         self.spec = spec = engine.spec  # on the cells
         self.weights, self.base = engine.weights, engine.lam_vals
         self.flat = self.weights.size == 1  # one cell
@@ -130,11 +129,11 @@ class _ThinningState:
         self._row_of: dict[int, int] = {}  # cache key -> table row (its shape)
 
     def push(self, t: float, y: np.ndarray, xi: float):
-        self._push(t, y, xi, *self._columns.law_at(y))
+        self._push(t, y, xi, *self._engine.law_at(y))
 
     def load(self, history: HistorySnapshot):
         """Push a time-sorted history in one pass, keyed in one `law` call."""
-        keys, scales = self._columns.law(history.locations)
+        keys, scales = self._engine.law(history.locations)
         # lazy per-event iterators: no list as long as the history
         keys = repeat(None) if keys is None else map(int, keys)
         scales = repeat(1.0) if scales is None else map(float, scales)
@@ -145,7 +144,7 @@ class _ThinningState:
     def _push(self, t: float, y: np.ndarray, xi: float, key: int | None, scale: float):
         weight = xi * scale  # the event's column is weight times its key's shape
         if self._beta is not None:
-            mass, col = self._columns.column_of(key, y)
+            mass, col = self._engine.column_of(key, y)
             jump = weight * self.spec.excitation.sup_norm  # sup_norm = h(0)
             decay = self._decay(t)  # 0 before the first event
             self._s *= decay
@@ -158,7 +157,7 @@ class _ThinningState:
             row = self._k
             if row == self._table.shape[0]:
                 self._table = _grown(self._table, row, 2 * row)
-            self._table[row] = self._columns.column_of(key, y)[1]
+            self._table[row] = self._engine.column_of(key, y)[1]
             self._k += 1
             if key is not None:
                 self._row_of[key] = row

@@ -164,7 +164,6 @@ def test_criterion_04_prelimit_convergence():
                 pair = simulate_coupled(
                     avg, 1.0, mode=mode,
                     rng=s.child(0 if mode == "annealed" else 1, d, rep),
-                    check_stability=False,
                 )
                 dists.append(pp_distance(pair.n, pair.nd, spec, avg.spec).total)
             means.append(float(np.mean(dists)))

@@ -381,24 +381,21 @@ def test_offspring_law_equals_the_clipped_excitation_column(case):
     # the one law, scale times a cached shape, against the reference column
     spec, parents = case
     engine = ClusterEngine(spec)
-    columns = cluster_sim.OffspringColumns(spec)
     masses, _ = engine.offspring_mass(parents)
-    for grid, law in ((spec.std_grid, columns), (engine.spec.std_grid, engine)):
-        nodes, weights = grid
-        for p, y in enumerate(parents):
-            key, scale = law.law_at(y)
-            ref = np.maximum(spec.excitation_column(nodes, y), 0.0)
-            col = scale * law.column_of(key, y)[1]
-            np.testing.assert_allclose(col, ref, rtol=1e-12, atol=0)
-            if law is engine:
-                assert masses[p] == pytest.approx(np.sum(col * weights), rel=1e-12, abs=0)
-        key_cells = spec.form.keys
-        if key_cells:  # one shape per key cell
-            assert len(law._columns) <= math.prod(key_cells)
-        elif "grid" in (spec.graphon.family, spec.marks.b.family):  # rebuilt per parent
-            assert law._columns == {}
-        else:  # a rank-one product: one shape per sign
-            assert set(law._columns) <= {0, 1}
+    nodes, weights = engine.spec.std_grid
+    for p, y in enumerate(parents):
+        key, scale = engine.law_at(y)
+        ref = np.maximum(spec.excitation_column(nodes, y), 0.0)
+        col = scale * engine.column_of(key, y)[1]
+        np.testing.assert_allclose(col, ref, rtol=1e-12, atol=0)
+        assert masses[p] == pytest.approx(np.sum(col * weights), rel=1e-12, abs=0)
+    key_cells = spec.form.keys
+    if key_cells:  # one shape per key cell
+        assert len(engine._columns) <= math.prod(key_cells)
+    elif "grid" in (spec.graphon.family, spec.marks.b.family):  # rebuilt per parent
+        assert engine._columns == {}
+    else:  # a rank-one product: one shape per sign
+        assert set(engine._columns) <= {0, 1}
 
 
 def test_population_count_mginfty_mean():

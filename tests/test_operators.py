@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 import graphon_hawkes as gh
 from graphon_hawkes import limits, operators
-from graphon_hawkes.cluster_sim import OffspringColumns
 from graphon_hawkes.config import build_spec
 from graphon_hawkes.errors import GridTooLargeError, ShapeError, UnstableModelError
 from graphon_hawkes.events import box_mask
 from graphon_hawkes.limits import fclt_experiment, flln_experiment
-from graphon_hawkes.model import _cell_index
+from graphon_hawkes.model import _cell_index, validate_model
 from graphon_hawkes.operators import (
     apply_kernel,
     cluster_size_bound,
@@ -398,8 +397,14 @@ def test_verdict_rate_and_cluster_size_match_dense_oracles(case):
     grid, level = case
     a, w = grid.action, grid.weights
     dense_rho = float(np.max(np.abs(np.linalg.eigvals(a))))
+    # the certificate is complete only while x = (I - A)^{-1} 1 stays below
+    # about (1 + gamma) / gamma (see the module docstring); a thousandth of
+    # that leaves room for the rounding of x and of (Ax)_i / x_i
     if dense_rho < 1.0 - 1e-6:
-        assert grid.stable
+        n = a.shape[0]
+        gamma = (n + 1) * 2.0**-53 / (1.0 - (n + 1) * 2.0**-53)
+        if np.linalg.solve(np.eye(n) - a, np.ones(n)).max() < 1e-3 * (1.0 + gamma) / gamma:
+            assert grid.stable
     if grid.stable:
         assert dense_rho < 1.0
         resolvent = np.linalg.inv(np.eye(a.shape[0]) - a)
@@ -407,6 +412,25 @@ def test_verdict_rate_and_cluster_size_match_dense_oracles(case):
         np.testing.assert_allclose(stationary_rate(grid, baseline).values,
                                    resolvent @ baseline, rtol=1e-9)
         assert cluster_size_bound(grid) == pytest.approx(np.max((w @ resolvent) / w), rel=1e-9)
+
+
+def test_a_stable_grid_past_the_certificate_range_is_refused_without_raising():
+    # one nonzero row [0, 0, 0, 3.49e129, 3]: rho = 0.6, but x_4 = 1.7e129,
+    # so (Ax)_4 / x_4 = 1 - 1/x_4 rounds to 1 and the certificate fails
+    table = np.zeros((5, 5))
+    table[4] = [0.0, 0.0, 0.0, 3.49e129, 3.0]
+    spec = build_spec({
+        "graphon": {"family": "grid", "values": table.tolist(), "axis_counts": [5],
+                    "interp": "pw-constant"},
+        "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0},
+    })
+    assert validate_model(spec) == []
+    grid = discretize_kernel(spec, 5)
+    assert np.max(np.abs(np.linalg.eigvals(grid.action))) == pytest.approx(0.6)
+    assert np.linalg.solve(np.eye(5) - grid.action, np.ones(5))[4] > 1e129
+    assert not grid.stable
+    report = stability_report(spec, 5)
+    assert not report.stable and report.cluster_size_bound is None
 
 
 def structural_nilpotency_index(a: np.ndarray) -> int | None:
@@ -785,13 +809,12 @@ def test_every_consumer_reads_the_form(case, n_asked):
     mids = np.stack(np.meshgrid(*[(np.arange(c) + 0.5) / c for c in counts], indexing="ij"),
                     axis=-1).reshape(-1, m)
     parents = spec.domain.lo + mids * (spec.domain.hi - spec.domain.lo)
-    for law in (spec.engine, OffspringColumns(spec)):
-        found, scales = law.law(parents)
-        if keys is not None:
-            assert scales is None
-            np.testing.assert_array_equal(found, _cell_index(parents, spec.domain, keys))
-            assert len(set(found.tolist())) == math.prod(keys)
-        elif sign_key is not None:
-            assert set(found.tolist()) == {sign_key} and (scales > 0).all()
-        else:
-            assert found is None and scales is None
+    found, scales = spec.engine.law(parents)
+    if keys is not None:
+        assert scales is None
+        np.testing.assert_array_equal(found, _cell_index(parents, spec.domain, keys))
+        assert len(set(found.tolist())) == math.prod(keys)
+    elif sign_key is not None:
+        assert set(found.tolist()) == {sign_key} and (scales > 0).all()
+    else:
+        assert found is None and scales is None

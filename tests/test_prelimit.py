@@ -8,8 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import graphon_hawkes as gh
@@ -202,8 +203,7 @@ def test_coupled_w_zero_bound():
     part = build_partition(spec.domain, 8, "per-axis-counts")
     avg = average_model(spec, part)
     for rep in range(30):
-        pair = simulate_coupled(avg, 2.0, mode="annealed", rng=gh.SplitStream(7).child(rep),
-                                check_stability=False)
+        pair = simulate_coupled(avg, 2.0, mode="annealed", rng=gh.SplitStream(7).child(rep))
         b = pp_distance(pair.n, pair.nd, spec, pair.avg.spec)
         assert b.nonsimultaneous_term == 0.0
         assert b.total <= len(pair.n) * part.mesh + 1e-12
@@ -215,8 +215,7 @@ def test_coupled_annealed_side_marginal_law():
     avg = average_model(spec, part)
     n = 1500
     cpl = [
-        len(simulate_coupled(avg, 4.0, rng=gh.SplitStream(8).child(r),
-                             check_stability=False).nd)
+        len(simulate_coupled(avg, 4.0, rng=gh.SplitStream(8).child(r)).nd)
         for r in range(n)
     ]
     direct = [len(simulate_process(avg.spec, 4.0, gh.SplitStream(9).child(r))) for r in range(n)]
@@ -231,8 +230,7 @@ def test_coupled_continuum_side_marginal_law_rank_one():
     part = build_partition(spec.domain, 4, "per-axis-counts")
     avg = average_model(spec, part)
     n = 1500
-    cpl = [len(simulate_coupled(avg, 4.0, rng=gh.SplitStream(14).child(r),
-                                check_stability=False).n) for r in range(n)]
+    cpl = [len(simulate_coupled(avg, 4.0, rng=gh.SplitStream(14).child(r)).n) for r in range(n)]
     direct = [len(simulate_process(spec, 4.0, gh.SplitStream(15).child(r))) for r in range(n)]
     assert stats.ks_2samp(cpl, direct).pvalue > 0.001
 
@@ -244,7 +242,7 @@ def test_coupled_quenched_side_marginal_law():
     n = 1500
     cpl = [
         len(simulate_coupled(avg, 4.0, mode="quenched",
-                             rng=gh.SplitStream(10).child(r), check_stability=False).nd)
+                             rng=gh.SplitStream(10).child(r)).nd)
         for r in range(n)
     ]
 
@@ -262,11 +260,11 @@ def test_quenched_equals_annealed_conditionally_on_occupancy():
     avg = average_model(spec, build_partition(spec.domain, 16, "per-axis-counts"))
     ann, que = [], []
     for r in range(2500):
-        a = simulate_coupled(avg, 1.0, rng=gh.SplitStream(12).child(r), check_stability=False)
+        a = simulate_coupled(avg, 1.0, rng=gh.SplitStream(12).child(r))
         if a.one_event_per_cell:
             ann.append(len(a.nd))
         q = simulate_coupled(avg, 1.0, mode="quenched",
-                             rng=gh.SplitStream(13).child(r), check_stability=False)
+                             rng=gh.SplitStream(13).child(r))
         if q.one_event_per_cell:
             que.append(len(q.nd))
     assert stats.ks_2samp(ann, que).pvalue > 0.001
@@ -281,8 +279,7 @@ def test_coupled_distance_nonincreasing_in_d_both_modes():
             ds = [
                 pp_distance(
                     (p := simulate_coupled(avg, 1.0, mode=mode,
-                                           rng=gh.SplitStream(14).child(d, r),
-                                           check_stability=False)).n,
+                                           rng=gh.SplitStream(14).child(d, r))).n,
                     p.nd, spec, avg.spec,
                 ).total
                 for r in range(60)
@@ -297,7 +294,7 @@ def test_freeze_graph_reuses_edges():
     avg = average_model(spec, part)
     frozen = sample_quenched_graph(avg, gh.SplitStream(15))
     pair = simulate_coupled(avg, 2.0, mode="quenched", rng=gh.SplitStream(16),
-                            quenched_graph=frozen, check_stability=False)
+                            quenched_graph=frozen)
     assert pair.graph is frozen
 
 
@@ -467,11 +464,127 @@ def test_cached_pick_equals_the_uncached_pick(model, level, cell, y, u_cell, sca
     # by rounding only, which can cross a boundary only where u * total lies
     # within rounding of a cumulative sum; that case is excluded
     parent = spec.domain.lo + np.array(y[:m]) * (spec.domain.hi - spec.domain.lo)
-    key, _ = setup.columns.law_at(parent)
-    shape = setup.columns.column_of(key, parent)[1]
+    key, _, shape = setup.shape_of(parent)
     cum = np.cumsum(shape[idx])
     if key is not None and not np.isclose(cum, u_cell * cum[-1], rtol=1e-12, atol=0).any():
         same(key, shape, _uncached_pick(setup, scale * shape, k, u_cell, u_jit))
+
+
+@st.composite
+def coupling_bases(draw):
+    """(base, partition counts): a cell base (a pw-constant graphon, baseline
+    and, when marked, mark profile, each with its own count per axis, which
+    may or may not divide grid_n), a rank-one base or a bilinear base."""
+    kind = draw(st.sampled_from(["cells", "cells", "cells-2d", "rank-one", "bilinear"]))
+    m = 2 if kind == "cells-2d" else 1
+    domain = gh.SpatialDomain((0.0,) * m, (1.0, 2.0)[:m])
+    parts = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=m, max_size=m))
+    # up to 480 nodes in 1-d and 24 per axis in 2-d: small pair matrices
+    grid_n = math.lcm(*parts) * draw(st.integers(1, 40 if m == 1 else 24 // math.lcm(*parts)))
+    vals = st.floats(0.0, 0.5).map(lambda v: round(v, 6))
+
+    def counts():
+        return tuple(draw(st.lists(st.integers(1, 12 if m == 1 else 5), min_size=m, max_size=m)))
+
+    def pair(cells):
+        k = math.prod(cells)
+        return gh.PairFunction("grid", values=draw(hnp.arrays(float, (k, k), elements=vals)),
+                               axis_counts=cells)
+
+    marks = gh.MarkModel(kind="unmarked")
+    if kind.startswith("cells"):
+        graphon, cells = pair(counts()), counts()
+        baseline = SpatialProfile("grid", axis_counts=cells, values=draw(
+            hnp.arrays(float, math.prod(cells), elements=st.floats(0.1, 2.0))))
+        if draw(st.booleans()):
+            marks = gh.MarkModel(kind="scaled-profile", profile=pair(counts()))
+    else:
+        baseline = SpatialProfile("affine", intercept=1.0, slope=(draw(st.floats(-0.5, 0.5)),))
+        if kind == "rank-one":
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            graphon = gh.PairFunction("rank-one", coeff=draw(st.floats(0.2, 1.0)),
+                                      profile=SpatialProfile("affine", intercept=sign * 0.3,
+                                                             slope=(-sign * 0.5,)))
+        else:
+            r = draw(st.integers(1, 6))
+            graphon = gh.PairFunction("grid", values=draw(hnp.arrays(float, (r, r), elements=vals)),
+                                      axis_counts=(r,), interp="bilinear")
+    spec = gh.ModelSpec(domain=domain, baseline=baseline, graphon=graphon, marks=marks,
+                        excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+                        grid_n=grid_n)
+    return spec, tuple(parts)
+
+
+def _face_nodes(functions, domain, nodes):
+    """Nodes within rounding of a face of the cells of any pw-constant grid
+    among `functions` (a count that does not divide grid_n can put a node
+    there); elsewhere each of them reads one cell."""
+    rel = (nodes - domain.lo) / (domain.hi - domain.lo)
+    near = np.zeros(nodes.shape[0], bool)
+    for f in functions:
+        if f.family == "grid" and f.interp == "pw-constant":
+            x = rel * np.asarray(f.cell_counts)
+            near |= (np.abs(x - np.round(x)) < 1e-9).any(axis=1)
+    return near
+
+
+def _either_side(values_at, nodes, read, near):
+    """Byte-equal off the faces; on a face, the value of a side of it."""
+    assert read[~near].tobytes() == values_at(nodes)[~near].tobytes()
+    if near.any():
+        sides = [values_at(nodes[near] + sgn * 1e-7) for sgn in (-1.0, 1.0)]
+        assert ((read[near] == sides[0]) | (read[near] == sides[1])).all()
+
+
+# 10 graphon cells on 15 nodes: the node at 0.7 lies on a face, within
+# rounding, and the engine's 90 cells put it on the other side of it
+_ON_A_FACE = gh.ModelSpec(
+    domain=gh.SpatialDomain((0.0,), (1.0,)),
+    baseline=SpatialProfile("grid", values=np.linspace(0.5, 2.0, 9), axis_counts=(9,)),
+    graphon=gh.PairFunction("grid", values=np.linspace(0.0, 0.1, 100).reshape(10, 10),
+                            axis_counts=(10,)),
+    excitation=gh.ExcitationKernel("exponential", rate=1.0, l1=1.0),
+    grid_n=15,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coupling_bases(), ys=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+@example(case=(_ON_A_FACE, (5,)), ys=[0.05, 0.75])
+def test_coupling_reads_both_baselines_and_the_shapes_from_the_engines(case, ys):
+    spec, parts = case
+    avg = average_model(spec, build_partition(spec.domain, parts, "per-axis-counts"))
+    setup, domain = avg.coupling, spec.domain
+    nodes, _ = spec.std_grid
+    assert setup.engine is spec.engine  # the continuum law is the engine's
+    pair_fns = (spec.graphon, spec.marks.b)
+    near = _face_nodes(pair_fns, domain, nodes)
+    _either_side(lambda z: np.maximum(spec.baseline_on(z), 0.0), nodes, setup.lam_vals,
+                 _face_nodes([spec.baseline], domain, nodes))
+    # the partition's cells divide grid_n: no node on a face of the average's
+    ref_m = np.maximum(avg.spec.baseline_on(nodes), 0.0)
+    assert setup.lam_m_vals.tobytes() == ref_m.tobytes()
+    form, m = spec.form, domain.dim
+    ys = np.resize(np.asarray(ys), (len(ys), m))
+    for y in domain.lo + ys * (domain.hi - domain.lo):
+        key, scale, shape = setup.shape_of(y)
+        # the parent's law on the standard grid
+        if key is not None and form.keys is None:  # its sign's rank-one shape
+            sign = np.full(nodes.shape[0], -1.0 if key else 1.0)
+            for profile in form.profiles:
+                sign = sign * profile(nodes, domain)
+            assert shape.tobytes() == np.maximum(sign, 0.0).tobytes()
+        else:  # its own column, or its key cell's midpoint column
+            law_y = y
+            if key is not None:
+                cell = np.add(np.unravel_index(key, form.keys), 0.5) / form.keys
+                law_y = domain.lo + cell * (domain.hi - domain.lo)
+            _either_side(lambda z: np.maximum(spec.excitation_column(z, law_y), 0.0),
+                         nodes, shape, near)
+        # off the faces, a parent's column is its scale times its shape
+        ref = np.maximum(spec.excitation_column(nodes, y), 0.0)
+        if not _face_nodes(pair_fns, domain, y[None, :])[0]:
+            np.testing.assert_allclose((scale * shape)[~near], ref[~near], rtol=1e-12, atol=0)
 
 
 def test_coupling_cache_holds_a_table_per_fixed_column_and_cell():
@@ -483,7 +596,7 @@ def test_coupling_cache_holds_a_table_per_fixed_column_and_cell():
             for mode in ("annealed", "quenched"):
                 simulate_coupled(avg, 4.0, mode=mode, rng=gh.SplitStream(rep))
         laws = avg.coupling._laws
-        keys = set(avg.coupling.columns._columns)
+        keys = set(spec.engine._columns)
         assert {"lam", "lam_m", "ones"} <= set(laws) <= {"lam", "lam_m", "ones"} | keys
         assert all(rows.shape[0] == part.d for law in laws.values() for rows in law)
 

@@ -474,9 +474,9 @@ def test_history_is_keyed_in_one_call(monkeypatch):
 
 
 def test_flat_model_key_builds_no_key_array(monkeypatch):
-    columns = cluster_sim.OffspringColumns(gh.constant_model(0.5, grid_n=64))
-    monkeypatch.setattr(columns, "_keys", None)  # any key array would fail
-    assert columns.form.flat and columns.law_at(np.array([0.3])) == (0, 1.0)
+    engine = cluster_sim.ClusterEngine(gh.constant_model(0.5, grid_n=64))
+    monkeypatch.setattr(engine, "_keys", None)  # any key array would fail
+    assert engine.form.flat and engine.law_at(np.array([0.3])) == (0, 1.0)
 
 
 def test_rejected_linear_candidates_form_no_cell_vector(monkeypatch):
