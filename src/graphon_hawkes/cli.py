@@ -140,6 +140,8 @@ def _cmd_simulate(cfg: RunConfig, spec) -> list[str]:
 
     history = None
     if opt.get("history"):
+        if opt["method"] != "thinning":
+            raise InvalidArgumentError("--history needs --method thinning")
         hist_real = Realization.from_ndjson(Path(opt["history"]).read_text())
         history = HistorySnapshot.from_realization(hist_real, t_ref=0.0)
 

@@ -16,7 +16,8 @@ uniforms.  u[:, 0] inverts the CDF over the row-major flat cell index, and
 its residual inside the drawn cell places the point on axis 0; u[:, 1:]
 place it uniformly on the other axes.  A flat density (None), or one cell,
 is lo + u (hi - lo).  Each output row depends only on its own uniform row
-and its law.
+and its law; `sample_point` draws one row, the same doubles, in Python
+floats.
 
 Branching runs a generation at a time on the engine's offspring law, the one
 law of the model, also read by thinning and the coupled pass: one `law` call
@@ -39,6 +40,7 @@ rate functions go through the thinning simulator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +100,27 @@ def sample_location(density: np.ndarray | None, domain, u: np.ndarray) -> np.nda
     if density is None:
         return domain.lo + u * (domain.hi - domain.lo)
     return _place(density_law(density), None, domain, u)
+
+
+def sample_point(density: np.ndarray, domain, u: np.ndarray) -> np.ndarray:
+    """`sample_location` of one point from the (m,) uniforms `u`: the same
+    doubles, placed in Python floats; only the law is built in numpy."""
+    masses, total, cum, top = density_law(density)
+    cells = cum.shape[0]
+    if cells == 1:
+        return domain.lo + u * (domain.hi - domain.lo)
+    m = domain.dim
+    n = round(cells ** (1.0 / m))
+    v = float(u[0]) * float(total)
+    cum = cum.tolist()
+    idx = min(bisect_right(cum, v), int(top))  # searchsorted(cum, v, side="right")
+    pos = u.copy()
+    pos[0] = min((v - (cum[idx - 1] if idx else 0.0)) / float(masses[idx]), 1.0)
+    for a in range(m - 1, 0, -1):  # unravel_index, last axis first
+        idx, i = divmod(idx, n)
+        pos[a] += i
+    pos[0] += idx
+    return np.minimum(domain.lo + pos * ((domain.hi - domain.lo) / n), domain.hi)
 
 
 def _place(law: tuple, rows: np.ndarray | None, domain, u: np.ndarray) -> np.ndarray:
@@ -195,8 +218,15 @@ class ClusterEngine:
 
     def law_at(self, y: np.ndarray) -> tuple[int | None, float]:
         """`law` of the one parent y: (key, scale)."""
-        if self.form.flat:
+        form = self.form
+        if form.flat:
             return 0, 1.0
+        if form.keys is not None:  # `_keys` of one point, in Python floats
+            key = 0
+            for yi, lo, hi, c in zip(np.atleast_1d(y).tolist(), self.domain.lo.tolist(),
+                                     self.domain.hi.tolist(), form.keys):
+                key = key * c + min(max(int((yi - lo) / (hi - lo) * c), 0), c - 1)
+            return key, 1.0
         keys, scales = self.law(np.atleast_1d(y)[None, :])
         return None if keys is None else int(keys[0]), 1.0 if scales is None else float(scales[0])
 

@@ -347,10 +347,17 @@ class MarkModel:
             return PairFunction("constant", value=1.0)
         return self.profile
 
+    @cached_property
+    def fixed_xi(self) -> float | None:
+        """The one value of xi when its law is a point mass, else None."""
+        if self.kind == "unmarked":
+            return 1.0
+        return float(self.xi_value) if self.xi_family == "deterministic" else None
+
     @property
     def mean_xi(self) -> float:
-        if self.kind == "unmarked" or self.xi_family == "deterministic":
-            return float(self.xi_value) if self.kind != "unmarked" else 1.0
+        if self.fixed_xi is not None:
+            return self.fixed_xi
         if self.xi_family == "exponential":
             return float(self.xi_value)
         if self.xi_family == "gamma":
@@ -371,9 +378,8 @@ class MarkModel:
         raise InvalidParameterError(f"unknown mark scalar family {self.xi_family!r}")
 
     def sample_xi(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "unmarked" or self.xi_family == "deterministic":
-            v = 1.0 if self.kind == "unmarked" else float(self.xi_value)
-            return np.full(size, v)
+        if self.fixed_xi is not None:  # draws nothing
+            return np.full(size, self.fixed_xi)
         if self.xi_family == "exponential":
             return rng.exponential(self.xi_value, size)
         return rng.gamma(self.xi_shape, self.xi_value, size)
@@ -393,9 +399,14 @@ class LifetimeModel:
             return (u < self.tau).astype(float)
         return np.exp(-self.rate * u)
 
+    @cached_property
+    def fixed(self) -> float | None:
+        """The one lifetime when its law is a point mass, else None."""
+        return float(self.tau) if self.family == "deterministic" else None
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == "deterministic":
-            return np.full(size, self.tau)
+        if self.fixed is not None:  # draws nothing
+            return np.full(size, self.fixed)
         return rng.exponential(1.0 / self.rate, size)
 
     @property

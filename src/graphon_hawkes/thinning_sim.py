@@ -21,16 +21,28 @@ key, its own rebuilt column.  The excitation is carried per kernel family:
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
                beside S.  Exact, and h is monotone, so the bound is S itself.
                O(d) per event; with an identity f a candidate's total is
-               base_total + decay * S_total: O(1), no cell vector formed.
+               the float base_total + decay * S_total: O(1), no cell vector
+               formed.  A one-cell state with an identity f carries S_total
+               alone, a float: its `push` does no numpy work, and its one
+               cell value, read by tests only, is S_total over the cell's
+               volume, equal to S to rounding.
   table and    a column table: the N past events keep (time, xi s, row),
   power-law    one row per key's shape (at most d, or 2 for a rank-one
                product) or per event (no key).  A candidate costs
                bincount(row, xi s h(t - t_k)) @ table: O(N + d^2), or O(N d).
+               The bound at a candidate's time reads its h values, so an
+               accepted event evaluates h once more, at itself, and a
+               refresh not at all (a table kernel's bound reads h's majorant).
 Other candidates form the cell vector once and reduce it with one dot
-product.  An accepted event is placed by `sample_location` from the cell
-vector; on one cell that draw is lo + u (hi - lo) bit for bit, so a one-cell
-model forms no vector.
-Evaluation times must not decrease between calls on one state.
+product.  An accepted event draws its m uniforms as one row and is placed
+by `sample_point` from the cell vector, or, on one cell, as lo + u (hi - lo),
+that draw bit for bit, so a one-cell model forms no vector.  A mark scalar
+or lifetime whose law is a point mass is that float, with no draw.  So a
+one-cell linear event costs its draws and O(1) float work, and a candidate
+its two draws and one float expression.
+Evaluation times must not decrease between calls on one state.  A history
+is checked against the model once, before it is read: finite times, finite
+nonnegative mark scalars and m coordinates in the domain.
 """
 
 from __future__ import annotations
@@ -41,8 +53,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .cluster_sim import DEFAULT_EVENT_CAP, _as_stream, sample_location
-from .errors import AcausalHistoryError, ThinningBoundError
+from .cluster_sim import DEFAULT_EVENT_CAP, _as_stream, sample_point
+from .errors import (
+    AcausalHistoryError,
+    InvalidArgumentError,
+    OutOfDomainError,
+    ShapeError,
+    ThinningBoundError,
+)
 from .events import Realization
 from .model import ModelSpec
 
@@ -67,6 +85,9 @@ class HistorySnapshot:
             dim = -1 if self.times.size else 1
             self.locations = self.locations.reshape(self.times.shape[0], dim)
         self.mark_scalars = np.asarray(self.mark_scalars, float)
+        if self.mark_scalars.shape != self.times.shape:
+            raise ShapeError(f"{self.times.size} history events have "
+                             f"{self.mark_scalars.size} mark scalars")
         if self.times.size and self.times.max() >= self.t_ref:
             raise AcausalHistoryError("history events must lie strictly before t_ref")
         order = np.argsort(self.times, kind="stable")
@@ -76,7 +97,7 @@ class HistorySnapshot:
 
     @classmethod
     def from_realization(cls, real: Realization, t_ref: float) -> "HistorySnapshot":
-        keep = real.times < t_ref
+        keep = ~(real.times >= t_ref)  # a NaN time is kept, and refused by the run
         return cls(
             times=real.times[keep],
             locations=real.locations[keep],
@@ -85,10 +106,29 @@ class HistorySnapshot:
         )
 
 
+def _check_history(spec: ModelSpec, history: HistorySnapshot):
+    """Refuse a history the model cannot read: locations of another dimension
+    or outside the domain, non-finite times, or mark scalars that are not
+    finite and nonnegative."""
+    times, locs, xis = history.times, history.locations, history.mark_scalars
+    if not times.size:
+        return
+    if locs.shape[1] != spec.domain.dim:
+        raise ShapeError(f"history locations have {locs.shape[1]} coordinates, "
+                         f"the model's domain {spec.domain.dim}")
+    if not np.isfinite(times).all():
+        raise InvalidArgumentError("history times must be finite")
+    if not (np.isfinite(xis) & (xis >= 0)).all():
+        raise InvalidArgumentError("history mark scalars must be finite and nonnegative")
+    if not spec.domain.contains(locs):
+        raise OutOfDomainError("history locations must lie in the domain")
+
+
 def conditional_intensity(
     spec: ModelSpec, history: HistorySnapshot, t: float
 ) -> np.ndarray:
     """lambda_t on the standard grid given the history before t."""
+    _check_history(spec, history)
     if history.times.size and history.times.max() > t:
         raise AcausalHistoryError("history contains events after the evaluation time")
     nodes, _ = spec.std_grid
@@ -117,9 +157,11 @@ class _ThinningState:
         self._base_total = float(self.base @ self.weights)  # not engine.alpha: other rounding
         kernel = spec.excitation
         self._beta = kernel.rate if kernel.family == "exponential" else None
+        self._h0 = kernel.sup_norm  # h(0) of an exponential kernel
         self._linear = self._beta is not None and spec.nonlinearity.is_identity
         self._t_ref = -math.inf
-        self._s = np.zeros(self.weights.size)  # S(t_ref), exponential kernels
+        # S(t_ref), exponential kernels; a linear one-cell state carries only its total
+        self._s = None if self._linear and self.flat else np.zeros(self.weights.size)
         self._s_total = 0.0  # sum_c v_c S_c(t_ref)
         self._n = 0  # events held
         self._times, self._event_w = np.empty(0), np.empty(0)  # xi times the scale, per event
@@ -127,6 +169,7 @@ class _ThinningState:
         self._k = 0  # table rows in use
         self._table = np.empty((0, self.weights.size))
         self._row_of: dict[int, int] = {}  # cache key -> table row (its shape)
+        self._last_h = (math.nan, np.empty(0))  # (t, `_h_at` values at t)
 
     def push(self, t: float, y: np.ndarray, xi: float):
         self._push(t, y, xi, *self._engine.law_at(y))
@@ -145,10 +188,11 @@ class _ThinningState:
         weight = xi * scale  # the event's column is weight times its key's shape
         if self._beta is not None:
             mass, col = self._engine.column_of(key, y)
-            jump = weight * self.spec.excitation.sup_norm  # sup_norm = h(0)
+            jump = weight * self._h0
             decay = self._decay(t)  # 0 before the first event
-            self._s *= decay
-            self._s += jump * col
+            if self._s is not None:
+                self._s *= decay
+                self._s += jump * col
             self._s_total = decay * self._s_total + jump * mass
             self._t_ref = t
             return
@@ -172,18 +216,34 @@ class _ThinningState:
 
     def _excitation(self, t: float, envelope: bool) -> np.ndarray | float:
         if self._beta is not None:
+            if self._s is None:  # one cell: its value from the carried total
+                return self._decay(t) * self._s_total / self.weights
             return self._decay(t) * self._s
-        if self._n == 0:
+        n = self._n
+        if n == 0:
             return 0.0
-        lags = t - self._times[: self._n]
         kernel = self.spec.excitation
-        hv = (
-            kernel.h_envelope(np.maximum(lags, 0.0))
-            if envelope
-            else np.where(lags > 0, kernel.h(np.maximum(lags, 0.0)), 0.0)
-        )
-        weights = np.bincount(self._ids[: self._n], hv * self._event_w[: self._n], self._k)
+        if envelope and kernel.family == "table":  # h's majorant
+            hv = kernel.h_envelope(np.maximum(t - self._times[:n], 0.0))
+        else:  # h, its own majorant in the other families
+            hv = self._h_at(t)
+            if not envelope:
+                hv = np.where(t - self._times[:n] > 0, hv, 0.0)
+        weights = np.bincount(self._ids[:n], hv * self._event_w[:n], self._k)
         return weights @ self._table[: self._k]
+
+    def _h_at(self, t: float) -> np.ndarray:
+        """h(max(t - t_k, 0)) of the held events.  The last call's values are
+        kept, and a call at the same t computes only the events pushed since:
+        a bound right after a candidate reads the candidate's values.  h acts
+        elementwise, so the values are those of one call over all events."""
+        at, hv = self._last_h
+        k = hv.shape[0] if at == t else 0
+        if k < self._n:
+            new = self.spec.excitation.h(np.maximum(t - self._times[k:self._n], 0.0))
+            hv = np.concatenate((hv, new)) if k else new
+            self._last_h = (t, hv)
+        return hv
 
     def intensity(self, t: float, envelope: bool = False) -> np.ndarray:
         """lambda_t on the cells; `envelope` reads h's nonincreasing majorant."""
@@ -191,8 +251,9 @@ class _ThinningState:
 
     def total(self, t: float, envelope: bool = False) -> tuple[float, np.ndarray | None]:
         """(sum_c v_c lambda_t(c), the cell vector, or None if not formed)."""
-        if self._linear:
-            return self._base_total + self._decay(t) * self._s_total, None
+        if self._linear:  # one float expression
+            decay = math.exp(-self._beta * (t - self._t_ref))
+            return self._base_total + decay * self._s_total, None
         vals = self.intensity(t, envelope)
         return float(vals @ self.weights), vals
 
@@ -230,9 +291,16 @@ def simulate_thinning(
 
     state = _ThinningState(spec)
     if initial is not None and initial.times.size:
+        _check_history(spec, initial)
         if initial.times.max() >= 0:
             raise AcausalHistoryError("initial history must lie strictly before time 0")
         state.load(initial)
+    dim, lo = spec.domain.dim, spec.domain.lo
+    width = spec.domain.hi - lo
+    marks, lifetimes = spec.marks, spec.lifetimes
+    # a law that draws nothing gives its one value as a float, read once
+    fixed_xi = marks.fixed_xi
+    fixed_lt = lifetimes.fixed if with_lifetimes else math.nan
 
     out_t, out_x, out_xi, out_lt = [], [], [], []
     censored = False
@@ -253,18 +321,17 @@ def simulate_thinning(
                 f"total intensity {lam_total!r} exceeds the dominating rate {bound!r}"
             )
         if gen.random() * bound <= lam_total:
+            u = gen.random(dim)  # the doubles of gen.random((1, dim))
             if state.flat:  # on one cell the inverse-CDF draw is lo + u (hi - lo)
-                density = None
+                loc = lo + u * width
             else:
                 density = state.intensity(t) if lam_vals is None else lam_vals
-            loc = sample_location(density, spec.domain, gen.random((1, spec.domain.dim)))[0]
-            xi = float(spec.marks.sample_xi(gen, 1)[0])
+                loc = sample_point(density, spec.domain, u)
+            xi = fixed_xi if fixed_xi is not None else float(marks.sample_xi(gen, 1)[0])
             out_t.append(t)
             out_x.append(loc)
             out_xi.append(xi)
-            out_lt.append(
-                float(spec.lifetimes.sample(gen, 1)[0]) if with_lifetimes else math.nan
-            )
+            out_lt.append(fixed_lt if fixed_lt is not None else float(lifetimes.sample(gen, 1)[0]))
             state.push(t, loc, xi)
             bound = state.total_bound(t)
         elif bound > 4.0 * lam_total:
@@ -273,7 +340,7 @@ def simulate_thinning(
     n = len(out_t)
     return Realization(
         times=np.asarray(out_t),
-        locations=np.asarray(out_x, float).reshape(n, spec.domain.dim),
+        locations=np.asarray(out_x, float).reshape(n, dim),
         generations=np.zeros(n, dtype=np.int64),
         parent_ids=np.full(n, -1, dtype=np.int64),
         mark_scalars=np.asarray(out_xi),

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -227,6 +228,41 @@ def test_simulate_thinning_method_and_history(model_file, tmp_path):
     assert rc == 0
 
 
+def history_line(t, x, xi=1.0, i=0) -> str:
+    return json.dumps({"id": i, "t": t, "x": x, "gen": 0, "parent": None, "xi": xi,
+                       "lifetime": None}) + "\n"
+
+
+@pytest.mark.parametrize("t,x,xi,code", [
+    (math.nan, [0.5], 1.0, "invalid-argument"),
+    (-math.inf, [0.5], 1.0, "invalid-argument"),
+    (-0.5, [0.5], math.nan, "invalid-argument"),
+    (-0.5, [0.5], -1.0, "invalid-argument"),
+    (-0.5, [0.5, 0.5], 1.0, "shape-error"),
+    (-0.5, [5.0], 1.0, "out-of-domain"),
+], ids=["nan-time", "minus-inf-time", "nan-mark", "negative-mark", "2-d", "outside"])
+def test_simulate_refuses_a_history_the_model_cannot_read(model_file, tmp_path, capsys,
+                                                          t, x, xi, code):
+    hist = tmp_path / "hist.ndjson"
+    hist.write_text(history_line(-1.0, [0.25] * len(x)) + history_line(t, x, xi))
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "o"), "simulate",
+               "--horizon", "2", "--method", "thinning", "--history", str(hist)])
+    assert rc == 1
+    assert f"error[{code}]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_history_without_thinning_exit_1(model_file, tmp_path, capsys):
+    # the cluster simulator cannot condition on a history: it is refused, not ignored
+    hist = tmp_path / "hist.ndjson"
+    hist.write_text(history_line(-0.5, [0.5]))
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "o"), "simulate",
+               "--horizon", "2", "--history", str(hist)])
+    assert rc == 1
+    assert "error[invalid-argument]: --history needs --method thinning" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
 def test_transform_subcommand(model_file, tmp_path, capsys):
     out = tmp_path / "t"
     rc = main(["--model", str(model_file), "--seed", "4", "--out", str(out),
@@ -342,7 +378,20 @@ GOLDEN_MODELS = {
         "interp": "pw-constant"}},
     "rank1": {**CONST_MODEL, "grid_n": 512, "graphon": {
         "family": "rank-one", "coeff": 1.5, "profile": {"family": "identity"}}},
+    "const": CONST_MODEL,  # one cell
+    "const-marked": {**CONST_MODEL,
+                     "marks": {"kind": "scaled-profile", "xi": {"family": "exponential",
+                                                                "mean": 0.8}},
+                     "lifetimes": {"family": "deterministic", "tau": 1.5}},
+    "nl-powerlaw": {**CONST_MODEL, "grid_n": 512, "graphon": {
+        "family": "grid", "values": STEP16_VALUES, "axis_counts": [16],
+        "interp": "pw-constant"},
+        "excitation": {"family": "power-law", "exponent": 2.5, "cutoff": 1.0, "l1": 1.0},
+        "nonlinearity": {"family": "clipped-linear", "cap": 3.0}},
 }
+# 40 unmarked events on [-20, 0), spread over the 16 cells
+GOLDEN_HISTORY = "".join(history_line(-20.0 + 0.5 * i, [((7 * i) % 16 + 0.5) / 16], i=i)
+                         for i in range(40))
 # sha256 over (name, bytes) of every artifact but the manifest, in name order
 GOLDEN_RUNS = {
     "simulate": ("step16", ["simulate", "--reps", "2", "--horizon", "40"],
@@ -355,6 +404,19 @@ GOLDEN_RUNS = {
     "thinning": ("step16", ["simulate", "--method", "thinning", "--reps", "2",
                             "--horizon", "20"],
                  "719ffacdfc962d491c177fd38f0bbf157eaf358bc74ad1e3a83e24d0e4997381"),
+    # unmarked, no lifetimes: every draw but the event times and locations is fixed
+    "thinning-const": ("const", ["simulate", "--method", "thinning", "--reps", "3",
+                                 "--horizon", "30"],
+                       "206718da3b3654ec5d9f3ae1eb1519e0590bcd081cbc45fae6c391b74543c659"),
+    # drawn mark scalars, fixed lifetimes
+    "thinning-marked": ("const-marked", ["simulate", "--method", "thinning", "--reps", "2",
+                                         "--horizon", "30", "--lifetimes", "on"],
+                        "212bb578c0c2fd3e1abc271ce55af8a3c704c9c05254d42e404a3b405396dc2e"),
+    # a column table over a history on 16 cells, drawn lifetimes
+    "thinning-history": ("nl-powerlaw", ["simulate", "--method", "thinning", "--reps", "2",
+                                         "--horizon", "20", "--lifetimes", "on",
+                                         "--history", "{history}"],
+                         "8133f38630d843e37fa790b195bb30fea15d57e72022dbb37932ce495284db64"),
 }
 
 
@@ -367,10 +429,12 @@ def test_artifact_bytes_are_pinned(tmp_path, run_name):
     model, args, digest = GOLDEN_RUNS[run_name]
     path = tmp_path / f"{model}.yaml"
     path.write_text(yaml.safe_dump(GOLDEN_MODELS[model]))
+    history = tmp_path / "history.ndjson"
+    history.write_text(GOLDEN_HISTORY)
     out = tmp_path / "o"
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(["--model", str(path), "--seed", "5", "--threads", "1", "--out", str(out),
-                   *args])
+                   *(a.format(history=history) for a in args)])
     assert rc == 0
     h = hashlib.sha256()
     for name, data in read_artifacts(out).items():

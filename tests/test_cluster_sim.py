@@ -20,6 +20,7 @@ from graphon_hawkes.cluster_sim import (
     ClusterEngine,
     population_count,
     sample_location,
+    sample_point,
     simulate_cluster,
     simulate_process,
 )
@@ -235,6 +236,8 @@ def test_sample_location_lands_in_positive_cells(case):
     pts = sample_location(dens, dom, u)
     assert pts.shape == u.shape
     assert ((pts >= dom.lo) & (pts <= dom.hi)).all()
+    # the one-point draw gives each row's doubles
+    assert all(np.array_equal(sample_point(dens, dom, row), pt) for row, pt in zip(u, pts))
     # a point on a shared cell face belongs to both cells (a null set)
     r = (pts - dom.lo) / (dom.hi - dom.lo) * n
     near = [np.clip(np.floor(r + s), 0, n - 1).astype(int) for s in (-1e-9, 1e-9)]
@@ -385,6 +388,9 @@ def test_offspring_law_equals_the_clipped_excitation_column(case):
     nodes, weights = engine.spec.std_grid
     for p, y in enumerate(parents):
         key, scale = engine.law_at(y)
+        keys, scales = engine.law(y[None, :])  # the same law, keyed in numpy
+        assert key == (None if keys is None else keys[0])
+        assert scale == (1.0 if scales is None else scales[0])
         ref = np.maximum(spec.excitation_column(nodes, y), 0.0)
         col = scale * engine.column_of(key, y)[1]
         np.testing.assert_allclose(col, ref, rtol=1e-12, atol=0)

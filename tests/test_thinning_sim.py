@@ -13,7 +13,13 @@ from scipy import stats
 import graphon_hawkes as gh
 from graphon_hawkes import cluster_sim, thinning_sim
 from graphon_hawkes.cluster_sim import sample_location, simulate_process
-from graphon_hawkes.errors import AcausalHistoryError, ThinningBoundError
+from graphon_hawkes.errors import (
+    AcausalHistoryError,
+    InvalidArgumentError,
+    OutOfDomainError,
+    ShapeError,
+    ThinningBoundError,
+)
 from graphon_hawkes.model import Nonlinearity, _cell_index
 from graphon_hawkes.thinning_sim import (
     HistorySnapshot,
@@ -61,6 +67,11 @@ def test_conditional_intensity_acausal():
 def test_history_snapshot_rejects_future_events():
     with pytest.raises(AcausalHistoryError):
         HistorySnapshot(times=[1.0], locations=[[0.5]], mark_scalars=[1.0], t_ref=0.5)
+
+
+def test_history_snapshot_needs_one_mark_scalar_per_event():
+    with pytest.raises(ShapeError):
+        HistorySnapshot(times=[-2.0, -1.0], locations=[[0.5]] * 2, mark_scalars=[1.0])
 
 
 def test_same_stream_object_repeats_the_run():
@@ -136,6 +147,25 @@ def test_thinning_initial_history_must_be_past():
     hist = HistorySnapshot(times=[0.5], locations=[[0.5]], mark_scalars=[1.0], t_ref=1.0)
     with pytest.raises(AcausalHistoryError):
         simulate_thinning(spec, 2.0, initial=hist, rng=gh.SplitStream(0))
+
+
+@pytest.mark.parametrize("times,locations,marks,error", [
+    ([-1.0, math.nan], [[0.5]] * 2, [1.0] * 2, InvalidArgumentError),
+    ([-math.inf, -1.0], [[0.5]] * 2, [1.0] * 2, InvalidArgumentError),
+    ([-2.0, -1.0], [[0.5]] * 2, [1.0, math.nan], InvalidArgumentError),
+    ([-2.0, -1.0], [[0.5]] * 2, [1.0, -0.5], InvalidArgumentError),
+    ([-2.0, -1.0], [[0.5, 0.5]] * 2, [1.0] * 2, ShapeError),
+    ([-2.0, -1.0], [[0.5], [5.0]], [1.0] * 2, OutOfDomainError),
+], ids=["nan-time", "minus-inf-time", "nan-mark", "negative-mark", "2-d", "outside"])
+def test_a_history_the_model_cannot_read_is_refused(times, locations, marks, error):
+    # each was read before: a NaN or -inf time ended in a NaN bound, a 2-d
+    # history ran a 1-d model, and points at x = 5 extrapolated the graphon
+    spec = gh.rank_one_model(1.5, grid_n=64)
+    hist = HistorySnapshot(times=times, locations=locations, mark_scalars=marks, t_ref=0.0)
+    with pytest.raises(error):
+        simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
+    with pytest.raises(error):
+        conditional_intensity(spec, hist, 0.0)
 
 
 def test_thinning_nonlinear_sigmoid_runs_and_bounds():
@@ -348,18 +378,27 @@ def test_flat_draw_equals_the_inverse_cdf_draw_on_power_of_two_grids(j, lo, widt
 
 
 def test_flat_model_takes_the_flat_draw_with_unchanged_bytes(monkeypatch):
+    # a one-cell run places its events as lo + u (hi - lo) itself; a state
+    # that does not say it is flat draws them through `sample_point`, here
+    # the 64-node inverse-CDF draw, and every byte stays the same
     spec = gh.constant_model(0.5, grid_n=64)
     before = simulate_thinning(spec, 20.0, rng=gh.SplitStream(7))
     densities = []
 
     def grid_draw(density, domain, u):  # the inverse-CDF draw the flat one replaces
         densities.append(density)
-        return sample_location(np.ones(64) if density is None else density, domain, u)
+        return sample_location(np.ones(64), domain, u[None, :])[0]
 
-    monkeypatch.setattr(thinning_sim, "sample_location", grid_draw)
+    class Unflat(thinning_sim._ThinningState):
+        def __init__(self, spec):
+            super().__init__(spec)
+            self.flat = False
+
+    monkeypatch.setattr(thinning_sim, "sample_point", grid_draw)
+    monkeypatch.setattr(thinning_sim, "_ThinningState", Unflat)
     after = simulate_thinning(spec, 20.0, rng=gh.SplitStream(7))
     assert len(densities) == len(before) > 10
-    assert all(d is None for d in densities)
+    assert all(d.shape == (1,) for d in densities)
     assert np.array_equal(before.times, after.times)
     assert np.array_equal(before.locations, after.locations)
 
@@ -471,6 +510,32 @@ def test_history_is_keyed_in_one_call(monkeypatch):
     assert (n, k) == (one_by_one._n, one_by_one._k) == (300, 16)
     assert np.array_equal(state._ids[:n], one_by_one._ids[:n])
     assert np.array_equal(state._table[:k], one_by_one._table[:k])
+
+
+def test_a_bound_at_a_candidates_time_reuses_its_kernel_values(monkeypatch):
+    # a bound right after a candidate at t evaluates h only at the events
+    # pushed at t, none after a rejection, and equals, bit for bit, the bound
+    # of a state that evaluates every event at once
+    spec = step_power_law_model()
+    gen = np.random.default_rng(5)
+    hist = HistorySnapshot(times=-np.sort(gen.random(200))[::-1] * 50,
+                           locations=gen.random((200, 1)), mark_scalars=np.ones(200))
+    state, fresh = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
+    state.load(hist)
+    fresh.load(hist)
+    sizes = []
+    h = gh.ExcitationKernel.h
+    monkeypatch.setattr(gh.ExcitationKernel, "h",
+                        lambda self, lags: sizes.append(np.size(lags)) or h(self, lags))
+    state.total(0.5)  # a candidate, accepted
+    state.push(0.5, np.array([0.3]), 1.5)
+    bound = state.total_bound(0.5)
+    state.total(0.8)  # a candidate, rejected
+    refreshed = state.total_bound(0.8)
+    assert sizes == [200, 1, 201]
+    fresh.push(0.5, np.array([0.3]), 1.5)
+    assert bound == fresh.total_bound(0.5)
+    assert refreshed == fresh.total_bound(0.8)
 
 
 def test_flat_model_key_builds_no_key_array(monkeypatch):
