@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -142,8 +143,10 @@ def _cmd_simulate(cfg: RunConfig, spec) -> list[str]:
     if opt.get("history"):
         if opt["method"] != "thinning":
             raise InvalidArgumentError("--history needs --method thinning")
-        hist_real = Realization.from_ndjson(Path(opt["history"]).read_text())
-        history = HistorySnapshot.from_realization(hist_real, t_ref=0.0)
+        past = Realization.from_ndjson(Path(opt["history"]).read_text())
+        # every event, so that one at t >= 0 is refused, not dropped
+        history = HistorySnapshot(times=past.times, locations=past.locations,
+                                  mark_scalars=past.mark_scalars, t_ref=0.0)
 
     def one(r: int) -> Realization:
         sub = stream.child(r)
@@ -348,7 +351,10 @@ def run(cfg: RunConfig) -> int:
         return _VALIDATION_EXIT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use; `parse_args`
+    leaves it unchanged and returns a fresh namespace on each call."""
     p = argparse.ArgumentParser(
         prog="graphon-hawkes",
         description="Simulation and numerical analysis of spatiotemporal "

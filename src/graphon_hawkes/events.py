@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ShapeError
 
 
 def _json_floats(a: np.ndarray, nan: str = "NaN") -> list[str]:
@@ -28,6 +28,23 @@ def _unique_keys(pairs: list) -> dict:
     if len(obj := dict(pairs)) != len(pairs):
         raise InvalidArgumentError("malformed NDJSON: duplicate key")
     return obj
+
+
+def _locations(xs: list) -> np.ndarray:
+    """The records' "x" lists as an (n, dim) array, dim the length of record 0's;
+    a record whose "x" is not such a list raises a ShapeError naming it."""
+    dim = len(xs[0]) if type(xs[0]) is list else -1
+    try:
+        locs = np.array(xs, float)
+    except (TypeError, ValueError):  # a ragged "x", or a coordinate that is no number
+        locs = None
+    if locs is not None and locs.shape == (len(xs), dim):
+        return locs
+    for i, x in enumerate(xs):
+        if type(x) is not list or len(x) != dim:
+            need = "a list" if dim < 0 else f"a list of {dim} coordinates, as in record 0"
+            raise ShapeError(f'NDJSON record {i}: "x" is not {need}')
+    raise InvalidArgumentError('NDJSON "x" coordinates must be numbers')
 
 
 def box_mask(points: np.ndarray, box) -> np.ndarray:
@@ -109,12 +126,11 @@ class Realization:
         n = len(recs)
         if n != len(lines) or not all(type(x) is dict for x in recs):
             raise InvalidArgumentError(f"NDJSON needs one object on each of {len(lines)} lines")
-        dim = len(recs[0]["x"]) if n else 1
-        r = cls.empty(dim, horizon)
+        r = cls.empty(1, horizon)
         if not n:
             return r
         r.times = np.array([x["t"] for x in recs], float)
-        r.locations = np.array([x["x"] for x in recs], float)
+        r.locations = _locations([x["x"] for x in recs])
         r.generations = np.array([x.get("gen", 0) for x in recs], np.int64)
         r.parent_ids = np.array(
             [-1 if x.get("parent") is None else x["parent"] for x in recs], np.int64

@@ -95,16 +95,6 @@ class HistorySnapshot:
         self.locations = self.locations[order]
         self.mark_scalars = self.mark_scalars[order]
 
-    @classmethod
-    def from_realization(cls, real: Realization, t_ref: float) -> "HistorySnapshot":
-        keep = ~(real.times >= t_ref)  # a NaN time is kept, and refused by the run
-        return cls(
-            times=real.times[keep],
-            locations=real.locations[keep],
-            mark_scalars=real.mark_scalars[keep],
-            t_ref=t_ref,
-        )
-
 
 def _check_history(spec: ModelSpec, history: HistorySnapshot):
     """Refuse a history the model cannot read: locations of another dimension

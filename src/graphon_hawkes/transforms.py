@@ -20,6 +20,12 @@ Which grid: on a model with cells (`ModelSpec.form`) and a constant f, each
 iterate from 1 is constant per cell, so `fixed_point` sweeps on the cells,
 else on the standard grid.  `laplace_of_Q` and `_tail_mass` weigh each cell
 by its volume, so they stay exact.
+
+Cost, for n swept rows and n_u time nodes: the convolution matrix M is n_u
+shifted windows of one padded h row, an O(n_u^2) copy; each sweep is the
+(n, n_u) @ M product plus an (n, n) spatial product.  `laplace_of_Q`
+integrates one row per swept cell, O(n n_u), and reads it back for each
+standard-grid node of the cell.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cluster_sim import DEFAULT_EVENT_CAP, _grow
 from .errors import InvalidArgumentError, ShapeError
@@ -108,12 +115,13 @@ class _PhiOperator:
         n_u = u_grid.shape[0]
         du = float(u_grid[1] - u_grid[0]) if n_u > 1 else 0.0
         h_vals = spec.excitation.h(u_grid)
-        # lower-triangular trapezoid-convolution matrix: C = G @ M with
-        # M[l, i] = du * h(u_i - u_l) * (1/2 at the endpoints l in {0, i})
-        li, ui = np.meshgrid(np.arange(n_u), np.arange(n_u), indexing="ij")
-        self.M = M = np.where(li <= ui, h_vals[np.clip(ui - li, 0, n_u - 1)], 0.0) * du
+        # upper-triangular trapezoid-convolution matrix: C = G @ M with
+        # M[l, i] = du * h(u_i - u_l) * (1/2 at the endpoints l in {0, i}), 0 for
+        # i < l; row l is [0] * l then h du, a window of [0] * (n_u - 1) + h du
+        padded = np.concatenate([np.zeros(n_u - 1), h_vals * du])
+        self.M = M = sliding_window_view(padded, n_u)[::-1].copy()
         M[0, :] *= 0.5
-        M[li == ui] *= 0.5
+        M[np.diag_indices(n_u)] *= 0.5
         M[:, 0] = 0.0
         # spatial quadrature: S[x, u] = sum_y b(y,x) W(y,x) C[y, u] w_y
         b, w = (pf.matrix(self.nodes, spec.domain) for pf in (spec.marks.b, spec.graphon))
@@ -181,26 +189,33 @@ def fixed_point(spec: ModelSpec, f: TestFunction, t: float, tol: float = 1e-10,
     )
 
 
-def _baseline_mass(eta: TransformGrid, spec: ModelSpec) -> np.ndarray:
+def _baseline_mass(eta: TransformGrid, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """lam_inf times each standard-grid node's weight, for integrals of eta over
-    X.  Where eta was swept on a coarser grid, so is constant per cell of it, a
-    node weighs its cell's volume over the cell's node count: exact."""
+    X, and each node's cell of the grid eta was swept on (None if that is the
+    standard grid).  Where eta was swept on a coarser grid, so is constant per
+    cell of it, a node weighs its cell's volume over the cell's node count: exact."""
     nodes, weights = spec.std_grid
     if eta.values.shape[0] != nodes.shape[0]:
         raise ShapeError("transform grid does not match the model's standard grid")
-    n = eta.grid_n or spec.grid_n
+    n, cell = eta.grid_n or spec.grid_n, None
     if n < spec.grid_n:
         cell = _cell_index(nodes, spec.domain, (n,) * spec.domain.dim)
         weights = spec.domain.volume / n**spec.domain.dim / np.bincount(cell)[cell]
-    return spec.baseline_on(nodes) * weights
+    return spec.baseline_on(nodes) * weights, cell
 
 
 def laplace_of_Q(eta: TransformGrid, spec: ModelSpec, t: float) -> float:
-    """L_Q(f, t) = exp( int int (eta - 1) lam_inf du dx ) by double quadrature."""
-    lam_w = _baseline_mass(eta, spec)
+    """L_Q(f, t) = exp( int int (eta - 1) lam_inf du dx ) by double quadrature.
+
+    Where eta was swept on cells, every node of a cell holds the same row, so
+    the time integral runs once per cell, on its first node's row."""
+    lam_w, cell = _baseline_mass(eta, spec)
     n_u = int(np.searchsorted(eta.u_grid, t, side="right"))
+    rows = per_node = slice(None)
+    if cell is not None:
+        _, rows, per_node = np.unique(cell, return_index=True, return_inverse=True)
     trapz = getattr(np, "trapezoid", None) or np.trapz
-    inner = trapz(eta.values[:, :n_u] - 1.0, eta.u_grid[:n_u], axis=1)
+    inner = trapz(eta.values[rows, :n_u] - 1.0, eta.u_grid[:n_u], axis=1)[per_node]
     return float(np.exp(np.sum(inner * lam_w)))
 
 
@@ -281,7 +296,7 @@ class InterchangeReport:
 def _tail_mass(eta: TransformGrid, spec: ModelSpec) -> float:
     """Estimated int_{t}^{inf} int (1 - eta) lam_inf dx du beyond the grid,
     from a log-linear fit over the last decade of the time grid."""
-    a = np.maximum((1.0 - eta.values) * _baseline_mass(eta, spec)[:, None], 0.0).sum(axis=0)
+    a = np.maximum((1.0 - eta.values) * _baseline_mass(eta, spec)[0][:, None], 0.0).sum(axis=0)
     u = eta.u_grid
     lo = int(0.9 * len(u))
     seg_u, seg_a = u[lo:], a[lo:]

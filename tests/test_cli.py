@@ -240,7 +240,10 @@ def history_line(t, x, xi=1.0, i=0) -> str:
     (-0.5, [0.5], -1.0, "invalid-argument"),
     (-0.5, [0.5, 0.5], 1.0, "shape-error"),
     (-0.5, [5.0], 1.0, "out-of-domain"),
-], ids=["nan-time", "minus-inf-time", "nan-mark", "negative-mark", "2-d", "outside"])
+    (0.0, [0.5], 1.0, "acausal-history"),
+    (3.0, [0.5], 1.0, "acausal-history"),
+], ids=["nan-time", "minus-inf-time", "nan-mark", "negative-mark", "2-d", "outside",
+        "at-zero", "after-zero"])
 def test_simulate_refuses_a_history_the_model_cannot_read(model_file, tmp_path, capsys,
                                                           t, x, xi, code):
     hist = tmp_path / "hist.ndjson"
@@ -250,6 +253,24 @@ def test_simulate_refuses_a_history_the_model_cannot_read(model_file, tmp_path, 
     assert rc == 1
     assert f"error[{code}]" in capsys.readouterr().err
     assert not (tmp_path / "o" / "summary.json").exists()
+
+
+RECORD_1_SHAPE = ('error[shape-error]: NDJSON record 1: "x" is not a list of 1 coordinates, '
+                  "as in record 0")
+
+
+@pytest.mark.parametrize("x,err", [
+    (0.5, RECORD_1_SHAPE),
+    ([0.5, 0.2], RECORD_1_SHAPE),
+    (["abc"], 'error[invalid-argument]: NDJSON "x" coordinates must be numbers'),
+], ids=["not-a-list", "ragged", "not-a-number"])
+def test_simulate_names_a_history_record_of_another_shape(model_file, tmp_path, capsys, x, err):
+    hist = tmp_path / "hist.ndjson"
+    hist.write_text(history_line(-1.0, [0.25]) + history_line(-0.4, x, i=1))
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "o"), "simulate",
+               "--horizon", "2", "--method", "thinning", "--history", str(hist)])
+    assert rc == 1
+    assert capsys.readouterr().err == err + "\n"
 
 
 def test_history_without_thinning_exit_1(model_file, tmp_path, capsys):
@@ -272,6 +293,28 @@ def test_transform_subcommand(model_file, tmp_path, capsys):
     assert payload["envelope_ok"] is True
     assert 0 < payload["L_Q"] < 1
     assert payload["oracle_estimate"] is not None
+
+
+def test_one_parser_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_calls_in_either_order_give_the_same_bytes(model_file, tmp_path):
+    # the parser is shared, so one call's subcommand and options must not
+    # reach the next call's artifacts or recorded options
+    runs = {"thinning": ["simulate", "--method", "thinning", "--horizon", "5"],
+            "transform": ["transform", "--f", "const:0.5", "--t", "1", "--n-u", "9"]}
+    seen: dict[str, list] = {}
+    for order in (("thinning", "transform"), ("transform", "thinning")):
+        for name in order:
+            out = tmp_path / f"{order[0]}-first" / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--model", str(model_file), "--seed", "3", "--out", str(out),
+                             *runs[name]]) == 0
+            options = json.loads((out / "manifest.json").read_text())["options"]
+            seen.setdefault(name, []).append((read_artifacts(out), options))
+    for first, second in seen.values():
+        assert first == second
 
 
 def test_analyze_subcommand(model_file, tmp_path, capsys):
@@ -417,6 +460,15 @@ GOLDEN_RUNS = {
                                          "--horizon", "20", "--lifetimes", "on",
                                          "--history", "{history}"],
                          "8133f38630d843e37fa790b195bb30fea15d57e72022dbb37932ce495284db64"),
+    # the fixed point swept on the 16 cells, with the MC oracle
+    "transform-cells": ("step16", ["transform", "--f", "const:0.7", "--t", "3", "--n-u", "129",
+                                   "--oracle", "500"],
+                        "31bbc8f706d5fd9cae43e0b5734b78844788e7aa5db8bbc6281bcf111917a801"),
+    # the fixed point swept on the standard grid
+    "transform-grid": ("rank1", ["transform", "--f", "const:0.7", "--t", "2", "--n-u", "65"],
+                       "136b8c5c92ffadbeb9c9a62e293ade8a6ee27c2ab83e20cf29ac5d0ef492b575"),
+    "stability": ("step16", ["stability", "--n", "128"],
+                  "249fde678f2375ecfd50d9530d3a0d2f3e0d3dbfbfa1356089e9444674f4dadb"),
 }
 
 

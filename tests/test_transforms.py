@@ -16,6 +16,7 @@ from graphon_hawkes.model import LifetimeModel, MarkModel, PairFunction
 from graphon_hawkes.transforms import (
     TestFunction,
     TransformGrid,
+    _baseline_mass,
     _PhiOperator,
     _tail_mass,
     fixed_point,
@@ -196,6 +197,60 @@ def test_cell_fixed_point_equals_dense_iteration(spec, z, t, n_u):
     for _ in range(log.iterations):
         xi = phi_apply(xi, spec, f)
     np.testing.assert_allclose(eta.values, xi.values, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30)
+@given(cell_models(), st.floats(0.01, 2.0), st.floats(0.5, 3.0), st.integers(2, 33))
+def test_laplace_of_q_on_the_swept_rows_equals_the_full_grid_trapezoid(spec, z, t, n_u):
+    # the time integral of one row per swept cell, read back by each node of
+    # the cell, is the same float as the trapezoid over every standard-grid row
+    eta, _ = fixed_point(spec, TestFunction.constant(z), t, n_u=n_u)
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    inner = trapz(eta.values - 1.0, eta.u_grid, axis=1)
+    lam_w = _baseline_mass(eta, spec)[0]
+    assert laplace_of_Q(eta, spec, t) == float(np.exp(np.sum(inner * lam_w)))
+
+
+def _meshgrid_convolution(h_vals, du):
+    """The trapezoid-convolution matrix built from index grids, as the window
+    build's reference."""
+    n_u = h_vals.shape[0]
+    li, ui = np.meshgrid(np.arange(n_u), np.arange(n_u), indexing="ij")
+    M = np.where(li <= ui, h_vals[np.clip(ui - li, 0, n_u - 1)], 0.0) * du
+    M[0, :] *= 0.5
+    M[li == ui] *= 0.5
+    M[:, 0] = 0.0
+    return M
+
+
+KERNELS = {
+    "exponential": gh.ExcitationKernel("exponential", rate=1.3, l1=0.6),
+    "power-law": gh.ExcitationKernel("power-law", exponent=2.5, cutoff=0.7, l1=0.6),
+    "table": gh.ExcitationKernel("table", breaks=np.array([0.0, 0.4, 1.1, 2.0]),
+                                 table_values=np.array([0.5, 0.2, 0.1])),
+}
+
+
+def _assert_window_build_is_the_meshgrid_build(family, t, n_u):
+    spec = dataclasses.replace(gh.constant_model(0.5, grid_n=4), excitation=KERNELS[family])
+    u_grid = np.linspace(0.0, t, n_u)
+    op = _PhiOperator(spec, TestFunction.constant(1.0), u_grid, spec.grid_n)
+    du = float(u_grid[1] - u_grid[0]) if n_u > 1 else 0.0
+    ref = _meshgrid_convolution(spec.excitation.h(u_grid), du)
+    assert op.M.shape == ref.shape and op.M.dtype == ref.dtype
+    assert op.M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(KERNELS))
+@pytest.mark.parametrize("n_u", [1, 2, 3])
+def test_convolution_matrix_windows_equal_the_meshgrid_build(family, n_u):
+    _assert_window_build_is_the_meshgrid_build(family, 2.0, n_u)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(KERNELS)), st.floats(0.1, 8.0), st.integers(1, 600))
+def test_convolution_matrix_windows_equal_the_meshgrid_build_drawn(family, t, n_u):
+    _assert_window_build_is_the_meshgrid_build(family, t, n_u)
 
 
 def _three_cell_model(grid_n):
