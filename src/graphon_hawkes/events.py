@@ -47,6 +47,33 @@ def _locations(xs: list) -> np.ndarray:
     raise InvalidArgumentError('NDJSON "x" coordinates must be numbers')
 
 
+_ABSENT = object()  # the value of a required key that a record lacks
+
+
+def _scalars(recs: list, key: str, dtype, default=_ABSENT, null=None) -> np.ndarray:
+    """The records' `key` values as one array of `dtype`, `default` where a record
+    lacks the key and `null` where it is null.  When that fails, the first record
+    whose value is absent or not one number raises an error naming it."""
+    values = [x.get(key, default) for x in recs]
+    if null is not None:
+        values = [null if v is None else v for v in values]
+    try:
+        col = np.array(values, dtype)
+    except (TypeError, ValueError, OverflowError):
+        col = None
+    if col is None or col.shape != (len(values),):
+        for i, v in enumerate(values):
+            if v is _ABSENT:
+                raise InvalidArgumentError(f'NDJSON record {i} has no "{key}"')
+            if type(v) is list:
+                raise ShapeError(f'NDJSON record {i}: "{key}" is not one number')
+            try:
+                np.array(v, dtype)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidArgumentError(f'NDJSON record {i}: "{key}" is not a number') from None
+    return col
+
+
 def box_mask(points: np.ndarray, box) -> np.ndarray:
     """Rows of the (k, m) `points` inside the closed box (lo, hi); all rows
     when `box` is None."""
@@ -129,16 +156,11 @@ class Realization:
         r = cls.empty(1, horizon)
         if not n:
             return r
-        r.times = np.array([x["t"] for x in recs], float)
-        r.locations = _locations([x["x"] for x in recs])
-        r.generations = np.array([x.get("gen", 0) for x in recs], np.int64)
-        r.parent_ids = np.array(
-            [-1 if x.get("parent") is None else x["parent"] for x in recs], np.int64
-        )
-        r.mark_scalars = np.array([x.get("xi", 1.0) for x in recs], float)
-        r.lifetimes = np.array(
-            [math.nan if x.get("lifetime") is None else x["lifetime"] for x in recs],
-            float,
-        )
-        r.ids = np.array([x["id"] for x in recs], np.int64)
+        r.times = _scalars(recs, "t", float)
+        r.locations = _locations([x.get("x") for x in recs])
+        r.generations = _scalars(recs, "gen", np.int64, 0)
+        r.parent_ids = _scalars(recs, "parent", np.int64, -1, -1)
+        r.mark_scalars = _scalars(recs, "xi", float, 1.0)
+        r.lifetimes = _scalars(recs, "lifetime", float, math.nan, math.nan)
+        r.ids = _scalars(recs, "id", np.int64)
         return r

@@ -102,6 +102,81 @@ def test_malformed_config_exit_1(tmp_path):
     assert rc == 1
 
 
+# a key, family or value that the schema does not admit, in each section
+REFUSED_CONFIGS = {
+    "top-key": ({"gird_n": 64}, "config: unknown key 'gird_n'"),
+    "domain-key": ({"domain": {"lower": [0.0], "uper": [1.0]}},
+                   "config.domain: unknown key 'uper'"),
+    "baseline-key": ({"baseline": {"family": "constant", "vaule": 1.0}},
+                     "config.baseline: unknown key 'vaule'"),
+    "baseline-family": ({"baseline": {"family": "constnat"}},
+                        "config.baseline: unknown family 'constnat'"),
+    "graphon-key": ({"graphon": {"family": "constant", "vaule": 0.9}},
+                    "config.graphon: unknown key 'vaule'"),
+    "graphon-family": ({"graphon": {"family": "rank-1"}},
+                       "config.graphon: unknown family 'rank-1'"),
+    "profile-key": ({"graphon": {"family": "rank-one", "profile": {"family": "identity",
+                                                                   "slope": [1.0]}}},
+                    "config.graphon.profile: unknown key 'slope'"),
+    "profile-family": ({"graphon": {"family": "rank-one", "profile": {"family": "linear"}}},
+                       "config.graphon.profile: unknown family 'linear'"),
+    "excitation-key": ({"excitation": {"family": "exponential", "rte": 5.0}},
+                       "config.excitation: unknown key 'rte'"),
+    "excitation-family": ({"excitation": {"family": "exponentail"}},
+                          "config.excitation: unknown family 'exponentail'"),
+    "marks-key": ({"marks": {"kind": "scaled-profile", "xii": {}}},
+                  "config.marks: unknown key 'xii'"),
+    "marks-kind": ({"marks": {"kind": "unmarkd"}}, "config.marks: unknown kind 'unmarkd'"),
+    "marks-profile-key": ({"marks": {"kind": "scaled-profile",
+                                     "profile": {"family": "constant", "vlaue": 2.0}}},
+                          "config.marks.profile: unknown key 'vlaue'"),
+    "marks-profile-family": ({"marks": {"kind": "scaled-profile", "profile": {"family": "grdi"}}},
+                             "config.marks.profile: unknown family 'grdi'"),
+    "xi-key": ({"marks": {"kind": "scaled-profile", "xi": {"family": "gamma", "shap": 2.0}}},
+               "config.marks.xi: unknown key 'shap'"),
+    "xi-family": ({"marks": {"kind": "scaled-profile", "xi": {"family": "gama"}}},
+                  "config.marks.xi: unknown family 'gama'"),
+    "lifetimes-key": ({"lifetimes": {"family": "exponential", "rtae": 2.0}},
+                      "config.lifetimes: unknown key 'rtae'"),
+    "lifetimes-family": ({"lifetimes": {"family": "determinstic", "tau": 2.0}},
+                         "config.lifetimes: unknown family 'determinstic'"),
+    "nonlinearity-key": ({"nonlinearity": {"family": "identity", "lipschitz_": 1.0}},
+                         "config.nonlinearity: unknown key 'lipschitz_'"),
+    "nonlinearity-family": ({"nonlinearity": {"family": "clipped"}},
+                            "config.nonlinearity: unknown family 'clipped'"),
+    # keys that were read and then ignored
+    "table-l1": ({"excitation": {"family": "table", "breaks": [0.0, 1.0], "values": [0.5],
+                                 "l1": 2.0}}, "config.excitation: unknown key 'l1'"),
+    "exponential-tau": ({"lifetimes": {"family": "exponential", "tau": 2.0}},
+                        "config.lifetimes: unknown key 'tau'"),
+    "deterministic-rate": ({"lifetimes": {"family": "deterministic", "rate": 2.0}},
+                           "config.lifetimes: unknown key 'rate'"),
+    "identity-cap": ({"nonlinearity": {"family": "identity", "cap": 3.0}},
+                     "config.nonlinearity: unknown key 'cap'"),
+    "clipped-scale": ({"nonlinearity": {"family": "clipped-linear", "scale": 3.0}},
+                      "config.nonlinearity: unknown key 'scale'"),
+    "unmarked-xi": ({"marks": {"kind": "unmarked", "xi": {"family": "gamma"}}},
+                    "config.marks: unknown key 'xi'"),
+    # a section that is no mapping, a missing key, a value of another type
+    "not-a-mapping": ({"lifetimes": "exponential"},
+                      "config.lifetimes: expected a mapping, got 'exponential'"),
+    "missing-key": ({"domain": {"lower": [0.0]}}, "config.domain: missing key 'upper'"),
+    "fractional-int": ({"grid_n": 12.7}, "config.grid_n: expected an integer, got 12.7"),
+    "string-bool": ({"graphon": {"family": "constant", "value": 0.5, "symmetric": "no"}},
+                    "config.graphon.symmetric: expected true or false, got 'no'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_CONFIGS))
+def test_a_config_the_schema_does_not_admit_exit_1(tmp_path, capsys, name):
+    change, message = REFUSED_CONFIGS[name]
+    path = tmp_path / "model.yaml"
+    path.write_text(yaml.safe_dump({**CONST_MODEL, **change}))
+    rc = main(["--model", str(path), "--out", str(tmp_path / "o"), "stability", "--n", "32"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error[invalid-parameter]: {message}")
+
+
 def test_invalid_model_exit_1(tmp_path):
     cfg = dict(CONST_MODEL)
     cfg["excitation"] = {"family": "exponential", "rate": 1.0, "l1": float("inf")}
@@ -267,6 +342,25 @@ RECORD_1_SHAPE = ('error[shape-error]: NDJSON record 1: "x" is not a list of 1 c
 def test_simulate_names_a_history_record_of_another_shape(model_file, tmp_path, capsys, x, err):
     hist = tmp_path / "hist.ndjson"
     hist.write_text(history_line(-1.0, [0.25]) + history_line(-0.4, x, i=1))
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "o"), "simulate",
+               "--horizon", "2", "--method", "thinning", "--history", str(hist)])
+    assert rc == 1
+    assert capsys.readouterr().err == err + "\n"
+
+
+@pytest.mark.parametrize("record,err", [
+    ('{"id":0,"t":{},"x":[0.5]}', 'error[invalid-argument]: NDJSON record 1: "t" is not a number'),
+    ('{"id":0,"t":-0.4,"x":[0.5],"xi":[1]}',
+     'error[shape-error]: NDJSON record 1: "xi" is not one number'),
+    ('{"t":-0.4,"x":[0.5]}', 'error[invalid-argument]: NDJSON record 1 has no "id"'),
+    ('{"id":"one","t":-0.4,"x":[0.5]}',
+     'error[invalid-argument]: NDJSON record 1: "id" is not a number'),
+    ('{"id":1,"x":[0.5]}', 'error[invalid-argument]: NDJSON record 1 has no "t"'),
+], ids=["object-time", "list-mark", "no-id", "text-id", "no-time"])
+def test_simulate_names_a_history_record_with_a_bad_scalar(model_file, tmp_path, capsys,
+                                                           record, err):
+    hist = tmp_path / "hist.ndjson"
+    hist.write_text(history_line(-1.0, [0.25]) + record + "\n")
     rc = main(["--model", str(model_file), "--out", str(tmp_path / "o"), "simulate",
                "--horizon", "2", "--method", "thinning", "--history", str(hist)])
     assert rc == 1

@@ -1,5 +1,8 @@
 """Model parameterization, validation, and pointwise evaluation."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,7 +15,8 @@ from scipy.integrate import quad
 import graphon_hawkes as gh
 from graphon_hawkes import config
 from graphon_hawkes.config import build_spec, load_model, model_digest, spec_config
-from graphon_hawkes.errors import InvalidParameterError, NegativeTimeError, OutOfDomainError
+from graphon_hawkes.errors import (GraphonHawkesError, InvalidParameterError, NegativeTimeError,
+                                   OutOfDomainError)
 from graphon_hawkes.model import (
     ExcitationKernel,
     LifetimeModel,
@@ -23,6 +27,7 @@ from graphon_hawkes.model import (
     SpatialDomain,
     SpatialProfile,
 )
+from test_cli import CONST_MODEL, GOLDEN_MODELS
 
 
 def test_validate_constant_model_clean():
@@ -56,10 +61,11 @@ def test_validate_reads_every_cell_of_a_grid_table(family, interp, cells):
             "interp": interp, "c_w": 0.3}
     cfg = {"graphon": {"family": "constant", "value": 0.3, "c_w": 0.3},
            "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0}}
+    bare = {k: v for k, v in node.items() if k != "c_w"}  # C_W bounds the graphon only
     if family == "baseline":
-        cfg["baseline"] = {**node, "values": table[:, 0].tolist()}
+        cfg["baseline"] = {**bare, "values": table[:, 0].tolist()}
     elif family == "marks":
-        cfg["marks"] = {"kind": "scaled-profile", "profile": node}
+        cfg["marks"] = {"kind": "scaled-profile", "profile": bare}
     else:
         cfg["graphon"] = node
     assert gh.validate_model(build_spec(cfg)) == [f"negativity: {family}"]
@@ -503,3 +509,121 @@ def test_malformed_yaml_is_an_invalid_parameter(tmp_path, monkeypatch, loader):
     path.write_text("a: [1, 2\n")
     with pytest.raises(InvalidParameterError, match="broken.yaml"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# One schema: pinned digests, its defaults, and what it refuses
+
+# one model per family that the CLI's golden models do not cover
+HAND_MODELS = {
+    "affine-baseline": {**CONST_MODEL, "baseline": {"family": "affine", "intercept": 0.5,
+                                                    "slope": [1.0]}},
+    "grid-baseline": {**CONST_MODEL, "baseline": {"family": "grid", "values": [1.0, 2.0, 0.5, 1.5],
+                                                  "axis_counts": [4], "interp": "linear"}},
+    "grid-marks": {**CONST_MODEL, "marks": {"kind": "scaled-profile", "profile": {
+        "family": "grid", "values": [[1.0, 0.5], [0.5, 1.0]], "axis_counts": [2]}}},
+    "table-kernel": {**CONST_MODEL, "excitation": {"family": "table", "breaks": [0.0, 0.5, 2.0],
+                                                   "values": [1.0, 0.2]}},
+    "xi-deterministic": {**CONST_MODEL, "marks": {"kind": "scaled-profile",
+                                                  "xi": {"family": "deterministic", "value": 0.8}}},
+    "xi-gamma": {**CONST_MODEL, "marks": {"kind": "scaled-profile", "profile": {
+        "family": "rank-one", "coeff": 0.5, "profile": {"family": "affine", "intercept": 1.0}},
+        "xi": {"family": "gamma", "shape": 2.0, "scale": 0.4}}},
+    "sigmoid-scaled": {**CONST_MODEL, "nonlinearity": {"family": "sigmoid-scaled", "scale": 2.0,
+                                                       "lipschitz": 0.9}},
+    "defaults": {},
+    "bare-families": {"baseline": {"family": "constant"}, "graphon": {"family": "rank-one"},
+                      "marks": {"kind": "scaled-profile"}, "lifetimes": {"family": "deterministic"}},
+}
+# (model_digest, sha256 of the sorted spec_config JSON), taken before the schema
+# replaced the hand-written reader and writer
+PINNED_CONFIGS = {
+    "step16": ("f172a5c9377f28af", "6fb508801f81630b"),
+    "rank1": ("ed44099aecdab22f", "a61be9bf3791008e"),
+    "const": ("fda483c405d75b34", "fcf24dc12004b199"),
+    "const-marked": ("cbcbbc01a62dfebf", "f4fa29802d91e37f"),
+    "nl-powerlaw": ("5d20a7561e92420c", "5782ae5aa5da5096"),
+    "affine-baseline": ("8d454bfb9cc1ab7f", "61df41b559df7dc6"),
+    "grid-baseline": ("c27de76e23347cb4", "652a5c34e10fec4f"),
+    "grid-marks": ("690b43c4c9e6ffbb", "d63ca6bc769d3eeb"),
+    "table-kernel": ("adbaf882d12ae6eb", "7dc16d5bbda04d15"),
+    "xi-deterministic": ("900647a8e5c15bda", "9bad731879170caf"),
+    "xi-gamma": ("ece5a83ed147aeec", "22fdc1e1d329ae73"),
+    "sigmoid-scaled": ("a6c9862fcba62eda", "46b4a28b80e9e02c"),
+    "defaults": ("976716892e3b8bfe", "72a6593f1823fa4b"),
+    "bare-families": ("4e34e9f1d756b901", "cc217359276b6f2d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_config_digests_are_pinned(name):
+    spec = build_spec({**GOLDEN_MODELS, **HAND_MODELS}[name])
+    text = json.dumps(spec_config(spec), sort_keys=True)
+    assert (model_digest(spec), hashlib.sha256(text.encode()).hexdigest()[:16]) == \
+        PINNED_CONFIGS[name]
+
+
+def test_config_defaults_are_written_out():
+    # a missing baseline is constant 1 but a bare constant is 0; a missing marks
+    # profile is constant 1; a rank-one profile is the identity; an infinite C_W,
+    # a table's L1 and the keys of other families are not written
+    unit = {"lower": [0.0], "upper": [1.0]}
+    assert spec_config(build_spec({})) == {
+        "domain": unit, "baseline": {"family": "constant", "value": 1.0},
+        "graphon": {"family": "constant", "value": 0.0, "symmetric": False},
+        "excitation": {"family": "exponential", "rate": 1.0, "l1": 1.0},
+        "marks": {"kind": "unmarked"}, "lifetimes": {"family": "exponential", "rate": 1.0},
+        "nonlinearity": {"family": "identity", "lipschitz": 1.0}, "grid_n": 512}
+    bare = spec_config(build_spec(HAND_MODELS["bare-families"]))
+    assert bare["baseline"] == {"family": "constant", "value": 0.0}
+    assert bare["graphon"]["profile"] == {"family": "identity"}
+    assert bare["marks"] == {"kind": "scaled-profile",
+                             "profile": {"family": "constant", "value": 1.0},
+                             "xi": {"family": "deterministic", "value": 1.0}}
+    assert bare["lifetimes"] == {"family": "deterministic", "tau": 1.0}
+    table = build_spec(HAND_MODELS["table-kernel"])
+    assert math.isnan(table.excitation.l1) and "l1" not in spec_config(table)["excitation"]
+    unset = dataclasses.replace(table, graphon=PairFunction("rank-one", coeff=1.0))
+    assert spec_config(unset)["graphon"]["profile"] == {"family": "identity"}
+
+
+def test_a_grid_reads_values_or_csv(tmp_path):
+    inline = {**HAND_MODELS["grid-baseline"], "marks": HAND_MODELS["grid-marks"]["marks"]}
+    (tmp_path / "lam.csv").write_text("1.0\n2.0\n0.5\n1.5\n")
+    (tmp_path / "b.csv").write_text("1.0,0.5\n0.5,1.0\n")
+    lam = {k: v for k, v in inline["baseline"].items() if k != "values"}
+    b = {k: v for k, v in inline["marks"]["profile"].items() if k != "values"}
+    cfg = {**inline, "baseline": {**lam, "csv": "lam.csv"},  # relative to the config file
+           "marks": {"kind": "scaled-profile", "profile": {**b, "csv": str(tmp_path / "b.csv")}}}
+    path = tmp_path / "model.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert model_digest(load_model(path)) == model_digest(build_spec(inline))
+    with pytest.raises(InvalidParameterError, match="config.baseline: give 'values' or 'csv'"):
+        build_spec({"baseline": {**cfg["baseline"], "values": [1.0]}}, tmp_path)
+
+
+MUTANTS = ["abc", [1.0, "x"], {"a": 1.0}, None, True, 12.7, -3, [[1.0], [2.0, 3.0]], []]
+
+
+@given(model_specs(), st.data())
+def test_a_mutated_config_is_read_or_refused(spec, data):
+    # drop, rename or retype one key at any depth, or put a scalar for a section:
+    # the reader returns a spec or raises a typed error, never a bare one
+    node = cfg = spec_config(spec)
+    while (subs := sorted(k for k, v in node.items() if isinstance(v, dict))) \
+            and data.draw(st.booleans()):
+        node = node[data.draw(st.sampled_from(subs))]
+    key = data.draw(st.sampled_from(sorted(node)))
+    how = data.draw(st.sampled_from(["drop", "rename", "retype", "scalar"]))
+    if how == "drop":
+        del node[key]
+    elif how == "rename":
+        node[key + "x"] = node.pop(key)
+    elif how == "scalar" and subs:
+        node[data.draw(st.sampled_from(subs))] = data.draw(st.sampled_from(["exponential", 1.0]))
+    else:
+        node[key] = data.draw(st.sampled_from(MUTANTS))
+    try:
+        assert isinstance(build_spec(cfg), ModelSpec)
+    except GraphonHawkesError:
+        pass
