@@ -52,26 +52,31 @@ _ABSENT = object()  # the value of a required key that a record lacks
 
 def _scalars(recs: list, key: str, dtype, default=_ABSENT, null=None) -> np.ndarray:
     """The records' `key` values as one array of `dtype`, `default` where a record
-    lacks the key and `null` where it is null.  When that fails, the first record
-    whose value is absent or not one number raises an error naming it."""
+    lacks the key and `null` where it is null.  Else the first record whose value
+    is absent, no number (null, a boolean) or not an int64 (1.5) raises naming it."""
     values = [x.get(key, default) for x in recs]
     if null is not None:
         values = [null if v is None else v for v in values]
-    try:
-        col = np.array(values, dtype)
-    except (TypeError, ValueError, OverflowError):
-        col = None
-    if col is None or col.shape != (len(values),):
-        for i, v in enumerate(values):
-            if v is _ABSENT:
-                raise InvalidArgumentError(f'NDJSON record {i} has no "{key}"')
-            if type(v) is list:
-                raise ShapeError(f'NDJSON record {i}: "{key}" is not one number')
-            try:
-                np.array(v, dtype)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidArgumentError(f'NDJSON record {i}: "{key}" is not a number') from None
-    return col
+    whole = dtype is np.int64
+    if set(map(type, values)) <= ({int} if whole else {int, float}):  # not bool, None, _ABSENT
+        try:
+            return np.array(values, dtype)
+        except OverflowError:
+            pass
+    for i, v in enumerate(values):
+        if v is _ABSENT:
+            raise InvalidArgumentError(f'NDJSON record {i} has no "{key}"')
+        if type(v) is list:
+            raise ShapeError(f'NDJSON record {i}: "{key}" is not one number')
+        if type(v) not in (int, float):  # null, a string, an object, a boolean
+            raise InvalidArgumentError(f'NDJSON record {i}: "{key}" is not a number')
+        if whole and not ((type(v) is int or v.is_integer()) and -2**63 <= v < 2**63):
+            raise InvalidArgumentError(f'NDJSON record {i}: "{key}" is not a 64-bit integer')
+        try:
+            np.array(v, dtype)
+        except OverflowError:
+            raise InvalidArgumentError(f'NDJSON record {i}: "{key}" is not a number') from None
+    return np.array(values, dtype)  # integral floats for an int dtype
 
 
 def box_mask(points: np.ndarray, box) -> np.ndarray:
@@ -130,16 +135,22 @@ class Realization:
         )
 
     def to_ndjson(self) -> str:
-        """One line per event, as json.dumps(separators=(",", ":")) writes it."""
+        """One line per event, as json.dumps(separators=(",", ":")) writes it; a column
+        of one bit pattern (not `==`: 0.0 and -0.0 differ) goes into the line once."""
         n, m = len(self), self.dim
-        line = ('{"id":%d,"t":%s,"x":[' + ",".join(["%s"] * m)
-                + '],"gen":%d,"parent":%s,"xi":%s,"lifetime":%s}\n')
-        parents = ["null" if p < 0 else str(p) for p in self.parent_ids.tolist()]
-        rows = zip(self.ids.tolist(), _json_floats(self.times),
-                   *map(_json_floats, self.locations.reshape(n, m).T),
-                   self.generations.tolist(), parents, _json_floats(self.mark_scalars),
-                   _json_floats(self.lifetimes, nan="null"))
-        return "".join([line % row for row in rows])
+        cols = [(self.ids, np.ndarray.tolist), (self.times, _json_floats),
+                *((x, _json_floats) for x in self.locations.reshape(n, m).T),
+                (self.generations, np.ndarray.tolist),
+                (self.parent_ids, lambda a: ["null" if p < 0 else str(p) for p in a.tolist()]),
+                (self.mark_scalars, _json_floats),
+                (self.lifetimes, lambda a: _json_floats(a, nan="null"))]
+        bits = [a.view(f"i{a.itemsize}") for a, _ in cols]
+        folded = [n > 0 and bool((b == b[0]).all()) for b in bits]
+        specs = [fmt(a[:1])[0] if f else "%s" for (a, fmt), f in zip(cols, folded)]
+        free = [fmt(a) for (a, fmt), f in zip(cols, folded) if not f]
+        line = ('{"id":%s,"t":%s,"x":[' + ",".join(["%s"] * m)
+                + '],"gen":%s,"parent":%s,"xi":%s,"lifetime":%s}\n') % tuple(specs)
+        return "".join([line % row for row in zip(*free)]) if free else line * n
 
     @classmethod
     def from_ndjson(cls, text: str, horizon: float = math.inf) -> "Realization":

@@ -20,26 +20,27 @@ key, its own rebuilt column.  The excitation is carried per kernel family:
                S <- S(t) + xi l1 beta s phi, t_ref <- t (Ogata 1981;
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
                beside S.  Exact, and h is monotone, so the bound is S itself.
-               O(d) per event; with an identity f a candidate's total is
-               the float base_total + decay * S_total: O(1), no cell vector
-               formed.  A one-cell state with an identity f carries S_total
-               alone, a float: its `push` does no numpy work, and its one
-               cell value, read by tests only, is S_total over the cell's
-               volume, equal to S to rounding.
+               O(d) per event, a history event by event; with an identity f
+               a candidate's total and bound are the float base_total +
+               decay * S_total.  A one-cell linear state of a flat law (one
+               key, scale 1) carries S_total alone and pushes decay * S_total
+               + xi h(0) mass in floats; its cell value (tests only) is
+               S_total over the cell's volume.
   table and    a column table: the N past events keep (time, xi s, row),
   power-law    one row per key's shape (at most d, or 2 for a rank-one
                product) or per event (no key).  A candidate costs
-               bincount(row, xi s h(t - t_k)) @ table: O(N + d^2), or O(N d).
-               The bound at a candidate's time reads its h values, so an
-               accepted event evaluates h once more, at itself, and a
-               refresh not at all (a table kernel's bound reads h's majorant).
+               bincount(row, xi s h(t - t_k)) @ table: O(N + d^2), or O(N d),
+               with no clamp or mask past the last event and no product
+               while every xi s is 1 (exact no-ops); the bound reuses its h
+               values, so an accepted event (a row lookup, O(1) stores) pays
+               h once more, at itself, and a refresh none (a table kernel's
+               bound reads h's majorant).  A history loads in one step.
 Other candidates form the cell vector once and reduce it with one dot
-product.  An accepted event draws its m uniforms as one row and is placed
-by `sample_point` from the cell vector, or, on one cell, as lo + u (hi - lo),
-that draw bit for bit, so a one-cell model forms no vector.  A mark scalar
-or lifetime whose law is a point mass is that float, with no draw.  So a
-one-cell linear event costs its draws and O(1) float work, and a candidate
-its two draws and one float expression.
+product.  An accepted event is placed by `sample_point` from the cell vector,
+or on one cell as lo + u (hi - lo) per axis in floats, that draw's doubles.
+A mark scalar or lifetime whose law is a point mass is that float, with no
+draw.  So a one-cell linear event of a flat law costs its draws and O(1)
+float work, and a candidate its two draws and one float expression.
 Evaluation times must not decrease between calls on one state.  A history
 is checked against the model once, before it is read: finite times, finite
 nonnegative mark scalars and m coordinates in the domain.
@@ -114,23 +115,6 @@ def _check_history(spec: ModelSpec, history: HistorySnapshot):
         raise OutOfDomainError("history locations must lie in the domain")
 
 
-def conditional_intensity(
-    spec: ModelSpec, history: HistorySnapshot, t: float
-) -> np.ndarray:
-    """lambda_t on the standard grid given the history before t."""
-    _check_history(spec, history)
-    if history.times.size and history.times.max() > t:
-        raise AcausalHistoryError("history contains events after the evaluation time")
-    nodes, _ = spec.std_grid
-    total = spec.baseline_on(nodes).astype(float)
-    past = history.times < t
-    for s, y, xi in zip(
-        history.times[past], history.locations[past], history.mark_scalars[past]
-    ):
-        total += xi * spec.excitation_column(nodes, y) * float(spec.excitation.h(t - s))
-    return spec.nonlinearity(total)
-
-
 class _ThinningState:
     """Mutable per-run state on the model's cells: the excitation carried by
     the past events, each a scale times its key's shape by the offspring law.
@@ -150,56 +134,83 @@ class _ThinningState:
         self._h0 = kernel.sup_norm  # h(0) of an exponential kernel
         self._linear = self._beta is not None and spec.nonlinearity.is_identity
         self._t_ref = -math.inf
-        # S(t_ref), exponential kernels; a linear one-cell state carries only its total
-        self._s = None if self._linear and self.flat else np.zeros(self.weights.size)
+        # S(t_ref), exponential kernels; a linear one-cell state of a flat law carries its total
+        one_shape = self._linear and self.flat and engine.form.flat  # one key, scale 1
+        self._s = None if one_shape else np.zeros(self.weights.size)
         self._s_total = 0.0  # sum_c v_c S_c(t_ref)
+        self._mass = engine.column_of(0, None)[0] if one_shape else math.nan  # its one shape's
         self._n = 0  # events held
         self._times, self._event_w = np.empty(0), np.empty(0)  # xi times the scale, per event
         self._ids = np.empty(0, dtype=np.intp)  # event -> table row
+        self._unit = True  # every event weight is 1 (an unmarked history, keyed law): no product
         self._k = 0  # table rows in use
         self._table = np.empty((0, self.weights.size))
         self._row_of: dict[int, int] = {}  # cache key -> table row (its shape)
         self._last_h = (math.nan, np.empty(0))  # (t, `_h_at` values at t)
 
     def push(self, t: float, y: np.ndarray, xi: float):
+        if self._s is None:  # one linear cell of a flat law: the float recursion, no law lookup
+            decay = math.exp(-self._beta * (t - self._t_ref))
+            self._s_total = decay * self._s_total + xi * self._h0 * self._mass
+            self._t_ref = t
+            return
         self._push(t, y, xi, *self._engine.law_at(y))
 
     def load(self, history: HistorySnapshot):
-        """Push a time-sorted history in one pass, keyed in one `law` call."""
+        """Push a time-sorted history, keyed in one `law` call: into the recursion
+        event by event, into the column table in one step, as pushes would."""
         keys, scales = self._engine.law(history.locations)
-        # lazy per-event iterators: no list as long as the history
-        keys = repeat(None) if keys is None else map(int, keys)
-        scales = repeat(1.0) if scales is None else map(float, scales)
-        for s, y, xi, key, scale in zip(history.times, history.locations,
-                                        history.mark_scalars, keys, scales):
-            self._push(float(s), y, float(xi), key, scale)
+        weights = history.mark_scalars if scales is None else history.mark_scalars * scales
+        if self._beta is not None:  # by `push` on a flat law; lazy iterators, no list of events
+            push = self._push if self._s is not None else lambda s, y, w, *_: self.push(s, y, w)
+            for s, y, w, key in zip(history.times, history.locations, weights,
+                                    repeat(None) if keys is None else map(int, keys)):
+                push(float(s), y, float(w), key, 1.0)
+            return
+        if keys is None:  # a row per event, its column rebuilt
+            ids = np.array([self._row(None, y) for y in history.locations], dtype=np.intp)
+        else:  # dict.fromkeys keeps the keys' order of first appearance
+            rows = {key: self._row(key, None) for key in dict.fromkeys(keys.tolist())}
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            ids = np.array([rows[key] for key in uniq.tolist()], dtype=np.intp)[inverse]
+        new = slice(self._n, self._n + ids.size)
+        self._resize(new.stop)
+        self._times[new], self._event_w[new], self._ids[new] = history.times, weights, ids
+        self._n, self._unit = new.stop, self._unit and bool((weights == 1.0).all())
 
     def _push(self, t: float, y: np.ndarray, xi: float, key: int | None, scale: float):
         weight = xi * scale  # the event's column is weight times its key's shape
-        if self._beta is not None:
-            mass, col = self._engine.column_of(key, y)
-            jump = weight * self._h0
-            decay = self._decay(t)  # 0 before the first event
-            if self._s is not None:
-                self._s *= decay
-                self._s += jump * col
-            self._s_total = decay * self._s_total + jump * mass
-            self._t_ref = t
+        if self._beta is None:  # the column table
+            row, n = self._row(key, y), self._n
+            if n == self._times.shape[0]:  # full: reallocate at twice the size
+                self._resize(2 * n)
+            self._times[n], self._event_w[n], self._ids[n] = t, weight, row
+            self._n, self._unit = n + 1, self._unit and weight == 1.0
             return
+        mass, col = self._engine.column_of(key, y)
+        jump = weight * self._h0
+        decay = self._decay(t)  # 0 before the first event
+        self._s *= decay
+        self._s += jump * col
+        self._s_total = decay * self._s_total + jump * mass
+        self._t_ref = t
+
+    def _row(self, key: int | None, y: np.ndarray | None) -> int:
+        """The table row of `key`'s shape, added if new; with no key, y's new row."""
         row = self._row_of.get(key)
-        if row is None:  # a new key, or any event whose column is rebuilt
+        if row is None:
             row = self._k
-            if row == self._table.shape[0]:
-                self._table = _grown(self._table, row, 2 * row)
+            if row == self._table.shape[0]:  # full: reallocate at twice the size
+                self._table = np.resize(self._table, (max(2 * row, 16), self._table.shape[1]))
             self._table[row] = self._engine.column_of(key, y)[1]
             self._k += 1
             if key is not None:
                 self._row_of[key] = row
-        if self._n == self._times.shape[0]:  # full: reallocate at twice the size
-            self._times, self._event_w, self._ids = (
-                _grown(a, self._n, 2 * self._n) for a in (self._times, self._event_w, self._ids))
-        self._times[self._n], self._event_w[self._n], self._ids[self._n] = t, weight, row
-        self._n += 1
+        return row
+
+    def _resize(self, size: int):  # the event arrays at max(size, 16) rows; size >= n, n kept
+        self._times, self._event_w, self._ids = (
+            np.resize(a, max(size, 16)) for a in (self._times, self._event_w, self._ids))
 
     def _decay(self, t: float) -> float:
         return math.exp(-self._beta * (t - self._t_ref))
@@ -213,24 +224,28 @@ class _ThinningState:
         if n == 0:
             return 0.0
         kernel = self.spec.excitation
+        past = t > self._times[n - 1]  # every lag positive: the clamp and the mask are no-ops
         if envelope and kernel.family == "table":  # h's majorant
-            hv = kernel.h_envelope(np.maximum(t - self._times[:n], 0.0))
+            lags = t - self._times[:n]
+            hv = kernel.h_envelope(lags if past else np.maximum(lags, 0.0))
         else:  # h, its own majorant in the other families
-            hv = self._h_at(t)
-            if not envelope:
+            hv = self._h_at(t, past)
+            if not (envelope or past):
                 hv = np.where(t - self._times[:n] > 0, hv, 0.0)
-        weights = np.bincount(self._ids[:n], hv * self._event_w[:n], self._k)
+        weights = np.bincount(self._ids[:n], hv if self._unit else hv * self._event_w[:n],
+                              self._k)
         return weights @ self._table[: self._k]
 
-    def _h_at(self, t: float) -> np.ndarray:
-        """h(max(t - t_k, 0)) of the held events.  The last call's values are
-        kept, and a call at the same t computes only the events pushed since:
-        a bound right after a candidate reads the candidate's values.  h acts
-        elementwise, so the values are those of one call over all events."""
+    def _h_at(self, t: float, past: bool) -> np.ndarray:
+        """h(max(t - t_k, 0)) of the held events, unclamped if t is `past` them all.
+        The last call's values are kept, and a call at the same t computes only
+        the events pushed since: a bound right after a candidate reads its values.
+        h acts elementwise, so the values are those of one call over all events."""
         at, hv = self._last_h
         k = hv.shape[0] if at == t else 0
         if k < self._n:
-            new = self.spec.excitation.h(np.maximum(t - self._times[k:self._n], 0.0))
+            lags = t - self._times[k:self._n]
+            new = self.spec.excitation.h(lags if past else np.maximum(lags, 0.0))
             hv = np.concatenate((hv, new)) if k else new
             self._last_h = (t, hv)
         return hv
@@ -250,13 +265,6 @@ class _ThinningState:
     def total_bound(self, t: float) -> float:
         """Dominating total rate valid for all times >= t until the next event."""
         return self.total(t, envelope=True)[0]
-
-
-def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
-    """`a` reallocated to max(size, 16) rows, its first `used` rows kept."""
-    out = np.empty((max(size, 16),) + a.shape[1:], dtype=a.dtype)
-    out[:used] = a[:used]
-    return out
 
 
 def simulate_thinning(
@@ -286,7 +294,9 @@ def simulate_thinning(
             raise AcausalHistoryError("initial history must lie strictly before time 0")
         state.load(initial)
     dim, lo = spec.domain.dim, spec.domain.lo
-    width = spec.domain.hi - lo
+    corner = list(zip(lo.tolist(), (spec.domain.hi - lo).tolist()))  # (lo, hi - lo) per axis
+    exponential, random = gen.exponential, gen.random
+    total, push, total_bound = state.total, state.push, state.total_bound
     marks, lifetimes = spec.marks, spec.lifetimes
     # a law that draws nothing gives its one value as a float, read once
     fixed_xi = marks.fixed_xi
@@ -295,37 +305,36 @@ def simulate_thinning(
     out_t, out_x, out_xi, out_lt = [], [], [], []
     censored = False
     t = 0.0
-    bound = state.total_bound(0.0)
+    bound = total_bound(0.0)
     while True:
         if bound > RATE_CAP or len(out_t) >= cap:
             censored = True
             break
         if bound <= 0:
             break
-        t = t + gen.exponential(1.0 / bound)
+        t = t + exponential(1.0 / bound)
         if t > horizon:
             break
-        lam_total, lam_vals = state.total(t)
+        lam_total, lam_vals = total(t)
         if not lam_total <= bound * (1.0 + 1e-9):  # NaN fails too
             raise ThinningBoundError(
                 f"total intensity {lam_total!r} exceeds the dominating rate {bound!r}"
             )
-        if gen.random() * bound <= lam_total:
-            u = gen.random(dim)  # the doubles of gen.random((1, dim))
-            if state.flat:  # on one cell the inverse-CDF draw is lo + u (hi - lo)
-                loc = lo + u * width
+        if random() * bound <= lam_total:
+            if state.flat:  # on one cell the inverse-CDF draw is lo + u (hi - lo), in floats
+                loc = [a + random() * b for a, b in corner]
             else:
                 density = state.intensity(t) if lam_vals is None else lam_vals
-                loc = sample_point(density, spec.domain, u)
+                loc = sample_point(density, spec.domain, random(dim))
             xi = fixed_xi if fixed_xi is not None else float(marks.sample_xi(gen, 1)[0])
             out_t.append(t)
             out_x.append(loc)
             out_xi.append(xi)
             out_lt.append(fixed_lt if fixed_lt is not None else float(lifetimes.sample(gen, 1)[0]))
-            state.push(t, loc, xi)
-            bound = state.total_bound(t)
+            push(t, loc, xi)
+            bound = total_bound(t)
         elif bound > 4.0 * lam_total:
-            bound = state.total_bound(t)
+            bound = total_bound(t)
 
     n = len(out_t)
     return Realization(

@@ -348,6 +348,27 @@ def test_simulate_names_a_history_record_of_another_shape(model_file, tmp_path, 
     assert capsys.readouterr().err == err + "\n"
 
 
+# values that once loaded as something else: a truncated integer, a boolean as
+# 1 or 0, a null time or mark scalar as NaN
+BAD_INTEGERS_AND_NULLS = [
+    ('{"id":1.5,"t":-0.4,"x":[0.5]}',
+     'error[invalid-argument]: NDJSON record 1: "id" is not a 64-bit integer'),
+    ('{"id":1,"t":-0.4,"x":[0.5],"gen":2.7}',
+     'error[invalid-argument]: NDJSON record 1: "gen" is not a 64-bit integer'),
+    ('{"id":1,"t":-0.4,"x":[0.5],"parent":0.9}',
+     'error[invalid-argument]: NDJSON record 1: "parent" is not a 64-bit integer'),
+    ('{"id":true,"t":-0.4,"x":[0.5]}',
+     'error[invalid-argument]: NDJSON record 1: "id" is not a number'),
+    ('{"id":1,"t":-0.4,"x":[0.5],"gen":false}',
+     'error[invalid-argument]: NDJSON record 1: "gen" is not a number'),
+    ('{"id":1,"t":null,"x":[0.5]}', 'error[invalid-argument]: NDJSON record 1: "t" is not a number'),
+    ('{"id":1,"t":-0.4,"x":[0.5],"xi":null}',
+     'error[invalid-argument]: NDJSON record 1: "xi" is not a number'),
+]
+BAD_INTEGER_AND_NULL_IDS = ["fractional-id", "fractional-gen", "fractional-parent",
+                            "boolean-id", "boolean-gen", "null-time", "null-mark"]
+
+
 @pytest.mark.parametrize("record,err", [
     ('{"id":0,"t":{},"x":[0.5]}', 'error[invalid-argument]: NDJSON record 1: "t" is not a number'),
     ('{"id":0,"t":-0.4,"x":[0.5],"xi":[1]}',
@@ -356,7 +377,8 @@ def test_simulate_names_a_history_record_of_another_shape(model_file, tmp_path, 
     ('{"id":"one","t":-0.4,"x":[0.5]}',
      'error[invalid-argument]: NDJSON record 1: "id" is not a number'),
     ('{"id":1,"x":[0.5]}', 'error[invalid-argument]: NDJSON record 1 has no "t"'),
-], ids=["object-time", "list-mark", "no-id", "text-id", "no-time"])
+    *BAD_INTEGERS_AND_NULLS,
+], ids=["object-time", "list-mark", "no-id", "text-id", "no-time", *BAD_INTEGER_AND_NULL_IDS])
 def test_simulate_names_a_history_record_with_a_bad_scalar(model_file, tmp_path, capsys,
                                                            record, err):
     hist = tmp_path / "hist.ndjson"
@@ -433,6 +455,16 @@ def test_analyze_non_object_line_exit_1_typed(model_file, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error[invalid-argument]: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("record,err", BAD_INTEGERS_AND_NULLS, ids=BAD_INTEGER_AND_NULL_IDS)
+def test_analyze_names_a_record_with_a_bad_scalar(model_file, tmp_path, capsys, record, err):
+    events = tmp_path / "events.ndjson"
+    events.write_text(history_line(0.5, [0.5]) + record.replace("-0.4", "0.7") + "\n")
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "an"), "analyze",
+               str(events), str(events)])
+    assert rc == 1
+    assert capsys.readouterr().err == err + "\n"
 
 
 def test_manifest_round_trip(model_file, tmp_path):
@@ -525,10 +557,20 @@ GOLDEN_MODELS = {
         "interp": "pw-constant"},
         "excitation": {"family": "power-law", "exponent": 2.5, "cutoff": 1.0, "l1": 1.0},
         "nonlinearity": {"family": "clipped-linear", "cap": 3.0}},
+    # a table kernel that rises before it falls, so its bound reads the majorant
+    "table16": {**CONST_MODEL, "grid_n": 512, "graphon": {
+        "family": "grid", "values": STEP16_VALUES, "axis_counts": [16],
+        "interp": "pw-constant"},
+        "excitation": {"family": "table", "breaks": [0.0, 0.5, 1.0, 3.0],
+                       "values": [0.3, 0.8, 0.1]}},
 }
 # 40 unmarked events on [-20, 0), spread over the 16 cells
 GOLDEN_HISTORY = "".join(history_line(-20.0 + 0.5 * i, [((7 * i) % 16 + 0.5) / 16], i=i)
                          for i in range(40))
+# the same events with mark scalars 0.25, 0.5, ..., 1.25 (xi != 1 on 4 of 5)
+GOLDEN_MARKED_HISTORY = "".join(
+    history_line(-20.0 + 0.5 * i, [((7 * i) % 16 + 0.5) / 16], xi=0.25 * (1 + i % 5), i=i)
+    for i in range(40))
 # sha256 over (name, bytes) of every artifact but the manifest, in name order
 GOLDEN_RUNS = {
     "simulate": ("step16", ["simulate", "--reps", "2", "--horizon", "40"],
@@ -554,6 +596,15 @@ GOLDEN_RUNS = {
                                          "--horizon", "20", "--lifetimes", "on",
                                          "--history", "{history}"],
                          "8133f38630d843e37fa790b195bb30fea15d57e72022dbb37932ce495284db64"),
+    # a marked history: the table's event weights are not all 1
+    "thinning-history-marked": ("nl-powerlaw", ["simulate", "--method", "thinning", "--reps",
+                                                "2", "--horizon", "20",
+                                                "--history", "{marked}"],
+                                "8c22f2734ab4ff6dd01de0112dff2f43a10c4df1dce2fc4c5a18c7d55c17f698"),
+    # a table kernel over a history, its bound the kernel's majorant
+    "thinning-history-table": ("table16", ["simulate", "--method", "thinning", "--reps", "2",
+                                           "--horizon", "20", "--history", "{history}"],
+                               "3fdf8435f0d4d1c37813ecd7022c32e31f9bd154ef43238cd3a176bd00debcde"),
     # the fixed point swept on the 16 cells, with the MC oracle
     "transform-cells": ("step16", ["transform", "--f", "const:0.7", "--t", "3", "--n-u", "129",
                                    "--oracle", "500"],
@@ -577,10 +628,12 @@ def test_artifact_bytes_are_pinned(tmp_path, run_name):
     path.write_text(yaml.safe_dump(GOLDEN_MODELS[model]))
     history = tmp_path / "history.ndjson"
     history.write_text(GOLDEN_HISTORY)
+    marked = tmp_path / "marked.ndjson"
+    marked.write_text(GOLDEN_MARKED_HISTORY)
     out = tmp_path / "o"
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(["--model", str(path), "--seed", "5", "--threads", "1", "--out", str(out),
-                   *(a.format(history=history) for a in args)])
+                   *(a.format(history=history, marked=marked) for a in args)])
     assert rc == 0
     h = hashlib.sha256()
     for name, data in read_artifacts(out).items():

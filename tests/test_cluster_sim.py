@@ -576,6 +576,33 @@ def test_ndjson_writer_equals_per_event_encoding_on_any_values(data, n, m):
     assert real.to_ndjson() == per_event_ndjson(real)
 
 
+# values that `==` folds although their encodings differ (0.0 and -0.0), or
+# never folds (NaN), with infinities and an ordinary value beside them
+CLOSE_CALLS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5])
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(0, 6), m=st.integers(1, 3))
+@example(data=None, n=3, m=1)  # a free column of 0.0 and -0.0, below
+def test_ndjson_writer_folds_a_column_only_when_its_bits_repeat(data, n, m):
+    # each column either repeats one drawn value, which the writer folds into
+    # its line template, or draws each value, which it must not fold
+    def column(dtype, kind):
+        if data is None:  # the explicit example: every column 0.0, -0.0, 0.0
+            return np.array([0.0, -0.0, 0.0]).astype(dtype)
+        elements = (CLOSE_CALLS | any_float) if dtype is np.float64 else (
+            st.sampled_from([-1, 0, 3]) | int64)
+        if data.draw(st.booleans(), label=f"{kind} constant"):
+            return np.full(n, data.draw(elements), dtype)
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)), dtype)
+
+    f, i = np.float64, np.int64
+    locations = np.stack([column(f, f"x{j}") for j in range(m)], axis=1).reshape(n, m)
+    real = _realization(column(f, "t"), locations, column(i, "gen"), column(i, "parent"),
+                        column(f, "xi"), column(f, "lifetime"), column(i, "id"))
+    assert real.to_ndjson() == per_event_ndjson(real)
+
+
 def test_ndjson_writer_equals_per_event_encoding_at_the_extremes():
     real = _realization(
         np.array([-0.0, 5e-324, 1e300, -1e300]),

@@ -21,11 +21,23 @@ from graphon_hawkes.errors import (
     ThinningBoundError,
 )
 from graphon_hawkes.model import Nonlinearity, _cell_index
-from graphon_hawkes.thinning_sim import (
-    HistorySnapshot,
-    conditional_intensity,
-    simulate_thinning,
-)
+from graphon_hawkes.thinning_sim import HistorySnapshot, _check_history, simulate_thinning
+
+
+def conditional_intensity(spec: gh.ModelSpec, history: HistorySnapshot, t: float) -> np.ndarray:
+    """lambda_t on the standard grid given the history before t, summed event
+    by event: the direct-sum oracle of the carried excitation."""
+    _check_history(spec, history)
+    if history.times.size and history.times.max() > t:
+        raise AcausalHistoryError("history contains events after the evaluation time")
+    nodes, _ = spec.std_grid
+    total = spec.baseline_on(nodes).astype(float)
+    past = history.times < t
+    for s, y, xi in zip(
+        history.times[past], history.locations[past], history.mark_scalars[past]
+    ):
+        total += xi * spec.excitation_column(nodes, y) * float(spec.excitation.h(t - s))
+    return spec.nonlinearity(total)
 
 
 def clipped_model(cap, w=0.5, grid_n=128):
@@ -510,6 +522,103 @@ def test_history_is_keyed_in_one_call(monkeypatch):
     assert (n, k) == (one_by_one._n, one_by_one._k) == (300, 16)
     assert np.array_equal(state._ids[:n], one_by_one._ids[:n])
     assert np.array_equal(state._table[:k], one_by_one._table[:k])
+
+
+def _held(state, t):
+    """The bytes of everything a column-table state holds, and what it reads
+    at t and after it."""
+    n, k = state._n, state._k
+    totals = [(state.total(s)[0], state.total(s)[1].tobytes(), state.total_bound(s))
+              for s in (t, t + 0.25, t + 3.0)]
+    return ((n, k, state._unit, dict(state._row_of)),
+            tuple(a[:n].tobytes() for a in (state._times, state._event_w, state._ids)),
+            state._table[:k].tobytes(), totals)
+
+
+@pytest.mark.parametrize("kernel", ["power-law", "table"])
+@pytest.mark.parametrize("family", ["pw-constant", "rank-one", "bilinear"])  # key, sign, none
+@pytest.mark.parametrize("events,marked", [(0, False), (1, False), (1, True), (60, False),
+                                           (60, True)])
+def test_a_loaded_history_leaves_the_state_of_one_push_per_event(kernel, family, events,
+                                                                  marked):
+    spec = gh.ModelSpec(
+        domain=gh.SpatialDomain((0.0,), (1.0,)),
+        baseline=gh.SpatialProfile("constant", value=0.7),
+        graphon=_graphon(family, [0.05 + 0.1 * (i % 7) for i in range(16)]),
+        excitation=KERNELS[kernel],
+        nonlinearity=NONLINEARITIES["clipped-linear"],
+        c_w=1.0,
+        grid_n=16,
+    )
+    gen = np.random.default_rng([events, marked])
+    hist = HistorySnapshot(times=-20 * gen.random(events), locations=gen.random((events, 1)),
+                           mark_scalars=0.1 + 3 * gen.random(events) if marked
+                           else np.ones(events))
+    loaded, pushed = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
+    loaded.load(hist)
+    for s, y, xi in zip(hist.times, hist.locations, hist.mark_scalars):
+        pushed.push(float(s), y, float(xi))
+    assert loaded._unit == bool((loaded._event_w[:loaded._n] == 1.0).all())
+    last = float(hist.times[-1]) if events else -1.0  # probed at the last event and after
+    assert _held(loaded, last) == _held(pushed, last)
+    # and the events accepted after it
+    xi = 2.0 if marked else 1.0
+    for state in (loaded, pushed):
+        state.push(3.5, np.array([0.3]), xi)
+        state.push(3.9, np.array([0.8]), 1.0)
+    # at an event's own time its kernel value is masked: lambda is left-continuous
+    snapshot = HistorySnapshot(times=[*hist.times, 3.5, 3.9],
+                               locations=[*hist.locations, [0.3], [0.8]],
+                               mark_scalars=[*hist.mark_scalars, xi, 1.0], t_ref=4.0)
+    np.testing.assert_allclose(on_standard_grid(loaded, spec, loaded.intensity(3.9)),
+                               conditional_intensity(spec, snapshot, 3.9), rtol=1e-12, atol=1e-12)
+    assert _held(loaded, 3.9) == _held(pushed, 3.9)
+
+
+@settings(max_examples=60)
+@given(
+    law=st.sampled_from(["flat", "rank-one", "no-key"]),
+    w=st.floats(0.05, 0.9),
+    rate=st.floats(0.1, 5.0),
+    history=st.lists(st.tuples(st.floats(-4.0, -1e-3), unit, st.floats(0.0, 3.0)), max_size=10),
+    pushed=st.lists(st.tuples(st.floats(1e-3, 2.0), unit, st.floats(0.0, 3.0)), max_size=30),
+)
+def test_one_cell_linear_pushes_equal_the_general_recursion(law, w, rate, history, pushed):
+    # a one-cell linear push is the float recursion on the one cell's mass,
+    # bit for bit what `_push` does with the law's key and scale; a rank-one
+    # or no-key law on one node keeps its scale or column of y, so it takes
+    # `_push` itself
+    kernel = gh.ExcitationKernel("exponential", rate=rate, l1=0.9)
+    model = gh.constant_model(w, grid_n=64) if law == "flat" else gh.rank_one_model(w, grid_n=1)
+    if law == "no-key":
+        model = dataclasses.replace(model, graphon=_graphon("bilinear", [w * (1 + i % 3) / 3
+                                                                        for i in range(16)]))
+    spec = dataclasses.replace(model, excitation=kernel)
+    flat, general = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
+    assert flat.flat and (flat._s is None) == (law == "flat")
+    general._s = np.zeros(1)  # the array recursion of every other law
+    snapshot = HistorySnapshot(times=[s for s, _, _ in history],
+                               locations=[[y] for _, y, _ in history],
+                               mark_scalars=[xi for _, _, xi in history])
+    flat.load(snapshot)
+    for s, y, xi in zip(snapshot.times, snapshot.locations, snapshot.mark_scalars):
+        general._push(float(s), y, float(xi), *general._engine.law_at(y))
+    assert (flat._s_total, flat._t_ref) == (general._s_total, general._t_ref)
+    t, past = 0.0, list(history)
+    for gap, y, xi in pushed:
+        t += gap
+        y = np.array([y])
+        flat.push(t, y, xi)
+        general._push(t, y, xi, *general._engine.law_at(y))
+        past.append((t, y[0], xi))
+        assert (flat._s_total, flat._t_ref) == (general._s_total, general._t_ref)
+        assert flat.total_bound(t) == general.total(t, envelope=True)[0]
+        assert flat.total(t + gap)[0] == general.total(t + gap)[0]
+    # and the direct sum over every event, each with its own scale
+    later = HistorySnapshot(times=[s for s, _, _ in past], locations=[[y] for _, y, _ in past],
+                            mark_scalars=[xi for _, _, xi in past], t_ref=t + 1.0)
+    oracle = conditional_intensity(spec, later, t + 0.5) @ spec.std_grid[1]
+    assert flat.total(t + 0.5)[0] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 def test_a_bound_at_a_candidates_time_reuses_its_kernel_values(monkeypatch):
