@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +74,6 @@ def cell_law(masses: np.ndarray) -> tuple:
     mass) from being drawn."""
     cum = np.cumsum(masses, axis=-1)
     return masses.sum(axis=-1), cum, (cum < cum[..., -1:]).sum(axis=-1)
-
-
-def _categorical(masses: np.ndarray, u) -> np.ndarray:
-    """The `cell_law` draw of the index at uniform(s) u."""
-    total, cum, top = cell_law(masses)
-    return np.minimum(np.searchsorted(cum, u * total, side="right"), top)
 
 
 def density_law(density: np.ndarray) -> tuple:
@@ -189,6 +184,8 @@ class ClusterEngine:
         self.nodes, self.weights = spec.std_grid
         self.lam_vals = np.maximum(spec.baseline_on(self.nodes), 0.0)
         self.alpha = float(np.sum(self.lam_vals * self.weights))
+        self._float_product = self.form.coeff is not None and all(
+            p.family != "grid" for p in self.form.profiles)
         self._columns: dict[int, tuple[float, np.ndarray]] = {}
         # (key -> row, the stacked `density_law`s of those rows), replaced whole
         self._laws: tuple[dict[int, int], tuple] = ({}, ())
@@ -216,17 +213,24 @@ class ClusterEngine:
         s = self._product(form.coeff, ys)
         return (s < 0).astype(int), np.abs(s)
 
-    def law_at(self, y: np.ndarray) -> tuple[int | None, float]:
-        """`law` of the one parent y: (key, scale)."""
+    def law_at(self, y) -> tuple[int | None, float]:
+        """`law` of the one parent y (an array or a list of coordinates):
+        (key, scale), in Python floats save for a rank-one grid profile."""
         form = self.form
         if form.flat:
             return 0, 1.0
-        if form.keys is not None:  # `_keys` of one point, in Python floats
+        pt = y if isinstance(y, list) else np.atleast_1d(y).tolist()
+        if form.keys is not None:  # `_keys` of one point
             key = 0
-            for yi, lo, hi, c in zip(np.atleast_1d(y).tolist(), self.domain.lo.tolist(),
+            for yi, lo, hi, c in zip(pt, self.domain.lo.tolist(),
                                      self.domain.hi.tolist(), form.keys):
                 key = key * c + min(max(int((yi - lo) / (hi - lo) * c), 0), c - 1)
             return key, 1.0
+        if self._float_product:  # `_product` of one point
+            s = form.coeff
+            for profile in form.profiles:
+                s = s * profile.at(pt)
+            return int(s < 0), abs(s)
         keys, scales = self.law(np.atleast_1d(y)[None, :])
         return None if keys is None else int(keys[0]), 1.0 if scales is None else float(scales[0])
 
@@ -255,10 +259,15 @@ class ClusterEngine:
 
     # -- immigrants ---------------------------------------------------------
 
+    @cached_property
+    def immigrant_law(self) -> tuple:
+        """The baseline's `density_law`, of `sample_location`, built once."""
+        return density_law(self.lam_vals)
+
     def sample_immigrant_locations(self, k: int, rng) -> np.ndarray:
         if k == 0:
             return np.empty((0, self.domain.dim))
-        return sample_location(self.lam_vals, self.domain, rng.random((k, self.domain.dim)))
+        return _place(self.immigrant_law, None, self.domain, rng.random((k, self.domain.dim)))
 
     # -- offspring ----------------------------------------------------------
 

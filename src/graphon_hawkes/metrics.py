@@ -46,16 +46,12 @@ def _mark_l1(spec: ModelSpec, xi: float, y: np.ndarray, nodes, weights) -> float
 
 
 def _match_by_ids(n: Realization, m: Realization):
-    ids_n = {int(i): k for k, i in enumerate(n.ids)}
-    pairs = []
+    ids_n = {i: j for j, i in enumerate(n.ids.tolist())}
+    pairs = [(ids_n[i], k) for k, i in enumerate(m.ids.tolist()) if i in ids_n]
     matched_m = np.zeros(len(m), dtype=bool)
     matched_n = np.zeros(len(n), dtype=bool)
-    for k, i in enumerate(m.ids):
-        j = ids_n.get(int(i))
-        if j is not None:
-            pairs.append((j, k))
-            matched_m[k] = True
-            matched_n[j] = True
+    for j, k in pairs:
+        matched_n[j] = matched_m[k] = True
     return pairs, matched_n, matched_m
 
 
@@ -108,9 +104,14 @@ def pp_distance(
     unmarked_pair = spec_n.marks.kind == "unmarked" and spec_m.marks.kind == "unmarked"
 
     loc_term = 0.0
+    if pairs and dn.dim == 1:  # every |y - y'| at once, the norm's doubles, in pair order
+        j, k = np.array(pairs).T
+        gap = n.locations[j, 0] - m.locations[k, 0]
+        loc_term = float(np.cumsum(np.sqrt(gap * gap))[-1])
     mark_term = 0.0
     for j, k in pairs:
-        loc_term += float(np.linalg.norm(n.locations[j] - m.locations[k]))
+        if dn.dim > 1:
+            loc_term += float(np.linalg.norm(n.locations[j] - m.locations[k]))
         if not unmarked_pair:
             vals_n = n.mark_scalars[j] * spec_n.marks.b.column(
                 nodes, n.locations[j], spec_n.domain

@@ -123,6 +123,19 @@ class SpatialProfile:
             return _grid_eval_profile(self, pts, domain)
         raise InvalidParameterError(f"unknown profile family {self.family!r}")
 
+    def at(self, y: list) -> float:
+        """`__call__` at one point, a list of coordinates, in Python floats and
+        in the same order, so the same double; not on the grid family."""
+        if self.family == "constant":
+            return float(self.value)
+        if self.family == "identity":
+            return math.prod(y)
+        slope = self.slope or (0.0,) * len(y)
+        total = y[0] * slope[0]
+        for a in range(1, len(y)):
+            total = total + y[a] * slope[a]
+        return self.intercept + total
+
     @property
     def cell_counts(self) -> tuple[int, ...]:
         return self.axis_counts or (np.size(self.values),)
@@ -288,32 +301,39 @@ class ExcitationKernel:
             return self.h(t)
         return self._table[1][self._segment(np.asarray(t, float))]
 
+    def _tail(self, u):
+        """1 - H(u) / l1 of an analytic family, at an array or a float u by the
+        same ufuncs: a float's 0-d array takes the array's `**` (sqrt at 0.5),
+        where `math` or a float's `**` can miss the array's double by an ulp."""
+        if self.family == "exponential":
+            return np.exp(-self.rate * u)
+        return np.asarray(self.cutoff / (self.cutoff + u)) ** (self.exponent - 1)
+
     def H(self, u) -> np.ndarray:
         """Integrated excitation: H(u) = int_0^u h, nondecreasing, H(inf)=l1."""
         u = np.asarray(u, float)
         if np.any(u < 0):
             raise NegativeTimeError("integrated excitation requires u >= 0")
-        if self.family == "exponential":
-            return self.l1 * (1.0 - np.exp(-self.rate * u))
-        if self.family == "power-law":
-            p, c = self.exponent, self.cutoff
-            return self.l1 * (1.0 - (c / (c + u)) ** (p - 1))
+        if self.family != "table":
+            return self.l1 * (1.0 - self._tail(u))
         padded, _, cum, _ = self._table
         k = np.clip(self._segment(u) - 1, 0, cum.size - 2)
         return np.where(u >= self.breaks[-1], cum[-1],
                         cum[k] + padded[k + 1] * (u - self.breaks[k]))
 
-    def sample_delay(self, q: np.ndarray, tau) -> np.ndarray:
-        """Invert s -> H(s)/H(tau) at probabilities q in (0, 1]."""
-        q = np.asarray(q, float)
-        tau = np.asarray(tau, float)
-        if self.family == "exponential":
-            full = 1.0 - np.exp(-self.rate * tau)
-            return -np.log1p(-q * full) / self.rate
-        if self.family == "power-law":
+    def H_at(self, u: float) -> float:
+        """`H` at one u >= 0 as a float, the double of `H` at [u], without its checks."""
+        return float(self.H(u) if self.family == "table" else self.l1 * (1.0 - self._tail(u)))
+
+    def sample_delay(self, q, tau) -> np.ndarray:
+        """Invert s -> H(s)/H(tau) at probabilities q in (0, 1]; on floats, the
+        doubles of one-element arrays (see `_tail`)."""
+        if self.family != "table":
+            full = 1.0 - self._tail(tau)
+            if self.family == "exponential":
+                return -np.log1p(-q * full) / self.rate
             p, c = self.exponent, self.cutoff
-            full = 1.0 - (c / (c + tau)) ** (p - 1)
-            return c * ((1.0 - q * full) ** (-1.0 / (p - 1)) - 1.0)
+            return c * (np.asarray(1.0 - q * full) ** (-1.0 / (p - 1)) - 1.0)
         # table: H is piecewise linear, so invert it on the segment where it
         # first reaches the target; a zero-valued segment never holds it
         _, _, cum, slopes = self._table
@@ -408,6 +428,10 @@ class LifetimeModel:
         if self.fixed is not None:  # draws nothing
             return np.full(size, self.fixed)
         return rng.exponential(1.0 / self.rate, size)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        """`sample(rng, 1)[0]` as a float: the same draw and generator state."""
+        return self.fixed if self.fixed is not None else rng.exponential(1.0 / self.rate)
 
     @property
     def mean(self) -> float:

@@ -13,35 +13,41 @@ annealed laws agree conditionally on no cell ever holding two events, which
 the simulation records rather than corrects.
 
 Every event of the coupled pass, immigrant or child, goes through one step:
-two uniforms pick its location on each side that holds it, then one mark
-scalar is drawn.  An event on both sides (or, in quenched mode, on the
-prelimit side, whose descendants share the graph) stays in the pass; an
-event on one side only grows its whole cluster there with its model's
-cluster engine, `ModelSpec.engine`.  The rest reads the two engines too: a
-continuum parent's column is the base engine's offspring law (its scale
-times its key's cached shape, or its own column with no key), and the
-baselines are the engines', each read at every standard-grid node's engine
-cell (an index built once per averaged model, `AveragedModel.coupling`, or
-a view when the engine is on that grid).  That is the standard grid's value
-save at a node within rounding of a cell face, which a count not dividing
-grid_n can give (10 cells on 15 nodes): the engine's cell picks the side.
-The order of the draws is part of the contract: the same (seed, path) gives
-the same pair.
+uniforms pick its location on each side that holds it, then one mark scalar
+is drawn.  An event on both sides (or, in quenched mode, on the prelimit
+side, whose descendants share the graph) stays in the pass; an event on one
+side only grows its whole cluster there with its model's cluster engine,
+`ModelSpec.engine`.  A continuum parent's column is the base engine's
+offspring law (its scale times its key's cached shape, or its own column
+with no key), and the baselines are the engines', read at every
+standard-grid node's engine cell (a view when the engine is on that grid):
+the standard grid's value save at a node within rounding of a cell face,
+which a count not dividing grid_n can give (10 cells on 15 nodes).  The
+order of the draws is part of the contract: the same (seed, path) gives the
+same pair.
 
+What a pass reads of one average is built once, `AveragedModel.coupling`.
 The within-cell pick is an inverse-CDF draw over the grid nodes of one
-partition cell (`cluster_sim.cell_law`).  The setup caches the tables of a
-fixed column, one per cell, when the column is first drawn: both baselines,
-the ones column and each keyed shape, so at most (3 + keys) x d tables,
-which live as long as the averaged model.  Row-wise sums round as the sum
-of one row does, so a cached table is the one a single cell would build.
-A keyed parent picks from its shape, not its scaled column: a positive
-scale changes the table by rounding only, which moves a pick only where
-u * total lies within rounding of a cumulative sum.  A parent's own column
-(no key) builds its cell's table per pick.
+partition cell (`cluster_sim.cell_law`); the tables of a fixed column (both
+baselines, the ones column, each keyed shape), one per cell, are cached on
+the column's first pick, at most (3 + keys) x d.  A keyed parent picks from
+its shape, not its scaled column: a positive scale changes the table by
+rounding only, which moves a pick only where u * total lies within rounding
+of a cumulative sum.  A parent's own column (no key) builds its cell's
+table per pick.  When every mark scalar is 1.0, a parent's offspring masses
+per target cell (p_tilde, p_hat) and p_hat's table depend only on its cell
+j, the mode and the quenched graph's R: they are cached per (mode, R), one
+row per j, at most d rows each.  1.0 * x is x, the products are elementwise
+and a row's sums round as one cell's do, so a row holds the doubles a
+parent would build; a parent with another mark scalar builds its own.
+Tables are read as Python floats (`bisect_right` is `searchsorted`), and
+the per-event reads (the rank-one key and scale, H at one tau, a delay, a
+lifetime) take float paths with the doubles and draws of their arrays.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -213,12 +219,6 @@ def sample_quenched_graph(avg: AveragedModel, rng) -> QuenchedGraph:
     return QuenchedGraph(Z=Z, rescale=rescale)
 
 
-def quenched_spec(avg: AveragedModel, graph: QuenchedGraph) -> ModelSpec:
-    """The quenched prelimit as a piecewise-constant model: graphon Z with
-    mark profile scaled by R * b_cell (so mean dynamics match annealed)."""
-    return _cell_model(avg, graph.Z.astype(float), graph.rescale * avg.b_cell, 1.0)
-
-
 def _cell_model(avg: AveragedModel, W: np.ndarray, b: np.ndarray | None, c_w: float,
                 symmetric: bool = False) -> ModelSpec:
     """The model on the partition's cells with the averaged baseline, graphon
@@ -260,15 +260,15 @@ class CoupledPair:
 
 
 def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realization:
-    """One side's events from rows (id, t, x, xi, lifetime, generation, parent),
-    ordered by time, then id."""
+    """One side's events from rows (id, t, x, xi, lifetime, generation, parent)
+    of Python scalars, ordered by time, then id."""
     if not rows:
         return Realization.empty(dim, horizon, seed_info, censored)
-    ids, t, x, xi, lt, gen, parent = (np.asarray(c) for c in zip(*rows))
+    ids, t, x, xi, lt, gen, parent = (np.array(c) for c in zip(*rows))
     order = np.lexsort((ids, t))
     return Realization(
         times=t[order],
-        locations=x.reshape(len(rows), dim)[order],
+        locations=x[order],
         generations=gen.astype(np.int64)[order],
         parent_ids=parent.astype(np.int64)[order],
         mark_scalars=xi[order],
@@ -280,20 +280,28 @@ def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realizat
     )
 
 
+def _float_law(masses: np.ndarray) -> tuple:
+    """`cluster_sim.cell_law` of a row, or of each row, in Python floats: u
+    draws min(bisect_right(cum, u * total), top), searchsorted's index."""
+    return tuple(part.tolist() for part in cluster_sim.cell_law(masses))
+
+
 class _CouplingSetup:
     """What a coupled pass reads of a base model and its average on the
-    base's standard grid: the two engines at each node's engine cell, the
-    partition-cell baseline masses, and within-cell location sampling from
-    a grid column, shared-uniform aware.  It keeps no reference to the average."""
+    base's standard grid, built once: the two engines at each node's engine
+    cell, the partition-cell baseline masses and their law, the cached
+    tables of `pick` and `unit_masses`.  It keeps no reference to the average."""
 
     def __init__(self, avg: AveragedModel):
         spec, self.d = avg.base, avg.partition.d
         self.nodes, self.weights = spec.std_grid
+        self.node_x = self.nodes.tolist()
         domain = spec.domain
-        self.grid_width = (domain.hi - domain.lo) / spec.grid_n
+        self.grid_width = ((domain.hi - domain.lo) / spec.grid_n).tolist()
         self.cell_idx = avg.partition.cell_of(self.nodes)
         # row k: the grid nodes of partition cell k, which all hold as many
         self.cell_nodes = np.argsort(self.cell_idx, kind="stable").reshape(self.d, -1)
+        self.cell_rows = self.cell_nodes.tolist()
         self.engine, engine_m = spec.engine, avg.spec.engine
         # each node's engine cell: a view (no copy) when the engine is on this grid
         self.engine_cells, cells_m = (
@@ -304,10 +312,15 @@ class _CouplingSetup:
         self.lam_m_vals = engine_m.lam_vals[cells_m]
         self.lam_cell_mass = self.masses_by_cell(self.lam_vals)
         self.alpha = float(self.lam_cell_mass.sum())
+        self.immigrant_law = _float_law(self.lam_cell_mass)
         self.ones_col = np.ones(self.nodes.shape[0])
-        self._laws: dict = {}  # fixed column name -> its `cell_law` in every cell
+        self.b_cell, self.W_cell, self.w_rows = avg.b_cell, avg.W_cell, avg.W_cell.tolist()
+        self.cell_vol = avg.partition.cell_volume
+        self.rescale = max(1.0, float(avg.W_cell.max(initial=0.0)))  # a lazy graph's R
+        self._laws: dict = {}  # fixed column name -> its `_float_law` in every cell
+        self._unit: dict = {}  # R, or None in annealed mode -> `unit_masses`
 
-    def shape_of(self, y: np.ndarray) -> tuple[int | None, float, np.ndarray]:
+    def shape_of(self, y: list) -> tuple[int | None, float, np.ndarray]:
         """(key, scale, shape on the standard grid) of a continuum parent at y."""
         key, scale = self.engine.law_at(y)
         return key, scale, self.engine.column_of(key, y)[1][self.engine_cells]
@@ -315,22 +328,39 @@ class _CouplingSetup:
     def masses_by_cell(self, col: np.ndarray) -> np.ndarray:
         return np.bincount(self.cell_idx, weights=col * self.weights, minlength=self.d)
 
-    def pick(self, name, col: np.ndarray, k: int, u_cell: float, u_jit: np.ndarray) -> np.ndarray:
-        """One point in cell k with density prop. to col, using shared uniforms.
-        Cell k is only drawn where col has positive mass.  A fixed column has
-        a `name` (a baseline, the ones column or a shape's key), and the
-        tables of all its cells are built on its first pick and cached; a
-        parent's own column has None, and builds cell k's table alone."""
-        nodes = self.cell_nodes[k]
+    def cell_masses(self, j, xi: float, rescale: float | None) -> tuple:
+        """(p_tilde, p_hat) of a parent in cell j with mark scalar xi: the annealed
+        accepted and the potential offspring mass per target cell, equal when
+        `rescale` is None (annealed mode)."""
+        p_tilde = xi * self.b_cell[:, j] * self.W_cell[:, j] * self.cell_vol
+        if rescale is None:
+            return p_tilde, p_tilde
+        return p_tilde, xi * rescale * self.b_cell[:, j] * self.cell_vol
+
+    def unit_masses(self, rescale: float | None) -> list:
+        """`cell_masses` at xi = 1.0 of every cell j, built once per rescale: row j
+        holds p_tilde and p_hat's `_float_law`."""
+        hit = self._unit.get(rescale)
+        if hit is None:  # threads sharing the setup build equal tables
+            p_tilde, p_hat = (np.ascontiguousarray(p.T)
+                              for p in self.cell_masses(slice(None), 1.0, rescale))
+            hit = self._unit[rescale] = list(zip(p_tilde, zip(*_float_law(p_hat))))
+        return hit
+
+    def pick(self, name, col: np.ndarray, k: int, u: list) -> list:
+        """One point in cell k with density prop. to col, as a list of coordinates:
+        the shared uniform u[0] picks a node, u[1:] place the point in its grid
+        cell.  A fixed column has a `name` and cached tables (module docstring);
+        a parent's own column has None.  Only a cell where col has mass is drawn."""
         if name is None:
-            total, cum, top = cluster_sim.cell_law(np.maximum(col[nodes], 0.0))
+            total, cum, top = _float_law(np.maximum(col[self.cell_nodes[k]], 0.0))
         else:
             law = self._laws.get(name)
             if law is None:  # threads sharing the setup build equal tables
-                law = self._laws[name] = cluster_sim.cell_law(np.maximum(col[self.cell_nodes], 0.0))
+                law = self._laws[name] = _float_law(np.maximum(col[self.cell_nodes], 0.0))
             total, cum, top = law[0][k], law[1][k], law[2][k]
-        pos = min(cum.searchsorted(u_cell * total, side="right"), top)
-        return self.nodes[nodes[pos]] + (u_jit - 0.5) * self.grid_width
+        node = self.node_x[self.cell_rows[k][min(bisect_right(cum, u[0] * total), top)]]
+        return [x + (v - 0.5) * w for x, v, w in zip(node, u[1:], self.grid_width)]
 
 
 class _LazyGraph:
@@ -343,11 +373,10 @@ class _LazyGraph:
     model has.
     """
 
-    def __init__(self, avg: AveragedModel, frozen: QuenchedGraph | None, gen):
+    def __init__(self, setup: _CouplingSetup, frozen: QuenchedGraph | None, gen):
         self.frozen = frozen
-        self.rescale = (frozen.rescale if frozen is not None
-                        else max(1.0, float(avg.W_cell.max(initial=0.0))))
-        self.probs = avg.W_cell / self.rescale
+        self.rescale = frozen.rescale if frozen is not None else setup.rescale
+        self.w = setup.w_rows  # W_kj / R is numpy's double of (W_cell / R)[k, j]
         self.gen = gen
         self.edges: dict[tuple[int, int], int] = {}
 
@@ -357,16 +386,16 @@ class _LazyGraph:
         if edge is None:
             edge = self.edges[k, j] = (
                 int(self.frozen.Z[k, j]) if self.frozen is not None
-                else int(self.gen.random() < self.probs[k, j])
+                else int(self.gen.random() < self.w[k][j] / self.rescale)
             )
             return bool(edge), edge
-        return bool(self.gen.random() < self.probs[k, j]), edge
+        return bool(self.gen.random() < self.w[k][j] / self.rescale), edge
 
     def graph(self) -> QuenchedGraph:
         """The frozen graph, or the lazily realized edges (unvisited pairs 0)."""
         if self.frozen is not None:
             return self.frozen
-        z = np.zeros(self.probs.shape, dtype=np.int8)
+        z = np.zeros((len(self.w),) * 2, dtype=np.int8)
         for (k, j), v in self.edges.items():
             z[k, j] = v
         return QuenchedGraph(Z=z, rescale=self.rescale)
@@ -401,16 +430,20 @@ def simulate_coupled(
     stream = cluster_sim._as_stream(rng)
     gen = stream.generator()
 
-    require_stable(spec.gate, UnstableModelError, "continuum model")
-    require_stable(avg.spec.gate, PrelimitUnstableError, "averaged model at this partition")
-    quenched = mode == "quenched"
-    lazy = _LazyGraph(avg, quenched_graph, gen) if quenched else None
-
-    d, dim = partition.d, spec.domain.dim
-    engine_n, engine_m = spec.engine, avg.spec.engine
+    for gate, error, what in ((spec.gate, UnstableModelError, "continuum model"),
+                              (avg.spec.gate, PrelimitUnstableError,
+                               "averaged model at this partition")):
+        if not gate.stable:  # the cached verdict: a stable gate builds no estimate
+            require_stable(gate, error, what)
     setup = avg.coupling
-    cell_vol = partition.cell_volume
-    H = spec.excitation.H
+    quenched = mode == "quenched"
+    lazy = _LazyGraph(setup, quenched_graph, gen) if quenched else None
+    rescale = lazy.rescale if quenched else None
+    d, dim = setup.d, spec.domain.dim
+    engine_n, engine_m = spec.engine, avg.spec.engine
+    fixed_xi, delay = spec.marks.fixed_xi, spec.excitation.sample_delay
+    # every mark scalar 1.0: a parent's offspring masses are its cell's cached row
+    unit = setup.unit_masses(rescale) if fixed_xi == 1.0 else None
 
     rows_n: list = []  # (id, t, x, xi, lifetime, generation, parent) per event
     rows_m: list = []
@@ -419,27 +452,32 @@ def simulate_coupled(
     next_id = 0
     censored = False
 
-    def offspring(masses, h_mass, t0, tau):
-        """(cell, time) of the Poisson children of a parent with these cell masses."""
-        total = float(masses.sum())
+    def cells_of(law, count: int) -> list:
+        """`count` cells drawn from a `_float_law`."""
+        total, cum, top = law
+        return [min(bisect_right(cum, u * total), top) for u in gen.random(count).tolist()]
+
+    def offspring(masses, h_mass, t0, tau, law=None):
+        """(cell, time) of the Poisson children of a parent with these cell
+        masses, whose `_float_law` is given or built only for children."""
+        total = float(masses.sum()) if law is None else law[0]
         count = gen.poisson(total * h_mass) if total > 0 else 0
         if not count:
-            return []
-        cells = cluster_sim._categorical(masses, gen.random(count))
-        delays = spec.excitation.sample_delay(1.0 - gen.random(count), np.full(count, tau))
-        return zip(cells.tolist(), (t0 + delays).tolist())
+            return ()
+        cells = cells_of(law or _float_law(masses), count)
+        return zip(cells, [t0 + float(delay(1.0 - u, tau)) for u in gen.random(count).tolist()])
 
     def step(k, t, src_n, src_m, generation, parent):
         """One event in cell k at time t on the sides whose column is given,
         as the (name, column) arguments of `_CouplingSetup.pick`."""
         nonlocal next_id, censored
-        u_cell, u_jit = gen.random(), gen.random(dim)
-        z_n = None if src_n is None else setup.pick(*src_n, k, u_cell, u_jit)
-        z_m = None if src_m is None else setup.pick(*src_m, k, u_cell, u_jit)
-        xi = float(spec.marks.sample_xi(gen, 1)[0])
+        u = gen.random(dim + 1).tolist()  # the node's uniform, then the jitter's
+        z_n = None if src_n is None else setup.pick(*src_n, k, u)
+        z_m = None if src_m is None else setup.pick(*src_m, k, u)
+        xi = fixed_xi if fixed_xi is not None else float(spec.marks.sample_xi(gen, 1)[0])
         # a quenched prelimit event stays in the pass: its descendants share the graph
         if z_m is not None and (z_n is not None or quenched):
-            lt = float(spec.lifetimes.sample(gen, 1)[0])
+            lt = spec.lifetimes.sample_one(gen)
             if z_n is not None:
                 shared.append(next_id)
                 rows_n.append((next_id, t, z_n, xi, lt, generation, parent))
@@ -454,23 +492,22 @@ def simulate_coupled(
             censored = True
             return
         (ts, xs, xis, _, gens, parents, lts), cens = cluster_sim._grow(
-            engine, np.array([t]), z[None, :], np.array([xi]), np.zeros(1, dtype=np.int64),
+            engine, np.array([t]), np.array([z]), np.array([xi]), np.zeros(1, dtype=np.int64),
             generation, horizon, gen, True, budget,
         )
         censored = censored or cens
-        ids = next_id + np.arange(ts.shape[0])
-        rows.extend(zip(ids, ts, xs, xis, lts, gens,
-                        np.where(parents < 0, parent, next_id + parents)))
+        parents = np.where(parents < 0, parent, next_id + parents)
+        rows.extend(zip(range(next_id, next_id + ts.shape[0]), ts.tolist(), xs.tolist(),
+                        xis.tolist(), lts.tolist(), gens.tolist(), parents.tolist()))
         next_id += ts.shape[0]
 
     # shared immigrants: per-cell baseline masses agree exactly
     n_imm = gen.poisson(setup.alpha * horizon)
     imm_times = np.sort(horizon * (1.0 - gen.random(n_imm)))
-    cells = cluster_sim._categorical(setup.lam_cell_mass, gen.random(n_imm))
     # the fixed columns, named for `pick`'s cache
     lam_n, lam_m = ("lam", setup.lam_vals), ("lam_m", setup.lam_m_vals)
     ones = ("ones", setup.ones_col)
-    for k, t in zip(cells.tolist(), imm_times.tolist()):
+    for k, t in zip(cells_of(setup.immigrant_law, n_imm), imm_times.tolist()):
         step(k, t, lam_n, lam_m, 0, -1)
 
     while queue:
@@ -481,40 +518,40 @@ def simulate_coupled(
         tau = horizon - t0
         if tau <= 0:
             continue
-        h_mass = float(H(np.array([tau]))[0])
+        h_mass = spec.excitation.H_at(tau)
         if h_mass <= 0:
             continue
         # annealed accepted mass per target cell, and the potential mass
-        p_tilde = xi * avg.b_cell[:, j] * avg.W_cell[:, j] * cell_vol
-        p_hat = xi * lazy.rescale * avg.b_cell[:, j] * cell_vol if quenched else p_tilde
-        src_n, p_n = None, np.zeros(d)
+        if unit is not None:
+            (p_tilde, law_hat), p_hat = unit[j], None
+        else:
+            (p_tilde, p_hat), law_hat = setup.cell_masses(j, xi, rescale), None
+        src_n = None
         if y_n is not None:
             key, scale, shape = setup.shape_of(y_n)
             col_n = xi * scale * shape
             p_n = setup.masses_by_cell(col_n)
             # a positive scale leaves a keyed shape's within-cell law as it is
             src_n = (None, col_n) if key is None else (key, shape)
-        q_mass = np.minimum(p_n, p_tilde)
+            q_mass = np.minimum(p_n, p_tilde)
         # potential prelimit children: shared with probability q / p_tilde
         # once accepted, on the prelimit side where the edge is present
-        for k, tc in offspring(p_hat, h_mass, t0, tau):
+        for k, tc in offspring(p_hat, h_mass, t0, tau, law_hat):
             accept, edge = lazy.decide(k, j) if quenched else (True, 1)
             on_n = (src_n is not None and accept and p_tilde[k] > 0
                     and gen.random() < q_mass[k] / p_tilde[k])
             if on_n or edge:
                 step(k, tc, src_n if on_n else None, ones if edge else None,
                      generation + 1, eid)
-        # continuum-only residual children (none for a prelimit-only parent)
-        for k, tc in offspring(p_n - q_mass, h_mass, t0, tau):
-            step(k, tc, src_n, None, generation + 1, eid)
+        # continuum-only residual children (a prelimit-only parent has none)
+        if src_n is not None:
+            for k, tc in offspring(p_n - q_mass, h_mass, t0, tau):
+                step(k, tc, src_n, None, generation + 1, eid)
 
     real_n = _realization(rows_n, dim, horizon, stream.describe(), censored)
     real_m = _realization(rows_m, dim, horizon, stream.describe(), censored)
-    occ_ok = True
-    for real in (real_n, real_m):
-        if len(real):
-            occ = np.bincount(partition.cell_of(real.locations), minlength=d)
-            occ_ok = occ_ok and bool(occ.max(initial=0) <= 1)
+    occ_ok = all(np.bincount(partition.cell_of(real.locations), minlength=d).max() <= 1
+                 for real in (real_n, real_m))
     n_tot = len(real_n) + len(real_m)
     return CoupledPair(
         n=real_n,

@@ -563,6 +563,15 @@ GOLDEN_MODELS = {
         "interp": "pw-constant"},
         "excitation": {"family": "table", "breaks": [0.0, 0.5, 1.0, 3.0],
                        "values": [0.3, 0.8, 0.1]}},
+    # drawn mark scalars over a rank-one mark profile, fixed lifetimes
+    "rank1-marked": {**CONST_MODEL, "grid_n": 512, "graphon": {
+        "family": "rank-one", "coeff": 1.5, "profile": {"family": "identity"}},
+        "marks": {"kind": "scaled-profile",
+                  "profile": {"family": "rank-one", "coeff": 1.0,
+                              "profile": {"family": "affine", "intercept": 0.5,
+                                          "slope": [1.0]}},
+                  "xi": {"family": "exponential", "mean": 0.8}},
+        "lifetimes": {"family": "deterministic", "tau": 1.5}},
 }
 # 40 unmarked events on [-20, 0), spread over the 16 cells
 GOLDEN_HISTORY = "".join(history_line(-20.0 + 0.5 * i, [((7 * i) % 16 + 0.5) / 16], i=i)
@@ -612,6 +621,17 @@ GOLDEN_RUNS = {
     # the fixed point swept on the standard grid
     "transform-grid": ("rank1", ["transform", "--f", "const:0.7", "--t", "2", "--n-u", "65"],
                        "136b8c5c92ffadbeb9c9a62e293ade8a6ee27c2ab83e20cf29ac5d0ef492b575"),
+    # drawn mark scalars: every parent takes the per-parent offspring law
+    "converge-marked": ("rank1-marked", ["converge", "--d-list", "4,16", "--mode", "both",
+                                         "--reps", "4", "--horizon", "5"],
+                        "d3fae46de906357fb145556543db74f7a7df13d348cff63dee79ef6dac410eac"),
+    # one quenched graph per d, brought by the caller
+    "converge-frozen": ("step16", ["converge", "--d-list", "4,16", "--mode", "quenched",
+                                   "--freeze-graph", "--reps", "4", "--horizon", "5"],
+                        "de1a7f297a56a15145201ba4fb0cd6e1b77e0f20c27329900bcaa5eee7aebdaf"),
+    # the same events with other mark scalars: every pair has a mark term
+    "analyze-marked": ("rank1-marked", ["analyze", "{history}", "{marked}"],
+                       "2136fe12f9a50bef04f0ed3de87710705a5eb030833883d897a0851a8c9a3511"),
     "stability": ("step16", ["stability", "--n", "128"],
                   "249fde678f2375ecfd50d9530d3a0d2f3e0d3dbfbfa1356089e9444674f4dadb"),
 }

@@ -982,3 +982,62 @@ def test_realization_invariants_hold_for_every_model_and_cap(
                            with_lifetimes=lifetimes, cap=max(cap, 1))
     _check_realization(one, t0, horizon, max(cap, 1))
     assert one.generations[0] == 0 and one.times[0] == t0
+
+
+@st.composite
+def rank_one_laws(draw):
+    """(engine, point) of a rank-one offspring law on 1-3 dims: a graphon
+    coefficient over a constant, identity, affine or grid profile, times a
+    constant or rank-one mark profile.  Numbers carry full mantissas, so that
+    an order of operations shows in the last bit, or are +-0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def number(scale=5.0):
+        zero = draw(st.sampled_from([0.0, -0.0] + [None] * 14))
+        return float(rng.uniform(-scale, scale)) if zero is None else zero
+
+    m = draw(st.integers(1, 3))
+    lo = [float(rng.uniform(-2.0, 1.0)) for _ in range(m)]
+    domain = gh.SpatialDomain(tuple(lo), tuple(a + float(rng.uniform(0.5, 3.0)) for a in lo))
+
+    def profile():
+        family = draw(st.sampled_from(["constant", "identity", "affine", "grid"]))
+        if family == "grid":
+            return SpatialProfile("grid", values=np.array([number() for _ in range(2**m)]),
+                                  axis_counts=(2,) * m)
+        return SpatialProfile(family, value=number(), intercept=number(),
+                              slope=tuple(number() for _ in range(m)))
+
+    marks = gh.MarkModel()
+    if draw(st.booleans()):
+        marks = gh.MarkModel(kind="scaled-profile", profile=gh.PairFunction(
+            "rank-one", coeff=number(), profile=profile()))
+    spec = dataclasses.replace(
+        gh.rank_one_model(grid_n=2), domain=domain, marks=marks,
+        graphon=gh.PairFunction("rank-one", coeff=number(), profile=profile()))
+    return spec.engine, [number(3.0) for _ in range(m)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rank_one_laws())
+def test_rank_one_law_at_is_law_bit_for_bit(case):
+    # the float key and scale of one parent are the doubles of its row of
+    # `law`, signed zeros included; a grid profile takes `law` itself
+    engine, point = case
+    keys, scales = engine.law(np.array([point]))
+    for y in (point, np.array(point)):
+        key, scale = engine.law_at(y)
+        assert key == int(keys[0])
+        assert np.float64(scale).tobytes() == scales[0].tobytes()
+
+
+def test_immigrant_law_is_built_once_per_engine(monkeypatch):
+    # every replication's immigrants read one cached law of the baseline
+    spec = step_model()
+    built = []
+    density_law = cluster_sim.density_law
+    monkeypatch.setattr(cluster_sim, "density_law",
+                        lambda density: built.append(density) or density_law(density))
+    for r in range(3):
+        assert len(simulate_process(spec, 20.0, gh.SplitStream(r)))
+    assert sum(density is spec.engine.lam_vals for density in built) == 1

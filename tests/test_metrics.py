@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphon_hawkes as gh
 from graphon_hawkes.errors import DomainMismatchError, ResolutionTooCoarseError
@@ -217,3 +219,22 @@ def test_poincare_2d():
     nodes, _ = dom.grid(n)
     f = np.sin(3 * nodes[:, 0]) + nodes[:, 1] ** 2
     assert poincare_check(f, part).holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_location_term_is_the_sum_of_per_pair_norms_in_pair_order(data):
+    # the 1-d term is computed at once; it keeps each pair's norm (tiny gaps
+    # included, where |gap| and the norm differ) and the order of the sum
+    locs = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-160, 1.0]))
+    n_loc = data.draw(st.lists(locs, min_size=0, max_size=12))
+    m_loc = data.draw(st.lists(locs, min_size=len(n_loc), max_size=len(n_loc)))
+    ids = data.draw(st.permutations(range(len(n_loc))))
+    spec = gh.constant_model(0.5, grid_n=8)
+    n = make_real(np.linspace(0.1, 1.0, len(n_loc)), n_loc, range(len(n_loc)))
+    m = make_real(np.linspace(0.1, 1.0, len(m_loc)), m_loc, ids)
+    ref = 0.0
+    for k, i in enumerate(ids):
+        ref += float(np.linalg.norm(n.locations[i] - m.locations[k]))
+    got = pp_distance(n, m, spec).simultaneous_location_term
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -261,6 +261,49 @@ def test_table_delay_inverts_H_exactly():
         s = kernel.sample_delay(q, tau)
         assert ((s >= 0) & (s <= np.minimum(tau, breaks[-1]))).all()
         np.testing.assert_allclose(kernel.H(s), q * kernel.H(tau), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=400)
+@given(family=st.sampled_from(["exponential", "power-law"]),
+       rate=st.floats(1e-3, 1e3),
+       exponent=st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.05, 6.0)),
+       cutoff=st.floats(1e-3, 1e3),
+       l1=st.floats(1e-2, 10.0),
+       tau=st.one_of(st.sampled_from([0.0, 5e-324, 2.2e-308, 1e300]),
+                     st.floats(0.0, 1e6)),
+       q=st.floats(1e-300, 0.999))
+@example("power-law", 1.0, 1.5, 1.0, 1.0, 5e-324, 0.5)  # exponent 0.5: `**` is sqrt
+def test_H_and_delay_at_one_tau_are_the_array_doubles(family, rate, exponent, cutoff, l1, tau,
+                                                      q):
+    # a float tau runs the array's ufuncs on float64 scalars; alone or among
+    # other lanes, the array gives the same double
+    kernel = ExcitationKernel(family, rate=rate, exponent=exponent, cutoff=cutoff, l1=l1)
+    lanes = np.array([tau, 0.5, 3.0, 1e-3, 7.0, 40.0, 0.1, 2.0, 9.0])
+    H = kernel.H_at(tau)
+    assert type(H) is float
+    assert np.float64(H).tobytes() == kernel.H(lanes[:1])[0].tobytes()
+    assert kernel.H(lanes[:1])[0].tobytes() == kernel.H(lanes)[0].tobytes()
+    delay = kernel.sample_delay(q, tau)
+    ref = kernel.sample_delay(np.full(lanes.size, q), lanes)[0]
+    assert np.float64(delay).tobytes() == ref.tobytes()
+    assert ref.tobytes() == kernel.sample_delay(np.array([q]), lanes[:1])[0].tobytes()
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**63 - 1),
+       family=st.sampled_from(["exponential", "deterministic"]),
+       rate=st.floats(1e-3, 1e3),
+       tau=st.floats(1e-3, 1e3))
+def test_one_lifetime_is_a_draw_of_one_bit_for_bit(seed, family, rate, tau):
+    # the same double and the same generator state after it
+    model = LifetimeModel(family, tau=tau, rate=rate)
+    one, many = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    lifetime = model.sample_one(one)
+    assert type(lifetime) is float
+    assert np.float64(lifetime).tobytes() == model.sample(many, 1)[0].tobytes()
+    state = [json.dumps(g.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+             for g in (one, many)]
+    assert state[0] == state[1]
 
 
 def test_h_nondecreasing_and_limits():

@@ -15,7 +15,7 @@ from scipy import stats
 
 import graphon_hawkes as gh
 from graphon_hawkes.cluster_sim import simulate_process
-from graphon_hawkes import operators
+from graphon_hawkes import cluster_sim, operators
 from graphon_hawkes.errors import (
     BadCellCountError,
     InvalidArgumentError,
@@ -27,12 +27,19 @@ from graphon_hawkes.metrics import pp_distance
 from graphon_hawkes.model import SpatialProfile
 from graphon_hawkes.operators import discretize_kernel, operator_norm_l1, spectral_radius
 from graphon_hawkes.prelimit import (
+    _cell_model,
     average_model,
     build_partition,
-    quenched_spec,
     sample_quenched_graph,
     simulate_coupled,
 )
+
+
+def quenched_spec(avg, graph):
+    """The quenched prelimit as a piecewise-constant model, the oracle of the
+    quenched marginal: graphon Z with mark profile scaled by R * b_cell (so
+    mean dynamics match annealed)."""
+    return _cell_model(avg, graph.Z.astype(float), graph.rescale * avg.b_cell, 1.0)
 
 
 def affine_rank_one_model(grid_n=512):
@@ -455,7 +462,8 @@ def test_cached_pick_equals_the_uncached_pick(model, level, cell, y, u_cell, sca
     def same(name, col, ref):
         if col[idx].max() > 0:  # a cell is only drawn where its column has mass
             for _ in range(2):  # the first call builds the tables, the second reads them
-                assert setup.pick(name, col, k, u_cell, u_jit).tobytes() == ref.tobytes()
+                got = setup.pick(name, col, k, [u_cell, *u_jit.tolist()])
+                assert np.array(got).tobytes() == ref.tobytes()
 
     for name in ("lam", "lam_m", "ones"):
         col = {"lam": setup.lam_vals, "lam_m": setup.lam_m_vals, "ones": setup.ones_col}[name]
@@ -598,7 +606,46 @@ def test_coupling_cache_holds_a_table_per_fixed_column_and_cell():
         laws = avg.coupling._laws
         keys = set(spec.engine._columns)
         assert {"lam", "lam_m", "ones"} <= set(laws) <= {"lam", "lam_m", "ones"} | keys
-        assert all(rows.shape[0] == part.d for law in laws.values() for rows in law)
+        assert all(len(rows) == part.d for law in laws.values() for rows in law)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.integers(1, 3),
+       rescales=st.lists(st.sampled_from([None, 1.0, 1.05, 1.75, 3.0]), min_size=1,
+                         max_size=5))
+def test_cached_unit_masses_equal_a_fresh_cell_law(level, rescales):
+    # each mode and R reads its own rows, whatever was cached before: a row
+    # holds the masses a parent in cell j builds with xi = 1.0 and the
+    # `cell_law` of its potential masses
+    _, part, avg, _ = _coupled_setup("grid-2d", level)
+    setup = avg.coupling
+    for rescale in rescales:
+        rows = setup.unit_masses(rescale)
+        assert len(rows) == part.d
+        for j in range(part.d):
+            ref = 1.0 * avg.b_cell[:, j] * avg.W_cell[:, j] * part.cell_volume
+            ref_hat = (ref if rescale is None
+                       else 1.0 * rescale * avg.b_cell[:, j] * part.cell_volume)
+            assert rows[j][0].tobytes() == ref.tobytes()
+            total, cum, top = cluster_sim.cell_law(ref_hat)
+            got_total, got_cum, got_top = rows[j][1]
+            assert np.float64(got_total).tobytes() == total.tobytes()
+            assert np.array(got_cum).tobytes() == cum.tobytes() and got_top == top
+
+
+def test_unit_cache_holds_one_table_per_mode_and_rescale():
+    # at most d rows per (mode, R) after 100 pairs: annealed, a lazy graph's
+    # R and a frozen graph's own R
+    spec = grid_2d_model()
+    part = build_partition(spec.domain, 16, "uniform-dyadic")
+    avg = average_model(spec, part)
+    frozen = dataclasses.replace(sample_quenched_graph(avg, gh.SplitStream(2)), rescale=2.5)
+    for rep in range(100):
+        for mode, graph in (("annealed", None), ("quenched", None), ("quenched", frozen)):
+            simulate_coupled(avg, 4.0, mode=mode, rng=gh.SplitStream(rep), quenched_graph=graph)
+    unit = avg.coupling._unit
+    assert set(unit) == {None, avg.coupling.rescale, 2.5}
+    assert all(len(rows) == part.d for rows in unit.values())
 
 
 def test_cell_law_caches_shared_by_threads_keep_every_byte():
