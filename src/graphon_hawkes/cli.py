@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_model, model_digest, spec_config
-from .cluster_sim import DEFAULT_EVENT_CAP, simulate_process
+from .cluster_sim import DEFAULT_EVENT_CAP, simulate_processes
 from .errors import (
     GraphonHawkesError,
     InvalidArgumentError,
@@ -40,7 +40,7 @@ from .limits import _pmap, divergence_experiment, fclt_experiment, flln_experime
 from .metrics import pp_distance
 from .model import validate_model
 from .operators import stability_report
-from .prelimit import build_partition, sample_quenched_graph, simulate_coupled, average_model
+from .prelimit import average_models, build_partition, sample_quenched_graph, simulate_coupled
 from .rng import SplitStream
 from .thinning_sim import HistorySnapshot, simulate_thinning
 from .transforms import (
@@ -86,6 +86,20 @@ def _number(text: str, kind, flag: str):
         return kind(text)
     except ValueError:
         raise InvalidArgumentError(f"{flag}: {text!r} is not a number") from None
+
+
+def _check_ranges(options: dict):
+    """Refuse a replication argument out of its range, naming its flag."""
+    for key, flag, ok, need in (
+            ("threads", "--threads", lambda v: v >= 1, "at least 1"),
+            ("reps", "--reps", lambda v: v >= 1, "at least 1"),
+            ("horizon", "--horizon", lambda v: 0 < v < np.inf, "positive and finite"),
+            ("t_list", "--t-list", lambda v: 0 < v < np.inf, "positive and finite"),
+            ("burn_in", "--burn-in", lambda v: 0 <= v < np.inf, "nonnegative and finite")):
+        value = options.get(key, [])
+        for v in value if isinstance(value, list) else [value]:
+            if not ok(v):
+                raise InvalidArgumentError(f"{flag} must be {need}, not {v!r}")
 
 
 def _parse_box(text: str | None, dim: int):
@@ -148,18 +162,14 @@ def _cmd_simulate(cfg: RunConfig, spec) -> list[str]:
         history = HistorySnapshot(times=past.times, locations=past.locations,
                                   mark_scalars=past.mark_scalars, t_ref=0.0)
 
-    def one(r: int) -> Realization:
-        sub = stream.child(r)
+    def chunk(idx: range) -> list[Realization]:
+        subs = [stream.child(r) for r in idx]
         if opt["method"] == "thinning":
-            return simulate_thinning(
-                spec, horizon, initial=history, rng=sub, with_lifetimes=with_lt,
-                cap=opt["cap"],
-            )
-        return simulate_process(
-            spec, horizon, sub, with_lifetimes=with_lt, cap=opt["cap"]
-        )
+            return [simulate_thinning(spec, horizon, initial=history, rng=sub,
+                                      with_lifetimes=with_lt, cap=opt["cap"]) for sub in subs]
+        return simulate_processes(spec, horizon, subs, with_lifetimes=with_lt, cap=opt["cap"])
 
-    reals = _pmap(one, reps, cfg.threads)
+    reals = _pmap(chunk, reps, cfg.threads)
 
     counts = []
     for r, real in enumerate(reals):
@@ -211,8 +221,8 @@ def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
     rows = []
     summary: dict = {}
     # one averaged model per d, shared by both modes with its gate grids
-    avgs = [average_model(spec, build_partition(spec.domain, d, opt["scheme"]))
-            for d in opt["d_list"]]
+    avgs = average_models(spec, (build_partition(spec.domain, d, opt["scheme"])
+                                 for d in opt["d_list"]))
     for mode in modes:
         for di, (d, avg) in enumerate(zip(opt["d_list"], avgs)):
             frozen = None
@@ -228,7 +238,7 @@ def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
                 dist = pp_distance(pair.n, pair.nd, spec, pair.avg.spec).total
                 return dist, pair.shared_fraction, pair.one_event_per_cell
 
-            results = _pmap(one, opt["reps"], cfg.threads)
+            results = _pmap(lambda idx: [one(i) for i in idx], opt["reps"], cfg.threads)
             for rep, (dist, frac, occ) in enumerate(results):
                 rows.append((d, mode, rep, dist, frac, occ))
             summary.setdefault(mode, {})[str(d)] = {
@@ -324,6 +334,7 @@ def run(cfg: RunConfig) -> int:
         for key, kind, flag in (("d_list", int, "--d-list"), ("t_list", float, "--t-list")):
             if key in cfg.options:
                 cfg.options[key] = [_number(v, kind, flag) for v in cfg.options[key].split(",")]
+        _check_ranges({**cfg.options, "threads": cfg.threads})
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         spec = _load_spec(cfg)
         handler = {
@@ -365,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="master seed (default: $GRAPHON_HAWKES_SEED or 0)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="threads that run replications in parallel (same bytes for any count)")
+                   help="threads, each running a contiguous chunk of the replications "
+                   "(same bytes for any count)")
     p.add_argument("--grid-n", type=int, default=None, help="override standard grid size")
     sub = p.add_subparsers(dest="subcommand", required=True)
 

@@ -31,7 +31,9 @@ shape, built when the key first has children and kept for the engine's life,
 at most one per key; with no key, each parent's column gets a law in its
 generation only.  A row-wise binary search over the stacked cumulative sums
 compares the doubles that a per-shape `searchsorted` compares and rounds
-nothing, so every location keeps the bytes of one draw per parent.
+nothing, so every location keeps the bytes of one draw per parent.  A
+generation spans several replications (`_grow`): each draws from its own
+generator what a call of its own would, and the rest runs once, row by row.
 
 Only linear (identity nonlinearity) models are supported here; nonlinear
 rate functions go through the thinning simulator.
@@ -293,14 +295,15 @@ class ClusterEngine:
         return masses if scales is None else scales * masses, (shapes, of_parent)
 
     def sample_offspring_locations(self, columns, child_parent_idx, rng) -> np.ndarray:
-        """Locations for children of the parents `child_parent_idx`, from the
-        `columns` of `offspring_mass`: one uniform block and one draw over
-        the stacked laws of the shapes with children (see the module
-        docstring for why the bytes equal one draw per parent)."""
+        """`place_offspring` of one (total, m) uniform block drawn from `rng`."""
         total, m = child_parent_idx.shape[0], self.domain.dim
         if total == 0:
             return np.empty((0, m))
-        u = rng.random((total, m))
+        return self.place_offspring(columns, child_parent_idx, rng.random((total, m)))
+
+    def place_offspring(self, columns, child_parent_idx, u) -> np.ndarray:
+        """Children of `child_parent_idx` by the `columns` of `offspring_mass`,
+        placed by the (total, m) uniforms `u` in one stacked draw (module docstring)."""
         shapes, of_parent = columns
         if of_parent is None:  # a flat law: every child draws from its one shape
             return sample_location(shapes[0], self.domain, u)
@@ -308,7 +311,7 @@ class ClusterEngine:
         key = of_parent[child_parent_idx[child]]  # uniform row -> key
         used = np.flatnonzero(np.bincount(key))  # a shape without children gets no law
         laws, row_of = self._stacked_laws(shapes, used.tolist())
-        out = np.empty((total, m))
+        out = np.empty(u.shape)
         if row_of.size == 1:  # one law: its row, drawn by one searchsorted
             out[child] = _place(tuple(part[row_of[0]] for part in laws), None, self.domain, u)
         else:
@@ -341,29 +344,44 @@ def _stack(laws: list) -> tuple:
 # Branching growth (shared by single clusters, full processes and oracles)
 
 
+def _cat(parts: list) -> np.ndarray:
+    """The arrays joined on axis 0; one is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _grow(engine: ClusterEngine, t0: np.ndarray, x0: np.ndarray, xi0: np.ndarray,
-          sim0: np.ndarray, gen0: int, horizon: float, rng, with_lifetimes: bool, budget: int):
-    """Breadth-first branching from seed events; returns (arrays, censored).
+          sim0: np.ndarray, gen0: int, horizon: float, rngs: list, with_lifetimes: bool,
+          budgets: list, sizes: list | None = None):
+    """Breadth-first branching from seed events, a generation of every
+    replication at a time; returns (arrays, censored, blocks).
 
-    Seed events are always in the output, so callers pass at most `budget`
-    seeds; offspring stop at the budget.  `sim0` carries an opaque
-    per-seed label (cluster or replication index) through to all offspring.
-    Local parent indices refer to positions in the returned arrays; seeds
-    get parent -1.
+    Replication r holds the next sizes[r] seeds (all when `sizes` is None;
+    at most budgets[r]) and draws from rngs[r] alone: its seeds' lifetimes,
+    then per generation Poisson counts, the cut to budgets[r] events (the
+    first children in parent order fill it), delay uniforms, the location
+    block, marks and lifetimes.  `arrays` (times, locations, marks, `sim0`
+    labels, generations, parents, lifetimes) run by generation, replication
+    and parent; seeds have parent -1.  `blocks`: (replication, rows) runs.
     """
-    spec = engine.spec
+    spec, m = engine.spec, engine.domain.dim
+    lt_fixed = spec.lifetimes.fixed if with_lifetimes else math.nan
 
-    def lifetimes(k: int) -> np.ndarray:
-        return spec.lifetimes.sample(rng, k) if with_lifetimes else np.full(k, np.nan)
+    def draws(sample, fixed, runs: list) -> np.ndarray:
+        """`sample(rng, k)` per (replication, k) of `runs`, or one fill of `fixed`."""
+        if fixed is not None:
+            return np.full(sum(k for _, k in runs), fixed)
+        return _cat([sample(rngs[r], k) for r, k in runs])
 
     k0 = t0.shape[0]
+    blocks = list(enumerate([k0] if sizes is None else sizes))
     # per generation: (times, locations, marks, labels, generations, parents, lifetimes)
     out = [(t0, x0, xi0, sim0, np.full(k0, gen0, dtype=np.int64),
-            np.full(k0, -1, dtype=np.int64), lifetimes(k0))]
-    censored = False
-    n_out, cur_base, gen = k0, 0, gen0  # cur_base: the generation's first output index
+            np.full(k0, -1, dtype=np.int64), draws(spec.lifetimes.sample, lt_fixed, blocks))]
+    n_out, censored = [k for _, k in blocks], [False] * len(rngs)
+    live = [(r, k) for r, k in blocks if k]  # (replication, parents) of the generation
+    n_all, cur_base, gen = k0, 0, gen0  # cur_base: the generation's first output index
     cur_t, cur_x, cur_xi, cur_sim = t0, x0, xi0, sim0
-    while cur_t.shape[0] > 0:
+    while live:
         if math.isinf(horizon):
             tau = np.full(cur_t.shape[0], np.inf)
             h_mass = np.full(cur_t.shape[0], spec.excitation.l1_norm)
@@ -371,25 +389,38 @@ def _grow(engine: ClusterEngine, t0: np.ndarray, x0: np.ndarray, xi0: np.ndarray
             tau = horizon - cur_t
             h_mass = spec.excitation.H(np.maximum(tau, 0.0))
         masses, columns = engine.offspring_mass(cur_x)
-        counts = rng.poisson(cur_xi * masses * h_mass)
-        total = int(counts.sum())
-        if total == 0:
+        lam = cur_xi * masses * h_mass
+        counts, delay_u, loc_u, born, at = [], [], [], [], 0
+        for r, k in live:  # a censored replication's last children ride along childless
+            c = np.zeros(k, np.int64) if censored[r] else rngs[r].poisson(lam[at:at + k])
+            at += k
+            total = int(c.sum())
+            if n_out[r] + total > budgets[r]:  # the first children in parent order fill it
+                total, censored[r] = budgets[r] - n_out[r], True
+                c = np.diff(np.minimum(np.cumsum(c), total), prepend=0)
+            counts.append(c)
+            if total:
+                n_out[r] += total
+                born.append((r, total))
+                delay_u.append(rngs[r].random(total))
+                loc_u.append(rngs[r].random((total, m)))
+        if not born:
             break
-        if n_out + total > budget:  # the first children in parent order fill it
-            total, censored = budget - n_out, True
-            counts = np.diff(np.minimum(np.cumsum(counts), total), prepend=0)
-        rep = np.repeat(np.arange(cur_t.shape[0]), counts)
-        times = cur_t[rep] + spec.excitation.sample_delay(1.0 - rng.random(total), tau[rep])
-        locs = engine.sample_offspring_locations(columns, rep, rng)
-        xis = spec.marks.sample_xi(rng, total)
+        # each generator's marks and then lifetimes follow its uniforms
+        xis = draws(spec.marks.sample_xi, spec.marks.fixed_xi, born)
+        lts = draws(spec.lifetimes.sample, lt_fixed, born)
+        rep = np.repeat(np.arange(cur_t.shape[0]), _cat(counts))
+        times = cur_t[rep] + spec.excitation.sample_delay(1.0 - _cat(delay_u), tau[rep])
+        locs = engine.place_offspring(columns, rep, _cat(loc_u))
         gen += 1
-        out.append((times, locs, xis, cur_sim[rep], np.full(total, gen, dtype=np.int64),
-                    cur_base + rep, lifetimes(total)))
-        cur_base, n_out = n_out, n_out + total
-        cur_t, cur_x, cur_xi, cur_sim = times, locs, xis, cur_sim[rep]
-        if censored:
+        out.append((times, locs, xis, cur_sim[rep], np.full(rep.shape[0], gen, dtype=np.int64),
+                    cur_base + rep, lts))
+        cur_base, n_all = n_all, n_all + rep.shape[0]
+        blocks, live = blocks + born, born
+        if all(censored[r] for r, _ in born):
             break
-    return tuple(np.concatenate(arrays) for arrays in zip(*out)), censored
+        cur_t, cur_x, cur_xi, cur_sim = times, locs, xis, cur_sim[rep]
+    return tuple(np.concatenate(arrays) for arrays in zip(*out)), censored, blocks
 
 
 def _require_linear(spec: ModelSpec):
@@ -409,6 +440,40 @@ def _as_stream(rng) -> SplitStream:
 # Public operations
 
 
+def simulate_processes(
+    spec: ModelSpec,
+    horizon: float,
+    streams: list,
+    with_lifetimes: bool = True,
+    cap: int = DEFAULT_EVENT_CAP,
+) -> list[Realization]:
+    """Simulate the linear process on [0, horizon] from an empty history, one
+    replication per stream (or integer seed), all in one `_grow`; each draws
+    only from its stream's generator.  More than `cap` events return a
+    partial realization of exactly `cap` events flagged `censored`: the `cap`
+    earliest immigrants when they alone exceed it.
+    """
+    _require_linear(spec)
+    streams = [_as_stream(rng) for rng in streams]
+    if not streams:
+        return []
+    engine = spec.engine
+    # a fresh generator at (seed, path): passing one stream twice repeats it
+    gens = [stream.child().generator() for stream in streams]
+    # each generator in turn: the count, times, location uniforms and marks;
+    # no immigrant needs no law (a zero baseline has none)
+    n_imm = [int(gen.poisson(engine.alpha * horizon)) for gen in gens]
+    sizes = [min(n, cap) for n in n_imm]
+    times = [np.sort(horizon * (1.0 - g.random(n)))[:k] for g, n, k in zip(gens, n_imm, sizes)]
+    u = _cat([g.random((k, engine.domain.dim)) for g, k in zip(gens, sizes)])
+    xis = [spec.marks.sample_xi(g, k) for g, k in zip(gens, sizes)]
+    locs = _place(engine.immigrant_law, None, engine.domain, u) if u.shape[0] else u
+    grown = _grow(engine, _cat(times), locs, _cat(xis), _cat([np.arange(k) for k in sizes]),
+                  0, horizon, gens, with_lifetimes, [cap] * len(gens), sizes)
+    return _realizations(spec, grown, horizon, [s.describe() for s in streams],
+                         [n > cap for n in n_imm])
+
+
 def simulate_process(
     spec: ModelSpec,
     horizon: float,
@@ -416,54 +481,31 @@ def simulate_process(
     with_lifetimes: bool = True,
     cap: int = DEFAULT_EVENT_CAP,
 ) -> Realization:
-    """Simulate the linear process on [0, horizon] from an empty history.
-
-    One generator per replication, the stream's generator, draws the
-    immigrants and then grows every immigrant's cluster in one breadth-first
-    branching (no per-cluster substreams), so the same (seed, path) gives
-    the same bytes in every run and under any `--threads`.  More than `cap`
-    events return a partial realization of exactly `cap` events flagged
-    `censored`: the `cap` earliest immigrants when they alone exceed it.
-    """
-    _require_linear(spec)
-    stream = _as_stream(rng)
-    engine = spec.engine
-    # a fresh generator at (seed, path): passing one stream twice repeats it
-    gen = stream.child().generator()
-    n_imm = int(gen.poisson(engine.alpha * horizon))
-    k = min(n_imm, cap)
-    times = np.sort(horizon * (1.0 - gen.random(n_imm)))[:k]
-    locs = engine.sample_immigrant_locations(k, gen)
-    xis = spec.marks.sample_xi(gen, k)
-    arrays, censored = _grow(
-        engine, times, locs, xis, np.arange(k), 0, horizon, gen, with_lifetimes, cap
-    )
-    return _assemble(spec, arrays, horizon, stream.describe(), censored or n_imm > k)
+    """`simulate_processes` of the one stream (or integer seed) `rng`."""
+    return simulate_processes(spec, horizon, [rng], with_lifetimes, cap)[0]
 
 
-def _assemble(spec, arrays, horizon, seed_info, censored) -> Realization:
-    """One realization from `_grow`'s arrays, ordered by time, then cluster
-    (the `sim` label), then branching order; parent pointers follow."""
-    t, x, xi, cl, gen, par, lt = arrays
-    if t.shape[0] == 0:
-        return Realization.empty(spec.domain.dim, horizon, seed_info, censored)
-    seq = np.arange(t.shape[0])
-    order = np.lexsort((seq, cl, t))  # time first, cluster then sequence break ties
+def _realizations(spec, grown, horizon, seeds: list, over: list) -> list[Realization]:
+    """A realization per replication of `_grow`'s output, censored if `_grow`
+    or `over` says so: its events ordered by time, then cluster (the `sim`
+    label), then branching order; ids from 0, and parent pointers follow."""
+    (t, x, xi, cl, gen, par, lt), censored, blocks = grown
+    rep = np.repeat([r for r, _ in blocks], [k for _, k in blocks])
+    bounds = np.cumsum([0, *np.bincount(rep, minlength=len(seeds))])
+    # each replication's events in branching order, then one stable sort per
+    # replication, which small sorts do faster than one sort of all
+    runs = np.split(np.argsort(rep, kind="stable"), bounds[1:-1])
+    order = _cat([i[np.lexsort((cl[i], t[i]))] for i in runs])
     inv = np.empty_like(order)
     inv[order] = np.arange(order.shape[0])
-    new_par = np.where(par >= 0, inv[np.clip(par, 0, None)], -1)
-    return Realization(
-        times=t[order],
-        locations=x[order],
-        generations=gen[order],
-        parent_ids=new_par[order],
-        mark_scalars=xi[order],
-        lifetimes=lt[order],
-        ids=np.arange(t.shape[0], dtype=np.int64),
-        horizon=float(horizon),
-        seed=seed_info,
-        censored=censored,
-    )
+    new_par = np.where(par >= 0, inv[np.clip(par, 0, None)] - bounds[rep], -1)
+    t, x, xi, gen, new_par, lt = (v[order] for v in (t, x, xi, gen, new_par, lt))
+    return [Realization(times=t[a:b], locations=x[a:b], generations=gen[a:b],
+                        parent_ids=new_par[a:b], mark_scalars=xi[a:b], lifetimes=lt[a:b],
+                        ids=np.arange(b - a, dtype=np.int64), horizon=float(horizon),
+                        seed=seed, censored=c or o) if b > a else
+            Realization.empty(spec.domain.dim, horizon, seed, c or o)
+            for a, b, seed, c, o in zip(bounds[:-1], bounds[1:], seeds, censored, over)]
 
 
 def simulate_cluster(
@@ -487,9 +529,9 @@ def simulate_cluster(
     gen = stream.child().generator()
     x0 = np.atleast_1d(np.asarray(x0, float))
     xi0 = spec.marks.sample_xi(gen, 1)
-    arrays, censored = _grow(spec.engine, np.array([float(t0)]), x0[None, :], xi0,
-                             np.zeros(1, dtype=np.int64), 0, horizon, gen, with_lifetimes, cap)
-    return _assemble(spec, arrays, horizon, stream.describe(), censored)
+    grown = _grow(spec.engine, np.array([float(t0)]), x0[None, :], xi0,
+                  np.zeros(1, dtype=np.int64), 0, horizon, [gen], with_lifetimes, [cap])
+    return _realizations(spec, grown, horizon, [stream.describe()], [False])[0]
 
 
 def population_count(real: Realization, t: float, box=None) -> int:

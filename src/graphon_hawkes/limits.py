@@ -3,7 +3,9 @@
 Each harness returns an `ExperimentReport` whose samples are reproducible
 from the model digest plus the seed: replications draw from per-index
 substreams, and aggregation is a fixed-order reduction, so thread counts
-never change the output.
+never change the output.  A thread's chunk of replications (`_pmap`) grows
+in one lockstep branching in `flln` and `fclt`; `diverge` grows one per
+call, since its replications run to the cap by design.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_sim import simulate_process
+from .cluster_sim import simulate_process, simulate_processes
 from .config import model_digest
 from .errors import OutdegreeConditionError
 from .events import box_mask
@@ -46,10 +48,14 @@ class ExperimentReport:
 
 
 def _pmap(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    """`fn` over min(threads, count) contiguous chunks of range(count), one
+    thread each: a chunk (a range) gives a list, and the lists are joined."""
+    chunks = max(min(threads, count), 1)
+    parts = [range(count * c // chunks, count * (c + 1) // chunks) for c in range(chunks)]
+    if chunks == 1:
+        return fn(parts[0])
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        return [result for part in pool.map(fn, parts) for result in part]
 
 
 def _operator_grid(spec: ModelSpec, n_op: int):
@@ -107,12 +113,15 @@ def flln_experiment(
     """FLLN check: sup-statistic samples against the stationary rate."""
     est, _, _, lam_a = _operator_setup(spec, box, _operator_grid(spec, n_op))
 
-    def one(i: int) -> float:
-        real = simulate_process(spec, horizon, stream.child(i), with_lifetimes=False)
+    def one(real) -> float:
         sel = box_mask(real.locations, box)
         return flln_sup_statistic(real.times[sel], horizon, lam_a)
 
-    samples = np.asarray(_pmap(one, reps, threads))
+    def chunk(idx: range) -> list[float]:
+        return [one(real) for real in simulate_processes(
+            spec, horizon, [stream.child(i) for i in idx], with_lifetimes=False)]
+
+    samples = np.asarray(_pmap(chunk, reps, threads))
     summary = _summary(samples)
     summary["lam_bar_A"] = lam_a
     summary["rho"] = est.rho
@@ -168,7 +177,7 @@ def divergence_experiment(
             n_a = int(np.count_nonzero(real.times[sel] <= horizon))
             return n_a / horizon, real.censored
 
-        rows = _pmap(one, reps, threads)
+        rows = _pmap(lambda idx: [one(i) for i in idx], reps, threads)
         vals = np.asarray([r[0] for r in rows])
         cens = np.asarray([r[1] for r in rows])
         samples[f"rate_T{horizon:g}"] = vals.tolist()
@@ -272,13 +281,16 @@ def fclt_experiment(
     sigma = fclt_sigma(grid, rate, share)
     total_t = burn_in + horizon
 
-    def one(i: int) -> float:
-        real = simulate_process(spec, total_t, stream.child(i), with_lifetimes=False)
+    def one(real) -> float:
         sel = (real.times > burn_in) & (real.times <= total_t) & box_mask(real.locations, box)
         count = int(np.count_nonzero(sel))
         return math.sqrt(horizon) * (count / horizon - lam_a)
 
-    samples = np.asarray(_pmap(one, reps, threads))
+    def chunk(idx: range) -> list[float]:
+        return [one(real) for real in simulate_processes(
+            spec, total_t, [stream.child(i) for i in idx], with_lifetimes=False)]
+
+    samples = np.asarray(_pmap(chunk, reps, threads))
     summary = _summary(samples)
     summary.update(
         {

@@ -169,29 +169,39 @@ def _block_mean_matrix(values: np.ndarray, cell: np.ndarray, d: int) -> np.ndarr
     return values.reshape(d, per_cell, d, per_cell).mean(axis=(1, 3))
 
 
-def average_model(spec: ModelSpec, partition: Partition) -> AveragedModel:
-    """Cell means of baseline, graphon and mark profile by grid quadrature."""
+def average_models(spec: ModelSpec, partitions) -> list[AveragedModel]:
+    """Cell means of baseline, graphon and mark profile by grid quadrature,
+    per partition of the iterable `partitions`, in turn, from one evaluation
+    of the pair functions on the standard grid."""
     n, m = spec.grid_n, spec.domain.dim
-    for c in partition.axis_counts:
-        if n % c != 0:
-            raise ResolutionTooCoarseError(
-                f"standard grid {n} does not resolve {c} cells per axis"
-            )
-    if (n**m) ** 2 > 64_000_000:
-        raise GridTooLargeError("pair averaging would exceed the memory cap")
-    nodes, _ = spec.std_grid
-    cell = partition.cell_of(nodes)
-    d = partition.d
-    per_cell = np.bincount(cell, minlength=d)
-    lam = spec.baseline_on(nodes)
-    lambda_cell = np.bincount(cell, weights=lam, minlength=d) / per_cell
+    avgs, pairs = [], None
+    for partition in partitions:
+        for c in partition.axis_counts:
+            if n % c != 0:
+                raise ResolutionTooCoarseError(
+                    f"standard grid {n} does not resolve {c} cells per axis"
+                )
+        if (n**m) ** 2 > 64_000_000:
+            raise GridTooLargeError("pair averaging would exceed the memory cap")
+        if pairs is None:
+            nodes, _ = spec.std_grid
+            lam = spec.baseline_on(nodes)
+            pairs = [spec.graphon.matrix(nodes, spec.domain)]
+            if spec.marks.kind != "unmarked":
+                pairs.append(spec.marks.b.matrix(nodes, spec.domain))
+        cell = partition.cell_of(nodes)
+        d = partition.d
+        per_cell = np.bincount(cell, minlength=d)
+        lambda_cell = np.bincount(cell, weights=lam, minlength=d) / per_cell
+        W_cell = _block_mean_matrix(pairs[0], cell, d)
+        b_cell = np.ones((d, d)) if len(pairs) == 1 else _block_mean_matrix(pairs[1], cell, d)
+        avgs.append(AveragedModel(spec, partition, lambda_cell, W_cell, b_cell))
+    return avgs
 
-    W_cell = _block_mean_matrix(spec.graphon.matrix(nodes, spec.domain), cell, d)
-    if spec.marks.kind == "unmarked":
-        b_cell = np.ones((d, d))
-    else:
-        b_cell = _block_mean_matrix(spec.marks.b.matrix(nodes, spec.domain), cell, d)
-    return AveragedModel(spec, partition, lambda_cell, W_cell, b_cell)
+
+def average_model(spec: ModelSpec, partition: Partition) -> AveragedModel:
+    """`average_models` of the one `partition`."""
+    return average_models(spec, [partition])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +501,9 @@ def simulate_coupled(
         if budget <= 0:
             censored = True
             return
-        (ts, xs, xis, _, gens, parents, lts), cens = cluster_sim._grow(
+        (ts, xs, xis, _, gens, parents, lts), (cens,), _ = cluster_sim._grow(
             engine, np.array([t]), np.array([z]), np.array([xi]), np.zeros(1, dtype=np.int64),
-            generation, horizon, gen, True, budget,
+            generation, horizon, [gen], True, [budget],
         )
         censored = censored or cens
         parents = np.where(parents < 0, parent, next_id + parents)

@@ -8,11 +8,13 @@ callers give replication r the child at r.
 The contract: one generator per replication.  A replication draws
 everything, from its immigrants through every cluster, from the one
 generator at its stream's (seed, path), in one fixed order; there are no
-per-cluster substreams.  So the same (seed, path) gives the same bytes in every run and
-under any `--threads`, which only decides where replications run.
-Passing one stream object twice repeats the run in `simulate_process`,
-`simulate_cluster` and `simulate_thinning` (each builds a fresh generator), and
-continues it in `sample_quenched_graph`, `simulate_coupled` and the MC oracles.
+per-cluster substreams, also in a lockstep branching of several
+(`simulate_processes`).  So the same (seed, path) gives the same bytes in
+every run and under any `--threads`, which only splits the replications
+into contiguous chunks, one per thread.  Passing one stream object twice
+repeats the run in `simulate_process`, `simulate_cluster` and
+`simulate_thinning` (each builds a fresh generator), and continues it in
+`sample_quenched_graph`, `simulate_coupled` and the MC oracles.
 """
 
 from __future__ import annotations

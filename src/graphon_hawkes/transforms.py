@@ -240,7 +240,7 @@ def mc_transform_oracle(
     xi0 = spec.marks.sample_xi(gen, nsim)
     grown = _grow(
         spec.engine, np.zeros(nsim), roots, xi0, np.arange(nsim, dtype=np.int64), 0,
-        float(u), gen, True, DEFAULT_EVENT_CAP,
+        float(u), [gen], True, [DEFAULT_EVENT_CAP],
     )
     return _alive_transform(grown, spec, f, u, nsim)
 
@@ -248,7 +248,7 @@ def mc_transform_oracle(
 def _alive_transform(grown, spec: ModelSpec, f: TestFunction, u: float, nsim: int):
     """The mean and SE over the `nsim` labels of exp(-sum of f over the
     particles of `_grow`'s output alive at u)."""
-    (t, xs, _, sim, _, _, lt), censored = grown
+    (t, xs, _, sim, _, _, lt), (censored,), _ = grown
     alive = (t <= u) & (u < t + lt)
     sums = np.bincount(sim[alive], weights=f.at_points(xs[alive], spec), minlength=nsim)
     vals = np.exp(-sums)
@@ -268,7 +268,7 @@ def mc_population_transform(
     times = t * (1.0 - gen.random(total))
     locs = engine.sample_immigrant_locations(total, gen)
     xis = spec.marks.sample_xi(gen, total)
-    grown = _grow(engine, times, locs, xis, sim_idx, 0, float(t), gen, True, DEFAULT_EVENT_CAP)
+    grown = _grow(engine, times, locs, xis, sim_idx, 0, float(t), [gen], True, [DEFAULT_EVENT_CAP])
     return _alive_transform(grown, spec, f, t, nsim)
 
 

@@ -16,7 +16,7 @@ import yaml
 
 from graphon_hawkes import cli, operators
 from graphon_hawkes.cli import main
-from graphon_hawkes.prelimit import average_model
+from graphon_hawkes.prelimit import average_models
 
 CONST_MODEL = {
     "domain": {"lower": [0.0], "upper": [1.0]},
@@ -238,28 +238,31 @@ def test_converge_deterministic_across_threads(model_file, tmp_path):
 
 
 def test_converge_averages_once_per_d(model_file, tmp_path, monkeypatch):
-    # both modes share one averaged model (and its gate grids) per d
+    # both modes share one averaged model (and its gate grids) per d, from
+    # one averaging call
     calls = []
 
-    def counting(spec, partition):
-        calls.append(partition.d)
-        return average_model(spec, partition)
+    def counting(spec, partitions):
+        partitions = list(partitions)
+        calls.append([partition.d for partition in partitions])
+        return average_models(spec, partitions)
 
-    monkeypatch.setattr(cli, "average_model", counting)
+    monkeypatch.setattr(cli, "average_models", counting)
     rc = main(["--model", str(model_file), "--seed", "5", "--out", str(tmp_path / "c"),
                "converge", "--d-list", "2,4,8", "--mode", "both", "--reps", "1",
                "--horizon", "1"])
     assert rc == 0
-    assert calls == [2, 4, 8]
+    assert calls == [[2, 4, 8]]
 
 
 def test_converge_builds_the_continuum_gate_grid_once(model_file, tmp_path, monkeypatch):
     # every d gates the continuum model on one shared grid
     bases, gated = [], []
 
-    def averaging(spec, partition):
-        bases.append(spec)
-        return average_model(spec, partition)
+    def averaging(spec, partitions):
+        avgs = average_models(spec, partitions)
+        bases.extend(spec for _ in avgs)
+        return avgs
 
     gate_grid = operators.gate_grid
 
@@ -267,7 +270,7 @@ def test_converge_builds_the_continuum_gate_grid_once(model_file, tmp_path, monk
         gated.append(spec)
         return gate_grid(spec)
 
-    monkeypatch.setattr(cli, "average_model", averaging)
+    monkeypatch.setattr(cli, "average_models", averaging)
     monkeypatch.setattr(operators, "gate_grid", gating)
     rc = main(["--model", str(model_file), "--seed", "5", "--out", str(tmp_path / "c"),
                "converge", "--d-list", "2,4,8", "--mode", "both", "--reps", "1",
@@ -275,6 +278,47 @@ def test_converge_builds_the_continuum_gate_grid_once(model_file, tmp_path, monk
     assert rc == 0 and len(bases) == 3
     assert sum(spec is bases[0] for spec in gated) == 1
     assert len(gated) == 4  # and one grid per averaged model
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["simulate", "--horizon", "5", "--reps", "-1"], "--reps"),
+    (["converge", "--d-list", "2", "--reps", "0"], "--reps"),
+    (["--threads", "0", "simulate", "--horizon", "5"], "--threads"),
+    (["simulate", "--method", "thinning", "--horizon", "-5"], "--horizon"),
+    (["simulate", "--horizon", "-5"], "--horizon"),
+    (["flln", "--horizon", "inf", "--reps", "2"], "--horizon"),
+    (["diverge", "--t-list", "5,-1", "--reps", "2"], "--t-list"),
+    (["fclt", "--horizon", "5", "--burn-in", "-1", "--reps", "2"], "--burn-in"),
+])
+def test_a_replication_argument_out_of_range_is_refused_naming_its_flag(
+        model_file, tmp_path, capsys, args, flag):
+    out = tmp_path / "o"
+    rc = main(["--model", str(model_file), "--out", str(out), *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[invalid-argument]: " + flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--horizon", "20", "--lifetimes", "on"],
+    ["flln", "--horizon", "20"],
+    ["fclt", "--horizon", "20", "--burn-in", "2"],
+    ["diverge", "--t-list", "5,10"],
+])
+def test_replications_give_the_same_bytes_for_any_thread_count(model_file, tmp_path, args):
+    # --threads splits the replications into contiguous chunks, each grown
+    # in one lockstep branching (one replication per call in diverge)
+    for reps in (1, 2, 5):
+        runs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"r{reps}t{threads}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["--model", str(model_file), "--seed", "9", "--threads", str(threads),
+                           "--out", str(out), *args, "--reps", str(reps)])
+            assert rc == 0
+            runs.append(read_artifacts(out))
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_malformed_yaml_exit_1_typed(tmp_path, capsys):
@@ -572,6 +616,10 @@ GOLDEN_MODELS = {
                                           "slope": [1.0]}},
                   "xi": {"family": "exponential", "mean": 0.8}},
         "lifetimes": {"family": "deterministic", "tau": 1.5}},
+    # drawn mark scalars and drawn lifetimes over a rank-one graphon
+    "rank1-drawn": {**CONST_MODEL, "grid_n": 512, "graphon": {
+        "family": "rank-one", "coeff": 1.5, "profile": {"family": "identity"}},
+        "marks": {"kind": "scaled-profile", "xi": {"family": "exponential", "mean": 0.8}}},
 }
 # 40 unmarked events on [-20, 0), spread over the 16 cells
 GOLDEN_HISTORY = "".join(history_line(-20.0 + 0.5 * i, [((7 * i) % 16 + 0.5) / 16], i=i)
@@ -584,6 +632,10 @@ GOLDEN_MARKED_HISTORY = "".join(
 GOLDEN_RUNS = {
     "simulate": ("step16", ["simulate", "--reps", "2", "--horizon", "40"],
                  "e4f0a5085aef500ef34763be0139e4ed99269e85004254d77266e974f8b1e278"),
+    # every draw of a replication, its lifetimes last; the cap censors three of four
+    "simulate-drawn": ("rank1-drawn", ["simulate", "--reps", "4", "--horizon", "30",
+                                       "--lifetimes", "on", "--cap", "45"],
+                       "484d9459439a04661c6d73ff562c4c006a92da5d289899b7c5bd21a21aac5b35"),
     "flln": ("step16", ["flln", "--horizon", "30", "--reps", "3"],
              "98552d8e927269f3c5134e49048d205f4fcd3822c01a065666e6bd6f1cef1833"),
     "converge": ("rank1", ["converge", "--d-list", "4,16", "--mode", "both",

@@ -23,6 +23,7 @@ from graphon_hawkes.cluster_sim import (
     sample_point,
     simulate_cluster,
     simulate_process,
+    simulate_processes,
 )
 from graphon_hawkes.errors import (
     DegenerateDensityError,
@@ -735,16 +736,17 @@ def test_each_model_builds_one_engine_and_each_average_one_coupling_setup(monkey
 
 def test_shared_engines_and_coupling_setups_give_the_same_bytes_under_threads():
     # 4 threads on 2 cores, switching often, fill each model's column cache
-    # and coupling setup at once
+    # and coupling setup at once, each thread on a chunk of 2 replications
     def process(model):
-        return lambda r: simulate_process(model, 50.0, gh.SplitStream(34).child(r)).to_ndjson()
+        return lambda idx: [real.to_ndjson() for real in simulate_processes(
+            model, 50.0, [gh.SplitStream(34).child(r) for r in idx])]
 
     def coupled(avg):
         def one(r):
             pair = simulate_coupled(avg, 5.0, mode=("annealed", "quenched")[r % 2],
                                     rng=gh.SplitStream(35).child(r))
             return pair.n.to_ndjson() + pair.nd.to_ndjson()
-        return one
+        return lambda idx: [one(r) for r in idx]
 
     def runs(threads):
         out = []
@@ -1041,3 +1043,56 @@ def test_immigrant_law_is_built_once_per_engine(monkeypatch):
     for r in range(3):
         assert len(simulate_process(spec, 20.0, gh.SplitStream(r)))
     assert sum(density is spec.engine.lam_vals for density in built) == 1
+
+
+def signed_rank_one_model():
+    """A rank-one graphon (y - 1/2)(z - 1/2) times 2: its column's sign
+    flips at 1/2, so the law has both sign keys."""
+    return dataclasses.replace(gh.rank_one_model(1.2, grid_n=64), graphon=gh.PairFunction(
+        "rank-one", coeff=2.0, profile=SpatialProfile("affine", intercept=-0.5, slope=(1.0,))))
+
+
+LOCKSTEP_MODELS = {
+    "flat": gh.constant_model(0.5, grid_n=64),
+    "keyed": step_model(64),
+    "keyed, step marks": step_marked_model(),
+    "rank-one": gh.rank_one_model(1.2, grid_n=64),
+    "rank-one, both signs": signed_rank_one_model(),
+    "bilinear (no key)": bilinear_model(),
+    "2-d keyed": step_model_2d(),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from(sorted(LOCKSTEP_MODELS)),
+       xi=st.sampled_from(["fixed", "exponential", "gamma"]),
+       lifetimes=st.sampled_from(["off", "exponential", "deterministic"]),
+       horizon=st.floats(0.02, 15.0),
+       reps=st.integers(1, 6),
+       cap=st.integers(0, 40) | st.just(cluster_sim.DEFAULT_EVENT_CAP),
+       chunks=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(model="keyed", xi="exponential", lifetimes="exponential", horizon=0.3, reps=6,
+         cap=cluster_sim.DEFAULT_EVENT_CAP, chunks=2, seed=3)  # some with no immigrant
+@example(model="rank-one", xi="gamma", lifetimes="deterministic", horizon=12.0, reps=5,
+         cap=12, chunks=3, seed=1)  # the cap censors some replications only
+def test_lockstep_replications_equal_one_branching_per_replication(
+        model, xi, lifetimes, horizon, reps, cap, chunks, seed):
+    # each replication of a lockstep call, in chunks of any split, gives the
+    # bytes and the censoring of a call of its own
+    spec = LOCKSTEP_MODELS[model]
+    if xi != "fixed":
+        spec = dataclasses.replace(spec, marks=dataclasses.replace(
+            spec.marks, kind="scaled-profile", xi_family=xi,
+            xi_value=0.8 if xi == "exponential" else 0.4, xi_shape=2.0))
+    if lifetimes != "off":
+        spec = dataclasses.replace(spec, lifetimes=gh.LifetimeModel(lifetimes, tau=1.5,
+                                                                    rate=2.0))
+    streams = [gh.SplitStream(seed).child(r) for r in range(reps)]
+    kw = dict(with_lifetimes=lifetimes != "off", cap=cap)
+    one = [simulate_process(spec, horizon, s, **kw) for s in streams]
+    bounds = [reps * c // chunks for c in range(chunks + 1)]
+    lockstep = [real for a, b in zip(bounds, bounds[1:])
+                for real in simulate_processes(spec, horizon, streams[a:b], **kw)]
+    assert [(r.to_ndjson(), r.censored) for r in lockstep] == \
+        [(r.to_ndjson(), r.censored) for r in one]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,7 @@ from graphon_hawkes.operators import discretize_kernel, operator_norm_l1, spectr
 from graphon_hawkes.prelimit import (
     _cell_model,
     average_model,
+    average_models,
     build_partition,
     sample_quenched_graph,
     simulate_coupled,
@@ -112,6 +114,43 @@ def test_average_model_identity_on_constants():
     again = average_model(avg.spec, build_partition(spec.domain, 8, "per-axis-counts"))
     assert np.allclose(again.W_cell, avg.W_cell)
     assert np.allclose(again.lambda_cell, avg.lambda_cell)
+
+
+def test_one_averaging_call_builds_each_pair_matrix_once(monkeypatch):
+    # the graphon and the mark profile are evaluated on the standard grid
+    # once for every partition, and each average holds the doubles of a
+    # call of its own; 2-d nodes are not in cell order
+    b = gh.PairFunction("rank-one", coeff=1.0,
+                        profile=SpatialProfile("affine", intercept=0.5, slope=(1.0,)))
+    marked = dataclasses.replace(gh.rank_one_model(1.5, grid_n=64),
+                                 marks=gh.MarkModel(kind="scaled-profile", profile=b))
+    two_d = dataclasses.replace(gh.constant_model(0.5, grid_n=8),
+                                domain=gh.SpatialDomain((0.0, 0.0), (1.0, 2.0)))
+    matrix = gh.PairFunction.matrix
+    for spec, pairs, ds in ((gh.rank_one_model(1.5, grid_n=64), 1, (2, 4, 16)),
+                            (marked, 2, (2, 4, 16)), (two_d, 1, ((2, 2), (4, 2)))):
+        parts = [build_partition(spec.domain, d, "per-axis-counts") for d in ds]
+        one_each = [average_model(spec, part) for part in parts]
+        built = []
+        monkeypatch.setattr(gh.PairFunction, "matrix",
+                            lambda self, *a: built.append(self) or matrix(self, *a))
+        avgs = average_models(spec, iter(parts))
+        monkeypatch.undo()
+        assert len(built) == pairs
+        for avg, ref in zip(avgs, one_each, strict=True):
+            for name in ("lambda_cell", "W_cell", "b_cell"):
+                assert getattr(avg, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_a_one_sided_cluster_cut_by_the_cap_draws_nothing_more():
+    # the pass draws on from its generator after a one-sided cluster fills
+    # the cap: the cut generation's children draw no counts of their own
+    spec = gh.constant_model(0.7, grid_n=64)
+    avg = average_model(spec, build_partition(spec.domain, 16, "per-axis-counts"))
+    pair = simulate_coupled(avg, 30.0, mode="quenched", rng=gh.SplitStream(62).child(2), cap=200)
+    assert pair.n.censored
+    digest = hashlib.sha256((pair.n.to_ndjson() + pair.nd.to_ndjson()).encode()).hexdigest()
+    assert digest == "3f641a2c3feea01efc369d840bd078296d4d2f493cd9c07d705419f3523f7735"
 
 
 def test_average_model_resolution_guard():
