@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,25 +52,12 @@ from .transforms import (
 _VALIDATION_EXIT = 1
 _UNSTABLE_EXIT = 2
 _IO_EXIT = 3
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    model_path: str | None
-    seed: int
-    out_dir: Path
-    threads: int = 1
-    grid_n: int | None = None
-    options: dict = field(default_factory=dict)
+# the flags before the subcommand; the manifest's options are the rest
+_GLOBAL_FLAGS = {"model", "seed", "out", "threads", "grid_n", "subcommand"}
 
 
 def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
+    if isinstance(o, (np.integer, np.floating, np.ndarray)):  # as Python ints and floats
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o)}")
 
@@ -88,18 +74,24 @@ def _number(text: str, kind, flag: str):
         raise InvalidArgumentError(f"{flag}: {text!r} is not a number") from None
 
 
-def _check_ranges(options: dict):
-    """Refuse a replication argument out of its range, naming its flag."""
-    for key, flag, ok, need in (
-            ("threads", "--threads", lambda v: v >= 1, "at least 1"),
-            ("reps", "--reps", lambda v: v >= 1, "at least 1"),
-            ("horizon", "--horizon", lambda v: 0 < v < np.inf, "positive and finite"),
-            ("t_list", "--t-list", lambda v: 0 < v < np.inf, "positive and finite"),
-            ("burn_in", "--burn-in", lambda v: 0 <= v < np.inf, "nonnegative and finite")):
-        value = options.get(key, [])
-        for v in value if isinstance(value, list) else [value]:
-            if not ok(v):
-                raise InvalidArgumentError(f"{flag} must be {need}, not {v!r}")
+_RANGES = (  # (flags' keys, test, what the test asks)
+    (("threads", "grid_n", "reps", "n", "cap"), lambda v: v >= 1, "at least 1"),
+    (("n_u",), lambda v: v >= 2, "at least 2"),
+    (("oracle",), lambda v: v >= 0, "at least 0"),
+    (("horizon", "t_list", "t", "tol"), lambda v: 0 < v < np.inf, "positive and finite"),
+    (("burn_in", "eps"), lambda v: 0 <= v < np.inf, "nonnegative and finite"),
+)
+
+
+def _check_ranges(args: argparse.Namespace):
+    """Refuse a numeric argument out of its range, naming its flag."""
+    for keys, ok, need in _RANGES:
+        for key in keys:
+            value = getattr(args, key, None)
+            for v in value if isinstance(value, list) else [value]:
+                if v is not None and not ok(v):
+                    flag = "--" + key.replace("_", "-")
+                    raise InvalidArgumentError(f"{flag} must be {need}, not {v!r}")
 
 
 def _parse_box(text: str | None, dim: int):
@@ -113,24 +105,24 @@ def _parse_box(text: str | None, dim: int):
     raise InvalidArgumentError(f"--set needs 2*dim={2 * dim} comma-separated numbers")
 
 
-def _load_spec(cfg: RunConfig):
-    spec = load_model(cfg.model_path)
-    if cfg.grid_n:
-        spec = dataclasses.replace(spec, grid_n=cfg.grid_n)
+def _load_spec(args: argparse.Namespace):
+    spec = load_model(args.model)
+    if args.grid_n is not None:
+        spec = dataclasses.replace(spec, grid_n=args.grid_n)
     report = validate_model(spec)
     if report:
         raise GraphonHawkesError("model validation failed: " + "; ".join(report))
     return spec
 
 
-def _write_manifest(cfg: RunConfig, spec, artifacts: list[str], t0: float):
+def _write_manifest(args: argparse.Namespace, spec, artifacts: list[str], t0: float):
     manifest = {
-        "subcommand": cfg.subcommand,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "options": {k: v for k, v in sorted(cfg.options.items())},
-        "config": spec_config(spec) if spec is not None else None,
-        "config_digest": model_digest(spec) if spec is not None else None,
+        "subcommand": args.subcommand,
+        "seed": args.seed,
+        "threads": args.threads,
+        "options": {k: v for k, v in sorted(vars(args).items()) if k not in _GLOBAL_FLAGS},
+        "config": spec_config(spec),
+        "config_digest": model_digest(spec),
         "versions": {
             "graphon_hawkes": __version__,
             "python": sys.version.split()[0],
@@ -139,106 +131,102 @@ def _write_manifest(cfg: RunConfig, spec, artifacts: list[str], t0: float):
         "artifacts": sorted(artifacts),
         "wall_time_s": round(time.time() - t0, 3),
     }
-    _dump_json(manifest, cfg.out_dir / "manifest.json")
+    _dump_json(manifest, args.out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_simulate(cfg: RunConfig, spec) -> list[str]:
-    opt = cfg.options
-    reps, horizon = opt["reps"], opt["horizon"]
-    with_lt = opt["lifetimes"] == "on"
-    stream = SplitStream(cfg.seed)
+def _cmd_simulate(args: argparse.Namespace, spec) -> list[str]:
+    horizon, with_lt = args.horizon, args.lifetimes == "on"
+    stream = SplitStream(args.seed)
     artifacts = []
 
     history = None
-    if opt.get("history"):
-        if opt["method"] != "thinning":
+    if args.history:
+        if args.method != "thinning":
             raise InvalidArgumentError("--history needs --method thinning")
-        past = Realization.from_ndjson(Path(opt["history"]).read_text())
+        past = Realization.from_ndjson(Path(args.history).read_text())
         # every event, so that one at t >= 0 is refused, not dropped
         history = HistorySnapshot(times=past.times, locations=past.locations,
                                   mark_scalars=past.mark_scalars, t_ref=0.0)
 
     def chunk(idx: range) -> list[Realization]:
         subs = [stream.child(r) for r in idx]
-        if opt["method"] == "thinning":
+        if args.method == "thinning":
             return [simulate_thinning(spec, horizon, initial=history, rng=sub,
-                                      with_lifetimes=with_lt, cap=opt["cap"]) for sub in subs]
-        return simulate_processes(spec, horizon, subs, with_lifetimes=with_lt, cap=opt["cap"])
+                                      with_lifetimes=with_lt, cap=args.cap) for sub in subs]
+        return simulate_processes(spec, horizon, subs, with_lifetimes=with_lt, cap=args.cap)
 
-    reals = _pmap(chunk, reps, cfg.threads)
+    reals = _pmap(chunk, args.reps, args.threads)
 
     counts = []
     for r, real in enumerate(reals):
         name = f"events_r{r:04d}.ndjson"
-        (cfg.out_dir / name).write_text(real.to_ndjson())
+        (args.out / name).write_text(real.to_ndjson())
         artifacts.append(name)
         counts.append({"rep": r, "events": len(real), "censored": real.censored})
     _dump_json(
-        {"reps": reps, "horizon": horizon, "method": opt["method"], "counts": counts},
-        cfg.out_dir / "summary.json",
+        {"reps": args.reps, "horizon": horizon, "method": args.method, "counts": counts},
+        args.out / "summary.json",
     )
     artifacts.append("summary.json")
     return artifacts
 
 
-def _cmd_stability(cfg: RunConfig, spec) -> list[str]:
-    payload = dataclasses.asdict(stability_report(spec, cfg.options["n"]))
+def _cmd_stability(args: argparse.Namespace, spec) -> list[str]:
+    payload = dataclasses.asdict(stability_report(spec, args.n))
     print(json.dumps(payload, sort_keys=True))
-    _dump_json(payload, cfg.out_dir / "stability.json")
+    _dump_json(payload, args.out / "stability.json")
     return ["stability.json"]
 
 
-def _cmd_analyze(cfg: RunConfig, spec) -> list[str]:
-    opt = cfg.options
-    real_a = Realization.from_ndjson(Path(opt["events_a"]).read_text())
-    real_b = Realization.from_ndjson(Path(opt["events_b"]).read_text())
-    spec_b = load_model(opt["model2"]) if opt.get("model2") else spec
+def _cmd_analyze(args: argparse.Namespace, spec) -> list[str]:
+    real_a = Realization.from_ndjson(Path(args.events_a).read_text())
+    real_b = Realization.from_ndjson(Path(args.events_b).read_text())
+    spec_b = load_model(args.model2) if args.model2 else spec
     breakdown = pp_distance(
-        real_a, real_b, spec, spec_b, matching=opt["matching"], eps=opt["eps"]
+        real_a, real_b, spec, spec_b, matching=args.matching, eps=args.eps
     )
     payload = {
         "simultaneous_location_term": breakdown.simultaneous_location_term,
         "simultaneous_mark_term": breakdown.simultaneous_mark_term,
         "nonsimultaneous_term": breakdown.nonsimultaneous_term,
         "total": breakdown.total,
-        "matching": opt["matching"],
+        "matching": args.matching,
     }
-    if opt["matching"] == "time-tolerance":
+    if args.matching == "time-tolerance":
         payload["mode_note"] = "best-effort extension for uncoupled realizations"
     print(json.dumps(payload, sort_keys=True))
-    _dump_json(payload, cfg.out_dir / "distance.json")
+    _dump_json(payload, args.out / "distance.json")
     return ["distance.json"]
 
 
-def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
-    opt = cfg.options
-    stream = SplitStream(cfg.seed)
-    modes = ["annealed", "quenched"] if opt["mode"] == "both" else [opt["mode"]]
+def _cmd_converge(args: argparse.Namespace, spec) -> list[str]:
+    stream = SplitStream(args.seed)
+    modes = ["annealed", "quenched"] if args.mode == "both" else [args.mode]
     rows = []
     summary: dict = {}
     # one averaged model per d, shared by both modes with its gate grids
-    avgs = average_models(spec, (build_partition(spec.domain, d, opt["scheme"])
-                                 for d in opt["d_list"]))
+    avgs = average_models(spec, (build_partition(spec.domain, d, args.scheme)
+                                 for d in args.d_list))
     for mode in modes:
-        for di, (d, avg) in enumerate(zip(opt["d_list"], avgs)):
+        for di, (d, avg) in enumerate(zip(args.d_list, avgs)):
             frozen = None
-            if mode == "quenched" and opt["freeze_graph"]:
+            if mode == "quenched" and args.freeze_graph:
                 frozen = sample_quenched_graph(avg, stream.child(90, di))
 
             def one(rep: int):
                 pair = simulate_coupled(
-                    avg, opt["horizon"], mode=mode,
+                    avg, args.horizon, mode=mode,
                     rng=stream.child(0 if mode == "annealed" else 1, di, rep),
                     quenched_graph=frozen,
                 )
                 dist = pp_distance(pair.n, pair.nd, spec, pair.avg.spec).total
                 return dist, pair.shared_fraction, pair.one_event_per_cell
 
-            results = _pmap(lambda idx: [one(i) for i in idx], opt["reps"], cfg.threads)
+            results = _pmap(lambda idx: [one(i) for i in idx], args.reps, args.threads)
             for rep, (dist, frac, occ) in enumerate(results):
                 rows.append((d, mode, rep, dist, frac, occ))
             summary.setdefault(mode, {})[str(d)] = {
@@ -248,51 +236,47 @@ def _cmd_converge(cfg: RunConfig, spec) -> list[str]:
     lines = ["d,mode,rep,distance,shared_fraction,one_event_per_cell"]
     for d, mode, rep, dist, frac, occ in rows:
         lines.append(f"{d},{mode},{rep},{dist!r},{frac!r},{str(occ).lower()}")
-    (cfg.out_dir / "converge.csv").write_text("\n".join(lines) + "\n")
-    _dump_json(summary, cfg.out_dir / "summary.json")
+    (args.out / "converge.csv").write_text("\n".join(lines) + "\n")
+    _dump_json(summary, args.out / "summary.json")
     return ["converge.csv", "summary.json"]
 
 
-def _cmd_limits(cfg: RunConfig, spec) -> list[str]:
-    opt = cfg.options
-    stream = SplitStream(cfg.seed)
-    box = _parse_box(opt.get("set"), spec.domain.dim)
-    if cfg.subcommand == "flln":
+def _cmd_limits(args: argparse.Namespace, spec) -> list[str]:
+    stream = SplitStream(args.seed)
+    box = _parse_box(args.set, spec.domain.dim)
+    if args.subcommand == "flln":
         report = flln_experiment(
-            spec, box, opt["horizon"], opt["reps"], stream, threads=cfg.threads,
-            threshold_median=opt.get("threshold_median"),
+            spec, box, args.horizon, args.reps, stream, threads=args.threads,
+            threshold_median=args.threshold_median,
         )
         key = "sup_statistic"
-    elif cfg.subcommand == "fclt":
+    elif args.subcommand == "fclt":
         report = fclt_experiment(
-            spec, box, opt["horizon"], opt["reps"], stream,
-            burn_in=opt["burn_in"], threads=cfg.threads,
+            spec, box, args.horizon, args.reps, stream,
+            burn_in=args.burn_in, threads=args.threads,
         )
         key = "normalized"
     else:
         report = divergence_experiment(
-            spec, box, opt["t_list"], opt["reps"], stream,
-            cap=opt["cap"], threads=cfg.threads,
+            spec, box, args.t_list, args.reps, stream,
+            cap=args.cap, threads=args.threads,
         )
         key = None
     if key is not None:
-        lines = [f"rep,{key}"] + [
-            f"{i},{v!r}" for i, v in enumerate(report.samples[key])
-        ]
+        lines = [f"rep,{key}"] + [f"{i},{v!r}" for i, v in enumerate(report.samples[key])]
     else:
         lines = ["T,rep,rate"]
-        for t in opt["t_list"]:
+        for t in args.t_list:
             for i, v in enumerate(report.samples[f"rate_T{t:g}"]):
                 lines.append(f"{t:g},{i},{v!r}")
-    (cfg.out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
-    _dump_json(report.to_dict(), cfg.out_dir / "summary.json")
+    (args.out / "samples.csv").write_text("\n".join(lines) + "\n")
+    _dump_json(report.to_dict(), args.out / "summary.json")
     print(json.dumps(report.summary, sort_keys=True, default=_json_default))
     return ["samples.csv", "summary.json"]
 
 
-def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
-    opt = cfg.options
-    fspec = opt["f"]
+def _cmd_transform(args: argparse.Namespace, spec) -> list[str]:
+    fspec = args.f
     if fspec.startswith("const:"):
         f = TestFunction.constant(_number(fspec.split(":", 1)[1], float, "--f const"))
     elif fspec.startswith("grid:"):
@@ -300,8 +284,8 @@ def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
         f = TestFunction.from_values(vals)
     else:
         raise InvalidArgumentError("--f must be const:<z> or grid:<file>")
-    eta, log = fixed_point(spec, f, opt["t"], tol=opt["tol"], n_u=opt["n_u"])
-    lq = laplace_of_Q(eta, spec, opt["t"])
+    eta, log = fixed_point(spec, f, args.t, tol=args.tol, n_u=args.n_u)
+    lq = laplace_of_Q(eta, spec, args.t)
     payload = {
         "L_Q": lq,
         "grid_n": eta.grid_n,
@@ -311,32 +295,32 @@ def _cmd_transform(cfg: RunConfig, spec) -> list[str]:
         "oracle_estimate": None,
         "oracle_se": None,
     }
-    if opt["oracle"]:  # at the node of largest baseline mass, at u = t
+    if args.oracle:  # at the node of largest baseline mass, at u = t
         nodes, weights = spec.std_grid
         i_star = int(np.argmax(spec.baseline_on(nodes) * weights))
         est = mc_transform_oracle(
-            spec, nodes[i_star], f, opt["t"], opt["oracle"], SplitStream(cfg.seed).child(7)
+            spec, nodes[i_star], f, args.t, args.oracle, SplitStream(args.seed).child(7)
         )
         payload.update(oracle_estimate=est.estimate, oracle_se=est.stderr,
                        eta_at_oracle_point=float(eta.values[i_star, -1]))
     print(json.dumps(payload, sort_keys=True))
-    _dump_json(payload, cfg.out_dir / "transform.json")
+    _dump_json(payload, args.out / "transform.json")
     return ["transform.json"]
 
 
 # ---------------------------------------------------------------------------
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed command line, its seed and output directory resolved."""
     t0 = time.time()
-    spec = None
     try:
         for key, kind, flag in (("d_list", int, "--d-list"), ("t_list", float, "--t-list")):
-            if key in cfg.options:
-                cfg.options[key] = [_number(v, kind, flag) for v in cfg.options[key].split(",")]
-        _check_ranges({**cfg.options, "threads": cfg.threads})
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        spec = _load_spec(cfg)
+            if hasattr(args, key):
+                setattr(args, key, [_number(v, kind, flag) for v in getattr(args, key).split(",")])
+        _check_ranges(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        spec = _load_spec(args)
         handler = {
             "simulate": _cmd_simulate,
             "stability": _cmd_stability,
@@ -346,9 +330,9 @@ def run(cfg: RunConfig) -> int:
             "fclt": _cmd_limits,
             "diverge": _cmd_limits,
             "transform": _cmd_transform,
-        }[cfg.subcommand]
-        artifacts = handler(cfg, spec)
-        _write_manifest(cfg, spec, artifacts, t0)
+        }[args.subcommand]
+        artifacts = handler(args, spec)
+        _write_manifest(args, spec, artifacts, t0)
         return 0
     except (UnstableModelError, PrelimitUnstableError, OutdegreeConditionError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
@@ -442,25 +426,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("GRAPHON_HAWKES_SEED", "0"))
-    out = Path(args.out) if args.out else Path(f"out-{args.subcommand}")
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in {"model", "seed", "out", "threads", "grid_n", "subcommand"}
-    }
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        model_path=args.model,
-        seed=seed,
-        out_dir=out,
-        threads=args.threads,
-        grid_n=args.grid_n,
-        options=options,
-    )
-    return run(cfg)
+    if args.seed is None:
+        args.seed = int(os.environ.get("GRAPHON_HAWKES_SEED", "0"))
+    args.out = Path(args.out or f"out-{args.subcommand}")
+    return run(args)
 
 
 if __name__ == "__main__":

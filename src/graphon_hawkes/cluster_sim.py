@@ -19,16 +19,15 @@ is lo + u (hi - lo).  Each output row depends only on its own uniform row
 and its law; `sample_point` draws one row, the same doubles, in Python
 floats.
 
-Branching runs a generation at a time on the engine's offspring law, the one
-law of the model, also read by thinning and the coupled pass: one `law` call
-keys the generation, a parent's mass is its scale times its key's shape
-mass, and each distinct shape is fetched or built once.  The children's
-locations come from one (total, m) uniform block and one draw over the
-stacked laws of the shapes with children.  Row r of the block goes to the
-r-th child in stable parent order, the doubles that one draw per parent in
-ascending parent order would give.  The engine owns the law of each keyed
-shape, built when the key first has children and kept for the engine's life,
-at most one per key; with no key, each parent's column gets a law in its
+Branching runs a generation at a time on the engine's offspring law
+(`ClusterEngine` states the rule): one `law` call keys the generation, and
+each distinct shape is fetched or built once.  The children's locations
+come from one (total, m) uniform block and one draw over the stacked laws
+of the shapes with children.  Row r of the block goes to the r-th child in
+stable parent order, the doubles that one draw per parent in ascending
+parent order would give.  The engine owns the law of each keyed shape,
+built when the key first has children and kept for the engine's life, at
+most one per key; with no key, each parent's column gets a law in its
 generation only.  A row-wise binary search over the stacked cumulative sums
 compares the doubles that a per-shape `searchsorted` compares and rounds
 nothing, so every location keeps the bytes of one draw per parent.  A
@@ -170,14 +169,20 @@ class ClusterEngine:
     or else on its standard grid.  `ModelSpec.engine` builds it once; holding
     the copy, not the model, keeps the two free of a reference cycle.
 
-    A parent at y has the column z -> max(b(z, y) W(z, y), 0): its scale
-    times the cached shape of its key, and its mass the scale times the
-    shape's.  The form gives the key: a key cell (scale 1, the shape built
-    at the cell's midpoint, also for a parent on a face); on a rank-one
-    product b W = s(y) prod_f a_f(z), the sign of s (1 if s < 0), with scale
-    |s| and shape max(+-prod_f a_f, 0), whose product is max(s prod_f a_f, 0)
-    exactly; else None, and each column is rebuilt.  The cache holds a shape
-    per key cell, or two, never one per event."""
+    The offspring law, the model's one law, read by every simulator: a parent
+    at y has the column z -> max(b(z, y) W(z, y), 0), its scale times the
+    cached shape of its key, and its mass the scale times the shape's.  The
+    baseline plays no part.  The form gives the key:
+    * a cell of `ModelForm.keys`, the common cells of the graphon and the
+      mark profile with no node cap (one key, `flat`, for a constant graphon
+      and profile), with scale 1 and the shape built at the cell's midpoint,
+      also for a parent on a face;
+    * on a product of constant and rank-one factors b W = s(y) prod_f a_f(z),
+      s(y) = coeff prod_f a_f(y), the sign of s (1 if s < 0), with scale
+      |s| and shape max(+-prod_f a_f, 0), whose product is
+      max(s prod_f a_f, 0) exactly;
+    * else None, and each column is rebuilt.
+    The cache holds a shape per key cell, or two, never one per event."""
 
     def __init__(self, spec: ModelSpec):
         self.form = spec.form
@@ -192,10 +197,6 @@ class ClusterEngine:
         # (key -> row, the stacked `density_law`s of those rows), replaced whole
         self._laws: tuple[dict[int, int], tuple] = ({}, ())
 
-    def _keys(self, ys: np.ndarray) -> np.ndarray:
-        """The key cell of each row of the (k, m) points `ys`."""
-        return _cell_index(ys, self.domain, self.form.keys)
-
     def _product(self, coeff: float, pts: np.ndarray) -> np.ndarray:
         """coeff times the rank-one profiles at `pts`, in that order."""
         for profile in self.form.profiles:
@@ -209,7 +210,7 @@ class ClusterEngine:
         if form.flat:  # one key: no key-grid arithmetic
             return np.zeros(ys.shape[0], int), None
         if form.keys is not None:
-            return self._keys(ys), None
+            return _cell_index(ys, self.domain, form.keys), None
         if form.coeff is None:
             return None, None
         s = self._product(form.coeff, ys)
@@ -222,7 +223,7 @@ class ClusterEngine:
         if form.flat:
             return 0, 1.0
         pt = y if isinstance(y, list) else np.atleast_1d(y).tolist()
-        if form.keys is not None:  # `_keys` of one point
+        if form.keys is not None:  # `_cell_index` of one point
             key = 0
             for yi, lo, hi, c in zip(pt, self.domain.lo.tolist(),
                                      self.domain.hi.tolist(), form.keys):
@@ -266,10 +267,10 @@ class ClusterEngine:
         """The baseline's `density_law`, of `sample_location`, built once."""
         return density_law(self.lam_vals)
 
-    def sample_immigrant_locations(self, k: int, rng) -> np.ndarray:
-        if k == 0:
-            return np.empty((0, self.domain.dim))
-        return _place(self.immigrant_law, None, self.domain, rng.random((k, self.domain.dim)))
+    def place_immigrants(self, u: np.ndarray) -> np.ndarray:
+        """Immigrants placed by the (k, m) uniforms `u`; k = 0 reads no law (a
+        zero baseline has none)."""
+        return _place(self.immigrant_law, None, self.domain, u) if u.shape[0] else u
 
     # -- offspring ----------------------------------------------------------
 
@@ -294,16 +295,11 @@ class ClusterEngine:
         shapes = {key: col for key, (_, col) in zip(present, pairs)}
         return masses if scales is None else scales * masses, (shapes, of_parent)
 
-    def sample_offspring_locations(self, columns, child_parent_idx, rng) -> np.ndarray:
-        """`place_offspring` of one (total, m) uniform block drawn from `rng`."""
-        total, m = child_parent_idx.shape[0], self.domain.dim
-        if total == 0:
-            return np.empty((0, m))
-        return self.place_offspring(columns, child_parent_idx, rng.random((total, m)))
-
     def place_offspring(self, columns, child_parent_idx, u) -> np.ndarray:
         """Children of `child_parent_idx` by the `columns` of `offspring_mass`,
         placed by the (total, m) uniforms `u` in one stacked draw (module docstring)."""
+        if not u.shape[0]:
+            return u
         shapes, of_parent = columns
         if of_parent is None:  # a flat law: every child draws from its one shape
             return sample_location(shapes[0], self.domain, u)
@@ -467,10 +463,10 @@ def simulate_processes(
     times = [np.sort(horizon * (1.0 - g.random(n)))[:k] for g, n, k in zip(gens, n_imm, sizes)]
     u = _cat([g.random((k, engine.domain.dim)) for g, k in zip(gens, sizes)])
     xis = [spec.marks.sample_xi(g, k) for g, k in zip(gens, sizes)]
-    locs = _place(engine.immigrant_law, None, engine.domain, u) if u.shape[0] else u
-    grown = _grow(engine, _cat(times), locs, _cat(xis), _cat([np.arange(k) for k in sizes]),
-                  0, horizon, gens, with_lifetimes, [cap] * len(gens), sizes)
-    return _realizations(spec, grown, horizon, [s.describe() for s in streams],
+    grown = _grow(engine, _cat(times), engine.place_immigrants(u), _cat(xis),
+                  _cat([np.arange(k) for k in sizes]), 0, horizon, gens, with_lifetimes,
+                  [cap] * len(gens), sizes)
+    return _realizations(grown, horizon, [s.describe() for s in streams],
                          [n > cap for n in n_imm])
 
 
@@ -485,7 +481,7 @@ def simulate_process(
     return simulate_processes(spec, horizon, [rng], with_lifetimes, cap)[0]
 
 
-def _realizations(spec, grown, horizon, seeds: list, over: list) -> list[Realization]:
+def _realizations(grown, horizon, seeds: list, over: list) -> list[Realization]:
     """A realization per replication of `_grow`'s output, censored if `_grow`
     or `over` says so: its events ordered by time, then cluster (the `sim`
     label), then branching order; ids from 0, and parent pointers follow."""
@@ -500,11 +496,8 @@ def _realizations(spec, grown, horizon, seeds: list, over: list) -> list[Realiza
     inv[order] = np.arange(order.shape[0])
     new_par = np.where(par >= 0, inv[np.clip(par, 0, None)] - bounds[rep], -1)
     t, x, xi, gen, new_par, lt = (v[order] for v in (t, x, xi, gen, new_par, lt))
-    return [Realization(times=t[a:b], locations=x[a:b], generations=gen[a:b],
-                        parent_ids=new_par[a:b], mark_scalars=xi[a:b], lifetimes=lt[a:b],
-                        ids=np.arange(b - a, dtype=np.int64), horizon=float(horizon),
-                        seed=seed, censored=c or o) if b > a else
-            Realization.empty(spec.domain.dim, horizon, seed, c or o)
+    return [Realization.build(t[a:b], x[a:b], xi[a:b], lt[a:b], horizon, seed, c or o,
+                              gen[a:b], new_par[a:b])
             for a, b, seed, c, o in zip(bounds[:-1], bounds[1:], seeds, censored, over)]
 
 
@@ -517,7 +510,9 @@ def simulate_cluster(
     with_lifetimes: bool = True,
     cap: int = DEFAULT_EVENT_CAP,
 ) -> Realization:
-    """Simulate one cluster rooted at (t0, x0), root included.
+    """Simulate one cluster rooted at (t0, x0), root included: a cluster of
+    the Poisson cluster representation.  Library API; checked by
+    `test_single_cluster_mean_progeny` (test_cluster_sim.py).
 
     `horizon` may be inf only for stable models (the event cap, at least 1
     since the root counts, still guards termination).
@@ -531,11 +526,13 @@ def simulate_cluster(
     xi0 = spec.marks.sample_xi(gen, 1)
     grown = _grow(spec.engine, np.array([float(t0)]), x0[None, :], xi0,
                   np.zeros(1, dtype=np.int64), 0, horizon, [gen], with_lifetimes, [cap])
-    return _realizations(spec, grown, horizon, [stream.describe()], [False])[0]
+    return _realizations(grown, horizon, [stream.describe()], [False])[0]
 
 
 def population_count(real: Realization, t: float, box=None) -> int:
-    """Q_t(A): events born by t and still alive at t with location in the box."""
+    """Q_t(A), the population process: events born by t and still alive at t
+    with location in the box.  Library API; checked by
+    `test_population_count_mginfty_mean` (test_cluster_sim.py)."""
     if not real.has_lifetimes():
         raise NoLifetimesError("population counts need lifetimes on every event")
     if len(real) == 0:

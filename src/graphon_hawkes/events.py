@@ -119,20 +119,29 @@ class Realization:
         return len(self) == 0 or bool(np.isfinite(self.lifetimes).all())
 
     @classmethod
-    def empty(cls, dim: int, horizon: float, seed: dict | None = None,
-              censored: bool = False) -> "Realization":
+    def build(cls, times, locations, mark_scalars, lifetimes, horizon, seed, censored,
+              generations=None, parent_ids=None, ids=None) -> "Realization":
+        """The realization of these columns; ids default to 0..n-1, generations
+        to 0 and parents to -1 (immigrants)."""
+        n = times.shape[0]
         return cls(
-            times=np.empty(0),
-            locations=np.empty((0, dim)),
-            generations=np.empty(0, dtype=np.int64),
-            parent_ids=np.full(0, -1, dtype=np.int64),
-            mark_scalars=np.empty(0),
-            lifetimes=np.empty(0),
-            ids=np.empty(0, dtype=np.int64),
+            times=times,
+            locations=locations,
+            generations=np.zeros(n, dtype=np.int64) if generations is None else generations,
+            parent_ids=np.full(n, -1, dtype=np.int64) if parent_ids is None else parent_ids,
+            mark_scalars=mark_scalars,
+            lifetimes=lifetimes,
+            ids=np.arange(n, dtype=np.int64) if ids is None else ids,
             horizon=float(horizon),
-            seed=seed or {},
+            seed=seed,
             censored=censored,
         )
+
+    @classmethod
+    def empty(cls, dim: int, horizon: float, seed: dict | None = None,
+              censored: bool = False) -> "Realization":
+        return cls.build(np.empty(0), np.empty((0, dim)), np.empty(0), np.empty(0),
+                         horizon, seed or {}, censored)
 
     def to_ndjson(self) -> str:
         """One line per event, as json.dumps(separators=(",", ":")) writes it; a column
@@ -164,14 +173,14 @@ class Realization:
         n = len(recs)
         if n != len(lines) or not all(type(x) is dict for x in recs):
             raise InvalidArgumentError(f"NDJSON needs one object on each of {len(lines)} lines")
-        r = cls.empty(1, horizon)
         if not n:
-            return r
-        r.times = _scalars(recs, "t", float)
-        r.locations = _locations([x.get("x") for x in recs])
-        r.generations = _scalars(recs, "gen", np.int64, 0)
-        r.parent_ids = _scalars(recs, "parent", np.int64, -1, -1)
-        r.mark_scalars = _scalars(recs, "xi", float, 1.0)
-        r.lifetimes = _scalars(recs, "lifetime", float, math.nan, math.nan)
-        r.ids = _scalars(recs, "id", np.int64)
-        return r
+            return cls.empty(1, horizon)
+        # keyword arguments run in the order written: the columns are checked in this order
+        return cls.build(times=_scalars(recs, "t", float),
+                         locations=_locations([x.get("x") for x in recs]),
+                         generations=_scalars(recs, "gen", np.int64, 0),
+                         parent_ids=_scalars(recs, "parent", np.int64, -1, -1),
+                         mark_scalars=_scalars(recs, "xi", float, 1.0),
+                         lifetimes=_scalars(recs, "lifetime", float, math.nan, math.nan),
+                         ids=_scalars(recs, "id", np.int64),
+                         horizon=horizon, seed={}, censored=False)

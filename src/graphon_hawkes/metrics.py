@@ -182,7 +182,9 @@ class PoincareRecord:
 def poincare_check(
     values: np.ndarray, partition, var: float | None = None, tol: float = 1e-9
 ) -> PoincareRecord:
-    """Check |f - f^d|_L1 <= (1/2) Var(f) mesh for cell-mean averaging.
+    """Check |f - f^d|_L1 <= (1/2) Var(f) mesh for cell-mean averaging, the
+    Poincare-type bound behind the prelimit's rate.  Library API; checked by
+    acceptance criterion 3 (`test_criterion_03_poincare_bound`).
 
     `values` lives on the model's midpoint grid; its per-axis resolution
     must be a multiple (>= 4x) of the partition's per-axis cell counts.

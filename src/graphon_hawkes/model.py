@@ -483,12 +483,8 @@ class ModelForm:
     * "grid" otherwise: the stability report and the limits take the
       caller's n, the gate 96 nodes per axis in 1-d and 12 above, the
       simulators and the fixed point the standard grid.
-    The offspring law (`cluster_sim.ClusterEngine.law`) ignores the baseline.
-    It keys a parent by its cell of `keys`, the common cells of the graphon
-    and the mark profile with no node cap (`flat` if one, as for a constant
-    graphon over an affine baseline); or, on a product of constant and
-    rank-one factors b W = coeff prod_f a_f(z) a_f(y) over the rank-one
-    `profiles`, by the sign of its scale coeff prod_f a_f(y).
+    `keys`, `flat`, `coeff` and `profiles` decide the offspring law's key;
+    `cluster_sim.ClusterEngine` states the rule.
     """
 
     n: int | None = None
@@ -642,6 +638,8 @@ def validate_model(spec: ModelSpec) -> list[str]:
     Returns a list of violation strings, empty iff the model is valid.
     Pure: identical specs produce identical reports.
     """
+    if spec.grid_n < 1:  # no standard grid to integrate on
+        return [f"invalid-parameter: grid_n must be at least 1, not {spec.grid_n}"]
     fns = (spec.baseline, spec.graphon, spec.marks.b)
     profiles = [f.profile for f in fns if isinstance(f, PairFunction) and f.profile]
     grids = [f for f in (*fns, *profiles) if f.family == "grid"]

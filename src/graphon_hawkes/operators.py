@@ -180,7 +180,10 @@ def _node_values(grid: KernelGrid, f, what: str) -> np.ndarray:
 
 
 def apply_kernel(grid: KernelGrid, f: np.ndarray) -> np.ndarray:
-    """(Tf)(x_i) = sum_j K[i][j] f(x_j) w_j."""
+    """(Tf)(x_i) = sum_j K[i][j] f(x_j) w_j: the kernel operator T of the
+    paper's stability condition applied to a grid function.  Library API (no
+    caller in the package); checked by test_operators.py's
+    `test_apply_kernel_rank_one_analytic`."""
     return grid.values @ (_node_values(grid, f, "grid function") * grid.weights)
 
 

@@ -17,9 +17,9 @@ uniforms pick its location on each side that holds it, then one mark scalar
 is drawn.  An event on both sides (or, in quenched mode, on the prelimit
 side, whose descendants share the graph) stays in the pass; an event on one
 side only grows its whole cluster there with its model's cluster engine,
-`ModelSpec.engine`.  A continuum parent's column is the base engine's
-offspring law (its scale times its key's cached shape, or its own column
-with no key), and the baselines are the engines', read at every
+`ModelSpec.engine`.  A continuum parent's column comes from the base
+engine's offspring law (`cluster_sim.ClusterEngine` states the rule), and
+the baselines are the engines', read at every
 standard-grid node's engine cell (a view when the engine is on that grid):
 the standard grid's value save at a node within rounding of a cell face,
 which a count not dividing grid_n can give (10 cells on 15 nodes).  The
@@ -272,22 +272,12 @@ class CoupledPair:
 def _realization(rows: list, dim: int, horizon, seed_info, censored) -> Realization:
     """One side's events from rows (id, t, x, xi, lifetime, generation, parent)
     of Python scalars, ordered by time, then id."""
-    if not rows:
-        return Realization.empty(dim, horizon, seed_info, censored)
-    ids, t, x, xi, lt, gen, parent = (np.array(c) for c in zip(*rows))
+    ids, t, x, xi, lt, gen, parent = ([np.array(c) for c in zip(*rows)] if rows
+                                      else [np.empty(0)] * 7)
     order = np.lexsort((ids, t))
-    return Realization(
-        times=t[order],
-        locations=x[order],
-        generations=gen.astype(np.int64)[order],
-        parent_ids=parent.astype(np.int64)[order],
-        mark_scalars=xi[order],
-        lifetimes=lt[order],
-        ids=ids.astype(np.int64)[order],
-        horizon=float(horizon),
-        seed=seed_info,
-        censored=censored,
-    )
+    return Realization.build(t[order], x.reshape(-1, dim)[order], xi[order], lt[order],
+                             horizon, seed_info, censored, gen.astype(np.int64)[order],
+                             parent.astype(np.int64)[order], ids.astype(np.int64)[order])
 
 
 def _float_law(masses: np.ndarray) -> tuple:

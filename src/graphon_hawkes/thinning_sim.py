@@ -12,38 +12,34 @@ The state lives on the grid of the model's one cluster engine,
 `ModelSpec.engine`: its cells when it has them (`ModelSpec.form` states the
 rule), 1 cell for a constant model, else the standard grid's n^m nodes.
 The baseline and the excitation sum_k xi_k h(t - t_k) b(., y_k) W(., y_k)
-hold one value per cell.  Each event's column comes from the engine's
-offspring law, the model's one law: s_k times the cached shape phi of its
-key (a key cell with s_k = 1, or the sign of a rank-one scale), or, with no
-key, its own rebuilt column.  The excitation is carried per kernel family:
+hold one value per cell.  Each event's column is s_k phi, its scale times
+the shape of its key under the engine's offspring law (its own rebuilt
+column with no key; `cluster_sim.ClusterEngine` states the rule).  The
+excitation is carried per kernel family:
   exponential  S(t) = e^{-beta (t - t_ref)} S(t_ref); an event at t sets
                S <- S(t) + xi l1 beta s phi, t_ref <- t (Ogata 1981;
                Dassios & Zhao 2013), and the total sum_c v_c S_c is carried
                beside S.  Exact, and h is monotone, so the bound is S itself.
-               O(d) per event, a history event by event; with an identity f
-               a candidate's total and bound are the float base_total +
-               decay * S_total.  A one-cell linear state of a flat law (one
-               key, scale 1) carries S_total alone and pushes decay * S_total
-               + xi h(0) mass in floats; its cell value (tests only) is
-               S_total over the cell's volume.
+               With an identity f a candidate's total and bound are the
+               float base_total + decay * S_total.  A one-cell linear state
+               of a flat law (one key, scale 1) carries S_total alone, in
+               floats; its cell value (tests only) is S_total over the
+               cell's volume.
   table and    a column table: the N past events keep (time, xi s, row),
   power-law    one row per key's shape (at most d, or 2 for a rank-one
-               product) or per event (no key).  A candidate costs
-               bincount(row, xi s h(t - t_k)) @ table: O(N + d^2), or O(N d),
-               with no clamp or mask past the last event and no product
-               while every xi s is 1 (exact no-ops); the bound reuses its h
-               values, so an accepted event (a row lookup, O(1) stores) pays
-               h once more, at itself, and a refresh none (a table kernel's
-               bound reads h's majorant).  A history loads in one step.
+               product) or per event (no key).  A candidate's excitation is
+               bincount(row, xi s h(t - t_k)) @ table, with no clamp or mask
+               past the last event and no product while every xi s is 1
+               (exact no-ops); the bound reuses its h values (a table
+               kernel's bound reads h's majorant).  A history loads in one
+               step.
 Other candidates form the cell vector once and reduce it with one dot
 product.  An accepted event is placed by `sample_point` from the cell vector,
 or on one cell as lo + u (hi - lo) per axis in floats, that draw's doubles.
 A mark scalar or lifetime whose law is a point mass is that float, with no
-draw.  So a one-cell linear event of a flat law costs its draws and O(1)
-float work, and a candidate its two draws and one float expression.
-Evaluation times must not decrease between calls on one state.  A history
-is checked against the model once, before it is read: finite times, finite
-nonnegative mark scalars and m coordinates in the domain.
+draw.  Evaluation times must not decrease between calls on one state.  A
+history is checked against the model once, before it is read: finite times,
+finite nonnegative mark scalars and m coordinates in the domain.
 """
 
 from __future__ import annotations
@@ -336,16 +332,6 @@ def simulate_thinning(
         elif bound > 4.0 * lam_total:
             bound = total_bound(t)
 
-    n = len(out_t)
-    return Realization(
-        times=np.asarray(out_t),
-        locations=np.asarray(out_x, float).reshape(n, dim),
-        generations=np.zeros(n, dtype=np.int64),
-        parent_ids=np.full(n, -1, dtype=np.int64),
-        mark_scalars=np.asarray(out_xi),
-        lifetimes=np.asarray(out_lt, float),
-        ids=np.arange(n, dtype=np.int64),
-        horizon=float(horizon),
-        seed=stream.describe(),
-        censored=censored,
-    )
+    return Realization.build(np.asarray(out_t), np.asarray(out_x, float).reshape(-1, dim),
+                             np.asarray(out_xi), np.asarray(out_lt, float), horizon,
+                             stream.describe(), censored)

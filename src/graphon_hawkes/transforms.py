@@ -19,13 +19,8 @@ The population transform follows from the immigrant decomposition:
 Which grid: on a model with cells (`ModelSpec.form`) and a constant f, each
 iterate from 1 is constant per cell, so `fixed_point` sweeps on the cells,
 else on the standard grid.  `laplace_of_Q` and `_tail_mass` weigh each cell
-by its volume, so they stay exact.
-
-Cost, for n swept rows and n_u time nodes: the convolution matrix M is n_u
-shifted windows of one padded h row, an O(n_u^2) copy; each sweep is the
-(n, n_u) @ M product plus an (n, n) spatial product.  `laplace_of_Q`
-integrates one row per swept cell, O(n n_u), and reads it back for each
-standard-grid node of the cell.
+by its volume, so they stay exact.  A sweep is the (n, n_u) @ M product
+with the trapezoid convolution matrix M plus an (n, n) spatial product.
 """
 
 from __future__ import annotations
@@ -138,7 +133,11 @@ class _PhiOperator:
 
 
 def phi_apply(xi: TransformGrid, spec: ModelSpec, f: TestFunction) -> TransformGrid:
-    """One application of the transform operator Phi."""
+    """One application of the transform operator Phi, whose fixed point is
+    the cluster transform eta (module docstring), on the standard grid.
+    Library API (`fixed_point` sweeps its own operator); checked by
+    test_transforms.py's `test_phi_trivial_cases` and
+    `test_two_starts_within_envelope`."""
     if xi.values.shape[0] != spec.grid_n**spec.domain.dim:
         raise ShapeError("transform grid does not match the model's standard grid")
     if (xi.values < -1e-12).any() or (xi.values > 1 + 1e-12).any():
@@ -259,14 +258,17 @@ def _alive_transform(grown, spec: ModelSpec, f: TestFunction, u: float, nsim: in
 def mc_population_transform(
     spec: ModelSpec, f: TestFunction, t: float, nsim: int, rng
 ) -> OracleEstimate:
-    """Direct Monte Carlo of E[exp(-f(Q_t))] via immigrants plus clusters."""
+    """Direct Monte Carlo of the population transform L_Q(f, t) =
+    E[exp(-f(Q_t))] via immigrants plus clusters, the oracle of
+    `laplace_of_Q`.  Library API; checked by acceptance criterion 8
+    (`test_criterion_08_transform_fixed_point`)."""
     gen = rng.generator() if isinstance(rng, SplitStream) else rng
     engine = spec.engine
     counts = gen.poisson(engine.alpha * t, nsim)
     total = int(counts.sum())
     sim_idx = np.repeat(np.arange(nsim, dtype=np.int64), counts)
     times = t * (1.0 - gen.random(total))
-    locs = engine.sample_immigrant_locations(total, gen)
+    locs = engine.place_immigrants(gen.random((total, engine.domain.dim)))
     xis = spec.marks.sample_xi(gen, total)
     grown = _grow(engine, times, locs, xis, sim_idx, 0, float(t), [gen], True, [DEFAULT_EVENT_CAP])
     return _alive_transform(grown, spec, f, t, nsim)
@@ -322,7 +324,9 @@ def interchange_experiment(
     horizon standing in for t = infinity, with the neglected tail reported.
 
     An entry is flagged `unstable` when the averaged model fails the
-    coupling's stability verdict; any other error propagates."""
+    coupling's stability verdict; any other error propagates.  Library API,
+    the paper's interchange of the d -> infinity and t -> infinity limits;
+    checked by acceptance criterion 9 (`test_criterion_09_limit_interchange`)."""
     from .prelimit import average_model, build_partition
 
     eta, _ = fixed_point(spec, f, t_large, tol=tol, n_u=n_u)

@@ -300,6 +300,50 @@ def test_a_replication_argument_out_of_range_is_refused_naming_its_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--grid-n", "0", "simulate", "--horizon", "5"], "--grid-n"),
+    (["--grid-n", "-4", "simulate", "--horizon", "5"], "--grid-n"),
+    (["transform", "--f", "const:1", "--t", "-2"], "--t"),
+    (["transform", "--f", "const:1", "--t", "0"], "--t"),
+    (["transform", "--f", "const:1", "--t", "1", "--n-u", "1"], "--n-u"),
+    (["transform", "--f", "const:1", "--t", "1", "--oracle", "-5"], "--oracle"),
+    (["transform", "--f", "const:1", "--t", "1", "--tol", "-1"], "--tol"),
+    (["simulate", "--horizon", "5", "--cap", "-3"], "--cap"),
+    (["simulate", "--horizon", "5", "--cap", "0"], "--cap"),
+    (["diverge", "--t-list", "5", "--reps", "2", "--cap", "0"], "--cap"),
+    (["stability", "--n", "-3"], "--n"),
+    (["analyze", "{a}", "{a}", "--eps", "-1"], "--eps"),
+])
+def test_an_argument_out_of_range_is_refused_naming_its_flag(
+        model_file, tmp_path, capsys, args, flag):
+    events = tmp_path / "a.ndjson"
+    events.write_text("")
+    out = tmp_path / "o"
+    rc = main(["--model", str(model_file), "--out", str(out),
+               *(a.format(a=events) for a in args)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[invalid-argument]: {flag} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_n", [0, -4])
+@pytest.mark.parametrize("graphon, args", [
+    (CONST_MODEL["graphon"], ["simulate", "--horizon", "50"]),
+    ({"family": "rank-one", "coeff": 1.5, "profile": {"family": "identity"}},
+     ["simulate", "--horizon", "50"]),
+    (CONST_MODEL["graphon"], ["stability"]),
+], ids=["simulate", "simulate-rank1", "stability"])
+def test_a_model_grid_n_below_one_is_refused(tmp_path, capsys, grid_n, graphon, args):
+    path = tmp_path / "model.yaml"
+    path.write_text(yaml.safe_dump({**CONST_MODEL, "graphon": graphon, "grid_n": grid_n}))
+    rc = main(["--model", str(path), "--out", str(tmp_path / "o"), *args])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error[error]: model validation failed: "
+        f"invalid-parameter: grid_n must be at least 1, not {grid_n}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--horizon", "20", "--lifetimes", "on"],
     ["flln", "--horizon", "20"],

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from graphon_hawkes.errors import (
     InvalidArgumentError,
     NoLifetimesError,
     RequiresThinningError,
+    ShapeError,
 )
 from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index
 from graphon_hawkes.limits import flln_experiment
@@ -274,7 +274,7 @@ def test_2d_immigrants_chi_square_affine_baseline():
     spec = model_2d(gh.PairFunction("constant", value=0.0),
                     SpatialProfile("affine", intercept=0.5, slope=(1.0, 3.0)))
     engine = ClusterEngine(spec)
-    pts = engine.sample_immigrant_locations(50_000, gh.SplitStream(41).generator())
+    pts = engine.place_immigrants(gh.SplitStream(41).generator().random((50_000, 2)))
     assert _chi_square_4x4(pts, spec, spec.baseline_on(spec.std_grid[0])) > 0.001
 
 
@@ -285,7 +285,7 @@ def test_2d_step_graphon_offspring_chi_square():
     parents = np.array([[0.2, 0.7], [0.8, 0.3]])
     rep = np.repeat([0, 1], 30_000)
     _, cols = engine.offspring_mass(parents)
-    pts = engine.sample_offspring_locations(cols, rep, gh.SplitStream(42).generator())
+    pts = engine.place_offspring(cols, rep, gh.SplitStream(42).generator().random((rep.size, 2)))
     assert len(engine._columns) == 2  # per-parent column path, keyed by cell
     nodes, _ = spec.std_grid
     for p in range(2):
@@ -302,7 +302,8 @@ def test_2d_rank_one_offspring_chi_square_separable():
         parents = np.array([[0.1, 0.9], [0.6, 0.4]])
         rep = np.repeat([0, 1], 30_000)
         mass, cols = engine.offspring_mass(parents)
-        pts = engine.sample_offspring_locations(cols, rep, gh.SplitStream(43).generator())
+        pts = engine.place_offspring(cols, rep,
+                                     gh.SplitStream(43).generator().random((rep.size, 2)))
         # one shape per sign present, keyed by that sign
         assert len(cols[0]) == 1 and list(engine._columns) == [sign_key]
         nodes, weights = spec.std_grid
@@ -445,7 +446,7 @@ def test_immigrant_spatial_chi_square():
     )
     engine = ClusterEngine(spec)
     rng = gh.SplitStream(13).generator()
-    pts = engine.sample_immigrant_locations(100_000, rng)[:, 0]
+    pts = engine.place_immigrants(rng.random((100_000, 1)))[:, 0]
     edges = np.linspace(0, 1, 21)
     obs, _ = np.histogram(pts, edges)
     cdf = 0.5 * edges + 0.5 * edges**2  # integral of 0.5 + x
@@ -646,6 +647,28 @@ def test_ndjson_refuses_two_records_on_one_line():
             gh.Realization.from_ndjson(text)
 
 
+def test_ndjson_reader_checks_its_columns_in_a_fixed_order():
+    # every column of one record is at fault: each error names the first
+    # faulty column in the order t, x, gen, parent, xi, lifetime, id, and
+    # mending it reveals the next
+    good = {"t": 0.5, "x": [0.25], "gen": 0, "parent": None, "xi": 1.0, "lifetime": None,
+            "id": 0}
+    record = {"t": "a", "x": "b", "gen": 0.5, "parent": "c", "xi": [1.0], "lifetime": "d",
+              "id": 1.5}
+    for key, message in (("t", 'NDJSON record 0: "t" is not a number'),
+                         ("x", 'NDJSON record 0: "x" is not a list'),
+                         ("gen", 'NDJSON record 0: "gen" is not a 64-bit integer'),
+                         ("parent", 'NDJSON record 0: "parent" is not a number'),
+                         ("xi", 'NDJSON record 0: "xi" is not one number'),
+                         ("lifetime", 'NDJSON record 0: "lifetime" is not a number'),
+                         ("id", 'NDJSON record 0: "id" is not a 64-bit integer')):
+        with pytest.raises((InvalidArgumentError, ShapeError)) as err:
+            gh.Realization.from_ndjson(json.dumps(record) + "\n")
+        assert str(err.value) == message
+        record[key] = good[key]
+    assert len(gh.Realization.from_ndjson(json.dumps(record) + "\n")) == 1
+
+
 def step_model(grid_n=128):
     vals = 0.2 + 0.4 * np.random.default_rng(0).random((16, 16))  # rho <= 0.6
     return gh.ModelSpec(
@@ -784,17 +807,32 @@ def bilinear_model():
         "grid", values=vals, axis_counts=(8,), interp="bilinear"))
 
 
+class _CountedGenerator:
+    """A generator that counts the (k, m) uniform blocks it draws."""
+
+    def __init__(self, seed):
+        self.gen, self.blocks = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def random(self, size=None):
+        self.blocks += isinstance(size, tuple)
+        return self.gen.random(size)
+
+
 @pytest.mark.parametrize("model, families", [(step_model, 1), (step_marked_model, 2)])
 def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, model, families):
     # 240 parents over the 16 source cells of a step graphon: one key lookup
-    # on the lcm grid of every grid family, then one uniform block and one
-    # stacked location draw for the whole generation, over the laws of the
-    # source cells that have children
+    # on the lcm grid of every grid family, then one stacked location draw
+    # for the whole generation, over the laws of the source cells that have
+    # children; grown in three replications, each draws one uniform block of
+    # its own per generation in which it has children
     spec = model()
     assert len([f for f in (spec.graphon, spec.marks.b) if f.family == "grid"]) == families
     engine = ClusterEngine(spec)
     xs = np.random.default_rng(5).random((240, 1))
-    calls = {"key": 0, "draw": 0, "uniforms": 0}
+    calls = {"key": 0, "draw": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -807,11 +845,20 @@ def test_one_generation_keys_once_and_draws_once_per_source_cell(monkeypatch, mo
     masses, columns = engine.offspring_mass(xs)
     assert calls["key"] == 1
     counts = np.random.default_rng(6).poisson(4 * masses)
-    rng = types.SimpleNamespace(random=counted("uniforms", np.random.default_rng(7).random))
-    engine.sample_offspring_locations(columns, np.repeat(np.arange(240), counts), rng)
-    assert calls["uniforms"] == 1
+    u = np.random.default_rng(7).random((int(counts.sum()), 1))
+    engine.place_offspring(columns, np.repeat(np.arange(240), counts), u)
     cells = np.unique(_cell_index(xs[counts > 0], spec.domain, (16,)))
     assert calls["draw"] == 1 and len(engine._laws[0]) == cells.size > 1
+
+    calls.update(key=0, draw=0)
+    rngs = [_CountedGenerator(8 + r) for r in range(3)]
+    (_, _, _, _, gens, _, _), censored, blocks = cluster_sim._grow(
+        engine, np.zeros(240), xs, np.ones(240), np.arange(240), 0, 3.0, rngs, False,
+        [10**6] * 3, [80] * 3)
+    born = [r for r, _ in blocks[3:]]  # after the seeds: a run per generation and replication
+    assert not any(censored) and gens.max() >= 2 and set(born) == {0, 1, 2}
+    assert [g.blocks for g in rngs] == [born.count(r) for r in range(3)]
+    assert calls["draw"] == gens.max() and calls["key"] == gens.max() + 1
 
 
 def test_a_parent_on_a_cell_face_shares_the_column_of_its_key_cell():
@@ -877,7 +924,7 @@ def test_grouped_offspring_draw_equals_per_parent_draws_bit_for_bit(case):
     parent_idx = np.repeat(np.arange(xs.shape[0]), counts)[perm]  # unsorted
     masses, columns = engine.offspring_mass(xs)
     gen = np.random.Generator(np.random.Philox(seed))
-    out = engine.sample_offspring_locations(columns, parent_idx, gen)
+    out = engine.place_offspring(columns, parent_idx, gen.random((parent_idx.size, m)))
     # the reference: one column on the engine's grid and one uniform block
     # per parent, in ascending parent order, each child in stable order
     nodes, weights = engine.nodes, engine.weights
@@ -906,8 +953,8 @@ def test_a_zero_mass_shape_without_children_does_not_stop_the_draw():
     assert masses[0] == 0.0 and (masses[1:] > 0).all()
     with pytest.raises(DegenerateDensityError):
         sample_location(columns[0][0], spec.domain, np.full((1, 1), 0.5))
-    pts = engine.sample_offspring_locations(columns, np.array([1, 1, 2, 2, 2]),
-                                            gh.SplitStream(44).generator())
+    pts = engine.place_offspring(columns, np.array([1, 1, 2, 2, 2]),
+                                 gh.SplitStream(44).generator().random((5, 1)))
     assert pts.shape == (5, 1) and ((0.0 <= pts) & (pts <= 1.0)).all()
     assert sorted(engine._laws[0]) == [2, 3]  # the keys with children only
 

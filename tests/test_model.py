@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -33,6 +33,14 @@ from test_cli import CONST_MODEL, GOLDEN_MODELS
 def test_validate_constant_model_clean():
     spec = gh.constant_model(0.5)
     assert gh.validate_model(spec) == []
+
+
+@pytest.mark.parametrize("grid_n", [0, -4])
+def test_validate_reports_a_grid_n_below_one(grid_n):
+    # no standard grid to integrate on: reported, not a ZeroDivisionError
+    for spec in (gh.constant_model(0.5, grid_n=grid_n), gh.rank_one_model(grid_n=grid_n)):
+        assert gh.validate_model(spec) == [
+            f"invalid-parameter: grid_n must be at least 1, not {grid_n}"]
 
 
 def test_validate_negative_graphon_grid():
@@ -454,8 +462,19 @@ def test_pair_matrix_equals_meshgrid_pairs_bit_for_bit(case, data):
 # ---------------------------------------------------------------------------
 # Config round trip: spec_config -> YAML file -> load_model keeps the digest
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# Bounded magnitudes and small tables keep a failing example's shrink short;
+# the extreme doubles are pinned as examples of the round-trip test below.
+# The explain phase, which re-runs a failure once per drawn value (hundreds
+# for one model), is off for the tests that draw whole models: with it, a
+# failure took 30 s to report instead of 4.
+finite = st.floats(-1e3, 1e3)
 positive = st.floats(1e-6, 1e6)
+model_settings = settings(phases=[p for p in Phase if p is not Phase.explain])
+
+
+def cell_counts(m: int):
+    """Per-axis cell counts of a grid table: at most 3 values in 1-d, 4 in 2-d."""
+    return st.lists(st.integers(1, 3 if m == 1 else 2), min_size=m, max_size=m).map(tuple)
 
 
 @st.composite
@@ -473,7 +492,7 @@ def profiles(draw, m):
     if fam == "affine":
         return SpatialProfile("affine", intercept=draw(finite),
                               slope=tuple(draw(st.lists(finite, min_size=m, max_size=m))))
-    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    counts = draw(cell_counts(m))
     interp = draw(st.sampled_from(["pw-constant", "linear"])) if m == 1 else "pw-constant"
     return SpatialProfile("grid", values=draw(grid_values(math.prod(counts))),
                           axis_counts=counts, interp=interp)
@@ -486,7 +505,7 @@ def pair_functions(draw, m):
         return PairFunction("constant", value=draw(finite))
     if fam == "rank-one":
         return PairFunction("rank-one", coeff=draw(finite), profile=draw(profiles(m)))
-    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    counts = draw(cell_counts(m))
     k = math.prod(counts)
     interp = draw(st.sampled_from(["pw-constant", "bilinear"])) if m == 1 else "pw-constant"
     return PairFunction("grid", values=draw(grid_values(k * k)).reshape(k, k),
@@ -505,7 +524,7 @@ def model_specs(draw):
         excitation = ExcitationKernel("power-law", exponent=draw(st.floats(1.01, 10.0)),
                                       cutoff=draw(positive), l1=draw(positive))
     else:
-        k = draw(st.integers(1, 5))
+        k = draw(st.integers(1, 3))
         breaks = np.r_[0.0, np.cumsum(draw(st.lists(positive, min_size=k, max_size=k)))]
         excitation = ExcitationKernel("table", breaks=breaks,
                                       table_values=draw(grid_values(k)))
@@ -534,7 +553,33 @@ def model_specs(draw):
     )
 
 
-@given(model_specs())
+BIG, TINY, NORMAL = 1.7976931348623157e308, 5e-324, 2.2250738585072014e-308
+EXTREME_SPECS = [
+    ModelSpec(
+        domain=SpatialDomain((-1e3,), (1e3,)),
+        baseline=SpatialProfile("affine", intercept=BIG, slope=(-TINY,)),
+        graphon=PairFunction("rank-one", coeff=-0.0,
+                             profile=SpatialProfile("constant", value=NORMAL)),
+        excitation=ExcitationKernel("table", breaks=np.array([0.0, TINY, BIG]),
+                                    table_values=np.array([-BIG, 2.0**53 + 1])),
+        c_w=BIG, grid_n=1),
+    ModelSpec(
+        domain=SpatialDomain((0.0, -TINY), (1e-3, 1.0)),
+        baseline=SpatialProfile("grid", values=np.array([TINY, -BIG, -0.0, 1e-300]),
+                                axis_counts=(2, 2)),
+        graphon=PairFunction("grid", values=np.array([BIG, -NORMAL, 0.1, -1e300]).reshape(2, 2),
+                             axis_counts=(1, 2)),
+        excitation=ExcitationKernel("power-law", exponent=10.0, cutoff=1e-6, l1=1e6),
+        marks=MarkModel(kind="scaled-profile", profile=PairFunction("constant", value=-BIG),
+                        xi_family="gamma", xi_value=1e6, xi_shape=1e-6),
+        nonlinearity=Nonlinearity("sigmoid-scaled", lipschitz=TINY, scale=BIG)),
+]
+
+
+@model_settings
+@given(spec=model_specs())
+@example(spec=EXTREME_SPECS[0])
+@example(spec=EXTREME_SPECS[1])
 def test_config_round_trip_keeps_digest(tmp_path_factory, spec):
     path = tmp_path_factory.mktemp("cfg") / "model.yaml"
     path.write_text(yaml.safe_dump(spec_config(spec), sort_keys=True))
@@ -648,6 +693,7 @@ def test_a_grid_reads_values_or_csv(tmp_path):
 MUTANTS = ["abc", [1.0, "x"], {"a": 1.0}, None, True, 12.7, -3, [[1.0], [2.0, 3.0]], []]
 
 
+@model_settings
 @given(model_specs(), st.data())
 def test_a_mutated_config_is_read_or_refused(spec, data):
     # drop, rename or retype one key at any depth, or put a scalar for a section:

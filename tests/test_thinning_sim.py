@@ -649,7 +649,7 @@ def test_a_bound_at_a_candidates_time_reuses_its_kernel_values(monkeypatch):
 
 def test_flat_model_key_builds_no_key_array(monkeypatch):
     engine = cluster_sim.ClusterEngine(gh.constant_model(0.5, grid_n=64))
-    monkeypatch.setattr(engine, "_keys", None)  # any key array would fail
+    monkeypatch.setattr(cluster_sim, "_cell_index", None)  # any key array would fail
     assert engine.form.flat and engine.law_at(np.array([0.3])) == (0, 1.0)
 
 
@@ -739,5 +739,6 @@ def test_three_cell_graphon_branches_with_the_exact_cell_law():
     masses, columns = engine.offspring_mass(np.array([[0.1]]))
     assert masses[0] == pytest.approx(w[:, 0].sum() / 3, rel=1e-12)
     children = np.zeros(60_000, dtype=np.int64)
-    locs = engine.sample_offspring_locations(columns, children, gh.SplitStream(38).generator())
+    locs = engine.place_offspring(columns, children,
+                                  gh.SplitStream(38).generator().random((children.size, 1)))
     assert three_cell_law_pvalue(locs[:, 0], w[:, 0]) > 1e-3
