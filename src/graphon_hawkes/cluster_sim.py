@@ -14,10 +14,10 @@ the rule), and every simulator reads the one engine of a model,
 `ModelSpec.engine`, built on first use.  A draw of k points reads k x m
 uniforms.  u[:, 0] inverts the CDF over the row-major flat cell index, and
 its residual inside the drawn cell places the point on axis 0; u[:, 1:]
-place it uniformly on the other axes.  A flat density (None), or one cell,
-is lo + u (hi - lo).  Each output row depends only on its own uniform row
-and its law; `sample_point` draws one row, the same doubles, in Python
-floats.
+place it uniformly on the other axes.  A flat density (None) is
+lo + u (hi - lo), the draw on one cell.  Each output row depends only on
+its own uniform row and its law; `sample_point` draws one row, the same
+doubles, in Python floats.
 
 Branching runs a generation at a time on the engine's offspring law
 (`ClusterEngine` states the rule): one `law` call keys the generation, and
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .events import Realization, box_mask
 from .model import ModelSpec, _cell_index
-from .rng import SplitStream
+from .rng import as_stream
 
 DEFAULT_EVENT_CAP = 10**7
 
@@ -102,11 +102,8 @@ def sample_point(density: np.ndarray, domain, u: np.ndarray) -> np.ndarray:
     """`sample_location` of one point from the (m,) uniforms `u`: the same
     doubles, placed in Python floats; only the law is built in numpy."""
     masses, total, cum, top = density_law(density)
-    cells = cum.shape[0]
-    if cells == 1:
-        return domain.lo + u * (domain.hi - domain.lo)
     m = domain.dim
-    n = round(cells ** (1.0 / m))
+    n = round(cum.shape[0] ** (1.0 / m))
     v = float(u[0]) * float(total)
     cum = cum.tolist()
     idx = min(bisect_right(cum, v), int(top))  # searchsorted(cum, v, side="right")
@@ -126,8 +123,6 @@ def _place(law: tuple, rows: np.ndarray | None, domain, u: np.ndarray) -> np.nda
     masses, total, cum, top = law
     lo, hi = domain.lo, domain.hi
     cells = cum.shape[-1]
-    if cells == 1:  # the draw below on one cell, bit for bit
-        return lo + u * (hi - lo)
     m = domain.dim
     n = round(cells ** (1.0 / m))
     width = (hi - lo) / n
@@ -220,8 +215,6 @@ class ClusterEngine:
         """`law` of the one parent y (an array or a list of coordinates):
         (key, scale), in Python floats save for a rank-one grid profile."""
         form = self.form
-        if form.flat:
-            return 0, 1.0
         pt = y if isinstance(y, list) else np.atleast_1d(y).tolist()
         if form.keys is not None:  # `_cell_index` of one point
             key = 0
@@ -420,16 +413,12 @@ def _grow(engine: ClusterEngine, t0: np.ndarray, x0: np.ndarray, xi0: np.ndarray
 
 
 def _require_linear(spec: ModelSpec):
+    """Refuse a nonlinear model: the Poisson cluster representation, which the
+    branching, the coupling, the transform's fixed point and its oracles rest
+    on, holds for the linear process only."""
     if not spec.nonlinearity.is_identity:
-        raise RequiresThinningError("cluster simulation covers linear models only; use thinning")
-
-
-def _as_stream(rng) -> SplitStream:
-    if isinstance(rng, SplitStream):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return SplitStream(int(rng))
-    raise InvalidArgumentError(f"a simulation needs a SplitStream or an integer seed, not {rng!r}")
+        raise RequiresThinningError("the cluster representation covers linear models only; "
+                                    "simulate by thinning")
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +439,11 @@ def simulate_processes(
     earliest immigrants when they alone exceed it.
     """
     _require_linear(spec)
-    streams = [_as_stream(rng) for rng in streams]
+    streams = [as_stream(rng) for rng in streams]
     if not streams:
         return []
     engine = spec.engine
-    # a fresh generator at (seed, path): passing one stream twice repeats it
-    gens = [stream.child().generator() for stream in streams]
+    gens = [stream.generator() for stream in streams]
     # each generator in turn: the count, times, location uniforms and marks;
     # no immigrant needs no law (a zero baseline has none)
     n_imm = [int(gen.poisson(engine.alpha * horizon)) for gen in gens]
@@ -520,8 +508,8 @@ def simulate_cluster(
     _require_linear(spec)
     if cap < 1:
         raise InvalidArgumentError("a cluster holds its root: cap must be at least 1")
-    stream = _as_stream(rng)
-    gen = stream.child().generator()
+    stream = as_stream(rng)
+    gen = stream.generator()
     x0 = np.atleast_1d(np.asarray(x0, float))
     xi0 = spec.marks.sample_xi(gen, 1)
     grown = _grow(spec.engine, np.array([float(t0)]), x0[None, :], xi0,

@@ -175,12 +175,14 @@ class Realization:
             raise InvalidArgumentError(f"NDJSON needs one object on each of {len(lines)} lines")
         if not n:
             return cls.empty(1, horizon)
-        # keyword arguments run in the order written: the columns are checked in this order
-        return cls.build(times=_scalars(recs, "t", float),
-                         locations=_locations([x.get("x") for x in recs]),
-                         generations=_scalars(recs, "gen", np.int64, 0),
-                         parent_ids=_scalars(recs, "parent", np.int64, -1, -1),
-                         mark_scalars=_scalars(recs, "xi", float, 1.0),
-                         lifetimes=_scalars(recs, "lifetime", float, math.nan, math.nan),
-                         ids=_scalars(recs, "id", np.int64),
+        # a dict display runs in the order written: the columns are checked in this order
+        cols = {"times": _scalars(recs, "t", float),
+                "locations": _locations([x.get("x") for x in recs]),
+                "generations": _scalars(recs, "gen", np.int64, 0),
+                "parent_ids": _scalars(recs, "parent", np.int64, -1, -1),
+                "mark_scalars": _scalars(recs, "xi", float, 1.0),
+                "lifetimes": _scalars(recs, "lifetime", float, math.nan, math.nan),
+                "ids": _scalars(recs, "id", np.int64)}
+        order = np.argsort(cols["times"], kind="stable")  # time order, ties in line order
+        return cls.build(**{k: v[order] for k, v in cols.items()},
                          horizon=horizon, seed={}, censored=False)

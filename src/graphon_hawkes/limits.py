@@ -26,10 +26,9 @@ from .operators import (
     discretize_kernel,
     fclt_sigma,
     outdegree_norm,
-    require_stable,
     stationary_rate,
 )
-from .rng import SplitStream
+from .rng import SplitStream, as_stream
 
 
 @dataclass(eq=False)
@@ -64,12 +63,12 @@ def _operator_grid(spec: ModelSpec, n_op: int):
 
 
 def _operator_setup(spec: ModelSpec, box, grid):
-    """Verdict, stationary rate, the box's share of each grid cell, lam_bar(A)."""
-    est = require_stable(grid)
+    """The reported rho (power iteration), stationary rate, the box's share of
+    each grid cell, lam_bar(A); `stationary_rate` refuses an unstable grid."""
     rate = stationary_rate(grid, spec.baseline_on(grid.nodes))
     share = box_share(spec.domain, grid.n, box)
     lam_a = float(np.sum(rate.values * (share * grid.weights)))
-    return est, rate, share, lam_a
+    return grid.power_iterate[0], rate, share, lam_a
 
 
 def _summary(samples: np.ndarray) -> dict:
@@ -105,13 +104,14 @@ def flln_experiment(
     box,
     horizon: float,
     reps: int,
-    stream: SplitStream,
+    stream: SplitStream | int,
     threads: int = 1,
     n_op: int = 256,
     threshold_median: float | None = None,
 ) -> ExperimentReport:
     """FLLN check: sup-statistic samples against the stationary rate."""
-    est, _, _, lam_a = _operator_setup(spec, box, _operator_grid(spec, n_op))
+    stream = as_stream(stream)
+    rho, _, _, lam_a = _operator_setup(spec, box, _operator_grid(spec, n_op))
 
     def one(real) -> float:
         sel = box_mask(real.locations, box)
@@ -124,7 +124,7 @@ def flln_experiment(
     samples = np.asarray(_pmap(chunk, reps, threads))
     summary = _summary(samples)
     summary["lam_bar_A"] = lam_a
-    summary["rho"] = est.rho
+    summary["rho"] = rho
     passed = None
     if threshold_median is not None:
         passed = bool(summary["median"] <= threshold_median)
@@ -147,7 +147,7 @@ def divergence_experiment(
     box,
     t_list,
     reps: int,
-    stream: SplitStream,
+    stream: SplitStream | int,
     cap: int = 300_000,
     threads: int = 1,
 ) -> ExperimentReport:
@@ -166,6 +166,7 @@ def divergence_experiment(
     also rises in the stable regime (towards lam_bar(A), with an O(1/T)
     bias), and censoring at the cap can hide growth in the unstable one.
     """
+    stream = as_stream(stream)
     samples: dict[str, list] = {}
     summary: dict = {"per_T": {}}
     notes: list[str] = []
@@ -249,7 +250,7 @@ def fclt_experiment(
     box,
     horizon: float,
     reps: int,
-    stream: SplitStream,
+    stream: SplitStream | int,
     burn_in: float = 0.0,
     threads: int = 1,
     n_op: int = 256,
@@ -271,13 +272,14 @@ def fclt_experiment(
     of p below.  The test is skipped (`passed` None, no `ks_*` field) for
     fewer than 2 replications or sigma_A = 0, a box of zero measure.
     """
+    stream = as_stream(stream)
     grid = _operator_grid(spec, n_op)
     deg = outdegree_norm(spec, grid.n)
     if deg >= 1.0:
         raise OutdegreeConditionError(
             f"|h|_1 sup-outdegree = {deg:.4f} >= 1; FCLT assumptions fail"
         )
-    est, rate, share, lam_a = _operator_setup(spec, box, grid)
+    rho, rate, share, lam_a = _operator_setup(spec, box, grid)
     sigma = fclt_sigma(grid, rate, share)
     total_t = burn_in + horizon
 
@@ -298,7 +300,7 @@ def fclt_experiment(
             "sigma_label": "exact-piecewise-constant" if spec.form.n else "extrapolated",
             "lam_bar_A": lam_a,
             "outdegree": deg,
-            "rho": est.rho,
+            "rho": rho,
         }
     )
     passed = None

@@ -433,10 +433,6 @@ class LifetimeModel:
         """`sample(rng, 1)[0]` as a float: the same draw and generator state."""
         return self.fixed if self.fixed is not None else rng.exponential(1.0 / self.rate)
 
-    @property
-    def mean(self) -> float:
-        return self.tau if self.family == "deterministic" else 1.0 / self.rate
-
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:

@@ -118,13 +118,7 @@ class SpectralEstimate:
     converged: bool
     iterations: int
     stable: bool  # the grid's certified verdict
-    # |T^n|^(1/n) for n <= max_power; empty from require_stable, which forms no power
-    rho_gelfand_sequence: list[float] = field(default_factory=list)
-
-    @property
-    def rho(self) -> float:
-        """The power-iteration estimate of the spectral radius."""
-        return self.rho_power_iteration
+    rho_gelfand_sequence: list[float]  # |T^n|^(1/n) for n <= max_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,17 +186,6 @@ def operator_norm_l1(grid: KernelGrid) -> float:
     return float(np.max(grid.weights @ grid.values))
 
 
-def _estimate(grid: KernelGrid, gelfand: list[float]) -> SpectralEstimate:
-    lam, converged, iters = grid.power_iterate
-    return SpectralEstimate(
-        rho_power_iteration=lam,
-        converged=converged,
-        iterations=iters,
-        stable=grid.stable,
-        rho_gelfand_sequence=gelfand,
-    )
-
-
 def spectral_radius(grid: KernelGrid, max_power: int = GELFAND_POWERS) -> SpectralEstimate:
     """Gelfand sequence |T^n|^(1/n), n <= max_power, plus a power-iteration estimate.
 
@@ -224,21 +207,19 @@ def spectral_radius(grid: KernelGrid, max_power: int = GELFAND_POWERS) -> Spectr
             e = math.frexp(norm)[1]  # the max scales exactly: it lands in [1/2, 1)
             row, exp2, norm = np.ldexp(row, -e), exp2 + e, math.ldexp(norm, -e)
         gelfand.append(norm ** (1.0 / k) * 2.0 ** (exp2 / k) if norm > 0 else 0.0)
-    return _estimate(grid, gelfand)
+    return SpectralEstimate(*grid.power_iterate, grid.stable, gelfand)
 
 
 def require_stable(
     grid: KernelGrid, error: type[Exception] = UnstableModelError, what: str = "model"
-) -> SpectralEstimate:
-    """The grid's estimate without the Gelfand sequence; raises `error` unless
-    the verdict is stable."""
-    est = _estimate(grid, [])
-    if not est.stable:
+) -> None:
+    """Raise `error` unless the grid's verdict is stable; the power-iteration
+    estimate is formed for the message alone."""
+    if not grid.stable:
         raise error(
             f"{what} unstable: spectral radius is not certified below 1 "
-            f"(power-iteration estimate {est.rho:.4f})"
+            f"(power-iteration estimate {grid.power_iterate[0]:.4f})"
         )
-    return est
 
 
 def gate_grid(spec: ModelSpec) -> KernelGrid:

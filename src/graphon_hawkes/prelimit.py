@@ -60,7 +60,6 @@ from .errors import (
     GridTooLargeError,
     InvalidArgumentError,
     PrelimitUnstableError,
-    RequiresThinningError,
     ResolutionTooCoarseError,
     UnstableModelError,
 )
@@ -74,7 +73,7 @@ from .model import (
     _cell_index,
 )
 from .operators import require_stable
-from .rng import SplitStream
+from .rng import as_stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +214,10 @@ class QuenchedGraph:
     Z: np.ndarray  # (d, d) in {0, 1}, looped digraph
     rescale: float  # R >= 1; edge prob = W_cell / R, edge weight gains factor R
 
-    @property
-    def d(self) -> int:
-        return int(self.Z.shape[0])
-
 
 def sample_quenched_graph(avg: AveragedModel, rng) -> QuenchedGraph:
     """Independent Bernoulli(W_cell / R) entries, R = max(1, max W_cell)."""
-    gen = rng.generator() if isinstance(rng, SplitStream) else rng
+    gen = as_stream(rng).generator()
     W = avg.W_cell
     rescale = max(1.0, float(W.max(initial=0.0)))
     Z = (gen.random(W.shape) < W / rescale).astype(np.int8)
@@ -423,18 +418,13 @@ def simulate_coupled(
     call on one `avg` shares them.
     """
     spec, partition = avg.base, avg.partition
-    if not spec.nonlinearity.is_identity:
-        raise RequiresThinningError("coupled simulation covers linear models only")
+    cluster_sim._require_linear(spec)
     if mode not in ("annealed", "quenched"):
         raise InvalidArgumentError(f"unknown coupling mode {mode!r}")
-    stream = cluster_sim._as_stream(rng)
+    stream = as_stream(rng)
     gen = stream.generator()
-
-    for gate, error, what in ((spec.gate, UnstableModelError, "continuum model"),
-                              (avg.spec.gate, PrelimitUnstableError,
-                               "averaged model at this partition")):
-        if not gate.stable:  # the cached verdict: a stable gate builds no estimate
-            require_stable(gate, error, what)
+    require_stable(spec.gate, UnstableModelError, "continuum model")
+    require_stable(avg.spec.gate, PrelimitUnstableError, "averaged model at this partition")
     setup = avg.coupling
     quenched = mode == "quenched"
     lazy = _LazyGraph(setup, quenched_graph, gen) if quenched else None

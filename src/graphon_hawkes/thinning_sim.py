@@ -50,7 +50,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .cluster_sim import DEFAULT_EVENT_CAP, _as_stream, sample_point
+from .cluster_sim import DEFAULT_EVENT_CAP, sample_point
 from .errors import (
     AcausalHistoryError,
     InvalidArgumentError,
@@ -60,6 +60,7 @@ from .errors import (
 )
 from .events import Realization
 from .model import ModelSpec
+from .rng import as_stream
 
 RATE_CAP = 1e9
 
@@ -280,8 +281,8 @@ def simulate_thinning(
     is more than 4x the actual rate.  Dominating-rate correctness is
     checked at every candidate; a violation raises ThinningBoundError.
     """
-    stream = _as_stream(rng)
-    gen = stream.child().generator()
+    stream = as_stream(rng)
+    gen = stream.generator()
 
     state = _ThinningState(spec)
     if initial is not None and initial.times.size:

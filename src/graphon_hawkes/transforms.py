@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cluster_sim import DEFAULT_EVENT_CAP, _grow
+from .cluster_sim import DEFAULT_EVENT_CAP, _grow, _require_linear
 from .errors import InvalidArgumentError, ShapeError
 from .model import ModelSpec, _cell_index
-from .rng import SplitStream
+from .rng import as_stream
 
 FIXED_POINT_MAX_ITER = 400
 
@@ -105,6 +105,7 @@ class _PhiOperator:
     grid with n cells per axis."""
 
     def __init__(self, spec: ModelSpec, f: TestFunction, u_grid: np.ndarray, n: int):
+        _require_linear(spec)
         self.spec = spec
         self.nodes, self.weights = spec.domain.grid(n)
         n_u = u_grid.shape[0]
@@ -234,7 +235,8 @@ def mc_transform_oracle(
     Simulates nsim clusters with lifetimes rooted at (0, x) and averages
     exp(-sum of f over particles alive at u).
     """
-    gen = rng.generator() if isinstance(rng, SplitStream) else rng
+    _require_linear(spec)
+    gen = as_stream(rng).generator()
     roots = np.tile(np.atleast_1d(np.asarray(x, float)), (nsim, 1))
     xi0 = spec.marks.sample_xi(gen, nsim)
     grown = _grow(
@@ -262,7 +264,8 @@ def mc_population_transform(
     E[exp(-f(Q_t))] via immigrants plus clusters, the oracle of
     `laplace_of_Q`.  Library API; checked by acceptance criterion 8
     (`test_criterion_08_transform_fixed_point`)."""
-    gen = rng.generator() if isinstance(rng, SplitStream) else rng
+    _require_linear(spec)
+    gen = as_stream(rng).generator()
     engine = spec.engine
     counts = gen.poisson(engine.alpha * t, nsim)
     total = int(counts.sum())

@@ -187,6 +187,18 @@ def test_invalid_model_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_transform_on_a_nonlinear_model_exit_1(tmp_path, capsys):
+    # the fixed point holds for the linear process only: refused, nothing written
+    cfg = {**CONST_MODEL, "nonlinearity": {"family": "clipped-linear", "cap": 0.01}}
+    path = tmp_path / "clipped.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["--model", str(path), "--out", str(tmp_path / "t"), "transform",
+               "--f", "const:1", "--t", "2", "--oracle", "100"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[requires-thinning-simulator]: ")
+    assert not (tmp_path / "t" / "transform.json").exists()
+
+
 def test_thinning_on_a_zero_sigmoid_scale_exit_1(tmp_path, capsys):
     # f(0) would be NaN: the run is refused, not written with 0 events
     cfg = {**CONST_MODEL, "nonlinearity": {"family": "sigmoid-scaled", "scale": 0.0}}

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import graphon_hawkes as gh
-from graphon_hawkes import cluster_sim, limits, prelimit
+from graphon_hawkes import cluster_sim, limits, prelimit, transforms
 from graphon_hawkes.cluster_sim import (
     ClusterEngine,
     population_count,
@@ -33,6 +33,7 @@ from graphon_hawkes.errors import (
 )
 from graphon_hawkes.model import Nonlinearity, SpatialProfile, _cell_index
 from graphon_hawkes.limits import flln_experiment
+from graphon_hawkes.metrics import pp_distance
 from graphon_hawkes.operators import discretize_kernel
 from graphon_hawkes.prelimit import average_model, build_partition, simulate_coupled
 from graphon_hawkes.thinning_sim import simulate_thinning
@@ -486,22 +487,46 @@ def test_bit_reproducible_across_runs():
     assert np.array_equal(a.parent_ids, b.parent_ids)
 
 
-def test_same_stream_object_repeats_the_replication():
-    spec = gh.constant_model(0.5, grid_n=64)
-    stream = gh.SplitStream(5)
-    a = simulate_process(spec, 10.0, stream)
-    b = simulate_process(spec, 10.0, stream)
-    assert len(a) > 0 and np.array_equal(a.times, b.times)
-    assert np.array_equal(a.locations, b.locations)
+def _drawn(spec, avg, f):
+    """Each entry point that draws, as rng -> a byte string of what it drew."""
+    def real(*reals):
+        return b"".join(r.to_ndjson().encode() + json.dumps(r.seed).encode() for r in reals)
+
+    def pair(p):
+        return real(p.n, p.nd)
+
+    return {
+        "simulate_process": lambda rng: real(simulate_process(spec, 10.0, rng)),
+        "simulate_processes": lambda rng: real(simulate_processes(spec, 10.0, [rng])[0]),
+        "simulate_cluster": lambda rng: real(simulate_cluster([0.3], 0.0, spec, 50.0, rng)),
+        "simulate_thinning": lambda rng: real(simulate_thinning(spec, 10.0, rng=rng)),
+        "simulate_coupled": lambda rng: pair(simulate_coupled(avg, 5.0, rng=rng)),
+        "sample_quenched_graph": lambda rng: prelimit.sample_quenched_graph(avg, rng).Z.tobytes(),
+        "mc_transform_oracle": lambda rng: repr(
+            transforms.mc_transform_oracle(spec, [0.3], f, 1.0, 200, rng)).encode(),
+        "mc_population_transform": lambda rng: repr(
+            transforms.mc_population_transform(spec, f, 1.0, 200, rng)).encode(),
+    }
 
 
-def test_same_stream_object_repeats_the_cluster():
+ENTRY_POINTS = list(_drawn(None, None, None))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_that_draws_reads_its_stream_one_way(name):
+    # one fresh generator at (seed, path): the same stream object passed twice
+    # repeats the draws, an integer seed is its SplitStream, and nothing else
+    # is a stream
     spec = gh.constant_model(0.5, grid_n=64)
+    avg = average_model(spec, build_partition(spec.domain, 4, "per-axis-counts"))
+    draw = _drawn(spec, avg, transforms.TestFunction.constant(1.0))[name]
     stream = gh.SplitStream(5)
-    a = simulate_cluster([0.3], 0.0, spec, 50.0, stream)
-    b = simulate_cluster([0.3], 0.0, spec, 50.0, stream)
-    assert len(a) > 1 and np.array_equal(a.times, b.times)
-    assert np.array_equal(a.locations, b.locations)
+    first = draw(stream)
+    assert draw(stream) == first and draw(5) == first
+    assert first != draw(gh.SplitStream(6))  # the output reads the stream
+    for bad in (None, np.random.default_rng(5)):
+        with pytest.raises(InvalidArgumentError):
+            draw(bad)
 
 
 def test_cluster_cap_below_one_is_refused():
@@ -645,6 +670,24 @@ def test_ndjson_refuses_two_records_on_one_line():
     for text in bad:
         with pytest.raises(InvalidArgumentError):
             gh.Realization.from_ndjson(text)
+
+
+def test_ndjson_reader_orders_the_records_by_time():
+    # a realization is time-sorted whatever the file's line order, equal times
+    # keep their line order, and a time-tolerance match then finds every event
+    def line(i, t):
+        return json.dumps({"id": i, "t": t, "x": [0.1 * (i + 1)], "gen": 0, "parent": None,
+                           "xi": 1.0, "lifetime": None})
+
+    times = [0.5, 3.0, 1.0, 2.0]
+    ordered = gh.Realization.from_ndjson("".join(line(i, t) + "\n" for i, t in enumerate(times)))
+    shuffled = gh.Realization.from_ndjson("".join(line(i, times[i]) + "\n" for i in (1, 3, 0, 2)))
+    assert shuffled.times.tolist() == [0.5, 1.0, 2.0, 3.0] and shuffled.ids.tolist() == [0, 2, 3, 1]
+    assert np.array_equal(shuffled.locations[:, 0], 0.1 * (shuffled.ids + 1))
+    spec = gh.constant_model(0.5, grid_n=64)
+    assert pp_distance(ordered, shuffled, spec, matching="time-tolerance", eps=0.1).total == 0.0
+    ties = gh.Realization.from_ndjson(line(4, 1.0) + "\n" + line(5, 0.5) + "\n" + line(6, 1.0))
+    assert ties.ids.tolist() == [5, 4, 6]
 
 
 def test_ndjson_reader_checks_its_columns_in_a_fixed_order():

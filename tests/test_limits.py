@@ -13,7 +13,11 @@ from scipy import stats
 
 import graphon_hawkes as gh
 from graphon_hawkes import limits
-from graphon_hawkes.errors import OutdegreeConditionError, UnstableModelError
+from graphon_hawkes.errors import (
+    InvalidArgumentError,
+    OutdegreeConditionError,
+    UnstableModelError,
+)
 from graphon_hawkes.limits import (
     divergence_experiment,
     fclt_experiment,
@@ -31,6 +35,19 @@ def test_flln_sup_statistic_exact_values():
     assert stat == pytest.approx(0.125)
     assert flln_sup_statistic(np.array([]), 4.0, 0.5) == pytest.approx(0.5)
     assert flln_sup_statistic(np.array([]), 4.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ["flln", "fclt", "diverge"])
+def test_limit_experiments_read_their_stream_as_the_simulators_do(name):
+    # an integer seed is its SplitStream, and nothing else is a stream
+    spec = gh.constant_model(0.5, grid_n=64)
+    run = {"flln": lambda s: flln_experiment(spec, None, 5.0, 2, s, n_op=64),
+           "fclt": lambda s: fclt_experiment(spec, None, 5.0, 2, s, burn_in=1.0, n_op=64),
+           "diverge": lambda s: divergence_experiment(spec, None, [2.0, 4.0], 2, s)}[name]
+    by_seed, by_stream = run(3), run(gh.SplitStream(3))
+    assert (by_seed.to_dict(), by_seed.samples) == (by_stream.to_dict(), by_stream.samples)
+    with pytest.raises(InvalidArgumentError):
+        run(None)
 
 
 def test_flln_zero_baseline_statistic_zero():

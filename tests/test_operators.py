@@ -341,7 +341,9 @@ def test_one_verdict_for_report_and_geometric_tails():
     with pytest.raises(UnstableModelError):
         cluster_size_bound(unstable)
     assert stability_report(gh.constant_model(1.5), 32).stable is False
-    assert operators.require_stable(discretize_kernel(gh.constant_model(0.5), 32)).stable
+    stable = discretize_kernel(gh.constant_model(0.5), 32)
+    assert operators.require_stable(stable) is None and stable.stable
+    assert "power_iterate" not in vars(stable)  # the verdict alone: no estimate is formed
 
 
 @pytest.mark.parametrize("n", [32, 64, 96, 128])

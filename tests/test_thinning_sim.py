@@ -86,15 +86,6 @@ def test_history_snapshot_needs_one_mark_scalar_per_event():
         HistorySnapshot(times=[-2.0, -1.0], locations=[[0.5]] * 2, mark_scalars=[1.0])
 
 
-def test_same_stream_object_repeats_the_run():
-    spec = gh.constant_model(0.5, grid_n=64)
-    stream = gh.SplitStream(6)
-    a = simulate_thinning(spec, 10.0, rng=stream)
-    b = simulate_thinning(spec, 10.0, rng=stream)
-    assert len(a) > 0 and np.array_equal(a.times, b.times)
-    assert np.array_equal(a.locations, b.locations)
-
-
 def test_thinning_poisson_mean():
     spec = gh.constant_model(0.0, grid_n=64)
     s = gh.SplitStream(30)
@@ -651,6 +642,8 @@ def test_flat_model_key_builds_no_key_array(monkeypatch):
     engine = cluster_sim.ClusterEngine(gh.constant_model(0.5, grid_n=64))
     monkeypatch.setattr(cluster_sim, "_cell_index", None)  # any key array would fail
     assert engine.form.flat and engine.law_at(np.array([0.3])) == (0, 1.0)
+    keys, scales = engine.law(np.array([[0.3], [0.9]]))  # a history's keys, in one call
+    assert keys.tolist() == [0, 0] and scales is None
 
 
 def test_rejected_linear_candidates_form_no_cell_vector(monkeypatch):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import graphon_hawkes as gh
 from graphon_hawkes import operators
 from graphon_hawkes.config import build_spec
-from graphon_hawkes.errors import ShapeError
-from graphon_hawkes.model import LifetimeModel, MarkModel, PairFunction
+from graphon_hawkes.errors import RequiresThinningError, ShapeError
+from graphon_hawkes.model import LifetimeModel, MarkModel, Nonlinearity, PairFunction
 from graphon_hawkes.transforms import (
     TestFunction,
     TransformGrid,
@@ -68,6 +68,23 @@ def test_beta_deterministic_and_exponential():
         out = op.apply(np.zeros((16, u.size)))
         np.testing.assert_allclose(out, np.broadcast_to(laplace(w * h_trap), out.shape),
                                    rtol=1e-13)
+
+
+def test_a_nonlinear_model_is_refused_by_the_transform_and_its_oracles():
+    # the fixed point and its oracles rest on the Poisson cluster
+    # representation, which holds for the linear process only: a clipped rate
+    # is refused, not answered with the linear model's numbers
+    spec = dataclasses.replace(gh.constant_model(0.5, grid_n=64),
+                               nonlinearity=Nonlinearity("clipped-linear", cap=0.01))
+    f = TestFunction.constant(1.0)
+    xi = TransformGrid(values=np.ones((64, 9)), u_grid=np.linspace(0.0, 1.0, 9), f=f)
+    for call in (lambda: fixed_point(spec, f, 1.0, n_u=9),
+                 lambda: phi_apply(xi, spec, f),
+                 lambda: interchange_experiment(spec, [2], f, 1.0, n_u=9),
+                 lambda: mc_transform_oracle(spec, [0.5], f, 1.0, 100, gh.SplitStream(1)),
+                 lambda: mc_population_transform(spec, f, 1.0, 100, gh.SplitStream(1))):
+        with pytest.raises(RequiresThinningError):
+            call()
 
 
 def test_phi_trivial_cases():
