@@ -41,7 +41,7 @@ from .model import validate_model
 from .operators import stability_report
 from .prelimit import average_models, build_partition, sample_quenched_graph, simulate_coupled
 from .rng import SplitStream
-from .thinning_sim import HistorySnapshot, simulate_thinning
+from .thinning_sim import simulate_thinning
 from .transforms import (
     TestFunction,
     fixed_point,
@@ -98,17 +98,19 @@ def _parse_box(text: str | None, dim: int):
     if not text:
         return None
     parts = [_number(v, float, "--set") for v in text.split(",")]
-    if len(parts) == 2 and dim == 1:
-        return ([parts[0]], [parts[1]])
-    if len(parts) == 2 * dim:
-        return (parts[:dim], parts[dim:])
-    raise InvalidArgumentError(f"--set needs 2*dim={2 * dim} comma-separated numbers")
+    if len(parts) != 2 * dim:
+        raise InvalidArgumentError(f"--set needs 2*dim={2 * dim} comma-separated numbers")
+    lo, hi = parts[:dim], parts[dim:]
+    if not all(-np.inf < a <= b < np.inf for a, b in zip(lo, hi)):  # NaN fails too
+        raise InvalidArgumentError(f"--set needs finite bounds with lo <= hi, not {text!r}")
+    return (lo, hi)
 
 
-def _load_spec(args: argparse.Namespace):
-    spec = load_model(args.model)
-    if args.grid_n is not None:
-        spec = dataclasses.replace(spec, grid_n=args.grid_n)
+def _load_spec(path: str, grid_n: int | None):
+    """The validated model of the config at `path`, on `grid_n` if given."""
+    spec = load_model(path)
+    if grid_n is not None:
+        spec = dataclasses.replace(spec, grid_n=grid_n)
     report = validate_model(spec)
     if report:
         raise GraphonHawkesError("model validation failed: " + "; ".join(report))
@@ -147,10 +149,7 @@ def _cmd_simulate(args: argparse.Namespace, spec) -> list[str]:
     if args.history:
         if args.method != "thinning":
             raise InvalidArgumentError("--history needs --method thinning")
-        past = Realization.from_ndjson(Path(args.history).read_text())
-        # every event, so that one at t >= 0 is refused, not dropped
-        history = HistorySnapshot(times=past.times, locations=past.locations,
-                                  mark_scalars=past.mark_scalars, t_ref=0.0)
+        history = Realization.from_ndjson(Path(args.history).read_text())
 
     def chunk(idx: range) -> list[Realization]:
         subs = [stream.child(r) for r in idx]
@@ -185,7 +184,7 @@ def _cmd_stability(args: argparse.Namespace, spec) -> list[str]:
 def _cmd_analyze(args: argparse.Namespace, spec) -> list[str]:
     real_a = Realization.from_ndjson(Path(args.events_a).read_text())
     real_b = Realization.from_ndjson(Path(args.events_b).read_text())
-    spec_b = load_model(args.model2) if args.model2 else spec
+    spec_b = _load_spec(args.model2, args.grid_n) if args.model2 else spec
     breakdown = pp_distance(
         real_a, real_b, spec, spec_b, matching=args.matching, eps=args.eps
     )
@@ -320,7 +319,7 @@ def run(args: argparse.Namespace) -> int:
                 setattr(args, key, [_number(v, kind, flag) for v in getattr(args, key).split(",")])
         _check_ranges(args)
         args.out.mkdir(parents=True, exist_ok=True)
-        spec = _load_spec(args)
+        spec = _load_spec(args.model, args.grid_n)
         handler = {
             "simulate": _cmd_simulate,
             "stability": _cmd_stability,

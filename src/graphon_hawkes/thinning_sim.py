@@ -38,14 +38,14 @@ product.  An accepted event is placed by `sample_point` from the cell vector,
 or on one cell as lo + u (hi - lo) per axis in floats, that draw's doubles.
 A mark scalar or lifetime whose law is a point mass is that float, with no
 draw.  Evaluation times must not decrease between calls on one state.  A
-history is checked against the model once, before it is read: finite times,
-finite nonnegative mark scalars and m coordinates in the domain.
+history is a `Realization`, checked once, before it is read: one location and
+mark scalar per time, finite times strictly before 0, finite nonnegative mark
+scalars and m coordinates in the domain.  It loads in time order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -65,47 +65,24 @@ from .rng import as_stream
 RATE_CAP = 1e9
 
 
-@dataclass
-class HistorySnapshot:
-    """Past events (time, location, mark scalar) strictly before `t_ref`,
-    sorted by time (stable, so ties keep their given order)."""
-
-    times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    locations: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
-    mark_scalars: np.ndarray = field(default_factory=lambda: np.empty(0))
-    t_ref: float = 0.0
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, float)
-        self.locations = np.atleast_2d(np.asarray(self.locations, float))
-        if self.locations.shape[0] != self.times.shape[0]:
-            # an empty history keeps one (empty) coordinate column
-            dim = -1 if self.times.size else 1
-            self.locations = self.locations.reshape(self.times.shape[0], dim)
-        self.mark_scalars = np.asarray(self.mark_scalars, float)
-        if self.mark_scalars.shape != self.times.shape:
-            raise ShapeError(f"{self.times.size} history events have "
-                             f"{self.mark_scalars.size} mark scalars")
-        if self.times.size and self.times.max() >= self.t_ref:
-            raise AcausalHistoryError("history events must lie strictly before t_ref")
-        order = np.argsort(self.times, kind="stable")
-        self.times = self.times[order]
-        self.locations = self.locations[order]
-        self.mark_scalars = self.mark_scalars[order]
-
-
-def _check_history(spec: ModelSpec, history: HistorySnapshot):
-    """Refuse a history the model cannot read: locations of another dimension
-    or outside the domain, non-finite times, or mark scalars that are not
-    finite and nonnegative."""
+def _check_history(spec: ModelSpec, history: Realization):
+    """The one check of a history: one location row and one mark scalar per
+    time, the domain's dimension, finite times strictly before 0, finite
+    nonnegative mark scalars and locations inside the domain."""
     times, locs, xis = history.times, history.locations, history.mark_scalars
-    if not times.size:
+    n = times.shape[0]
+    if locs.ndim != 2 or locs.shape[0] != n or xis.shape != (n,):
+        raise ShapeError(f"a history of {n} times needs one location row and one "
+                         "mark scalar per time")
+    if not n:
         return
     if locs.shape[1] != spec.domain.dim:
         raise ShapeError(f"history locations have {locs.shape[1]} coordinates, "
                          f"the model's domain {spec.domain.dim}")
     if not np.isfinite(times).all():
         raise InvalidArgumentError("history times must be finite")
+    if times.max() >= 0:
+        raise AcausalHistoryError("history times must lie strictly before time 0")
     if not (np.isfinite(xis) & (xis >= 0)).all():
         raise InvalidArgumentError("history mark scalars must be finite and nonnegative")
     if not spec.domain.contains(locs):
@@ -153,26 +130,33 @@ class _ThinningState:
             return
         self._push(t, y, xi, *self._engine.law_at(y))
 
-    def load(self, history: HistorySnapshot):
-        """Push a time-sorted history, keyed in one `law` call: into the recursion
-        event by event, into the column table in one step, as pushes would."""
-        keys, scales = self._engine.law(history.locations)
-        weights = history.mark_scalars if scales is None else history.mark_scalars * scales
+    def load(self, history: Realization):
+        """Push a checked history in time order, keyed in one `law` call: into
+        the recursion event by event, into the column table in one step, as
+        pushes would."""
+        times, locs, xis = history.times, history.locations, history.mark_scalars
+        # a history file reads in time order, so it is read in place with no copy;
+        # else one stable argsort, ties in their given order
+        if (times[1:] < times[:-1]).any():
+            order = np.argsort(times, kind="stable")
+            times, locs, xis = times[order], locs[order], xis[order]
+        keys, scales = self._engine.law(locs)
+        weights = xis if scales is None else xis * scales
         if self._beta is not None:  # by `push` on a flat law; lazy iterators, no list of events
             push = self._push if self._s is not None else lambda s, y, w, *_: self.push(s, y, w)
-            for s, y, w, key in zip(history.times, history.locations, weights,
+            for s, y, w, key in zip(times, locs, weights,
                                     repeat(None) if keys is None else map(int, keys)):
                 push(float(s), y, float(w), key, 1.0)
             return
         if keys is None:  # a row per event, its column rebuilt
-            ids = np.array([self._row(None, y) for y in history.locations], dtype=np.intp)
+            ids = np.array([self._row(None, y) for y in locs], dtype=np.intp)
         else:  # dict.fromkeys keeps the keys' order of first appearance
             rows = {key: self._row(key, None) for key in dict.fromkeys(keys.tolist())}
             uniq, inverse = np.unique(keys, return_inverse=True)
             ids = np.array([rows[key] for key in uniq.tolist()], dtype=np.intp)[inverse]
         new = slice(self._n, self._n + ids.size)
         self._resize(new.stop)
-        self._times[new], self._event_w[new], self._ids[new] = history.times, weights, ids
+        self._times[new], self._event_w[new], self._ids[new] = times, weights, ids
         self._n, self._unit = new.stop, self._unit and bool((weights == 1.0).all())
 
     def _push(self, t: float, y: np.ndarray, xi: float, key: int | None, scale: float):
@@ -267,7 +251,7 @@ class _ThinningState:
 def simulate_thinning(
     spec: ModelSpec,
     horizon: float,
-    initial: HistorySnapshot | None = None,
+    initial: Realization | None = None,
     rng=None,
     with_lifetimes: bool = True,
     cap: int = DEFAULT_EVENT_CAP,
@@ -280,15 +264,14 @@ def simulate_thinning(
     after every accepted event and refreshed lazily on rejections once it
     is more than 4x the actual rate.  Dominating-rate correctness is
     checked at every candidate; a violation raises ThinningBoundError.
+    `initial` holds the events before time 0 that the run conditions on.
     """
     stream = as_stream(rng)
     gen = stream.generator()
 
     state = _ThinningState(spec)
-    if initial is not None and initial.times.size:
+    if initial is not None:
         _check_history(spec, initial)
-        if initial.times.max() >= 0:
-            raise AcausalHistoryError("initial history must lie strictly before time 0")
         state.load(initial)
     dim, lo = spec.domain.dim, spec.domain.lo
     corner = list(zip(lo.tolist(), (spec.domain.hi - lo).tolist()))  # (lo, hi - lo) per axis

@@ -51,15 +51,15 @@ class TestFunction:
 
     @classmethod
     def constant(cls, z: float) -> "TestFunction":
-        if z < 0:
-            raise InvalidArgumentError("test functions must be nonnegative")
+        if not 0 <= z < math.inf:  # NaN fails too
+            raise InvalidArgumentError("test functions must be finite and nonnegative")
         return cls(kind="const", value=float(z))
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "TestFunction":
         values = np.asarray(values, float)
-        if (values < 0).any():
-            raise InvalidArgumentError("test functions must be nonnegative")
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise InvalidArgumentError("test functions must be finite and nonnegative")
         return cls(kind="grid", values=values)
 
     def on(self, nodes: np.ndarray) -> np.ndarray:

@@ -500,6 +500,63 @@ def test_history_without_thinning_exit_1(model_file, tmp_path, capsys):
     assert not (tmp_path / "o" / "summary.json").exists()
 
 
+def test_benchmark_tracer_counts_the_history_it_reads(model_file, tmp_path, monkeypatch):
+    # the benchmark's `thinning_sim.history_events` counter reads the `initial`
+    # argument of `simulate_thinning`; a history file's events are all counted
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    hist = tmp_path / "hist.ndjson"
+    hist.write_text(GOLDEN_HISTORY)
+    with Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--model", str(model_file), "--out", str(tmp_path / "o"), "simulate",
+                         "--method", "thinning", "--horizon", "2", "--history", str(hist)]) == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["thinning_sim.simulate_thinning.calls"] == 1
+    assert metrics["thinning_sim.history_events"] == GOLDEN_HISTORY.count("\n") == 40
+
+
+def test_transform_refuses_a_test_function_that_is_not_finite(model_file, tmp_path, capsys):
+    # each ran every sweep and wrote "L_Q": NaN, which is not JSON, with exit 0
+    grid = tmp_path / "f.csv"
+    grid.write_text(",".join(["0.5"] * 127 + ["nan"]) + "\n")
+    for f in ("const:nan", "const:inf", f"grid:{grid}"):
+        out = tmp_path / f[:5]
+        rc = main(["--model", str(model_file), "--out", str(out), "transform", "--f", f,
+                   "--t", "1", "--n-u", "9"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[invalid-argument]: test functions must be finite"), f
+        assert not (out / "transform.json").exists()
+
+
+@pytest.mark.parametrize("box", ["nan,0.5", "0.2,inf", "0.6,0.4"])
+def test_a_set_that_is_not_a_finite_box_is_refused(model_file, tmp_path, capsys, box):
+    # each printed a summary (of NaNs for the first two) and exited 0
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "o"), "flln",
+               "--horizon", "5", "--reps", "2", "--set", box])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[invalid-argument]: --set ")
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_analyze_validates_its_second_model(model_file, tmp_path, capsys):
+    # a mark table that does not match its axis counts ended in an IndexError
+    # traceback while the distance was summed; it fails validation as --model does
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump({**CONST_MODEL, "marks": {
+        "kind": "scaled-profile", "profile": {"family": "grid", "values": [[0.5, 1.0]],
+                                              "axis_counts": [2]}}}))
+    events = tmp_path / "events.ndjson"
+    events.write_text(history_line(0.5, [0.25]) + history_line(0.7, [0.75], i=1))
+    rc = main(["--model", str(model_file), "--out", str(tmp_path / "an"), "analyze",
+               str(events), str(events), "--model2", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error[error]: model validation failed: "
+        "invalid-parameter: grid values do not match axis_counts\n")
+
+
 def test_transform_subcommand(model_file, tmp_path, capsys):
     out = tmp_path / "t"
     rc = main(["--model", str(model_file), "--seed", "4", "--out", str(out),

@@ -20,16 +20,27 @@ from graphon_hawkes.errors import (
     ShapeError,
     ThinningBoundError,
 )
+from graphon_hawkes.events import Realization
 from graphon_hawkes.model import Nonlinearity, _cell_index
-from graphon_hawkes.thinning_sim import HistorySnapshot, _check_history, simulate_thinning
+from graphon_hawkes.thinning_sim import _check_history, simulate_thinning
 
 
-def conditional_intensity(spec: gh.ModelSpec, history: HistorySnapshot, t: float) -> np.ndarray:
-    """lambda_t on the standard grid given the history before t, summed event
-    by event: the direct-sum oracle of the carried excitation."""
-    _check_history(spec, history)
+def history_of(times=(), locations=(), mark_scalars=()) -> Realization:
+    """These past events as the `Realization` a history file reads to, unsorted
+    and unchecked; no events hold one (empty) coordinate column."""
+    times, locations = np.asarray(times, float), np.asarray(locations, float)
+    return Realization.build(times, locations if locations.size else locations.reshape(0, 1),
+                             np.asarray(mark_scalars, float), np.full(times.shape, math.nan),
+                             math.inf, {}, False)
+
+
+def conditional_intensity(spec: gh.ModelSpec, history: Realization, t: float) -> np.ndarray:
+    """lambda_t on the standard grid given the history up to t, summed event
+    by event: the direct-sum oracle of the carried excitation.  The history is
+    checked as the model's own, moved to end before time 0."""
     if history.times.size and history.times.max() > t:
         raise AcausalHistoryError("history contains events after the evaluation time")
+    _check_history(spec, dataclasses.replace(history, times=history.times - t - 1.0))
     nodes, _ = spec.std_grid
     total = spec.baseline_on(nodes).astype(float)
     past = history.times < t
@@ -51,39 +62,46 @@ def clipped_model(cap, w=0.5, grid_n=128):
 
 def test_conditional_intensity_empty_history():
     spec = gh.constant_model(0.5, grid_n=128)
-    vals = conditional_intensity(spec, HistorySnapshot(t_ref=0.0), 1.0)
+    vals = conditional_intensity(spec, history_of(), 1.0)
     assert np.allclose(vals, 1.0)
 
 
 def test_conditional_intensity_one_event():
     spec = gh.constant_model(0.5, grid_n=128)
-    hist = HistorySnapshot(times=[0.0], locations=[[0.5]], mark_scalars=[1.0], t_ref=0.5)
+    hist = history_of(times=[0.0], locations=[[0.5]], mark_scalars=[1.0])
     vals = conditional_intensity(spec, hist, 1.0)
     assert np.allclose(vals, 1 + 0.5 * math.exp(-1), atol=1e-12)
 
 
 def test_conditional_intensity_clipped():
     spec = clipped_model(1.1)
-    hist = HistorySnapshot(times=[0.0], locations=[[0.5]], mark_scalars=[1.0], t_ref=0.5)
+    hist = history_of(times=[0.0], locations=[[0.5]], mark_scalars=[1.0])
     vals = conditional_intensity(spec, hist, 1.0)
     assert np.allclose(vals, 1.1)
 
 
 def test_conditional_intensity_acausal():
     spec = gh.constant_model(0.5, grid_n=64)
-    hist = HistorySnapshot(times=[0.0], locations=[[0.5]], mark_scalars=[1.0], t_ref=0.5)
+    hist = history_of(times=[0.0], locations=[[0.5]], mark_scalars=[1.0])
     with pytest.raises(AcausalHistoryError):
         conditional_intensity(spec, hist, -1.0)
 
 
-def test_history_snapshot_rejects_future_events():
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_a_history_at_or_after_time_zero_is_acausal(t):
+    spec = gh.constant_model(0.5, grid_n=64)
     with pytest.raises(AcausalHistoryError):
-        HistorySnapshot(times=[1.0], locations=[[0.5]], mark_scalars=[1.0], t_ref=0.5)
+        _check_history(spec, history_of(times=[-1.0, t], locations=[[0.5]] * 2,
+                                        mark_scalars=[1.0] * 2))
 
 
-def test_history_snapshot_needs_one_mark_scalar_per_event():
+@pytest.mark.parametrize("locations,marks", [([[0.5]] * 2, [1.0]), ([[0.5]], [1.0] * 2)],
+                         ids=["one-mark", "one-location"])
+def test_a_history_needs_one_location_and_mark_scalar_per_time(locations, marks):
+    spec = gh.constant_model(0.5, grid_n=64)
     with pytest.raises(ShapeError):
-        HistorySnapshot(times=[-2.0, -1.0], locations=[[0.5]] * 2, mark_scalars=[1.0])
+        _check_history(spec, history_of(times=[-2.0, -1.0], locations=locations,
+                                        mark_scalars=marks))
 
 
 def test_thinning_poisson_mean():
@@ -121,10 +139,8 @@ def test_thinning_clipped_at_baseline_is_poisson():
 
 def test_monotonicity_in_history():
     spec = gh.constant_model(0.5, grid_n=128)
-    h1 = HistorySnapshot(times=[0.0], locations=[[0.2]], mark_scalars=[1.0], t_ref=0.6)
-    h2 = HistorySnapshot(
-        times=[0.0, 0.5], locations=[[0.2], [0.8]], mark_scalars=[1.0, 1.0], t_ref=0.6
-    )
+    h1 = history_of(times=[0.0], locations=[[0.2]], mark_scalars=[1.0])
+    h2 = history_of(times=[0.0, 0.5], locations=[[0.2], [0.8]], mark_scalars=[1.0, 1.0])
     v1 = conditional_intensity(spec, h1, 1.0)
     v2 = conditional_intensity(spec, h2, 1.0)
     assert (v2 >= v1 - 1e-12).all()
@@ -132,9 +148,7 @@ def test_monotonicity_in_history():
 
 def test_thinning_with_initial_history_raises_rate():
     spec = gh.constant_model(0.5, grid_n=128)
-    hist = HistorySnapshot(
-        times=[-0.1] * 20, locations=[[0.5]] * 20, mark_scalars=[1.0] * 20, t_ref=0.0
-    )
+    hist = history_of(times=[-0.1] * 20, locations=[[0.5]] * 20, mark_scalars=[1.0] * 20)
     s = gh.SplitStream(33)
     with_hist = np.mean(
         [len(simulate_thinning(spec, 1.0, initial=hist, rng=s.child(0, i))) for i in range(800)]
@@ -147,7 +161,7 @@ def test_thinning_with_initial_history_raises_rate():
 
 def test_thinning_initial_history_must_be_past():
     spec = gh.constant_model(0.5, grid_n=64)
-    hist = HistorySnapshot(times=[0.5], locations=[[0.5]], mark_scalars=[1.0], t_ref=1.0)
+    hist = history_of(times=[0.5], locations=[[0.5]], mark_scalars=[1.0])
     with pytest.raises(AcausalHistoryError):
         simulate_thinning(spec, 2.0, initial=hist, rng=gh.SplitStream(0))
 
@@ -164,7 +178,7 @@ def test_a_history_the_model_cannot_read_is_refused(times, locations, marks, err
     # each was read before: a NaN or -inf time ended in a NaN bound, a 2-d
     # history ran a 1-d model, and points at x = 5 extrapolated the graphon
     spec = gh.rank_one_model(1.5, grid_n=64)
-    hist = HistorySnapshot(times=times, locations=locations, mark_scalars=marks, t_ref=0.0)
+    hist = history_of(times=times, locations=locations, mark_scalars=marks)
     with pytest.raises(error):
         simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
     with pytest.raises(error):
@@ -282,19 +296,18 @@ def test_carried_intensity_matches_direct_sum_and_bound_dominates(
         c_w=1.0,
         grid_n=16,
     )
-    times = [s for s, _, _ in history]  # unsorted: the snapshot sorts them
+    times = [s for s, _, _ in history]  # unsorted: `load` sorts them
     locs = [[x] for _, x, _ in history]
     xis = [xi for _, _, xi in history]
     state = thinning_sim._ThinningState(spec)
-    state.load(HistorySnapshot(times=times, locations=locs, mark_scalars=xis, t_ref=0.0))
+    state.load(history_of(times=times, locations=locs, mark_scalars=xis))
     t = 0.0
     # after each push, probe the times up to the next one (and past the last)
     for gap, x, xi in pushed + [(1.0, None, None)]:
         bound = state.total_bound(t)
         for frac in sorted(fractions):
             s = t + frac * gap
-            snapshot = HistorySnapshot(times=times, locations=locs, mark_scalars=xis,
-                                       t_ref=s)
+            snapshot = history_of(times=times, locations=locs, mark_scalars=xis)
             lam = state.intensity(s)
             np.testing.assert_allclose(on_standard_grid(state, spec, lam),
                                        conditional_intensity(spec, snapshot, s),
@@ -347,13 +360,12 @@ def test_column_table_matches_direct_sum_with_step_graphon_and_step_marks(
     locs = [[x] for _, x, _ in history]
     xis = [xi for _, _, xi in history]
     state = thinning_sim._ThinningState(spec)
-    state.load(HistorySnapshot(times=times, locations=locs, mark_scalars=xis, t_ref=0.0))
+    state.load(history_of(times=times, locations=locs, mark_scalars=xis))
     t = 0.0
     for gap, x, xi in pushed + [(1.0, None, None)]:
         for frac in sorted(fractions):
             s = t + frac * gap
-            snapshot = HistorySnapshot(times=times, locations=locs, mark_scalars=xis,
-                                       t_ref=s)
+            snapshot = history_of(times=times, locations=locs, mark_scalars=xis)
             np.testing.assert_allclose(on_standard_grid(state, spec, state.intensity(s)),
                                        conditional_intensity(spec, snapshot, s),
                                        rtol=1e-12, atol=1e-12)
@@ -407,12 +419,13 @@ def test_flat_model_takes_the_flat_draw_with_unchanged_bytes(monkeypatch):
 
 
 def test_exponential_thinning_memory_is_bounded_by_the_grid():
-    # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB
+    # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB;
+    # the history is in time order, as a history file reads to, so none is sorted
     n, grid_n = 5000, 128
     spec = gh.constant_model(0.5, grid_n=grid_n)
     gen = np.random.default_rng(0)
-    hist = HistorySnapshot(times=-0.5 * n * gen.random(n), locations=gen.random((n, 1)),
-                           mark_scalars=np.ones(n), t_ref=0.0)
+    hist = history_of(times=np.sort(-0.5 * n * gen.random(n)), locations=gen.random((n, 1)),
+                      mark_scalars=np.ones(n))
     tracemalloc.start()
     try:
         simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
@@ -441,8 +454,8 @@ def test_power_law_thinning_memory_is_bounded_by_history_plus_cells():
     n, d, grid_n = 5000, 16, 128
     spec = step_power_law_model(d, grid_n)
     gen = np.random.default_rng(0)
-    hist = HistorySnapshot(times=-0.5 * n * gen.random(n), locations=gen.random((n, 1)),
-                           mark_scalars=np.ones(n), t_ref=0.0)
+    hist = history_of(times=-0.5 * n * gen.random(n), locations=gen.random((n, 1)),
+                      mark_scalars=np.ones(n))
     tracemalloc.start()
     try:
         simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
@@ -497,8 +510,8 @@ def test_history_is_keyed_in_one_call(monkeypatch):
     # and holds what pushing it one event at a time holds
     spec = step_power_law_model()
     gen = np.random.default_rng(3)
-    hist = HistorySnapshot(times=-np.sort(gen.random(300))[::-1] * 100,
-                           locations=gen.random((300, 1)), mark_scalars=np.ones(300))
+    hist = history_of(times=-np.sort(gen.random(300))[::-1] * 100,
+                      locations=gen.random((300, 1)), mark_scalars=np.ones(300))
     one_by_one = thinning_sim._ThinningState(spec)
     for s, y, xi in zip(hist.times, hist.locations, hist.mark_scalars):
         one_by_one.push(float(s), y, float(xi))
@@ -542,15 +555,15 @@ def test_a_loaded_history_leaves_the_state_of_one_push_per_event(kernel, family,
         grid_n=16,
     )
     gen = np.random.default_rng([events, marked])
-    hist = HistorySnapshot(times=-20 * gen.random(events), locations=gen.random((events, 1)),
-                           mark_scalars=0.1 + 3 * gen.random(events) if marked
-                           else np.ones(events))
+    hist = history_of(times=-20 * gen.random(events), locations=gen.random((events, 1)),
+                      mark_scalars=0.1 + 3 * gen.random(events) if marked
+                      else np.ones(events))
     loaded, pushed = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
-    loaded.load(hist)
-    for s, y, xi in zip(hist.times, hist.locations, hist.mark_scalars):
-        pushed.push(float(s), y, float(xi))
+    loaded.load(hist)  # unsorted: `load` pushes in time order
+    for i in np.argsort(hist.times, kind="stable"):
+        pushed.push(float(hist.times[i]), hist.locations[i], float(hist.mark_scalars[i]))
     assert loaded._unit == bool((loaded._event_w[:loaded._n] == 1.0).all())
-    last = float(hist.times[-1]) if events else -1.0  # probed at the last event and after
+    last = float(hist.times.max()) if events else -1.0  # probed at the last event and after
     assert _held(loaded, last) == _held(pushed, last)
     # and the events accepted after it
     xi = 2.0 if marked else 1.0
@@ -558,9 +571,9 @@ def test_a_loaded_history_leaves_the_state_of_one_push_per_event(kernel, family,
         state.push(3.5, np.array([0.3]), xi)
         state.push(3.9, np.array([0.8]), 1.0)
     # at an event's own time its kernel value is masked: lambda is left-continuous
-    snapshot = HistorySnapshot(times=[*hist.times, 3.5, 3.9],
-                               locations=[*hist.locations, [0.3], [0.8]],
-                               mark_scalars=[*hist.mark_scalars, xi, 1.0], t_ref=4.0)
+    snapshot = history_of(times=[*hist.times, 3.5, 3.9],
+                          locations=[*hist.locations, [0.3], [0.8]],
+                          mark_scalars=[*hist.mark_scalars, xi, 1.0])
     np.testing.assert_allclose(on_standard_grid(loaded, spec, loaded.intensity(3.9)),
                                conditional_intensity(spec, snapshot, 3.9), rtol=1e-12, atol=1e-12)
     assert _held(loaded, 3.9) == _held(pushed, 3.9)
@@ -588,12 +601,12 @@ def test_one_cell_linear_pushes_equal_the_general_recursion(law, w, rate, histor
     flat, general = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
     assert flat.flat and (flat._s is None) == (law == "flat")
     general._s = np.zeros(1)  # the array recursion of every other law
-    snapshot = HistorySnapshot(times=[s for s, _, _ in history],
-                               locations=[[y] for _, y, _ in history],
-                               mark_scalars=[xi for _, _, xi in history])
-    flat.load(snapshot)
-    for s, y, xi in zip(snapshot.times, snapshot.locations, snapshot.mark_scalars):
-        general._push(float(s), y, float(xi), *general._engine.law_at(y))
+    flat.load(history_of(times=[s for s, _, _ in history],
+                         locations=[[y] for _, y, _ in history],
+                         mark_scalars=[xi for _, _, xi in history]))
+    for s, y, xi in sorted(history, key=lambda e: e[0]):  # `load`'s stable time order
+        y = np.array([y])
+        general._push(s, y, xi, *general._engine.law_at(y))
     assert (flat._s_total, flat._t_ref) == (general._s_total, general._t_ref)
     t, past = 0.0, list(history)
     for gap, y, xi in pushed:
@@ -606,8 +619,8 @@ def test_one_cell_linear_pushes_equal_the_general_recursion(law, w, rate, histor
         assert flat.total_bound(t) == general.total(t, envelope=True)[0]
         assert flat.total(t + gap)[0] == general.total(t + gap)[0]
     # and the direct sum over every event, each with its own scale
-    later = HistorySnapshot(times=[s for s, _, _ in past], locations=[[y] for _, y, _ in past],
-                            mark_scalars=[xi for _, _, xi in past], t_ref=t + 1.0)
+    later = history_of(times=[s for s, _, _ in past], locations=[[y] for _, y, _ in past],
+                       mark_scalars=[xi for _, _, xi in past])
     oracle = conditional_intensity(spec, later, t + 0.5) @ spec.std_grid[1]
     assert flat.total(t + 0.5)[0] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -618,8 +631,8 @@ def test_a_bound_at_a_candidates_time_reuses_its_kernel_values(monkeypatch):
     # of a state that evaluates every event at once
     spec = step_power_law_model()
     gen = np.random.default_rng(5)
-    hist = HistorySnapshot(times=-np.sort(gen.random(200))[::-1] * 50,
-                           locations=gen.random((200, 1)), mark_scalars=np.ones(200))
+    hist = history_of(times=-np.sort(gen.random(200))[::-1] * 50,
+                      locations=gen.random((200, 1)), mark_scalars=np.ones(200))
     state, fresh = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
     state.load(hist)
     fresh.load(hist)
