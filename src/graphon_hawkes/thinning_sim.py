@@ -39,8 +39,9 @@ or on one cell as lo + u (hi - lo) per axis in floats, that draw's doubles.
 A mark scalar or lifetime whose law is a point mass is that float, with no
 draw.  Evaluation times must not decrease between calls on one state.  A
 history is a `Realization`, checked once, before it is read: one location and
-mark scalar per time, finite times strictly before 0, finite nonnegative mark
-scalars and m coordinates in the domain.  It loads in time order.
+mark scalar per time, finite times strictly before 0 in time order (as a
+`Realization` holds them), finite nonnegative mark scalars and m coordinates in
+the domain.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ RATE_CAP = 1e9
 
 def _check_history(spec: ModelSpec, history: Realization):
     """The one check of a history: one location row and one mark scalar per
-    time, the domain's dimension, finite times strictly before 0, finite
-    nonnegative mark scalars and locations inside the domain."""
+    time, the domain's dimension, finite times strictly before 0 in time order,
+    finite nonnegative mark scalars and locations inside the domain."""
     times, locs, xis = history.times, history.locations, history.mark_scalars
     n = times.shape[0]
     if locs.ndim != 2 or locs.shape[0] != n or xis.shape != (n,):
@@ -83,6 +84,8 @@ def _check_history(spec: ModelSpec, history: Realization):
         raise InvalidArgumentError("history times must be finite")
     if times.max() >= 0:
         raise AcausalHistoryError("history times must lie strictly before time 0")
+    if (times[1:] < times[:-1]).any():
+        raise InvalidArgumentError("history times must be in time order")
     if not (np.isfinite(xis) & (xis >= 0)).all():
         raise InvalidArgumentError("history mark scalars must be finite and nonnegative")
     if not spec.domain.contains(locs):
@@ -131,15 +134,9 @@ class _ThinningState:
         self._push(t, y, xi, *self._engine.law_at(y))
 
     def load(self, history: Realization):
-        """Push a checked history in time order, keyed in one `law` call: into
-        the recursion event by event, into the column table in one step, as
-        pushes would."""
+        """Push a checked history, keyed in one `law` call: into the recursion
+        event by event, into the column table in one step, as pushes would."""
         times, locs, xis = history.times, history.locations, history.mark_scalars
-        # a history file reads in time order, so it is read in place with no copy;
-        # else one stable argsort, ties in their given order
-        if (times[1:] < times[:-1]).any():
-            order = np.argsort(times, kind="stable")
-            times, locs, xis = times[order], locs[order], xis[order]
         keys, scales = self._engine.law(locs)
         weights = xis if scales is None else xis * scales
         if self._beta is not None:  # by `push` on a flat law; lazy iterators, no list of events

@@ -26,8 +26,8 @@ from graphon_hawkes.thinning_sim import _check_history, simulate_thinning
 
 
 def history_of(times=(), locations=(), mark_scalars=()) -> Realization:
-    """These past events as the `Realization` a history file reads to, unsorted
-    and unchecked; no events hold one (empty) coordinate column."""
+    """These past events, in the order given and unchecked, as the `Realization`
+    a history file reads to; no events hold one (empty) coordinate column."""
     times, locations = np.asarray(times, float), np.asarray(locations, float)
     return Realization.build(times, locations if locations.size else locations.reshape(0, 1),
                              np.asarray(mark_scalars, float), np.full(times.shape, math.nan),
@@ -173,7 +173,9 @@ def test_thinning_initial_history_must_be_past():
     ([-2.0, -1.0], [[0.5]] * 2, [1.0, -0.5], InvalidArgumentError),
     ([-2.0, -1.0], [[0.5, 0.5]] * 2, [1.0] * 2, ShapeError),
     ([-2.0, -1.0], [[0.5], [5.0]], [1.0] * 2, OutOfDomainError),
-], ids=["nan-time", "minus-inf-time", "nan-mark", "negative-mark", "2-d", "outside"])
+    ([-1.0, -2.0], [[0.5]] * 2, [1.0] * 2, InvalidArgumentError),
+], ids=["nan-time", "minus-inf-time", "nan-mark", "negative-mark", "2-d", "outside",
+        "out-of-order"])
 def test_a_history_the_model_cannot_read_is_refused(times, locations, marks, error):
     # each was read before: a NaN or -inf time ended in a NaN bound, a 2-d
     # history ran a 1-d model, and points at x = 5 extrapolated the graphon
@@ -296,7 +298,8 @@ def test_carried_intensity_matches_direct_sum_and_bound_dominates(
         c_w=1.0,
         grid_n=16,
     )
-    times = [s for s, _, _ in history]  # unsorted: `load` sorts them
+    history = sorted(history)  # in time order, as a history file reads to
+    times = [s for s, _, _ in history]
     locs = [[x] for _, x, _ in history]
     xis = [xi for _, _, xi in history]
     state = thinning_sim._ThinningState(spec)
@@ -305,9 +308,9 @@ def test_carried_intensity_matches_direct_sum_and_bound_dominates(
     # after each push, probe the times up to the next one (and past the last)
     for gap, x, xi in pushed + [(1.0, None, None)]:
         bound = state.total_bound(t)
+        snapshot = history_of(times=times, locations=locs, mark_scalars=xis)
         for frac in sorted(fractions):
             s = t + frac * gap
-            snapshot = history_of(times=times, locations=locs, mark_scalars=xis)
             lam = state.intensity(s)
             np.testing.assert_allclose(on_standard_grid(state, spec, lam),
                                        conditional_intensity(spec, snapshot, s),
@@ -356,6 +359,7 @@ def test_column_table_matches_direct_sum_with_step_graphon_and_step_marks(
         c_w=1.0,
         grid_n=16,
     )
+    history = sorted(history)  # in time order, as a history file reads to
     times = [s for s, _, _ in history]
     locs = [[x] for _, x, _ in history]
     xis = [xi for _, _, xi in history]
@@ -363,9 +367,9 @@ def test_column_table_matches_direct_sum_with_step_graphon_and_step_marks(
     state.load(history_of(times=times, locations=locs, mark_scalars=xis))
     t = 0.0
     for gap, x, xi in pushed + [(1.0, None, None)]:
+        snapshot = history_of(times=times, locations=locs, mark_scalars=xis)
         for frac in sorted(fractions):
             s = t + frac * gap
-            snapshot = history_of(times=times, locations=locs, mark_scalars=xis)
             np.testing.assert_allclose(on_standard_grid(state, spec, state.intensity(s)),
                                        conditional_intensity(spec, snapshot, s),
                                        rtol=1e-12, atol=1e-12)
@@ -419,12 +423,17 @@ def test_flat_model_takes_the_flat_draw_with_unchanged_bytes(monkeypatch):
 
 
 def test_exponential_thinning_memory_is_bounded_by_the_grid():
-    # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB;
-    # the history is in time order, as a history file reads to, so none is sorted
+    # a stack of every history row would take 5,000 x 128 x 8 bytes = 5.1 MB
     n, grid_n = 5000, 128
     spec = gh.constant_model(0.5, grid_n=grid_n)
     gen = np.random.default_rng(0)
-    hist = history_of(times=np.sort(-0.5 * n * gen.random(n)), locations=gen.random((n, 1)),
+    times = -0.5 * n * gen.random(n)
+    hist = history_of(times=times, locations=gen.random((n, 1)), mark_scalars=np.ones(n))
+    # a history out of time order is refused, not sorted into a copy
+    with pytest.raises(InvalidArgumentError):
+        simulate_thinning(spec, 5.0, initial=hist, rng=gh.SplitStream(0))
+    order = np.argsort(times)
+    hist = history_of(times=times[order], locations=hist.locations[order],
                       mark_scalars=np.ones(n))
     tracemalloc.start()
     try:
@@ -454,7 +463,7 @@ def test_power_law_thinning_memory_is_bounded_by_history_plus_cells():
     n, d, grid_n = 5000, 16, 128
     spec = step_power_law_model(d, grid_n)
     gen = np.random.default_rng(0)
-    hist = history_of(times=-0.5 * n * gen.random(n), locations=gen.random((n, 1)),
+    hist = history_of(times=np.sort(-0.5 * n * gen.random(n)), locations=gen.random((n, 1)),
                       mark_scalars=np.ones(n))
     tracemalloc.start()
     try:
@@ -555,15 +564,15 @@ def test_a_loaded_history_leaves_the_state_of_one_push_per_event(kernel, family,
         grid_n=16,
     )
     gen = np.random.default_rng([events, marked])
-    hist = history_of(times=-20 * gen.random(events), locations=gen.random((events, 1)),
+    hist = history_of(times=np.sort(-20 * gen.random(events)), locations=gen.random((events, 1)),
                       mark_scalars=0.1 + 3 * gen.random(events) if marked
                       else np.ones(events))
     loaded, pushed = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
-    loaded.load(hist)  # unsorted: `load` pushes in time order
-    for i in np.argsort(hist.times, kind="stable"):
-        pushed.push(float(hist.times[i]), hist.locations[i], float(hist.mark_scalars[i]))
+    loaded.load(hist)
+    for s, y, xi in zip(hist.times, hist.locations, hist.mark_scalars):
+        pushed.push(float(s), y, float(xi))
     assert loaded._unit == bool((loaded._event_w[:loaded._n] == 1.0).all())
-    last = float(hist.times.max()) if events else -1.0  # probed at the last event and after
+    last = float(hist.times[-1]) if events else -1.0  # probed at the last event and after
     assert _held(loaded, last) == _held(pushed, last)
     # and the events accepted after it
     xi = 2.0 if marked else 1.0
@@ -601,12 +610,13 @@ def test_one_cell_linear_pushes_equal_the_general_recursion(law, w, rate, histor
     flat, general = thinning_sim._ThinningState(spec), thinning_sim._ThinningState(spec)
     assert flat.flat and (flat._s is None) == (law == "flat")
     general._s = np.zeros(1)  # the array recursion of every other law
-    flat.load(history_of(times=[s for s, _, _ in history],
-                         locations=[[y] for _, y, _ in history],
-                         mark_scalars=[xi for _, _, xi in history]))
-    for s, y, xi in sorted(history, key=lambda e: e[0]):  # `load`'s stable time order
-        y = np.array([y])
-        general._push(s, y, xi, *general._engine.law_at(y))
+    history = sorted(history)  # in time order, as a history file reads to
+    snapshot = history_of(times=[s for s, _, _ in history],
+                          locations=[[y] for _, y, _ in history],
+                          mark_scalars=[xi for _, _, xi in history])
+    flat.load(snapshot)
+    for s, y, xi in zip(snapshot.times, snapshot.locations, snapshot.mark_scalars):
+        general._push(float(s), y, float(xi), *general._engine.law_at(y))
     assert (flat._s_total, flat._t_ref) == (general._s_total, general._t_ref)
     t, past = 0.0, list(history)
     for gap, y, xi in pushed:
